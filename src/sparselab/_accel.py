@@ -22,19 +22,6 @@ except ModuleNotFoundError:
 USE_NUMBA = numba is not None and os.environ.get("SPARSELAB_NUMBA", "1") != "0"
 
 
-def numba_jit(f=None, **setting):
-    if not USE_NUMBA:
-        if f is None:
-            return lambda f: f
-        else:
-            return f
-    else:
-        if f is None:
-            return lambda f: numba.njit(f, **setting)
-        else:
-            return numba.njit(f, **setting)
-
-
 def backend_name() -> str:
     return "numba" if USE_NUMBA else "numpy"
 
@@ -80,29 +67,6 @@ else:
     quasi_triangle_constant = _quasi_triangle_numpy
 # reference path, always available (used by bench)
 quasi_triangle_constant_numpy = _quasi_triangle_numpy
-
-
-# -- scatter-add of per-cube coefficients -----------------------------------
-
-def _scatter_add_loops(out, members_flat, offsets, coeffs):
-    for j in range(offsets.shape[0] - 1):
-        c = coeffs[j]
-        for i in range(offsets[j], offsets[j + 1]):
-            out[members_flat[i]] += c
-    return out
-
-
-def _scatter_add_numpy(out, members_flat, offsets, coeffs):
-    sizes = np.diff(offsets)
-    np.add.at(out, members_flat, np.repeat(coeffs, sizes))
-    return out
-
-
-if USE_NUMBA:
-    scatter_add_cubes = numba.njit(cache=True)(_scatter_add_loops)
-else:
-    scatter_add_cubes = _scatter_add_numpy
-scatter_add_cubes_numpy = _scatter_add_numpy
 
 
 # -- fractional-integral kernels --------------------------------------------

@@ -5,8 +5,8 @@ flags override the matching config fields.  All reports carry the schema
 tag "sparselab-report/1" and are written atomically (write to a
 temporary file, then rename), so a failed run never leaves a partial
 output file.  Report content is bit-identical for identical (config,
-seed) regardless of thread count; only ``bench`` output and ``--audit``
-extras carry wall-clock timings and are exempt.
+seed); only ``bench`` output and ``--audit`` extras carry wall-clock
+timings and are exempt.
 
 Exit codes: 0 success, 1 a check or certificate failed, 2 configuration
 error.
@@ -26,16 +26,15 @@ import click
 import numpy as np
 
 from . import _accel
-from .domination import (certificate_lhs, certificate_rhs, cz_construct,
-                         derive_config, verify_domination)
+from .domination import cz_construct, derive_config, verify_domination
 from .dyadic import (WitnessSelectionError, build_shifted_adjacent,
                      build_standard_lattice, lattice_to_descriptor,
-                     select_witnesses)
-from .operators import MultiIndexPair, ball_mass_kernel, sparse_operator
+                     random_sparse_family, select_witnesses)
+from .operators import MultiIndexPair, ball_mass_kernel, sparse_coefficients
 from .space import build_grid_space, space_from_descriptor, space_to_descriptor
 from .space import doubling_constant as space_doubling_constant
-from .verify import CheckSpec, _random_sparse_family, registry_ids, run_check
-from .weights import (ExponentConfig, avg, dual_weight,
+from .verify import CheckSpec, registry_ids, run_check
+from .weights import (ExponentConfig, dual_weight,
                       fractional_apq_constant, fujii_wilson_constant,
                       fujii_wilson_single, hruscev_constant, hruscev_single,
                       joint_astar_constant, component_hruscev_constant,
@@ -101,6 +100,11 @@ def _num_field(obj, key, where, default=None):
     if not _is_num(val):
         raise ConfigError(f"{where}.{key} must be a number")
     return float(val)
+
+
+def _require_finite(val, name):
+    if not math.isfinite(val):
+        raise ConfigError(f"{name} must be a finite number")
 
 
 def _space_from_config(cfg, n_flag):
@@ -179,6 +183,8 @@ def _array_spec(space, spec, where, allow_negative=False):
             raise ConfigError(f"{where} must be a length-{space.n} "
                               "number array")
         arr = np.array([float(v) for v in spec])
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{where} must hold finite numbers")
         if not allow_negative and np.any(arr < 0.0):
             raise ConfigError(f"{where} must be nonnegative")
         return arr
@@ -255,9 +261,6 @@ def _csv_text(header, rows) -> str:
               help="JSON experiment config; flags override its fields.")
 @click.option("--seed", type=int, default=None,
               help="Global RNG seed (default 1).")
-@click.option("--threads", type=int, default=None,
-              help="Thread budget for the compiled backend; never "
-                   "changes results.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Output file; stdout when omitted.")
 @click.option("--audit", is_flag=True,
@@ -265,17 +268,11 @@ def _csv_text(header, rows) -> str:
                    "are not bit-stable).")
 @click.version_option(package_name="sparselab", prog_name="sparselab")
 @click.pass_context
-def cli(ctx, config_path, seed, threads, out_path, audit):
+def cli(ctx, config_path, seed, out_path, audit):
     """Sparse-operator laboratory on finite spaces of homogeneous type."""
     cfg = _load_config(config_path)
     if seed is None:
         seed = _int_field(cfg, "seed", "config", default=1)
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if _accel.USE_NUMBA:
-            limit = _accel.numba.config.NUMBA_NUM_THREADS
-            _accel.numba.set_num_threads(min(threads, limit))
     if out_path is None:
         out = cfg.get("out")
         if out is not None and not isinstance(out, str):
@@ -444,7 +441,7 @@ def cmd_constants(ctx, n, kinds, weight_flags):
 def _family_from_config(cfg, lattice, seed):
     fam_cfg = cfg.get("family")
     if fam_cfg is None:
-        return _random_sparse_family(
+        return random_sparse_family(
             lattice, np.random.default_rng((seed, 101)))
     if not isinstance(fam_cfg, dict):
         raise ConfigError("family must be an object")
@@ -482,8 +479,10 @@ def cmd_sparse(ctx, n, eta, dump_path):
     gamma = ecfg.gamma if ecfg is not None else 1.0
     if eta is None:
         eta = ecfg.eta if ecfg is not None else 0.0
+    _require_finite(eta, "eta")
     fs = _functions_from_config(space, cfg, m, seed, 7)
-    out_arr = sparse_operator(family, fs, eta=eta, p0=p0, gamma=gamma)
+    coeffs = sparse_coefficients(lattice, fs, eta=eta, p0=p0, gamma=gamma)
+    out_arr = family.pointwise(coeffs) ** (1.0 / gamma)
     payload = {
         "schema": SCHEMA,
         "report": "sparse",
@@ -494,14 +493,8 @@ def cmd_sparse(ctx, n, eta, dump_path):
     }
     _emit(_json_payload(payload), ctx.obj["out"])
     if dump_path is not None:
-        rows = []
-        for cid in family.cube_ids:
-            cube = lattice.cube(cid)
-            coeff = cube.mass ** eta
-            for f in fs:
-                coeff *= avg(space, cube.members, f, p0)
-            rows.append((cid, cube.gen, repr(cube.mass),
-                         repr(coeff ** gamma)))
+        rows = [(cid, lattice.cube(cid).gen, repr(lattice.cube(cid).mass),
+                 repr(float(coeffs[cid]))) for cid in family.cube_ids]
         _write_text(dump_path, _csv_text(
             ("cube_id", "gen", "mass", "coefficient"), rows))
 
@@ -564,10 +557,12 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
     m = pair.m
     if eta is None:
         eta = _num_field(cfg, "eta", "config", default=0.0)
+    _require_finite(eta, "eta")
     if eta >= m:
         raise ConfigError(f"eta must be < {m} (the slot count)")
     if alpha is None:
         alpha = _num_field(cfg, "alpha", "config", default=1.0)
+    _require_finite(alpha, "alpha")
     if alpha <= 0.0:
         raise ConfigError("alpha must be positive")
     fs = _functions_from_config(space, cfg, m, seed, 5)
@@ -576,8 +571,7 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
     systems = build_shifted_adjacent(space, shifts)
     dom_cfg = derive_config(space, systems, alpha=alpha)
     cert = cz_construct(space, systems, fs, symbols, pair, eta, dom_cfg)
-    lhs = certificate_lhs(space, fs, symbols, pair, eta)
-    rhs = certificate_rhs(space, cert.families, fs, symbols, pair, eta)
+    lhs, rhs = cert.per_point["lhs"], cert.per_point["rhs"]
     verdict = verify_domination(cert, lhs, rhs)
     payload = {
         "schema": SCHEMA,
@@ -680,32 +674,6 @@ def _best_time(fn, repeats):
 _BACKEND = _accel.backend_name()
 
 
-def _bench_sparse_sum(space, lattice, rng, repeats):
-    rows = []
-    gens = lattice.generations
-    depth = len(gens)
-    for tail in sorted({1, max(1, depth // 2), depth}):
-        ids = [cid for gen in gens[depth - tail:] for cid in gen]
-        members = [lattice.cube(cid).members for cid in ids]
-        flat = np.concatenate(members)
-        offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum([len(mm) for mm in members], out=offsets[1:])
-        coeffs = rng.uniform(0.5, 2.0, size=len(members))
-        fast = _accel.scatter_add_cubes(
-            np.zeros(space.n), flat, offsets, coeffs)
-        ref = _accel.scatter_add_cubes_numpy(
-            np.zeros(space.n), flat, offsets, coeffs)
-        t_fast = _best_time(lambda: _accel.scatter_add_cubes(
-            np.zeros(space.n), flat, offsets, coeffs), repeats)
-        t_ref = _best_time(lambda: _accel.scatter_add_cubes_numpy(
-            np.zeros(space.n), flat, offsets, coeffs), repeats)
-        rows.append(("sparse_sum", _BACKEND, space.n, len(ids),
-                     repr(t_fast), repr(t_ref),
-                     repr(flat.size / max(t_fast, 1e-12)),
-                     repr(float(np.abs(fast - ref).max()))))
-    return rows
-
-
 def _bench_frac_kernels(space, rng, repeats):
     rows = []
     kernel = ball_mass_kernel(space)
@@ -766,9 +734,7 @@ def cmd_bench(ctx, ns, repeats):
     rows = []
     for n in sorted(set(int(v) for v in ns)):
         space = build_grid_space(n)
-        lattice = build_standard_lattice(space)
         rng = np.random.default_rng((seed, 11, n))
-        rows.extend(_bench_sparse_sum(space, lattice, rng, repeats))
         rows.extend(_bench_frac_kernels(space, rng, repeats))
     _emit(_csv_text(("op", "backend", "n", "size", "seconds",
                      "numpy_seconds", "throughput_per_s",

@@ -30,6 +30,7 @@ from .dyadic import (
 )
 from .operators import (
     MultiIndexPair,
+    _as_arrays,
     ball_mass_kernel,
     commutator_integral,
     sparse_higher_order,
@@ -45,22 +46,6 @@ class DominationError(RuntimeError):
     def __init__(self, message, cube_id=None):
         super().__init__(message)
         self.cube_id = cube_id
-
-
-def _arrays(fs, n):
-    out = []
-    for f in fs:
-        a = np.asarray(f, dtype=np.float64)
-        if a.shape != (n,):
-            raise ValueError("argument must assign one value per point")
-        out.append(a)
-    return out
-
-
-def _signed_mean(space, members, f) -> float:
-    mass = space.masses[members]
-    return float(np.dot(np.asarray(f, dtype=np.float64)[members], mass)
-                 / mass.sum())
 
 
 # -- configuration -----------------------------------------------------------
@@ -222,7 +207,7 @@ def _node_profiles(space, fs, symbols, pair, eta, r, region, base_center,
     cut = np.zeros(space.n)
     cut[big.members] = 1.0
     mu_big = space.mass_of(big.members)
-    means = {i: _signed_mean(space, ref_cube.members, symbols[i])
+    means = {i: ref_cube.lat.cube_means(symbols[i])[ref_cube.cube_id]
              for i in pair.tau_ell}
     orders = _normalized_orders(pair)
     profiles = []
@@ -287,8 +272,8 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
     drive the construction (pair.t and pair.tau are enumerated
     internally).  The oscillation split is evaluated at r = 1.
     """
-    fs = _arrays(fs, space.n)
-    symbols = _arrays(symbols, space.n)
+    fs = _as_arrays(fs, space.n)
+    symbols = _as_arrays(symbols, space.n)
     if len(fs) != pair.m or len(symbols) != pair.m:
         raise ValueError("one argument and one symbol per slot required")
     if cfg is None:
@@ -398,7 +383,8 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
 
 def verify_domination(cert: DominationCertificate, lhs, rhs) -> dict:
     """Pointwise check of lhs <= constant * rhs wherever rhs > 0, and
-    lhs = 0 wherever rhs = 0; report-valued."""
+    lhs = 0 wherever rhs = 0; report-valued.  A point whose lhs, rhs or
+    ratio is not finite is a violation."""
     lhs = np.asarray(lhs, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     if lhs.shape != rhs.shape:
@@ -406,9 +392,15 @@ def verify_domination(cert: DominationCertificate, lhs, rhs) -> dict:
     scale = max(1.0, float(np.abs(lhs).max(initial=0.0)),
                 cert.constant * float(np.abs(rhs).max(initial=0.0)))
     tol = 1e-12 * scale
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(rhs > 0.0, lhs / rhs, 0.0)
+    finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(ratio)
     violations = []
     for x in range(lhs.size):
-        if rhs[x] > 0.0:
+        if not finite[x]:
+            violations.append({"point": x, "lhs": float(lhs[x]),
+                               "bound": float(cert.constant * rhs[x])})
+        elif rhs[x] > 0.0:
             if lhs[x] > cert.constant * rhs[x] + tol:
                 violations.append({"point": x, "lhs": float(lhs[x]),
                                    "bound": float(cert.constant * rhs[x])})
@@ -416,7 +408,7 @@ def verify_domination(cert: DominationCertificate, lhs, rhs) -> dict:
             violations.append({"point": x, "lhs": float(lhs[x]),
                                "bound": 0.0})
     pos = rhs > 0.0
-    realized = float((lhs[pos] / rhs[pos]).max()) if np.any(pos) else 0.0
+    realized = float(ratio[pos].max()) if np.any(pos) else 0.0
     return {"pass": not violations, "violations": violations,
             "constant": cert.constant, "max_ratio": realized,
             "n_points": int(lhs.size)}
@@ -485,6 +477,7 @@ def augment_sparse(family: SparseFamily, b) -> tuple[SparseFamily, dict]:
     gamma = family.delta
     new_delta = gamma / (2.0 * (gamma + 1.0))
     cmu0 = lat.cmu0()
+    means = lat.cube_means(b)
     ids = sorted(set(family.cube_ids),
                  key=lambda cid: (lat.cube(cid).gen, lat.cube(cid).index))
     present = set(ids)
@@ -494,7 +487,7 @@ def augment_sparse(family: SparseFamily, b) -> tuple[SparseFamily, dict]:
     while queue:
         cid = queue.pop(0)
         cube = lat.cube(cid)
-        b_q = _signed_mean(sp, cube.members, b)
+        b_q = means[cid]
         osc = avg(sp, cube.members, b - b_q, 1.0)
         budget = 2.0 * cmu0 * osc
         picked = []
@@ -525,9 +518,7 @@ def augment_sparse(family: SparseFamily, b) -> tuple[SparseFamily, dict]:
 
     oscs = {}
     for cid in new_ids:
-        cube = lat.cube(cid)
-        b_q = _signed_mean(sp, cube.members, b)
-        oscs[cid] = avg(sp, cube.members, b - b_q, 1.0)
+        oscs[cid] = avg(sp, lat.cube(cid).members, b - means[cid], 1.0)
     empirical = 0.0
     vacuous = True
     for row in rows:
@@ -536,8 +527,7 @@ def augment_sparse(family: SparseFamily, b) -> tuple[SparseFamily, dict]:
     for cid in new_ids:
         cube = lat.cube(cid)
         inside = set(cube.members.tolist())
-        b_q = _signed_mean(sp, cube.members, b)
-        num = np.abs(b[cube.members] - b_q)
+        num = np.abs(b[cube.members] - means[cid])
         denom = np.zeros(sp.n)
         for other in new_ids:
             oc = lat.cube(other)

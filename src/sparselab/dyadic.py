@@ -90,6 +90,7 @@ class DyadicLattice:
         self.cubes: list[Cube] = []
         self.generations: list[list[int]] = []
         self.point_to_cube: np.ndarray | None = None
+        self.cube_masses: np.ndarray | None = None
 
     @property
     def depth(self) -> int:
@@ -109,6 +110,39 @@ class DyadicLattice:
 
     def cubes_containing(self, x: int) -> list[Cube]:
         return [self.cube_containing(k, x) for k in range(self.depth + 1)]
+
+    # -- cube statistics ---------------------------------------------------
+    # Row k of point_to_cube labels every point with its generation-k
+    # cube, so a per-cube statistic is one segment reduction over that
+    # table, and per-cube values return to points by the gather
+    # values[point_to_cube], reduced over axis 0.  Inputs have shape (n,)
+    # or (generations, n); row k of the latter is read on generation-k
+    # cubes, for integrands that depend on the cube (b - <b>_Q).
+
+    def cube_sums(self, values) -> np.ndarray:
+        """Integral of values against mu over every cube, by cube id."""
+        weighted = np.broadcast_to(
+            np.asarray(values, dtype=np.float64) * self.space.masses,
+            self.point_to_cube.shape)
+        return np.bincount(self.point_to_cube.ravel(), weighted.ravel(),
+                           minlength=len(self.cubes))
+
+    def cube_means(self, values) -> np.ndarray:
+        """Normalized (signed) average of values over every cube."""
+        return self.cube_sums(values) / self.cube_masses
+
+    def cube_max(self, values) -> np.ndarray:
+        """Largest member value of every cube, by cube id."""
+        values = np.broadcast_to(np.asarray(values, dtype=np.float64),
+                                 self.point_to_cube.shape)
+        out = np.full(len(self.cubes), -np.inf)
+        np.maximum.at(out, self.point_to_cube.ravel(), values.ravel())
+        return out
+
+    def deviations(self, b) -> np.ndarray:
+        """b(x) - <b>_Q with Q the generation-k cube of x, per (k, x)."""
+        b = np.asarray(b, dtype=np.float64)
+        return b - self.cube_means(b)[self.point_to_cube]
 
     # -- construction helpers ---------------------------------------------
 
@@ -134,6 +168,9 @@ class DyadicLattice:
             if np.any(self.point_to_cube[k] == -1):
                 raise LatticeError(f"generation {k} does not cover the space")
             self.generations.append(ids)
+        # summed like every other cube statistic, so a constant averages
+        # to itself exactly
+        self.cube_masses = self.cube_sums(np.ones(n))
         for k in range(1, len(gen_members)):
             for cid in self.generations[k]:
                 cube = self.cubes[cid]
@@ -463,6 +500,27 @@ class SparseFamily:
     def witness_mass(self, cube_id: int) -> float:
         return self.lattice.space.mass_of(self.witnesses[cube_id])
 
+    def witness_sums(self, values) -> np.ndarray:
+        """Integral of values against mu over each listed cube's witness
+        set, in cube_ids order."""
+        weighted = np.asarray(values, dtype=np.float64) * \
+            self.lattice.space.masses
+        return np.array([np.sum(weighted[self.witnesses[cid]])
+                         for cid in self.cube_ids])
+
+    def pointwise(self, coeffs, factor=1.0) -> np.ndarray:
+        """sum over the listed cubes Q of coeffs[Q] * factor on Q.
+
+        coeffs is indexed by cube id; unlisted cubes are ignored and a
+        cube listed twice counts twice.  factor is a scalar or a
+        (generations, n) array read like a cube_sums input.
+        """
+        lat = self.lattice
+        count = np.bincount(np.asarray(self.cube_ids, dtype=np.intp),
+                            minlength=len(lat.cubes))[lat.point_to_cube]
+        terms = count * np.asarray(coeffs)[lat.point_to_cube] * factor
+        return np.where(count > 0, terms, 0.0).sum(axis=0)
+
 
 @dataclass
 class SparseReport:
@@ -531,6 +589,47 @@ def select_witnesses(lattice: DyadicLattice, cube_ids: list[int],
         witnesses[cid] = free
         taken[free] = True
     return SparseFamily(lattice, list(cube_ids), witnesses, delta)
+
+
+def random_sparse_family(lattice: DyadicLattice, rng,
+                         delta: float = 0.5) -> SparseFamily:
+    """Random cube set thinned until the witness selector succeeds.
+
+    Top-down walk: an internal cube is either kept with its subtree
+    left alone, kept with the walk continuing below it, or skipped;
+    leaves join with even odds.  Keeping mixed generations (not every
+    leaf) leaves the selector room, and any cube the greedy selection
+    still starves is dropped one at a time.
+    """
+    ids = []
+    root = lattice.generations[0][0]
+    stack = [root]
+    while stack:
+        cid = stack.pop()
+        cube = lattice.cube(cid)
+        if not cube.children:
+            if rng.uniform() < 0.5:
+                ids.append(cid)
+            continue
+        roll = rng.uniform()
+        if roll < 0.25:
+            ids.append(cid)
+        elif roll < 0.55:
+            ids.append(cid)
+            stack.extend(reversed(cube.children))
+        else:
+            stack.extend(reversed(cube.children))
+    if not ids:
+        ids = [root]
+    ids = sorted(set(ids))
+    while ids:
+        try:
+            return select_witnesses(lattice, ids, delta)
+        except WitnessSelectionError as err:
+            if err.cube_id is None or err.cube_id not in ids:
+                break
+            ids.remove(err.cube_id)
+    return select_witnesses(lattice, [root], delta)
 
 
 def max_feasible_delta(lattice: DyadicLattice, cube_ids: list[int],

@@ -14,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import (
-    frac_kernel_m1,
-    frac_kernel_m2,
-    frac_kernel_m3,
-    scatter_add_cubes,
-)
+from ._accel import frac_kernel_m1, frac_kernel_m2, frac_kernel_m3
 from .dyadic import DyadicLattice, SparseFamily
 from .space import DiscreteSpace
-from .weights import avg, luxemburg_norm, young_llogl
+from .weights import cube_gauges, young_llogl
 
 
 @dataclass(frozen=True)
@@ -75,39 +70,30 @@ def _as_arrays(fs, n):
     return out
 
 
-def _apply_sparse(family: SparseFamily, coeffs) -> np.ndarray:
-    lat = family.lattice
-    out = np.zeros(lat.space.n)
-    if not family.cube_ids:
-        return out
-    members = [lat.cube(cid).members for cid in family.cube_ids]
-    flat = np.concatenate(members)
-    offsets = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum([len(mm) for mm in members], out=offsets[1:])
-    scatter_add_cubes(out, flat, offsets, np.asarray(coeffs, dtype=np.float64))
-    return out
-
-
 # -- sparse forms ------------------------------------------------------------
+# Coefficients are computed for every cube of the family's lattice at
+# once and indexed by cube id; SparseFamily.pointwise keeps the listed
+# cubes and spreads them back onto points.
+
+def _r_averages(lattice: DyadicLattice, g, r: float) -> np.ndarray:
+    """<|g|^r>_Q^(1/r) for every cube; g shaped as a cube_sums input."""
+    return lattice.cube_means(np.abs(g) ** r) ** (1.0 / r)
+
+
+def sparse_coefficients(lattice: DyadicLattice, fs, eta: float = 0.0,
+                        p0: float = 1.0, gamma: float = 1.0) -> np.ndarray:
+    """[mu(Q)^eta prod_i <f_i>_{Q,p0}]^gamma for every cube, by cube id."""
+    prod = lattice.cube_masses ** eta
+    for f in _as_arrays(fs, lattice.space.n):
+        prod = prod * _r_averages(lattice, f, p0)
+    return prod ** gamma
+
 
 def sparse_operator(family: SparseFamily, fs, eta: float = 0.0,
                     p0: float = 1.0, gamma: float = 1.0) -> np.ndarray:
     """Basic form: (sum_Q [mu(Q)^eta prod_i <f_i>_{Q,p0}]^gamma 1_Q)^(1/gamma)."""
-    sp = family.lattice.space
-    fs = _as_arrays(fs, sp.n)
-    coeffs = []
-    for cid in family.cube_ids:
-        cube = family.lattice.cube(cid)
-        prod = cube.mass ** eta
-        for f in fs:
-            prod *= avg(sp, cube.members, f, p0)
-        coeffs.append(prod ** gamma)
-    return _apply_sparse(family, coeffs) ** (1.0 / gamma)
-
-
-def _symbol_mean(sp, members, b):
-    return float(np.dot(b[members], sp.masses[members])
-                 / sp.masses[members].sum())
+    coeffs = sparse_coefficients(family.lattice, fs, eta, p0, gamma)
+    return family.pointwise(coeffs) ** (1.0 / gamma)
 
 
 def sparse_first_order(family: SparseFamily, fs, symbols, tau, tau_ell,
@@ -118,29 +104,24 @@ def sparse_first_order(family: SparseFamily, fs, symbols, tau, tau_ell,
     tau_ell minus tau carry the oscillation inside the average, the
     rest enter through plain r-averages.
     """
-    sp = family.lattice.space
-    fs = _as_arrays(fs, sp.n)
-    symbols = _as_arrays(symbols, sp.n)
+    lat = family.lattice
+    fs = _as_arrays(fs, lat.space.n)
+    symbols = _as_arrays(symbols, lat.space.n)
     tau = sorted(set(tau))
     tau_ell = sorted(set(tau_ell))
     if not set(tau) <= set(tau_ell):
         raise ValueError("tau must be contained in tau_ell")
-    out = np.zeros(sp.n)
-    for cid in family.cube_ids:
-        cube = family.lattice.cube(cid)
-        mem = cube.members
-        coeff = cube.mass ** (eta / r)
-        means = {i: _symbol_mean(sp, mem, symbols[i]) for i in tau_ell}
-        for i, f in enumerate(fs):
-            if i in tau or i not in tau_ell:
-                coeff *= avg(sp, mem, f, r)
-            else:
-                coeff *= avg(sp, mem, (symbols[i] - means[i]) * f, r)
-        point = np.full(len(mem), coeff)
-        for i in tau:
-            point *= np.abs(symbols[i][mem] - means[i])
-        out[mem] += point
-    return out
+    coeffs = lat.cube_masses ** (eta / r)
+    for i, f in enumerate(fs):
+        if i in tau or i not in tau_ell:
+            coeffs = coeffs * _r_averages(lat, f, r)
+        else:
+            coeffs = coeffs * _r_averages(
+                lat, lat.deviations(symbols[i]) * f, r)
+    factor = 1.0
+    for i in tau:
+        factor = factor * np.abs(lat.deviations(symbols[i]))
+    return family.pointwise(coeffs, factor)
 
 
 def sparse_higher_order(family: SparseFamily, fs, symbols,
@@ -152,107 +133,81 @@ def sparse_higher_order(family: SparseFamily, fs, symbols,
     the r-average of |f_i (b_i - <b_i>_Q)^t_i|; every other slot enters
     through a plain r-average.
     """
-    sp = family.lattice.space
-    fs = _as_arrays(fs, sp.n)
-    symbols = _as_arrays(symbols, sp.n)
-    out = np.zeros(sp.n)
-    for cid in family.cube_ids:
-        cube = family.lattice.cube(cid)
-        mem = cube.members
-        coeff = cube.mass ** (eta / r)
-        means = {i: _symbol_mean(sp, mem, symbols[i]) for i in pair.tau}
-        for i, f in enumerate(fs):
-            if i in pair.tau:
-                osc = (symbols[i] - means[i]) ** pair.t[i]
-                coeff *= avg(sp, mem, f * osc, r)
-            else:
-                coeff *= avg(sp, mem, f, r)
-        point = np.full(len(mem), coeff)
-        for i in pair.tau:
-            point *= np.abs(symbols[i][mem] - means[i]) ** \
-                (pair.k[i] - pair.t[i])
-        out[mem] += point
-    return out
+    lat = family.lattice
+    fs = _as_arrays(fs, lat.space.n)
+    symbols = _as_arrays(symbols, lat.space.n)
+    devs = {i: lat.deviations(symbols[i]) for i in pair.tau}
+    coeffs = lat.cube_masses ** (eta / r)
+    for i, f in enumerate(fs):
+        if i in pair.tau:
+            coeffs = coeffs * _r_averages(lat, f * devs[i] ** pair.t[i], r)
+        else:
+            coeffs = coeffs * _r_averages(lat, f, r)
+    factor = 1.0
+    for i in pair.tau:
+        factor = factor * np.abs(devs[i]) ** (pair.k[i] - pair.t[i])
+    return family.pointwise(coeffs, factor)
 
 
 def sparse_endpoint(family: SparseFamily, fs, tau, eta: float = 0.0,
                     r: float = 1.0) -> np.ndarray:
     """Endpoint form: slots outside tau enter through the L(logL)^r
     gauge norm of |f|^r, taken to the power 1/r."""
-    sp = family.lattice.space
-    fs = _as_arrays(fs, sp.n)
+    lat = family.lattice
+    fs = _as_arrays(fs, lat.space.n)
     tau = set(tau)
     phi = young_llogl(r)
-    coeffs = []
-    for cid in family.cube_ids:
-        cube = family.lattice.cube(cid)
-        mem = cube.members
-        coeff = cube.mass ** (eta / r)
-        for i, f in enumerate(fs):
-            if i in tau:
-                coeff *= avg(sp, mem, f, r)
-            else:
-                coeff *= luxemburg_norm(sp, mem, np.abs(f) ** r,
-                                        phi) ** (1.0 / r)
-        coeffs.append(coeff)
-    return _apply_sparse(family, coeffs)
+    coeffs = lat.cube_masses ** (eta / r)
+    for i, f in enumerate(fs):
+        if i in tau:
+            coeffs = coeffs * _r_averages(lat, f, r)
+        else:
+            coeffs = coeffs * cube_gauges(lat, np.abs(f) ** r, phi,
+                                          family.cube_ids) ** (1.0 / r)
+    return family.pointwise(coeffs)
 
 
 # -- lattice maximal functions -----------------------------------------------
+# sup over the cubes containing x: per-cube values gathered onto points,
+# maxed over generations.
 
 def dyadic_maximal(lattice: DyadicLattice, f, weight=None) -> np.ndarray:
     """sup over cubes containing x of the (weight-)average of |f|."""
-    sp = lattice.space
     absf = np.abs(np.asarray(f, dtype=np.float64))
-    w = None if weight is None else np.asarray(weight, dtype=np.float64)
-    out = np.zeros(sp.n)
-    for cube in lattice.cubes:
-        mem = cube.members
-        if w is None:
-            mean = float(np.dot(absf[mem], sp.masses[mem])) / cube.mass
-        else:
-            wm = w[mem] * sp.masses[mem]
-            mean = float(np.dot(absf[mem], wm) / wm.sum())
-        out[mem] = np.maximum(out[mem], mean)
-    return out
+    if weight is None:
+        means = lattice.cube_means(absf)
+    else:
+        w = np.asarray(weight, dtype=np.float64)
+        means = lattice.cube_sums(absf * w) / lattice.cube_sums(w)
+    return means[lattice.point_to_cube].max(axis=0)
 
 
 def endpoint_maximal(lattice: DyadicLattice, fs, tau, eta: float = 0.0,
                      r: float = 1.0) -> np.ndarray:
     """sup over cubes of mu(Q)^(eta/r) prod_tau <f_i>_Q prod_rest of the
     L(logL)^r gauge norm."""
-    sp = lattice.space
-    fs = _as_arrays(fs, sp.n)
+    fs = _as_arrays(fs, lattice.space.n)
     tau = set(tau)
     phi = young_llogl(r)
-    out = np.zeros(sp.n)
-    for cube in lattice.cubes:
-        mem = cube.members
-        val = cube.mass ** (eta / r)
-        for i, f in enumerate(fs):
-            if i in tau:
-                val *= avg(sp, mem, f, 1.0)
-            else:
-                val *= luxemburg_norm(sp, mem, f, phi)
-        out[mem] = np.maximum(out[mem], val)
-    return out
+    vals = lattice.cube_masses ** (eta / r)
+    for i, f in enumerate(fs):
+        if i in tau:
+            vals = vals * lattice.cube_means(np.abs(f))
+        else:
+            vals = vals * cube_gauges(lattice, f, phi)
+    return vals[lattice.point_to_cube].max(axis=0)
 
 
 def orlicz_maximal(lattice: DyadicLattice, fs, phis,
                    eta: float = 0.0) -> np.ndarray:
     """sup over cubes of mu(Q)^eta prod_i of gauge norms of f_i."""
-    sp = lattice.space
-    fs = _as_arrays(fs, sp.n)
+    fs = _as_arrays(fs, lattice.space.n)
     if len(phis) != len(fs):
         raise ValueError("one gauge per argument required")
-    out = np.zeros(sp.n)
-    for cube in lattice.cubes:
-        mem = cube.members
-        val = cube.mass ** eta
-        for f, phi in zip(fs, phis):
-            val *= luxemburg_norm(sp, mem, f, phi)
-        out[mem] = np.maximum(out[mem], val)
-    return out
+    vals = lattice.cube_masses ** eta
+    for f, phi in zip(fs, phis):
+        vals = vals * cube_gauges(lattice, f, phi)
+    return vals[lattice.point_to_cube].max(axis=0)
 
 
 def sharp_maximal_dyadic(lattice: DyadicLattice, f,
@@ -262,16 +217,8 @@ def sharp_maximal_dyadic(lattice: DyadicLattice, f,
         base = sharp_maximal_dyadic(lattice,
                                     np.abs(np.asarray(f)) ** delta)
         return base ** (1.0 / delta)
-    sp = lattice.space
-    f = np.asarray(f, dtype=np.float64)
-    out = np.zeros(sp.n)
-    for cube in lattice.cubes:
-        mem = cube.members
-        mean = float(np.dot(f[mem], sp.masses[mem])) / cube.mass
-        osc = float(np.dot(np.abs(f[mem] - mean), sp.masses[mem])) \
-            / cube.mass
-        out[mem] = np.maximum(out[mem], osc)
-    return out
+    osc = lattice.cube_means(np.abs(lattice.deviations(f)))
+    return osc[lattice.point_to_cube].max(axis=0)
 
 
 def power_maximal_dyadic(lattice: DyadicLattice, f,

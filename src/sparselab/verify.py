@@ -30,8 +30,8 @@ from time import perf_counter
 import numpy as np
 
 from .domination import augment_sparse
-from .dyadic import (SparseFamily, WitnessSelectionError,
-                     build_shifted_adjacent, build_standard_lattice,
+from .dyadic import (SparseFamily, build_shifted_adjacent,
+                     build_standard_lattice, random_sparse_family,
                      select_witnesses)
 from .operators import (MultiIndexPair, dyadic_maximal, fractional_integral,
                         fractional_maximal, orlicz_maximal,
@@ -40,7 +40,7 @@ from .operators import (MultiIndexPair, dyadic_maximal, fractional_integral,
                         sparse_higher_order, sparse_operator)
 from .space import build_grid_space
 from .weights import (ExponentConfig, astar_from_duals, avg, bmo_norm,
-                      conjugate_exponent, fujii_wilson_single,
+                      conjugate_exponent, cube_gauges, fujii_wilson_single,
                       joint_astar_constant, luxemburg_norm, muckenhoupt_ap,
                       young_expl, young_identity, young_llogl,
                       young_power_log)
@@ -159,46 +159,6 @@ def _random_masked(rng, n: int, zero_prob: float = 0.3) -> np.ndarray:
     return f
 
 
-def _random_sparse_family(lattice, rng, delta: float = 0.5) -> SparseFamily:
-    """Random cube set thinned until the witness selector succeeds.
-
-    Top-down walk: an internal cube is either kept with its subtree
-    left alone, kept with the walk continuing below it, or skipped;
-    leaves join with even odds.  Keeping mixed generations (not every
-    leaf) leaves the selector room, and any cube the greedy selection
-    still starves is dropped one at a time.
-    """
-    ids = []
-    root = lattice.generations[0][0]
-    stack = [root]
-    while stack:
-        cid = stack.pop()
-        cube = lattice.cube(cid)
-        if not cube.children:
-            if rng.uniform() < 0.5:
-                ids.append(cid)
-            continue
-        roll = rng.uniform()
-        if roll < 0.25:
-            ids.append(cid)
-        elif roll < 0.55:
-            ids.append(cid)
-            stack.extend(reversed(cube.children))
-        else:
-            stack.extend(reversed(cube.children))
-    if not ids:
-        ids = [root]
-    ids = sorted(set(ids))
-    while ids:
-        try:
-            return select_witnesses(lattice, ids, delta)
-        except WitnessSelectionError as err:
-            if err.cube_id is None or err.cube_id not in ids:
-                break
-            ids.remove(err.cube_id)
-    return select_witnesses(lattice, [root], delta)
-
-
 # -- shared numerics ----------------------------------------------------------
 
 def _space_for(spec: CheckSpec):
@@ -229,17 +189,6 @@ def _lp_norm(space, f, weight, p: float) -> float:
         return float(vals.max()) if vals.size else 0.0
     total = np.sum(np.abs(np.asarray(f)) ** p * w * space.masses)
     return float(total ** (1.0 / p))
-
-
-def _mass_of(space, weight, members) -> float:
-    if weight is None:
-        return float(np.sum(space.masses[members]))
-    return float(np.sum(weight[members] * space.masses[members]))
-
-
-def _mean_on(space, f, members) -> float:
-    mass = space.masses[members]
-    return float(np.sum(f[members] * mass) / np.sum(mass))
 
 
 def _violates(lhs: float, rhs: float) -> bool:
@@ -301,17 +250,10 @@ def kolmogorov_chain_values(n: int = 16, s1: float = 0.25,
     family = select_witnesses(lattice, ids, 0.5)
     u = np.zeros(n)
     u[0] = 1.0
-    root = ids[0]
-    rmem = lattice.cube(root).members
-    lhs = 0.0
-    for cid in ids:
-        mem = lattice.cube(cid).members
-        mu = float(np.sum(space.masses[mem]))
-        mean = _mass_of(space, u, mem) / mu
-        lhs += mean ** s1 * mean ** s2 * mu
-    mu_r = float(np.sum(space.masses[rmem]))
-    mean_r = _mass_of(space, u, rmem) / mu_r
-    base = mean_r ** s1 * mean_r ** s2 * mu_r
+    mean = lattice.cube_means(u)
+    terms = mean ** s1 * mean ** s2 * lattice.cube_masses
+    lhs = math.fsum(terms[ids])
+    base = float(terms[ids[0]])
     depth = len(ids) - 1
     partial = math.fsum(0.5 ** (k * (1.0 - s1 - s2)) for k in range(depth + 1))
     return {
@@ -332,29 +274,22 @@ def oscillation_endpoint_form(family, fs, symbols, tau, osc_slots,
     r-averages on the rest of tau, and log-bump gauge norms carrying
     the symbol norms on the complement of tau."""
     lattice = family.lattice
-    sp = lattice.space
     tau = set(tau)
     osc_slots = set(osc_slots)
     if not osc_slots <= tau:
         raise ValueError("oscillation slots must lie inside tau")
     phi = young_llogl(float(r))
-    out = np.zeros(sp.n)
-    for cid in family.cube_ids:
-        cube = lattice.cube(cid)
-        mem = cube.members
-        coeff = cube.mass ** (eta / r)
-        for i, f in enumerate(fs):
-            if i in tau:
-                coeff *= avg(sp, mem, f, r)
-            else:
-                gauge = luxemburg_norm(sp, mem, np.abs(f) ** r, phi)
-                coeff *= bmo_norms[i] * gauge ** (1.0 / r)
-        point = np.full(len(mem), coeff)
-        for i in osc_slots:
-            mean = _mean_on(sp, symbols[i], mem)
-            point = point * np.abs(symbols[i][mem] - mean)
-        out[mem] += point
-    return out
+    coeffs = lattice.cube_masses ** (eta / r)
+    for i, f in enumerate(fs):
+        if i in tau:
+            coeffs = coeffs * lattice.cube_means(np.abs(f) ** r) ** (1.0 / r)
+        else:
+            gauge = cube_gauges(lattice, np.abs(f) ** r, phi, family.cube_ids)
+            coeffs = coeffs * (bmo_norms[i] * gauge ** (1.0 / r))
+    factor = 1.0
+    for i in osc_slots:
+        factor = factor * np.abs(lattice.deviations(symbols[i]))
+    return family.pointwise(coeffs, factor)
 
 
 # -- operator-norm lower bound ------------------------------------------------
@@ -486,7 +421,6 @@ def _astar_sides(lattice, family, cfg: ExponentConfig, ws, fs) -> dict:
     their bounds, and the fully composed right side.
     """
     sp = lattice.space
-    mass = sp.masses
     m, p, q = cfg.m, cfg.p, cfg.q
     gamma, eta = cfg.gamma, cfg.eta
     theta, beta = cfg.theta, cfg.beta
@@ -512,34 +446,28 @@ def _astar_sides(lattice, family, cfg: ExponentConfig, ws, fs) -> dict:
         s_exp = math.inf
         g = np.ones(sp.n)
         g_norm = 1.0
-    rows = []
-    g_sum = 0.0
-    g_max = 0.0
-    slot_sums = [0.0] * m
-    for cid in family.cube_ids:
-        cube = lattice.cube(cid)
-        mem = cube.members
-        wit = family.witnesses[cid]
-        int_gu = float(np.sum(g[mem] * u[mem] * mass[mem]))
-        u_cube = _mass_of(sp, u, mem)
-        u_wit = _mass_of(sp, u, wit)
-        g_avg = int_gu / u_cube
-        coeff = cube.mass ** eta
-        for fsig_i in fsig:
-            coeff *= avg(sp, mem, fsig_i, 1.0)
-        lhs_b = int_gu * coeff ** theta
-        rhs_b = cb * g_avg * u_wit ** (1.0 - theta / q)
-        for i in range(m):
-            sig_cube = _mass_of(sp, sigmas[i], mem)
-            sig_wit = _mass_of(sp, sigmas[i], wit)
-            f_avg = _mass_of(sp, fs[i] * sigmas[i], mem) / sig_cube
-            rhs_b *= f_avg ** theta * sig_wit ** (theta / p[i])
-            slot_sums[i] += f_avg ** p[i] * sig_wit
-        if math.isfinite(s_exp):
-            g_sum += g_avg ** s_exp * u_wit
-        g_max = max(g_max, g_avg)
-        rows.append({"cube": int(cid), "pairing": int_gu,
-                     "lhs": lhs_b, "rhs": rhs_b})
+    ids = family.cube_ids
+    int_gu = lattice.cube_sums(g * u)[ids]
+    u_wit = family.witness_sums(u)
+    g_avg = int_gu / lattice.cube_sums(u)[ids]
+    coeff = lattice.cube_masses[ids] ** eta
+    for fsig_i in fsig:
+        coeff = coeff * lattice.cube_means(np.abs(fsig_i))[ids]
+    lhs_b = int_gu * coeff ** theta
+    rhs_b = cb * g_avg * u_wit ** (1.0 - theta / q)
+    slot_sums = []
+    for i in range(m):
+        sig_wit = family.witness_sums(sigmas[i])
+        f_avg = (lattice.cube_sums(fs[i] * sigmas[i]) /
+                 lattice.cube_sums(sigmas[i]))[ids]
+        rhs_b = rhs_b * (f_avg ** theta * sig_wit ** (theta / p[i]))
+        slot_sums.append(float(np.sum(f_avg ** p[i] * sig_wit)))
+    g_sum = float(np.sum(g_avg ** s_exp * u_wit)) \
+        if math.isfinite(s_exp) else 0.0
+    g_max = float(np.max(g_avg, initial=0.0))
+    rows = [{"cube": int(cid), "pairing": float(a), "lhs": float(lb),
+             "rhs": float(rb)}
+            for cid, a, lb, rb in zip(ids, int_gu, lhs_b, rhs_b)]
     f_norms = [_lp_norm(sp, fs[i], sigmas[i], p[i]) for i in range(m)]
     c_explicit = shrink * (q / theta)
     for pc in pcs:
@@ -643,7 +571,7 @@ def _run_astar_chain(spec: CheckSpec, trials: int) -> CheckReport:
         ws = [_random_weight(rng, space.n) for _ in range(cfg.m)]
         fs = [_random_function(rng, space.n, floor=1e-8)
               for _ in range(cfg.m)]
-        family = _random_sparse_family(
+        family = random_sparse_family(
             lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
         sides = _astar_sides(lattice, family, cfg, ws, fs)
 
@@ -681,7 +609,6 @@ def _run_astar_chain(spec: CheckSpec, trials: int) -> CheckReport:
 def _run_dyadicsum(spec: CheckSpec, trials: int) -> CheckReport:
     space, lattice = _setup(spec)
     report = CheckReport("dyadicsum_equiv", MODE_MONITOR, trials)
-    mass = space.masses
     ncubes = len(lattice.cubes)
     sup_ratio = 0.0
     inf_ratio = math.inf
@@ -694,19 +621,13 @@ def _run_dyadicsum(spec: CheckSpec, trials: int) -> CheckReport:
         alpha[rng.uniform(size=ncubes) < 0.3] = 0.0
         if not alpha.any():
             alpha[lattice.generations[0][0]] = 1.0
-        sig_mass = np.array([_mass_of(space, sigma, c.members)
-                             for c in lattice.cubes])
-        phi = np.zeros(space.n)
-        for cube in lattice.cubes:
-            phi[cube.members] += alpha[cube.cube_id]
-        lhs = _lp_norm(space, phi, sigma, s)
-        subtree = np.zeros(ncubes)
-        for gen in reversed(lattice.generations):
-            for cid in gen:
-                acc = alpha[cid] * sig_mass[cid]
-                for child in lattice.cube(cid).children:
-                    acc += subtree[child]
-                subtree[cid] = acc
+        sig_mass = lattice.cube_sums(sigma)
+        # row k at x: alpha summed over the cubes containing x at
+        # generation k or finer; row 0 is phi = sum_Q alpha_Q 1_Q
+        below = np.cumsum(alpha[lattice.point_to_cube][::-1], axis=0)[::-1]
+        lhs = _lp_norm(space, below[0], sigma, s)
+        # sum over the cubes R inside Q of alpha_R sigma(R)
+        subtree = lattice.cube_sums(sigma * below)
         layered = float(np.sum(
             alpha * (subtree / sig_mass) ** (s - 1.0) * sig_mass))
         rhs = layered ** (1.0 / s)
@@ -746,23 +667,17 @@ def _run_kolmogorov(spec: CheckSpec, trials: int) -> CheckReport:
         s2 = float(rng.choice((0.0, 0.25, 0.45)))
         u = _random_masked(rng, space.n)
         v = _random_masked(rng, space.n)
-        family = _random_sparse_family(
+        family = random_sparse_family(
             lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
         top = family.cube_ids[int(rng.integers(0, len(family.cube_ids)))]
-        top_set = set(lattice.cube(top).members.tolist())
-        lhs = 0.0
-        for cid in family.cube_ids:
-            mem = lattice.cube(cid).members
-            if not set(mem.tolist()) <= top_set:
-                continue
-            mu = float(np.sum(space.masses[mem]))
-            mu_u = _mass_of(space, u, mem) / mu
-            mu_v = _mass_of(space, v, mem) / mu
-            lhs += mu_u ** s1 * mu_v ** s2 * mu
-        rmem = lattice.cube(top).members
-        mu_r = float(np.sum(space.masses[rmem]))
-        base = ((_mass_of(space, u, rmem) / mu_r) ** s1 *
-                (_mass_of(space, v, rmem) / mu_r) ** s2 * mu_r)
+        outside = np.ones(space.n)
+        outside[lattice.cube(top).members] = 0.0
+        inside = lattice.cube_max(outside) == 0.0
+        terms = (lattice.cube_means(u) ** s1 * lattice.cube_means(v) ** s2
+                 * lattice.cube_masses)
+        ids = np.asarray(family.cube_ids)
+        lhs = float(np.sum(terms[ids[inside[ids]]]))
+        base = float(terms[top])
         proof_c = 1.0 / (family.delta * (1.0 - s1 - s2))
         geo_c = 1.0 / (1.0 - family.delta ** (1.0 - s1 - s2))
         if base > 0:
@@ -815,25 +730,18 @@ def _run_testing(spec: CheckSpec, trials: int) -> CheckReport:
         rng = _trial_rng(spec.seed, trial)
         u = _random_weight(rng, space.n)
         sig = [_random_weight(rng, space.n), _random_weight(rng, space.n)]
-        family = _random_sparse_family(
+        family = random_sparse_family(
             lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
         astar = astar_from_duals(lattice, u, sig, p, q)
-        mus, avgs, uavgs = [], [], []
-        for cid in family.cube_ids:
-            mem = lattice.cube(cid).members
-            mu = float(np.sum(space.masses[mem]))
-            mus.append(mu)
-            avgs.append([_mass_of(space, s_i, mem) / mu for s_i in sig])
-            uavgs.append(_mass_of(space, u, mem) / mu)
-        stacked = np.zeros(space.n)
-        tail = 0.0
-        for idx, cid in enumerate(family.cube_ids):
-            mem = lattice.cube(cid).members
-            a1, a2 = avgs[idx]
-            stacked[mem] += mus[idx] ** (eta * gamma) * a1 ** gamma * \
-                a2 ** gamma
-            tail += a1 ** (q / p[0]) * a2 ** (q / p[1]) * \
-                mus[idx] ** (1.0 + eta * q)
+        ids = family.cube_ids
+        mus = lattice.cube_masses
+        avgs = [lattice.cube_means(s_i) for s_i in sig]
+        uavgs = lattice.cube_means(u)
+        a1, a2 = avgs
+        stacked = family.pointwise(mus ** (eta * gamma) * a1 ** gamma *
+                                   a2 ** gamma)
+        tail = float(np.sum((a1 ** (q / p[0]) * a2 ** (q / p[1]) *
+                             mus ** (1.0 + eta * q))[ids]))
         lhs = _lp_norm(space, stacked ** (1.0 / gamma), u, q)
         rhs = astar ** (1.0 / q) * tail ** (1.0 / q)
         ratio = lhs / rhs if rhs > 0 else 0.0
@@ -849,18 +757,14 @@ def _run_testing(spec: CheckSpec, trials: int) -> CheckReport:
                 if p[reduce] <= gamma:
                     continue
                 s_d = conjugate_exponent(p[reduce] / gamma)
-                dual = np.zeros(space.n)
-                dtail = 0.0
-                for idx, cid in enumerate(family.cube_ids):
-                    mem = lattice.cube(cid).members
-                    a_keep = avgs[idx][keep]
-                    a_red = avgs[idx][reduce]
-                    dual[mem] += mus[idx] ** (eta * gamma) * \
-                        a_keep ** gamma * a_red ** (gamma - 1.0) * \
-                        uavgs[idx]
-                    dtail += a_keep ** (gamma * s_d / p[keep]) * \
-                        uavgs[idx] ** (s_d * (1.0 - gamma / q)) * \
-                        mus[idx] ** (1.0 + gamma * eta * s_d)
+                a_keep, a_red = avgs[keep], avgs[reduce]
+                dual = family.pointwise(
+                    mus ** (eta * gamma) * a_keep ** gamma *
+                    a_red ** (gamma - 1.0) * uavgs)
+                dtail = float(np.sum((
+                    a_keep ** (gamma * s_d / p[keep]) *
+                    uavgs ** (s_d * (1.0 - gamma / q)) *
+                    mus ** (1.0 + gamma * eta * s_d))[ids]))
                 lhs_d = _lp_norm(space, dual, sig[reduce], s_d)
                 rhs_d = astar ** (gamma / q) * dtail ** (1.0 / s_d)
                 if rhs_d > 0:
@@ -908,7 +812,7 @@ def _run_endpoint_weak(spec: CheckSpec, trials: int) -> CheckReport:
         fs = [_random_function(rng, space.n) for _ in range(m)]
         bs = [rng.standard_normal(space.n) for _ in range(m)]
         bmos = [bmo_norm(lattice, b) for b in bs]
-        family = _random_sparse_family(
+        family = random_sparse_family(
             lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
         plain = sparse_endpoint(family, fs, tau=tuple(range(m)),
                                 eta=eta, r=r)
@@ -1019,6 +923,7 @@ def _run_bmo(spec: CheckSpec, trials: int) -> CheckReport:
         phi_exp_r = young_expl(1.0 / r)
         phi_exp = young_expl(1.0)
         phi_log2 = young_llogl(2.0)
+        means = lattice.cube_means(b)
         for cube in lattice.cubes:
             mem = cube.members
             gauge = luxemburg_norm(space, mem, f, phi_log)
@@ -1032,7 +937,7 @@ def _run_bmo(spec: CheckSpec, trials: int) -> CheckReport:
                 })
             sup_upper = max(sup_upper,
                             gauge / avg(space, mem, f, r + 1.0))
-            mean = _mean_on(space, b, mem)
+            mean = means[cube.cube_id]
             osc = avg(space, mem, b - mean, r)
             if bmo > 0:
                 sup_osc = max(sup_osc, osc / bmo)
@@ -1080,7 +985,7 @@ def _run_caopro(spec: CheckSpec, trials: int) -> CheckReport:
                 c0 *= fujii_wilson_single(lattice, sigmas[j])
         for val in bmos:
             c0 *= val
-        family = _random_sparse_family(
+        family = random_sparse_family(
             lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
 
         def commutator(fs, fam=family, sym=bs, t=tau):
@@ -1156,7 +1061,7 @@ def _run_bloom_maximal(spec: CheckSpec, trials: int) -> CheckReport:
                                weight=eta0) ** (k[i] - t[i])
             if t[i] > 0:
                 w0 *= bmo_norm(lattice, bs[i], weight=etas[i]) ** t[i]
-        family = _random_sparse_family(
+        family = random_sparse_family(
             lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
         augmented = _augment_joint(family, [bs[i] for i in tau])
         pair = MultiIndexPair(k, t, tau, tau)
@@ -1254,7 +1159,7 @@ def _run_bloom_iterated(spec: CheckSpec, trials: int) -> CheckReport:
                 muckenhoupt_ap(lattice, thetas[i], p[i]) **
                 ((t[i] - 1.0) / 2.0)) ** _bloom_exponent(p[i])
         carriers = [thetas[i] if i in tau else zetas[i] for i in range(m)]
-        family = _random_sparse_family(
+        family = random_sparse_family(
             lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
         augmented = _augment_joint(family, [bs[i] for i in tau])
         pair = MultiIndexPair(k, t, tau, tau)
@@ -1307,7 +1212,7 @@ def _run_sharp_maximal(spec: CheckSpec, trials: int) -> CheckReport:
               for _ in range(m)]
         bs = [rng.standard_normal(space.n) for _ in range(m)]
         bmos = [bmo_norm(lattice, b) for b in bs]
-        family = _random_sparse_family(
+        family = random_sparse_family(
             lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
         full = oscillation_endpoint_form(family, fs, bs, tau, tau,
                                          eta, r, bmos)

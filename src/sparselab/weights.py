@@ -98,14 +98,6 @@ def avg(space: DiscreteSpace, members, f, p: float = 1.0) -> float:
     return mean ** (1.0 / p)
 
 
-def weighted_avg(space: DiscreteSpace, members, f, sigma) -> float:
-    """Average of f against the measure sigma d(mu), signed."""
-    members = np.asarray(members, dtype=np.intp)
-    smass = np.asarray(sigma, dtype=np.float64)[members] * space.masses[members]
-    return float(np.dot(np.asarray(f, dtype=np.float64)[members], smass)
-                 / smass.sum())
-
-
 def geometric_mean(space: DiscreteSpace, members, w) -> float:
     members = np.asarray(members, dtype=np.intp)
     mass = space.masses[members]
@@ -122,15 +114,23 @@ def _check_weight(space: DiscreteSpace, w) -> np.ndarray:
     return w
 
 
-def _sup_over_cubes(lattice: DyadicLattice, per_cube, detail: bool):
-    best_val, best_id = -math.inf, None
-    for cube in lattice.cubes:
-        v = per_cube(cube)
-        if v > best_val:
-            best_val, best_id = v, cube.cube_id
+def _sup(per_cube: np.ndarray, detail: bool):
+    """Largest per-cube value; NaN never wins and ties go to the lowest
+    cube id.  With no comparable value the sup is -inf at no cube."""
+    live = np.where(np.isnan(per_cube), -math.inf, per_cube)
+    best = int(np.argmax(live))
+    val = float(live[best])
     if detail:
-        return best_val, best_id
-    return best_val
+        return val, (best if val > -math.inf else None)
+    return val
+
+
+def _cube_min(lattice: DyadicLattice, w) -> np.ndarray:
+    return -lattice.cube_max(-w)
+
+
+def _geometric_means(lattice: DyadicLattice, w) -> np.ndarray:
+    return np.exp(lattice.cube_means(np.log(w)))
 
 
 # -- joint characteristics ---------------------------------------------------
@@ -149,21 +149,15 @@ def fractional_apq_constant(lattice: DyadicLattice, weights, p, q,
     p = [float(v) for v in p]
     u = np.prod(np.stack(ws), axis=0) if u is None else _check_weight(sp, u)
     eta = math.fsum(1.0 / v for v in p) - 1.0 / q
-    mass = sp.masses
-
-    def per_cube(cube):
-        mem = cube.members
-        val = cube.mass ** (eta - m)
-        val *= float(np.dot(u[mem] ** q, mass[mem])) ** (1.0 / q)
-        for w, pi in zip(ws, p):
-            pc = conjugate_exponent(pi)
-            if math.isinf(pc):
-                val *= float((1.0 / w[mem]).max())
-            else:
-                val *= float(np.dot(w[mem] ** (-pc), mass[mem])) ** (1.0 / pc)
-        return val
-
-    return _sup_over_cubes(lattice, per_cube, detail)
+    val = lattice.cube_masses ** (eta - m)
+    val = val * lattice.cube_sums(u ** q) ** (1.0 / q)
+    for w, pi in zip(ws, p):
+        pc = conjugate_exponent(pi)
+        if math.isinf(pc):
+            val = val * lattice.cube_max(1.0 / w)
+        else:
+            val = val * lattice.cube_sums(w ** (-pc)) ** (1.0 / pc)
+    return _sup(val, detail)
 
 
 def joint_astar_constant(lattice: DyadicLattice, weights, p, q,
@@ -181,22 +175,14 @@ def joint_astar_constant(lattice: DyadicLattice, weights, p, q,
         u = np.prod(np.stack([w ** (q / pi) for w, pi in zip(ws, p)]), axis=0)
     else:
         u = _check_weight(sp, u)
-    mass = sp.masses
-
-    def per_cube(cube):
-        mem = cube.members
-        mq = cube.mass
-        val = float(np.dot(u[mem], mass[mem])) / mq
-        for w, pi in zip(ws, p):
-            pc = conjugate_exponent(pi)
-            if math.isinf(pc):
-                val *= float(w[mem].min()) ** (-q)
-            else:
-                dual_avg = float(np.dot(w[mem] ** (1.0 - pc), mass[mem])) / mq
-                val *= dual_avg ** (q / pc)
-        return val
-
-    return _sup_over_cubes(lattice, per_cube, detail)
+    val = lattice.cube_means(u)
+    for w, pi in zip(ws, p):
+        pc = conjugate_exponent(pi)
+        if math.isinf(pc):
+            val = val * _cube_min(lattice, w) ** (-q)
+        else:
+            val = val * lattice.cube_means(w ** (1.0 - pc)) ** (q / pc)
+    return _sup(val, detail)
 
 
 def astar_from_duals(lattice: DyadicLattice, u, sigmas, p, q,
@@ -210,39 +196,24 @@ def astar_from_duals(lattice: DyadicLattice, u, sigmas, p, q,
     u = _check_weight(sp, u)
     sg = [_check_weight(sp, s) for s in sigmas]
     p = [float(v) for v in p]
-    mass = sp.masses
-
-    def per_cube(cube):
-        mem = cube.members
-        mq = cube.mass
-        val = float(np.dot(u[mem], mass[mem])) / mq
-        for s, pi in zip(sg, p):
-            pc = conjugate_exponent(pi)
-            expo = 0.0 if math.isinf(pc) else q / pc
-            val *= (float(np.dot(s[mem], mass[mem])) / mq) ** expo
-        return val
-
-    return _sup_over_cubes(lattice, per_cube, detail)
+    val = lattice.cube_means(u)
+    for s, pi in zip(sg, p):
+        pc = conjugate_exponent(pi)
+        expo = 0.0 if math.isinf(pc) else q / pc
+        val = val * lattice.cube_means(s) ** expo
+    return _sup(val, detail)
 
 
 def muckenhoupt_ap(lattice: DyadicLattice, w, p: float,
                    detail: bool = False):
     """Classical p-characteristic; p = 1 uses the essential infimum."""
-    sp = lattice.space
-    w = _check_weight(sp, w)
-    mass = sp.masses
-
-    def per_cube(cube):
-        mem = cube.members
-        mq = cube.mass
-        mean = float(np.dot(w[mem], mass[mem])) / mq
-        if p == 1:
-            return mean / float(w[mem].min())
-        pc = conjugate_exponent(p)
-        dual_avg = float(np.dot(w[mem] ** (1.0 - pc), mass[mem])) / mq
-        return mean * dual_avg ** (p - 1.0)
-
-    return _sup_over_cubes(lattice, per_cube, detail)
+    w = _check_weight(lattice.space, w)
+    mean = lattice.cube_means(w)
+    if p == 1:
+        return _sup(mean / _cube_min(lattice, w), detail)
+    pc = conjugate_exponent(p)
+    dual_avg = lattice.cube_means(w ** (1.0 - pc))
+    return _sup(mean * dual_avg ** (p - 1.0), detail)
 
 
 def dual_weight(w, p: float) -> np.ndarray:
@@ -254,28 +225,12 @@ def dual_weight(w, p: float) -> np.ndarray:
 
 # -- Fujii-Wilson and Hruscev style constants --------------------------------
 
-def _subtree_ids(lattice: DyadicLattice, cube_id: int) -> list:
-    out = [cube_id]
-    stack = [cube_id]
-    while stack:
-        kids = lattice.cube(stack.pop()).children
-        out.extend(kids)
-        stack.extend(kids)
-    return out
-
-
-def _restricted_maximal(lattice: DyadicLattice, cube_id: int,
-                        g: np.ndarray) -> np.ndarray:
-    """Pointwise max of |g|-averages over sub-cubes of one cube."""
-    sp = lattice.space
-    out = np.zeros(sp.n)
-    absg = np.abs(g)
-    for cid in _subtree_ids(lattice, cube_id):
-        cube = lattice.cube(cid)
-        mem = cube.members
-        mean = float(np.dot(absg[mem], sp.masses[mem])) / cube.mass
-        out[mem] = np.maximum(out[mem], mean)
-    return out
+def _local_maximal(lattice: DyadicLattice, g) -> np.ndarray:
+    """Row k at x: max of <|g|>_R over the cubes R containing x at
+    generation k or finer, i.e. the maximal function restricted to the
+    generation-k cube of x.  A suffix max over generations."""
+    means = lattice.cube_means(np.abs(g))[lattice.point_to_cube]
+    return np.maximum.accumulate(means[::-1], axis=0)[::-1]
 
 
 def fujii_wilson_constant(lattice: DyadicLattice, weights, p, q,
@@ -288,18 +243,12 @@ def fujii_wilson_constant(lattice: DyadicLattice, weights, p, q,
     sp = lattice.space
     ws = [_check_weight(sp, w) for w in weights]
     expo = [q / float(v) for v in p]
-    mass = sp.masses
-
-    def per_cube(cube):
-        mem = cube.members
-        num = np.ones(len(mem))
-        den = np.ones(len(mem))
-        for w, e in zip(ws, expo):
-            num *= _restricted_maximal(lattice, cube.cube_id, w)[mem] ** e
-            den *= w[mem] ** e
-        return float(np.dot(num, mass[mem]) / np.dot(den, mass[mem]))
-
-    return _sup_over_cubes(lattice, per_cube, detail)
+    num = 1.0
+    den = 1.0
+    for w, e in zip(ws, expo):
+        num = num * _local_maximal(lattice, w) ** e
+        den = den * w ** e
+    return _sup(lattice.cube_sums(num) / lattice.cube_sums(den), detail)
 
 
 def fujii_wilson_single(lattice: DyadicLattice, w, detail: bool = False):
@@ -312,17 +261,10 @@ def hruscev_constant(lattice: DyadicLattice, weights, p, q,
     sp = lattice.space
     ws = [_check_weight(sp, w) for w in weights]
     expo = [q / float(v) for v in p]
-    mass = sp.masses
-
-    def per_cube(cube):
-        mem = cube.members
-        val = 1.0
-        for w, e in zip(ws, expo):
-            mean = float(np.dot(w[mem], mass[mem])) / cube.mass
-            val *= (mean / geometric_mean(sp, mem, w)) ** e
-        return val
-
-    return _sup_over_cubes(lattice, per_cube, detail)
+    val = np.ones(len(lattice.cubes))
+    for w, e in zip(ws, expo):
+        val = val * (lattice.cube_means(w) / _geometric_means(lattice, w)) ** e
+    return _sup(val, detail)
 
 
 def hruscev_single(lattice: DyadicLattice, w, detail: bool = False):
@@ -349,21 +291,15 @@ def component_wilson_constant(lattice: DyadicLattice, u, sigmas, p, q,
     t = q / gamma
     pc = conjugate_exponent(p[i] / gamma)
     e_u = pc / conjugate_exponent(t)
-    mass = sp.masses
-
-    def per_cube(cube):
-        mem = cube.members
-        num = _restricted_maximal(lattice, cube.cube_id, u)[mem] ** e_u
-        den = u[mem] ** e_u
-        for j, s in enumerate(sg):
-            if j == i:
-                continue
-            e_j = pc / (p[j] / gamma)
-            num = num * _restricted_maximal(lattice, cube.cube_id, s)[mem] ** e_j
-            den = den * s[mem] ** e_j
-        return float(np.dot(num, mass[mem]) / np.dot(den, mass[mem]))
-
-    return _sup_over_cubes(lattice, per_cube, detail)
+    num = _local_maximal(lattice, u) ** e_u
+    den = u ** e_u
+    for j, s in enumerate(sg):
+        if j == i:
+            continue
+        e_j = pc / (p[j] / gamma)
+        num = num * _local_maximal(lattice, s) ** e_j
+        den = den * s ** e_j
+    return _sup(lattice.cube_sums(num) / lattice.cube_sums(den), detail)
 
 
 def component_hruscev_constant(lattice: DyadicLattice, u, sigmas, p, q,
@@ -378,22 +314,12 @@ def component_hruscev_constant(lattice: DyadicLattice, u, sigmas, p, q,
         raise ValueError("slot constant needs p_i > 1")
     pic = conjugate_exponent(p[i])
     e_u = pic * max(1.0 / gamma - 1.0 / q, 0.0)
-    mass = sp.masses
-
-    def per_cube(cube):
-        mem = cube.members
-        mean_u = float(np.dot(u[mem], mass[mem])) / cube.mass
-        val = (mean_u / geometric_mean(sp, mem, u)) ** e_u
-        si = sg[i]
-        mean_si = float(np.dot(si[mem], mass[mem])) / cube.mass
-        ratio_i = mean_si / geometric_mean(sp, mem, si)
-        for j in range(len(sg)):
-            if j == i:
-                continue
-            val *= ratio_i ** (pic / p[j])
-        return val
-
-    return _sup_over_cubes(lattice, per_cube, detail)
+    val = (lattice.cube_means(u) / _geometric_means(lattice, u)) ** e_u
+    ratio_i = lattice.cube_means(sg[i]) / _geometric_means(lattice, sg[i])
+    for j in range(len(sg)):
+        if j != i:
+            val = val * ratio_i ** (pic / p[j])
+    return _sup(val, detail)
 
 
 # -- oscillation norms -------------------------------------------------------
@@ -405,19 +331,12 @@ def bmo_norm(lattice: DyadicLattice, b, weight=None,
     Per cube: (1/nu(Q)) sum_Q |b - <b>_Q| mu, with <b>_Q the plain
     mu-average and nu(Q) the weight's mass (mu(Q) when no weight).
     """
-    sp = lattice.space
-    b = np.asarray(b, dtype=np.float64)
-    nu = None if weight is None else _check_weight(sp, weight)
-    mass = sp.masses
-
-    def per_cube(cube):
-        mem = cube.members
-        mean = float(np.dot(b[mem], mass[mem])) / cube.mass
-        osc = float(np.dot(np.abs(b[mem] - mean), mass[mem]))
-        denom = cube.mass if nu is None else float(np.dot(nu[mem], mass[mem]))
-        return osc / denom
-
-    return _sup_over_cubes(lattice, per_cube, detail)
+    osc = lattice.cube_sums(np.abs(lattice.deviations(b)))
+    if weight is None:
+        denom = lattice.cube_masses
+    else:
+        denom = lattice.cube_sums(_check_weight(lattice.space, weight))
+    return _sup(osc / denom, detail)
 
 
 # -- Orlicz machinery --------------------------------------------------------
@@ -511,6 +430,17 @@ def luxemburg_norm(space: DiscreteSpace, members, f, phi: YoungFunction,
         else:
             lo = mid
     return hi
+
+
+def cube_gauges(lattice: DyadicLattice, f, phi: YoungFunction,
+                cube_ids=None) -> np.ndarray:
+    """Luxemburg norm of f on every cube (or only the listed ones), by
+    cube id; unlisted cubes read 0.  One scalar bisection per cube."""
+    out = np.zeros(len(lattice.cubes))
+    for cid in range(len(lattice.cubes)) if cube_ids is None else cube_ids:
+        out[cid] = luxemburg_norm(lattice.space, lattice.cube(cid).members,
+                                  f, phi)
+    return out
 
 
 # -- weight presets ----------------------------------------------------------

@@ -12,14 +12,13 @@ from sparselab.domination import (augment_sparse, certificate_lhs,
                                   certificate_rhs, cz_construct,
                                   derive_config, verify_domination)
 from sparselab.dyadic import (build_shifted_adjacent, build_standard_lattice,
-                              verify_sparse)
+                              random_sparse_family, verify_sparse)
 from sparselab.operators import (MultiIndexPair, commutator_integral,
                                  sparse_first_order, sparse_higher_order,
                                  sparse_operator)
 from sparselab.space import build_grid_space
 from sparselab.verify import (CheckSpec, _P_CHOICES, _gate_mismatches,
-                              _random_sparse_family, astar_gate_values,
-                              holder_sides, run_check,
+                              astar_gate_values, holder_sides, run_check,
                               young_composition_margin)
 from sparselab.weights import (ExponentConfig, conjugate_exponent,
                                fractional_apq_constant,
@@ -73,7 +72,7 @@ def test_criterion_2_sparseness_of_emitted_families():
         runs += 1
     for seed in range(40):
         rng = np.random.default_rng((seed, 6))
-        family = _random_sparse_family(lattice, rng)
+        family = random_sparse_family(lattice, rng)
         assert verify_sparse(family).ok
         augmented, _ = augment_sparse(family, rng.standard_normal(32))
         assert verify_sparse(augmented).ok
@@ -169,7 +168,7 @@ def test_criterion_7_structural_identities():
     q = 2.0
     for seed in range(100):
         rng = np.random.default_rng((seed, 3))
-        family = _random_sparse_family(lattice, rng)
+        family = random_sparse_family(lattice, rng)
         f = np.abs(rng.standard_normal(16)) + 0.1
         g = np.abs(rng.standard_normal(16)) + 0.1
         b = rng.standard_normal(16)

@@ -203,6 +203,26 @@ class TestDominateCommand:
             assert payload["verification"]["pass"] is True
             assert payload["certificate"]["truncated"] is False
 
+    @pytest.mark.parametrize("key", ["functions", "symbols"])
+    def test_non_finite_config_array_exits_2(self, runner, tmp_path, key):
+        row = [1.0] * 16
+        row[3] = float("nan")
+        cfg = _write_config(tmp_path, {key: [row]})
+        result = runner.invoke(cli, ["--config", cfg, "dominate",
+                                     "--n", "16", "--k", "1"])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["dominate", "--n", "8", "--eta", "nan"],
+        ["dominate", "--n", "8", "--alpha", "inf"],
+        ["sparse", "--n", "8", "--eta", "nan"],
+    ])
+    def test_non_finite_flag_exits_2(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
     def test_audit_writes_per_point_csv(self, runner, tmp_path):
         target = tmp_path / "cert.json"
         result = runner.invoke(cli, ["--seed", "21", "--audit",
@@ -253,18 +273,6 @@ class TestVerifyCommand:
         assert runner.invoke(cli, args).exit_code == 0
         assert target.read_bytes() == first
 
-    def test_threads_flag_never_changes_results(self, runner, tmp_path):
-        target = tmp_path / "rep.json"
-        base = runner.invoke(cli, ["verify", "kolmogorov_sum",
-                                   "--report", str(target)])
-        assert base.exit_code == 0
-        first = target.read_bytes()
-        threaded = runner.invoke(cli, ["--threads", "2", "verify",
-                                       "kolmogorov_sum",
-                                       "--report", str(target)])
-        assert threaded.exit_code == 0
-        assert target.read_bytes() == first
-
     def test_seed_flag_changes_monitor_values(self, runner):
         one = runner.invoke(cli, ["--seed", "1", "verify",
                                   "dyadicsum_equiv"])
@@ -305,10 +313,8 @@ class TestBenchCommand:
                                      "--repeats", "1"])
         assert result.exit_code == 0
         rows = _rows(result.output)
-        assert rows
-        sizes = [int(r["size"]) for r in rows
-                 if r["op"] == "sparse_sum"]
-        assert sizes == sorted(sizes)
+        assert [r["op"] for r in rows] == ["frac_kernel_m1",
+                                           "frac_kernel_m2"]
         for row in rows:
             assert row["backend"] in ("numba", "numpy")
             assert float(row["max_abs_diff"]) < 1e-9
@@ -320,7 +326,6 @@ class TestBenchCommand:
         assert result.exit_code == 0
         rows = _rows(result.output)
         assert any(int(r["n"]) == 256 for r in rows)
-        sizes = [int(r["size"]) for r in rows
-                 if r["op"] == "sparse_sum"]
+        sizes = [int(r["size"]) for r in rows]
         assert sizes == sorted(sizes)
-        assert sizes[-1] == 511
+        assert sizes[-1] == 256

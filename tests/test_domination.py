@@ -404,6 +404,19 @@ def test_verify_zero_rhs_needs_zero_lhs():
     assert ok["pass"]
 
 
+@pytest.mark.parametrize("lhs,rhs,constant", [
+    ([1.0, math.nan], [1.0, 1.0], 1.0),
+    ([1.0, 1.0], [1.0, math.nan], 1.0),
+    ([1.0, math.inf], [1.0, 1.0], 1.0),
+    ([1.0, 1e300], [1.0, 1e-300], math.inf),
+])
+def test_verify_non_finite_point_fails(lhs, rhs, constant):
+    rep = verify_domination(dummy_cert(constant), np.array(lhs),
+                            np.array(rhs))
+    assert not rep["pass"]
+    assert [v["point"] for v in rep["violations"]] == [1]
+
+
 # -- coverage audit ----------------------------------------------------------
 
 def test_coverage_audit_n16(grid16):

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselab.dyadic import (build_standard_lattice, select_witnesses,
-                              verify_sparse)
+from sparselab.dyadic import (build_standard_lattice, random_sparse_family,
+                              select_witnesses, verify_sparse)
 from sparselab.operators import fractional_integral, fractional_maximal
 from sparselab.space import build_grid_space
 from sparselab.verify import (CAOPRO_RATIO_BASELINE, CheckReport, CheckSpec,
                               REGISTRY, _operator_norm_lower,
-                              _random_sparse_family, astar_gate_values,
+                              astar_gate_values,
                               holder_sides, kolmogorov_chain_values,
                               oscillation_endpoint_form, registry_ids,
                               run_check, young_composition_margin)
@@ -362,7 +362,7 @@ class TestRandomFamilies:
     def test_always_witness_sparse(self, seed):
         space = build_grid_space(16)
         lattice = build_standard_lattice(space)
-        family = _random_sparse_family(lattice,
+        family = random_sparse_family(lattice,
                                        np.random.default_rng(seed))
         assert verify_sparse(family).ok
         assert family.delta == 0.5
@@ -373,7 +373,7 @@ class TestRandomFamilies:
         leaves = set(lattice.generations[-1])
         nested = 0
         for seed in range(30):
-            family = _random_sparse_family(lattice,
+            family = random_sparse_family(lattice,
                                            np.random.default_rng(seed))
             gens = {lattice.cube(cid).gen for cid in family.cube_ids}
             if len(gens) > 1 and set(family.cube_ids) - leaves:

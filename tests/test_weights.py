@@ -28,7 +28,6 @@ from sparselab.weights import (
     luxemburg_norm,
     make_weight,
     muckenhoupt_ap,
-    weighted_avg,
     young_expl,
     young_identity,
     young_llogl,
@@ -127,11 +126,6 @@ class TestAverages:
     def test_avg_uses_abs(self):
         sp = build_grid_space(2)
         assert avg(sp, [0, 1], [-3, 3]) == 3.0
-
-    def test_weighted_avg(self):
-        sp = build_grid_space(2)
-        # sigma mass 1 and 3: (1*1 + 2*3) / 4
-        assert weighted_avg(sp, [0, 1], [1, 2], [1, 3]) == pytest.approx(7 / 4)
 
     def test_geometric_mean(self):
         sp = build_grid_space(2)
