@@ -65,8 +65,6 @@ if USE_NUMBA:
     quasi_triangle_constant = numba.njit(cache=True)(_quasi_triangle_loops)
 else:
     quasi_triangle_constant = _quasi_triangle_numpy
-# reference path, always available (used by bench)
-quasi_triangle_constant_numpy = _quasi_triangle_numpy
 
 
 # -- fractional-integral kernels --------------------------------------------

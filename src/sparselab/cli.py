@@ -107,7 +107,7 @@ def _require_finite(val, name):
         raise ConfigError(f"{name} must be a finite number")
 
 
-def _space_from_config(cfg, n_flag):
+def _space_from_config(cfg, n_flag, grid_for=None):
     desc = cfg.get("space", {})
     if not isinstance(desc, dict):
         raise ConfigError("space must be an object")
@@ -119,6 +119,9 @@ def _space_from_config(cfg, n_flag):
     if desc["kind"] not in ("grid", "explicit"):
         raise ConfigError(f"space.kind must be 'grid' or 'explicit', "
                           f"got {desc['kind']!r}")
+    if grid_for is not None and desc["kind"] != "grid":
+        raise ConfigError(f"{grid_for} needs a grid space, not space.kind "
+                          f"{desc['kind']!r}")
     if n_flag is not None:
         desc["n"] = n_flag
         masses = desc.get("masses")
@@ -172,7 +175,7 @@ def _exponents_from_config(cfg):
         raise ConfigError(f"exponents: {exc}") from None
 
 
-def _array_spec(space, spec, where, allow_negative=False):
+def _array_spec(space, spec, where, allow_negative=False, positive=False):
     if isinstance(spec, str):
         try:
             return make_weight(space, spec)
@@ -187,6 +190,8 @@ def _array_spec(space, spec, where, allow_negative=False):
             raise ConfigError(f"{where} must hold finite numbers")
         if not allow_negative and np.any(arr < 0.0):
             raise ConfigError(f"{where} must be nonnegative")
+        if positive and np.any(arr <= 0.0):
+            raise ConfigError(f"{where} must be strictly positive")
         return arr
     raise ConfigError(f"{where} must be a preset string or an array")
 
@@ -196,7 +201,7 @@ def _weights_from_config(space, cfg, flags):
     if specs is None or not isinstance(specs, list) or not specs:
         raise ConfigError("weights: at least one weight is required "
                           "(--weight flag or config array)")
-    return [_array_spec(space, s, f"weights[{i}]")
+    return [_array_spec(space, s, f"weights[{i}]", positive=True)
             for i, s in enumerate(specs)]
 
 
@@ -325,7 +330,7 @@ def cmd_lattice(ctx, n, shifts, csv_path):
                             minimum=1)
     elif shifts < 1:
         raise ConfigError("shifts must be >= 1")
-    space = _space_from_config(cfg, n)
+    space = _space_from_config(cfg, n, grid_for="lattice")
     payload = {"schema": SCHEMA, "report": "lattice"}
     if shifts == 1:
         lattices = [build_standard_lattice(space)]
@@ -416,7 +421,7 @@ def _constant_rows(kind, lattice, ws, ecfg):
 def cmd_constants(ctx, n, kinds, weight_flags):
     """Compute weight characteristics as CSV rows kind,value,argmax."""
     cfg = ctx.obj["cfg"]
-    space = _space_from_config(cfg, n)
+    space = _space_from_config(cfg, n, grid_for="constants")
     lattice = build_standard_lattice(space)
     kinds = list(kinds) or cfg.get("kinds") or []
     if not isinstance(kinds, list) or not all(isinstance(k, str)
@@ -470,7 +475,7 @@ def _family_from_config(cfg, lattice, seed):
 def cmd_sparse(ctx, n, eta, dump_path):
     """Apply the basic sparse form to the configured arguments."""
     cfg, seed = ctx.obj["cfg"], ctx.obj["seed"]
-    space = _space_from_config(cfg, n)
+    space = _space_from_config(cfg, n, grid_for="sparse")
     lattice = build_standard_lattice(space)
     family = _family_from_config(cfg, lattice, seed)
     ecfg = _exponents_from_config(cfg)
@@ -548,7 +553,7 @@ def _pair_from_config(cfg, k_flag):
 def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
     """Run the stopping-time construction and emit its certificate."""
     cfg, seed = ctx.obj["cfg"], ctx.obj["seed"]
-    space = _space_from_config(cfg, n)
+    space = _space_from_config(cfg, n, grid_for="dominate")
     if shifts is None:
         shifts = 1
     elif shifts < 1:

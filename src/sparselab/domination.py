@@ -31,7 +31,6 @@ from .dyadic import (
 from .operators import (
     MultiIndexPair,
     _as_arrays,
-    ball_mass_kernel,
     commutator_integral,
     sparse_higher_order,
     truncated_grand_maximal_local,
@@ -162,11 +161,9 @@ def _normalized_orders(pair: MultiIndexPair) -> list[int]:
 
 
 def certificate_lhs(space: DiscreteSpace, fs, symbols,
-                    pair: MultiIndexPair, eta: float,
-                    kernel: np.ndarray | None = None) -> np.ndarray:
+                    pair: MultiIndexPair, eta: float) -> np.ndarray:
     powers = _normalized_orders(pair)
-    return np.abs(commutator_integral(space, fs, symbols, powers, eta,
-                                      kernel))
+    return np.abs(commutator_integral(space, fs, symbols, powers, eta))
 
 
 def certificate_rhs(space: DiscreteSpace, families, fs, symbols,
@@ -295,7 +292,6 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
     lattice = systems.lattices[sys_idx]
     cmu0 = lattice.cmu0()
     lam = 1.0 / (2.0 * cmu0)
-    kernel = ball_mass_kernel(space)
     needed = sum(pair.k[i] for i in pair.tau_ell)
     truncated = needed > lattice.depth
     residual = 0.0
@@ -315,7 +311,7 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
             cut = np.zeros(space.n)
             cut[big.members] = 1.0
             tail = certificate_lhs(space, [f * cut for f in fs], symbols,
-                                   pair, eta, kernel)
+                                   pair, eta)
             residual += float(tail[cube.members].max())
             truncated = True
             continue
@@ -362,7 +358,7 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
             f"emitted family fails its own sparseness audit: "
             f"{report.violations[:3]}")
 
-    lhs = certificate_lhs(space, fs, symbols, pair, eta, kernel)
+    lhs = certificate_lhs(space, fs, symbols, pair, eta)
     rhs = certificate_rhs(space, [family], fs, symbols, pair, eta, r)
     pos = rhs > 0.0
     ratio = np.where(pos, lhs / np.where(pos, rhs, 1.0), 0.0)

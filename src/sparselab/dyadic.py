@@ -62,16 +62,11 @@ class Cube:
     @property
     def core_radius(self) -> float:
         """Largest realized radius r with B(center, r) a subset of the cube."""
-        sp = self.lat.space
-        inside = np.zeros(sp.n, dtype=bool)
+        inside = np.zeros(self.lat.space.n, dtype=bool)
         inside[self.members] = True
-        d = sp.metric[self.center]
-        outside_d = d[~inside]
-        if outside_d.size == 0:
-            return float(d.max())
-        cutoff = float(outside_d.min())
-        below = d[d < cutoff]
-        return float(below.max())
+        order, radii, ends = self.lat.space.balls(self.center)
+        kept = np.logical_and.accumulate(inside[order])[ends - 1]
+        return float(radii[kept][-1])
 
     @property
     def containment_radius(self) -> float:
@@ -304,39 +299,38 @@ class AdjacentSystems:
     def count(self) -> int:
         return len(self.lattices)
 
-    def all_cubes(self):
-        for lat in self.lattices:
-            yield from lat.cubes
-
-
-def _interval_bounds(cube: Cube) -> tuple[int, int]:
-    return int(cube.members[0]), int(cube.members[-1])
-
 
 def _compute_c_adj(space: DiscreteSpace, lattices: list[DyadicLattice]) -> float:
-    """Exhaustive ball scan: worst-case minimal dilation over covering cubes."""
-    los, his = [], []
-    for lat in lattices:
-        for cube in lat.cubes:
-            lo, hi = _interval_bounds(cube)
-            los.append(lo)
-            his.append(hi)
-    los = np.array(los)
-    his = np.array(his)
+    """Exhaustive ball scan: worst-case minimal dilation over covering cubes.
+
+    On a grid cubes and balls are index intervals, and the balls around a
+    center grow, so each cube covers the balls of a prefix of the radii.
+    A cube's dilation is the distance to its farther end over the radius.
+    """
+    cubes = [cube for lat in lattices for cube in lat.cubes]
+    los = np.array([int(cube.members[0]) for cube in cubes])
+    his = np.array([int(cube.members[-1]) for cube in cubes])
     worst = 1.0
     for x in range(space.n):
+        order, radii, ends = space.balls(x)
+        radii, ends = radii[1:], ends[1:]
+        blo = np.minimum.accumulate(order)[ends - 1]
+        bhi = np.maximum.accumulate(order)[ends - 1]
+        # cube c covers exactly the balls j < covered[c]
+        covered = np.minimum(np.searchsorted(-blo, -los, side="right"),
+                             np.searchsorted(bhi, his, side="right"))
         dist = space.metric[x]
-        for r in space.realized_distances(x):
-            members = np.flatnonzero(dist <= r)
-            blo, bhi = int(members[0]), int(members[-1])
-            mask = (los <= blo) & (his >= bhi)
-            if not np.any(mask):
-                raise CoverError(
-                    f"ball B({x}, {r}) has no covering cube",
-                    ball=Ball(x, float(r), members),
-                )
-            dils = np.maximum(dist[los[mask]], dist[his[mask]]) / r
-            worst = max(worst, float(dils.min()))
+        best = np.full(radii.size + 1, np.inf)
+        np.minimum.at(best, covered, np.maximum(dist[los], dist[his]))
+        best = np.minimum.accumulate(best[::-1])[-2::-1]
+        bare = np.flatnonzero(best == np.inf)
+        if bare.size:
+            j = bare[0]
+            raise CoverError(
+                f"ball B({x}, {radii[j]}) has no covering cube",
+                ball=Ball(x, float(radii[j]), np.sort(order[:ends[j]])),
+            )
+        worst = max(worst, float((best / radii).max(initial=1.0)))
     return worst
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ from ._accel import frac_kernel_m1, frac_kernel_m2, frac_kernel_m3
 from .dyadic import DyadicLattice, SparseFamily
 from .space import DiscreteSpace
 from .weights import cube_gauges, young_llogl
+
+# ball_mass_kernel's per-space cache; an entry is freed with its space
+_KERNELS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -236,28 +240,23 @@ def fractional_maximal(space: DiscreteSpace, fs, eta: float = 0.0,
     Centered mode takes balls around x only (all realized radii,
     including zero); non-centered mode takes every ball containing x.
     """
-    n = space.n
-    fs = _as_arrays(fs, n)
+    fs = _as_arrays(fs, space.n)
     m = len(fs)
     fm = [np.abs(f) * space.masses for f in fs]
-    out = np.zeros(n)
-    for y in range(n):
-        d = space.metric[y]
-        order = np.argsort(d, kind="stable")
-        dsorted = d[order]
-        pmass = np.cumsum(space.masses[order])
-        pf = [np.cumsum(f[order]) for f in fm]
-        ends = np.flatnonzero(np.diff(dsorted) > 0)
-        ends = np.append(ends, n - 1)
-        vals = pmass[ends] ** (eta - m)
-        for f in pf:
-            vals = vals * f[ends]
+    out = np.zeros(space.n)
+    for y in range(space.n):
+        order, radii, ends = space.balls(y)
+        vals = space.ball_mass(y, radii) ** (eta - m)
+        for f in fm:
+            vals = vals * np.cumsum(f[order])[ends - 1]
         if centered:
             out[y] = float(vals.max())
         else:
-            for e, v in zip(ends, vals):
-                mem = order[:e + 1]
-                out[mem] = np.maximum(out[mem], v)
+            # the point at position p of order joins every ball j with
+            # ends[j] > p, so it takes the suffix max of vals from there
+            best = np.maximum.accumulate(vals[::-1])[::-1]
+            best = np.repeat(best, np.diff(ends, prepend=0))
+            out[order] = np.maximum(out[order], best)
     return out
 
 
@@ -275,16 +274,21 @@ def power_maximal(space: DiscreteSpace, f, delta: float,
 # -- fractional integral and commutators -------------------------------------
 
 def ball_mass_kernel(space: DiscreteSpace) -> np.ndarray:
-    """K[x, y] = mu of the closed ball around x through y."""
-    n = space.n
-    K = np.empty((n, n))
-    for x in range(n):
-        K[x] = space.ball_mass(x, space.metric[x])
+    """K[x, y] = mu of the closed ball around x through y.
+
+    Built once per space and kept, read-only, until the space is freed.
+    """
+    K = _KERNELS.get(space)
+    if K is None:
+        K = np.empty((space.n, space.n))
+        for x in range(space.n):
+            K[x] = space.ball_mass(x, space.metric[x])
+        K.flags.writeable = False
+        _KERNELS[space] = K
     return K
 
 
-def fractional_integral(space: DiscreteSpace, fs, eta: float,
-                        kernel: np.ndarray | None = None) -> np.ndarray:
+def fractional_integral(space: DiscreteSpace, fs, eta: float) -> np.ndarray:
     """Multilinear sum of (sum_i mu B(x, d(x,y_i)))^(eta-m) prod f_i(y_i).
 
     Signed arguments are allowed; supports m in {1, 2, 3}.
@@ -294,7 +298,7 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
     m = len(fs)
     if not 1 <= m <= 3:
         raise ValueError("fractional integral supports 1 to 3 arguments")
-    K = ball_mass_kernel(space) if kernel is None else kernel
+    K = ball_mass_kernel(space)
     ws = [f * space.masses for f in fs]
     expo = eta - m
     if m == 1:
@@ -305,8 +309,7 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
 
 
 def commutator_integral(space: DiscreteSpace, fs, symbols, powers,
-                        eta: float,
-                        kernel: np.ndarray | None = None) -> np.ndarray:
+                        eta: float) -> np.ndarray:
     """Signed oscillation commutator of the fractional integral.
 
     Slot i carries (b_i(x) - b_i(y_i))^powers[i]; power 0 leaves the
@@ -321,7 +324,6 @@ def commutator_integral(space: DiscreteSpace, fs, symbols, powers,
         raise ValueError("one symbol and one power per slot required")
     if any(v < 0 for v in powers):
         raise ValueError("powers must be nonnegative")
-    K = ball_mass_kernel(space) if kernel is None else kernel
     out = np.zeros(n)
     for jvec in itertools.product(*[range(b + 1) for b in powers]):
         scale = 1.0
@@ -332,32 +334,43 @@ def commutator_integral(space: DiscreteSpace, fs, symbols, powers,
             if b - j:
                 outer = outer * symbols[i] ** (b - j)
             mods.append(fs[i] * symbols[i] ** j if j else fs[i])
-        out += scale * outer * fractional_integral(space, mods, eta, K)
+        out += scale * outer * fractional_integral(space, mods, eta)
     return out
 
 
 # -- truncated grand maximal -------------------------------------------------
 
+def _grand_maximal(space, fs, eta, dilation, base, outer):
+    """sup over balls B inside base containing x of the max over B of the
+    fractional integral of the arguments cut to outer minus dilation*B.
+
+    A ball leaves base, and its cut-off set empties, for good once the
+    radius grows past some value, so the balls that count around each
+    center are a prefix of its positive radii."""
+    fs = _as_arrays(fs, space.n)
+    out = np.zeros(space.n)
+    for y in np.flatnonzero(base):
+        order, radii, ends = space.balls(y)
+        d = space.metric[y]
+        inside = np.logical_and.accumulate(base[order])[ends[1:] - 1]
+        reach = d[outer].max(initial=-np.inf)
+        live = np.logical_and.accumulate(
+            inside & (dilation * radii[1:] < reach))
+        for j in range(1, 1 + int(np.count_nonzero(live))):
+            ball = order[:ends[j]]
+            keep = outer & (d > dilation * radii[j])
+            vals = fractional_integral(space, [f * keep for f in fs], eta)
+            peak = float(np.abs(vals[ball]).max())
+            out[ball] = np.maximum(out[ball], peak)
+    return out
+
+
 def truncated_grand_maximal(space: DiscreteSpace, fs, eta: float,
                             dilation: float) -> np.ndarray:
     """sup over balls B containing x of the max over B of the
     fractional integral of the arguments cut off outside dilation*B."""
-    n = space.n
-    fs = _as_arrays(fs, n)
-    K = ball_mass_kernel(space)
-    out = np.zeros(n)
-    for y in range(n):
-        d = space.metric[y]
-        for r in space.realized_distances(y):
-            ball = np.flatnonzero(d <= r)
-            keep = d > dilation * r
-            if not np.any(keep):
-                continue
-            cuts = [f * keep for f in fs]
-            vals = fractional_integral(space, cuts, eta, K)
-            peak = float(np.abs(vals[ball]).max())
-            out[ball] = np.maximum(out[ball], peak)
-    return out
+    everywhere = np.ones(space.n, dtype=bool)
+    return _grand_maximal(space, fs, eta, dilation, everywhere, everywhere)
 
 
 def truncated_grand_maximal_local(space: DiscreteSpace, fs, eta: float,
@@ -365,25 +378,7 @@ def truncated_grand_maximal_local(space: DiscreteSpace, fs, eta: float,
                                   base_radius: float) -> np.ndarray:
     """Local variant: balls B inside the base ball, integrand restricted
     to dilation*B0 minus dilation*B."""
-    n = space.n
-    fs = _as_arrays(fs, n)
-    K = ball_mass_kernel(space)
-    base = space.ball(base_center, base_radius)
-    base_set = np.zeros(n, dtype=bool)
-    base_set[base.members] = True
+    base = np.zeros(space.n, dtype=bool)
+    base[space.ball(base_center, base_radius).members] = True
     big0 = space.metric[base_center] <= dilation * base_radius
-    out = np.zeros(n)
-    for y in base.members:
-        d = space.metric[y]
-        for r in space.realized_distances(y):
-            ball = np.flatnonzero(d <= r)
-            if not np.all(base_set[ball]):
-                continue
-            keep = big0 & (d > dilation * r)
-            if not np.any(keep):
-                continue
-            cuts = [f * keep for f in fs]
-            vals = fractional_integral(space, cuts, eta, K)
-            peak = float(np.abs(vals[ball]).max())
-            out[ball] = np.maximum(out[ball], peak)
-    return out
+    return _grand_maximal(space, fs, eta, dilation, base, big0)

@@ -124,6 +124,14 @@ class DiscreteSpace:
         out = self._prefix_mass[center][pos]
         return float(out) if np.isscalar(radius) else out
 
+    def balls(self, center: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every closed ball around center, smallest first: the points
+        by distance, the distinct radii (0 first) and member counts, so
+        ball j is order[:ends[j]] with mass ball_mass(center, radii[j])."""
+        d = self._sorted_d[center]
+        ends = np.append(np.flatnonzero(np.diff(d) > 0) + 1, self.n)
+        return self._order[center], d[ends - 1], ends
+
     def realized_distances(self, center: int | None = None) -> np.ndarray:
         """Sorted positive distances, from one center or from all pairs."""
         d = self.metric[center] if center is not None else self.metric

@@ -192,7 +192,9 @@ def _lp_norm(space, f, weight, p: float) -> float:
 
 
 def _violates(lhs: float, rhs: float) -> bool:
-    return lhs > rhs * (1.0 + RELATIVE_TOL) + 1e-300
+    """lhs exceeds rhs beyond the relative tolerance; NaN on either side
+    counts as a violation."""
+    return not lhs <= rhs * (1.0 + RELATIVE_TOL) + 1e-300
 
 
 # -- oracle-facing helpers ----------------------------------------------------

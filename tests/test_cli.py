@@ -144,6 +144,27 @@ class TestConstantsCommand:
         assert result.exit_code == 2
         assert "exponents" in result.output
 
+    def test_zero_weight_exits_2(self, runner, tmp_path):
+        cfg = _write_config(tmp_path, {"weights": [[0] + [1] * 15]})
+        result = runner.invoke(cli, ["--config", cfg, "constants",
+                                     "--n", "16", "--kind", "A_p"])
+        assert result.exit_code == 2
+        assert "weights[0] must be strictly positive" in result.output
+        assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["lattice"], ["constants", "--kind", "A_p", "--weight", "const"],
+    ["sparse"], ["dominate"]])
+def test_explicit_space_exits_2(runner, tmp_path, args):
+    cfg = _write_config(tmp_path, {"space": {
+        "kind": "explicit", "masses": [1, 1, 1],
+        "metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}})
+    result = runner.invoke(cli, ["--config", cfg, *args])
+    assert result.exit_code == 2
+    assert f"{args[0]} needs a grid space" in result.output
+    assert "Traceback" not in result.output
+
 
 class TestSparseCommand:
     def test_explicit_family_of_root_gives_plain_average(self, runner,

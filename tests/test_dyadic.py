@@ -1,6 +1,7 @@
 """Lattice constructions, adjacent systems, and witness selection."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sparselab.dyadic import (
     CoverError,
     LatticeError,
     WitnessSelectionError,
+    _compute_c_adj,
     adjacent_cover,
     build_hk_lattice,
     build_shifted_adjacent,
@@ -147,6 +149,21 @@ class TestShiftedAdjacent:
         assert systems.c_adj == 2.5
         assert systems.c_adj <= 8.0
         assert oracle_c_adj(sp, systems.lattices) == systems.c_adj
+
+    def test_c_adj_matches_oracle_n32(self):
+        sp = build_grid_space(32)
+        systems = build_shifted_adjacent(sp, 3)
+        assert oracle_c_adj(sp, systems.lattices) == systems.c_adj
+
+    def test_c_adj_names_first_uncovered_ball(self):
+        sp = build_grid_space(8)
+        lat = build_standard_lattice(sp)
+        # without the root, the balls around 0 past index 3 stay uncovered
+        no_root = SimpleNamespace(cubes=lat.cubes[1:])
+        with pytest.raises(CoverError, match=r"B\(0, 0.5\)") as err:
+            _compute_c_adj(sp, [no_root])
+        assert err.value.ball.radius == 0.5
+        assert err.value.ball.members.tolist() == [0, 1, 2, 3, 4]
 
     def test_cover_example_n8(self):
         sp = build_grid_space(8)

@@ -1,0 +1,79 @@
+"""Golden dominate certificates: the same inputs give the same report.
+
+Each file under tests/golden/ holds the default `dominate` report for one
+(n, k, shifts) setting at seed 1.  Systems, cube ids, witnesses, alpha,
+coverage and the verdict must match exactly; every other float must match
+to a relative 1e-9.
+
+Re-record (only when a behaviour change is intended and recorded in
+CHANGES.md) with `python tests/test_golden.py`.
+"""
+
+import json
+import math
+import pathlib
+
+import pytest
+from click.testing import CliRunner
+
+from sparselab.cli import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SETTINGS = [(n, k, shifts) for n in (16, 64) for k in ("1", "1,1")
+            for shifts in (1, 3)]
+REL = 1e-9
+
+
+def _name(n, k, shifts):
+    return f"dominate_n{n}_k{k.replace(',', '-')}_s{shifts}.json"
+
+
+def _report(n, k, shifts):
+    result = CliRunner().invoke(cli, ["--seed", "1", "dominate", "--n",
+                                      str(n), "--k", k,
+                                      "--shifts", str(shifts)])
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)
+
+
+def _assert_close(got, want, path):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, (int, float)), path
+        assert math.isclose(got, want, rel_tol=REL, abs_tol=0.0), \
+            f"{path}: {got!r} != {want!r}"
+    else:
+        assert got == want and type(got) is type(want), path
+
+
+@pytest.mark.parametrize("n,k,shifts", SETTINGS)
+def test_dominate_matches_golden(n, k, shifts):
+    want = json.loads((GOLDEN / _name(n, k, shifts)).read_text())
+    got = _report(n, k, shifts)
+    cert, gold = got["certificate"], want["certificate"]
+    for key in ("alpha", "coverage"):
+        assert cert[key] == gold[key], key
+    assert [(f["system"], f["cube_ids"], f["witnesses"])
+            for f in cert["families"]] == \
+        [(f["system"], f["cube_ids"], f["witnesses"])
+         for f in gold["families"]]
+    assert got["verification"]["pass"] == want["verification"]["pass"]
+    assert got["verification"]["violations"] == \
+        want["verification"]["violations"]
+    _assert_close(got, want, "report")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for setting in SETTINGS:
+        path = GOLDEN / _name(*setting)
+        path.write_text(json.dumps(_report(*setting), sort_keys=True,
+                                   indent=2) + "\n")
+        print(path)

@@ -29,7 +29,7 @@ from sparselab.operators import (
     truncated_grand_maximal,
     truncated_grand_maximal_local,
 )
-from sparselab.space import build_grid_space
+from sparselab.space import build_explicit_space, build_grid_space
 from sparselab.weights import avg, luxemburg_norm, young_identity, young_llogl
 
 
@@ -350,13 +350,18 @@ class TestFractionalIntegral:
         with pytest.raises(ValueError):
             fractional_integral(sp, [np.ones(4)] * 4, eta=0.5)
 
-    def test_kernel_reuse(self):
-        sp = build_grid_space(8)
+    def test_kernel_built_once_per_space(self):
+        sp = build_grid_space(8, masses=np.arange(1.0, 9.0))
         K = ball_mass_kernel(sp)
-        f = np.arange(8.0)
-        a = fractional_integral(sp, [f], eta=0.5)
-        b = fractional_integral(sp, [f], eta=0.5, kernel=K)
-        assert np.array_equal(a, b)
+        assert ball_mass_kernel(sp) is K
+        assert not K.flags.writeable
+        with pytest.raises(ValueError):
+            K[0, 0] = 1.0
+        want = [[sp.mass_of(np.flatnonzero(sp.metric[x] <= sp.metric[x, y]))
+                 for y in range(8)] for x in range(8)]
+        assert np.array_equal(K, want)
+        other = build_grid_space(8)
+        assert ball_mass_kernel(other) is not K
 
     def test_linearity(self):
         sp = build_grid_space(8)
@@ -440,6 +445,108 @@ class TestEndpointMaximal:
         lat = build_standard_lattice(build_grid_space(8))
         with pytest.raises(ValueError):
             orlicz_maximal(lat, [np.ones(8)], [])
+
+
+def loop_grand_maximal(space, fs, eta, dilation, base_center=None,
+                       base_radius=None):
+    """Per-radius ball loop the operators used before the ball layer:
+    every realized radius of every center, members by flatnonzero."""
+    n = space.n
+    if base_center is None:
+        centers, base_set, big0 = range(n), np.ones(n, bool), np.ones(n, bool)
+    else:
+        centers = space.ball(base_center, base_radius).members
+        base_set = np.zeros(n, dtype=bool)
+        base_set[centers] = True
+        big0 = space.metric[base_center] <= dilation * base_radius
+    out = np.zeros(n)
+    for y in centers:
+        d = space.metric[y]
+        for r in space.realized_distances(y):
+            ball = np.flatnonzero(d <= r)
+            if not np.all(base_set[ball]):
+                continue
+            keep = big0 & (d > dilation * r)
+            if not np.any(keep):
+                continue
+            vals = fractional_integral(space, [f * keep for f in fs], eta)
+            peak = float(np.abs(vals[ball]).max())
+            out[ball] = np.maximum(out[ball], peak)
+    return out
+
+
+def loop_fractional_maximal(space, fs, eta, centered):
+    """Per-center argsort and cumsum, as before the ball layer."""
+    n = space.n
+    fm = [np.abs(f) * space.masses for f in fs]
+    out = np.zeros(n)
+    for y in range(n):
+        order = np.argsort(space.metric[y], kind="stable")
+        dsorted = space.metric[y][order]
+        pmass = np.cumsum(space.masses[order])
+        ends = np.append(np.flatnonzero(np.diff(dsorted) > 0), n - 1)
+        vals = pmass[ends] ** (eta - len(fs))
+        for f in fm:
+            vals = vals * np.cumsum(f[order])[ends]
+        if centered:
+            out[y] = float(vals.max())
+        else:
+            for e, v in zip(ends, vals):
+                out[order[:e + 1]] = np.maximum(out[order[:e + 1]], v)
+    return out
+
+
+def ball_layer_spaces():
+    rng = np.random.default_rng(31)
+    grid = build_grid_space(32, masses=np.exp(rng.uniform(-1, 1, size=32)))
+    pts = rng.uniform(0, 1, size=(24, 2))
+    metric = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+    return [grid, build_explicit_space(metric, rng.uniform(0.5, 2, 24))]
+
+
+class TestBallLayerOperators:
+    """The ball-layer operators reproduce the per-radius loops exactly."""
+
+    @pytest.mark.parametrize("centered", [True, False])
+    def test_fractional_maximal_matches_loop(self, centered):
+        for sp in ball_layer_spaces():
+            rng = np.random.default_rng(32)
+            fs = [rng.normal(size=sp.n) for _ in range(2)]
+            for eta in (0.0, 0.75):
+                got = fractional_maximal(sp, fs, eta, centered)
+                want = loop_fractional_maximal(sp, fs, eta, centered)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dilation", [0.5, 2.0, 6.0])
+    def test_global_matches_loop(self, dilation):
+        for sp in ball_layer_spaces():
+            rng = np.random.default_rng(33)
+            fs = [rng.normal(size=sp.n) for _ in range(2)]
+            got = truncated_grand_maximal(sp, fs, 0.5, dilation)
+            assert np.array_equal(
+                got, loop_grand_maximal(sp, fs, 0.5, dilation))
+
+    @pytest.mark.parametrize("center,radius,dilation", [
+        (16, 0.25, 2.0), (3, 0.5, 4.0), (20, 0.125, 1.0), (0, 1.0, 3.0)])
+    def test_local_matches_loop(self, center, radius, dilation):
+        for sp in ball_layer_spaces():
+            rng = np.random.default_rng(34)
+            f = np.abs(rng.normal(size=sp.n))
+            got = truncated_grand_maximal_local(sp, [f], 0.25, dilation,
+                                                center, radius)
+            want = loop_grand_maximal(sp, [f], 0.25, dilation, center,
+                                      radius)
+            assert np.array_equal(got, want)
+
+    def test_local_all_zero_matches_loop(self):
+        # a dilation past the base ball's reach leaves every cut-off
+        # integrand empty, as in default dominate runs
+        sp = ball_layer_spaces()[0]
+        f = np.abs(np.random.default_rng(35).normal(size=sp.n))
+        got = truncated_grand_maximal_local(sp, [f], 0.0, 32.0, 8, 1 / 32)
+        want = loop_grand_maximal(sp, [f], 0.0, 32.0, 8, 1 / 32)
+        assert np.array_equal(got, want)
+        assert not np.any(got)
 
 
 class TestTruncatedGrandMaximal:

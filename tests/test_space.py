@@ -202,6 +202,33 @@ def test_ball_membership_monotone(data, salt):
         prev = cur
 
 
+def assert_balls_match_brute_force(sp):
+    for x in range(sp.n):
+        order, radii, ends = sp.balls(x)
+        assert np.array_equal(radii, np.unique(sp.metric[x]))
+        assert radii[0] == 0.0
+        for r, end in zip(radii, ends):
+            members = np.flatnonzero(sp.metric[x] <= r)
+            assert np.array_equal(np.sort(order[:end]), members)
+            assert sp.ball_mass(x, r) == pytest.approx(
+                sp.mass_of(members), rel=1e-12)
+
+
+def test_balls_on_weighted_grid():
+    sp = build_grid_space(16, masses=np.linspace(0.5, 3.0, 16))
+    assert_balls_match_brute_force(sp)
+    order, radii, ends = sp.balls(5)
+    assert order[:ends[0]].tolist() == [5]
+    assert ends[-1] == 16
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_point_spaces())
+def test_balls_on_random_spaces(data):
+    metric, masses = data
+    assert_balls_match_brute_force(build_explicit_space(metric, masses))
+
+
 class TestDescriptors:
     def test_grid_round_trip(self):
         sp = build_grid_space(4, [1, 2, 1, 2])

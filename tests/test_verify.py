@@ -13,7 +13,7 @@ from sparselab.dyadic import (build_standard_lattice, random_sparse_family,
 from sparselab.operators import fractional_integral, fractional_maximal
 from sparselab.space import build_grid_space
 from sparselab.verify import (CAOPRO_RATIO_BASELINE, CheckReport, CheckSpec,
-                              REGISTRY, _operator_norm_lower,
+                              REGISTRY, _operator_norm_lower, _violates,
                               astar_gate_values,
                               holder_sides, kolmogorov_chain_values,
                               oscillation_endpoint_form, registry_ids,
@@ -81,6 +81,13 @@ class TestRegistry:
 
 
 class TestReports:
+    @pytest.mark.parametrize("lhs,rhs,bad", [
+        (1.0, 1.0, False), (1.0 + 1e-12, 1.0, False), (1.1, 1.0, True),
+        (0.0, 0.0, False), (math.nan, 1.0, True), (1.0, math.nan, True),
+        (math.inf, 1.0, True)])
+    def test_violates_counts_nan(self, lhs, rhs, bad):
+        assert _violates(lhs, rhs) is bad
+
     def test_pass_iff_failures_empty(self):
         clean = CheckReport("x", "exact", 3)
         assert clean.passed
