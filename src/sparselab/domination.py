@@ -237,26 +237,6 @@ def _bad_set(profiles, mu_big, eta, r, alpha, region, n):
     return mask
 
 
-# -- stopping-cube selection -------------------------------------------------
-
-def _stopping_cubes(lattice, cube: Cube, bad: np.ndarray,
-                    lam: float) -> list[Cube]:
-    """Maximal proper subcubes charged above the lambda fraction."""
-    sp = lattice.space
-    out = []
-    stack = [lattice.cube(cid) for cid in reversed(cube.children)]
-    while stack:
-        cand = stack.pop()
-        mem = cand.members
-        inter = float(sp.masses[mem[bad[mem]]].sum())
-        if inter > lam * cand.mass:
-            out.append(cand)
-        elif inter > 0.0:
-            stack.extend(lattice.cube(cid) for cid in reversed(cand.children))
-    out.sort(key=lambda c: (c.gen, c.index))
-    return out
-
-
 # -- the construction --------------------------------------------------------
 
 def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
@@ -330,7 +310,10 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
                     f"index {cube.index})", cube_id=cube.cube_id)
             alpha *= 2.0
         final_alpha = max(final_alpha, alpha)
-        picks = _stopping_cubes(lattice, cube, bad, lam)
+        # maximal proper subcubes charged above the lambda fraction
+        charged = lattice.cube_sums(bad) > lam * lattice.cube_masses
+        picks = [lattice.cube(cid)
+                 for cid in lattice.maximal_subcubes(cube, charged)]
         budget = math.fsum(p.mass for p in picks)
         if budget > 0.5 * cube.mass * (1 + 1e-12):
             raise DominationError(
@@ -388,22 +371,15 @@ def verify_domination(cert: DominationCertificate, lhs, rhs) -> dict:
     scale = max(1.0, float(np.abs(lhs).max(initial=0.0)),
                 cert.constant * float(np.abs(rhs).max(initial=0.0)))
     tol = 1e-12 * scale
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.where(rhs > 0.0, lhs / rhs, 0.0)
-    finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(ratio)
-    violations = []
-    for x in range(lhs.size):
-        if not finite[x]:
-            violations.append({"point": x, "lhs": float(lhs[x]),
-                               "bound": float(cert.constant * rhs[x])})
-        elif rhs[x] > 0.0:
-            if lhs[x] > cert.constant * rhs[x] + tol:
-                violations.append({"point": x, "lhs": float(lhs[x]),
-                                   "bound": float(cert.constant * rhs[x])})
-        elif lhs[x] > tol:
-            violations.append({"point": x, "lhs": float(lhs[x]),
-                               "bound": 0.0})
     pos = rhs > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(pos, lhs / rhs, 0.0)
+        scaled = cert.constant * rhs
+    finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(ratio)
+    bad = ~finite | (lhs > np.where(pos, scaled, 0.0) + tol)
+    bound = np.where(finite & ~pos, 0.0, scaled)
+    violations = [{"point": int(x), "lhs": float(lhs[x]),
+                   "bound": float(bound[x])} for x in np.flatnonzero(bad)]
     realized = float(ratio[pos].max()) if np.any(pos) else 0.0
     return {"pass": not violations, "violations": violations,
             "constant": cert.constant, "max_ratio": realized,
@@ -474,8 +450,12 @@ def augment_sparse(family: SparseFamily, b) -> tuple[SparseFamily, dict]:
     new_delta = gamma / (2.0 * (gamma + 1.0))
     cmu0 = lat.cmu0()
     means = lat.cube_means(b)
-    ids = sorted(set(family.cube_ids),
-                 key=lambda cid: (lat.cube(cid).gen, lat.cube(cid).index))
+    # depth-first rank of each cube: the first of its members in the
+    # lexicographic order of the point_to_cube columns
+    rank = np.empty(sp.n)
+    rank[np.lexsort(lat.point_to_cube[::-1])] = np.arange(sp.n)
+    first_rank = -lat.cube_max(-rank)
+    ids = sorted(set(family.cube_ids))
     present = set(ids)
     rows = []
     added_all = []
@@ -483,28 +463,18 @@ def augment_sparse(family: SparseFamily, b) -> tuple[SparseFamily, dict]:
     while queue:
         cid = queue.pop(0)
         cube = lat.cube(cid)
-        b_q = means[cid]
-        osc = avg(sp, cube.members, b - b_q, 1.0)
+        spread = lat.cube_means(np.abs(b - means[cid]))
+        osc = float(spread[cid])
         budget = 2.0 * cmu0 * osc
-        picked = []
-        stack = [lat.cube(c) for c in reversed(cube.children)]
-        while stack:
-            cand = stack.pop()
-            val = avg(sp, cand.members, b - b_q, 1.0)
-            if val > budget:
-                picked.append(cand.cube_id)
-            else:
-                stack.extend(lat.cube(c) for c in reversed(cand.children))
-        fresh = [c for c in picked if c not in present]
-        for c in fresh:
-            present.add(c)
-            queue.append(c)
-            added_all.append(c)
+        picked = lat.maximal_subcubes(cube, spread > budget)
+        fresh = [int(c) for c in picked[np.argsort(first_rank[picked])]
+                 if c not in present]
+        present.update(fresh)
+        queue.extend(fresh)
+        added_all.extend(fresh)
         rows.append({"cube_id": cid, "osc": osc, "budget": budget,
                      "added": fresh})
-    new_ids = sorted(present,
-                     key=lambda cid: (lat.cube(cid).gen,
-                                      lat.cube(cid).index))
+    new_ids = sorted(present)
     try:
         augmented = select_witnesses(lat, new_ids, new_delta)
     except WitnessSelectionError as exc:
@@ -512,37 +482,20 @@ def augment_sparse(family: SparseFamily, b) -> tuple[SparseFamily, dict]:
             f"augmented family cannot reach sparseness {new_delta}: {exc}",
             cube_id=exc.cube_id) from exc
 
-    oscs = {}
-    for cid in new_ids:
-        oscs[cid] = avg(sp, lat.cube(cid).members, b - means[cid], 1.0)
-    empirical = 0.0
-    vacuous = True
+    # on a family cube Q the denominator at x sums the oscillations of
+    # the family cubes R with x in R <= Q: row gen(Q) of a suffix cumsum
+    # over generations
+    dev = np.abs(lat.deviations(b))
+    oscs = np.zeros(len(lat.cubes))
+    oscs[new_ids] = lat.cube_means(dev)[new_ids]
+    denom = np.cumsum(oscs[lat.point_to_cube][::-1], axis=0)[::-1]
+    ratio = lat.cube_max(np.divide(dev, denom, out=np.zeros_like(dev),
+                                   where=denom > 0.0))
+    loud = lat.cube_max(dev > 1e-14 * max(1.0, float(np.abs(b).max())))
+    vacuous = not np.any(loud[new_ids] > 0.0)
     for row in rows:
-        row["max_ratio"] = 0.0
-    ratio_by_cube = {}
-    for cid in new_ids:
-        cube = lat.cube(cid)
-        inside = set(cube.members.tolist())
-        num = np.abs(b[cube.members] - means[cid])
-        denom = np.zeros(sp.n)
-        for other in new_ids:
-            oc = lat.cube(other)
-            if oc.gen >= cube.gen and int(oc.members[0]) in inside:
-                denom[oc.members] += oscs[other]
-        dvals = denom[cube.members]
-        live = dvals > 0.0
-        if np.any(num > 1e-14 * max(1.0, float(np.abs(b).max()))):
-            vacuous = False
-        if np.any(live):
-            ratio = float((num[live] / dvals[live]).max())
-        else:
-            ratio = 0.0
-        ratio_by_cube[cid] = ratio
-        empirical = max(empirical, ratio)
-    for row in rows:
-        row["max_ratio"] = ratio_by_cube.get(row["cube_id"], 0.0)
-    if vacuous:
-        empirical = 0.0
+        row["max_ratio"] = float(ratio[row["cube_id"]])
+    empirical = 0.0 if vacuous else max([0.0, *ratio[new_ids].tolist()])
     table = {"empirical_c": empirical, "vacuous": vacuous,
              "delta": new_delta, "rows": rows, "added": added_all}
     return augmented, table

@@ -139,6 +139,19 @@ class DyadicLattice:
         b = np.asarray(b, dtype=np.float64)
         return b - self.cube_means(b)[self.point_to_cube]
 
+    def maximal_subcubes(self, cube: Cube, flagged) -> np.ndarray:
+        """Ids of the maximal proper subcubes of cube that are flagged.
+
+        flagged holds one bool per cube id.  Each member's column of
+        point_to_cube below cube.gen is read for its first flagged
+        generation; the result is in cube-id, i.e. (gen, index), order.
+        """
+        column = self.point_to_cube[cube.gen:, cube.members]
+        hit = np.asarray(flagged, dtype=bool)[column]
+        hit[0] = False
+        keep = np.flatnonzero(hit.any(axis=0))
+        return np.unique(column[hit[:, keep].argmax(axis=0), keep])
+
     # -- construction helpers ---------------------------------------------
 
     def _finish(self, gen_members: list[list[np.ndarray]],
@@ -363,21 +376,25 @@ def build_shifted_adjacent(space: DiscreteSpace, shifts: int) -> AdjacentSystems
 def adjacent_cover(systems: AdjacentSystems, ball: Ball) -> tuple[int, Cube]:
     """Smallest-mass cube Q with ball <= Q <= c_adj-dilated ball.
 
-    Ties broken lexicographically by (system, generation, index).
+    Ties broken lexicographically by (system, generation, index).  In
+    each lattice the cubes holding the ball sit at the generations where
+    its members share one cube; a cube stays inside the dilated ball when
+    no point beyond the dilated radius shares it.
     """
     sp = systems.space
     x = ball.center
-    want = set(ball.members.tolist())
-    dilated = sp.ball(x, systems.c_adj * ball.radius)
-    allowed = set(dilated.members.tolist())
+    far = np.flatnonzero(sp.metric[x] > systems.c_adj * ball.radius)
     best = None
     for lat in systems.lattices:
-        for cube in lat.cubes:
-            mem = set(cube.members.tolist())
-            if want <= mem and mem <= allowed:
-                key = (cube.mass, lat.system, cube.gen, cube.index)
-                if best is None or key < best[0]:
-                    best = (key, lat.system, cube)
+        table = lat.point_to_cube
+        home = table[:, ball.members[:1]]
+        fits = np.all(table[:, ball.members] == home, axis=1) & \
+            ~np.any(table[:, far] == home, axis=1)
+        for cid in home[fits, 0]:
+            cube = lat.cubes[cid]
+            key = (cube.mass, lat.system, cube.gen, cube.index)
+            if best is None or key < best[0]:
+                best = (key, lat.system, cube)
     if best is None:
         raise CoverError(f"no cube covers ball B({x}, {ball.radius}) "
                          "within the dilation bound", ball=ball)

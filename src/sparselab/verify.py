@@ -192,9 +192,10 @@ def _lp_norm(space, f, weight, p: float) -> float:
 
 
 def _violates(lhs: float, rhs: float) -> bool:
-    """lhs exceeds rhs beyond the relative tolerance; NaN on either side
-    counts as a violation."""
-    return not lhs <= rhs * (1.0 + RELATIVE_TOL) + 1e-300
+    """lhs exceeds rhs beyond the relative tolerance; a NaN or infinite
+    value on either side counts as a violation."""
+    return not (math.isfinite(lhs) and math.isfinite(rhs)
+                and lhs <= rhs * (1.0 + RELATIVE_TOL) + 1e-300)
 
 
 # -- oracle-facing helpers ----------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sparselab.domination import augment_sparse
 from sparselab.dyadic import (build_hk_lattice, build_shifted_adjacent,
                               build_standard_lattice, random_sparse_family,
                               select_witnesses)
@@ -13,7 +14,7 @@ from sparselab.operators import (MultiIndexPair, dyadic_maximal,
                                  sharp_maximal_dyadic, sparse_higher_order,
                                  sparse_operator)
 from sparselab.space import build_explicit_space, build_grid_space
-from sparselab.weights import bmo_norm, muckenhoupt_ap
+from sparselab.weights import avg, bmo_norm, muckenhoupt_ap
 
 
 def _standard():
@@ -189,3 +190,187 @@ def test_bmo_norm_skips_nan_cubes():
     assert value == 2.0
     assert bmo_norm(lat, np.full(8, math.nan), detail=True) == \
         (-math.inf, None)
+
+
+# -- maximal subcubes and the constructions that read them -------------------
+
+def _parent_walk(lat, cube, flagged):
+    # the child walk augment_sparse used before maximal_subcubes
+    picked = []
+    stack = [lat.cube(c) for c in reversed(cube.children)]
+    while stack:
+        cand = stack.pop()
+        if flagged[cand.cube_id]:
+            picked.append(cand.cube_id)
+        else:
+            stack.extend(lat.cube(c) for c in reversed(cand.children))
+    return picked
+
+
+def _parent_stopping_cubes(lattice, cube, bad, lam):
+    # the parent's domination._stopping_cubes, verbatim
+    sp = lattice.space
+    out = []
+    stack = [lattice.cube(cid) for cid in reversed(cube.children)]
+    while stack:
+        cand = stack.pop()
+        mem = cand.members
+        inter = float(sp.masses[mem[bad[mem]]].sum())
+        if inter > lam * cand.mass:
+            out.append(cand)
+        elif inter > 0.0:
+            stack.extend(lattice.cube(cid) for cid in reversed(cand.children))
+    out.sort(key=lambda c: (c.gen, c.index))
+    return out
+
+
+def test_maximal_subcubes_match_child_walk(lattice):
+    rng = np.random.default_rng(21)
+    finest = lattice.cubes[lattice.generations[-1][0]]
+    cubes = [c for c in lattice.cubes if c.gen < 3] + [finest]
+    for cube in cubes:
+        for density in (0.0, 0.1, 0.4, 1.0):
+            flagged = rng.uniform(size=len(lattice.cubes)) < density
+            got = lattice.maximal_subcubes(cube, flagged)
+            assert got.tolist() == sorted(_parent_walk(lattice, cube,
+                                                       flagged))
+    assert lattice.maximal_subcubes(finest, np.ones(len(lattice.cubes),
+                                                    dtype=bool)).size == 0
+    root = lattice.cubes[0]
+    none = np.zeros(len(lattice.cubes), dtype=bool)
+    assert lattice.maximal_subcubes(root, none).size == 0
+
+
+def test_stopping_cubes_match_parent(lattice):
+    rng = np.random.default_rng(22)
+    for cube in [c for c in lattice.cubes if c.gen < 3]:
+        for _ in range(6):
+            bad = np.zeros(lattice.space.n, dtype=bool)
+            bad[cube.members] = rng.uniform(size=cube.members.size) < \
+                rng.uniform()
+            lam = rng.uniform(0.05, 0.95)
+            charged = lattice.cube_sums(bad) > lam * lattice.cube_masses
+            got = lattice.maximal_subcubes(cube, charged).tolist()
+            want = _parent_stopping_cubes(lattice, cube, bad, lam)
+            assert got == [c.cube_id for c in want]
+
+
+def _parent_augment(family, b):
+    # the parent's domination.augment_sparse, verbatim
+    lat = family.lattice
+    sp = lat.space
+    b = np.asarray(b, dtype=np.float64)
+    gamma = family.delta
+    new_delta = gamma / (2.0 * (gamma + 1.0))
+    cmu0 = lat.cmu0()
+    means = lat.cube_means(b)
+    ids = sorted(set(family.cube_ids),
+                 key=lambda cid: (lat.cube(cid).gen, lat.cube(cid).index))
+    present = set(ids)
+    rows = []
+    added_all = []
+    queue = list(ids)
+    while queue:
+        cid = queue.pop(0)
+        cube = lat.cube(cid)
+        b_q = means[cid]
+        osc = avg(lat.space, cube.members, b - b_q, 1.0)
+        budget = 2.0 * cmu0 * osc
+        picked = []
+        stack = [lat.cube(c) for c in reversed(cube.children)]
+        while stack:
+            cand = stack.pop()
+            val = avg(sp, cand.members, b - b_q, 1.0)
+            if val > budget:
+                picked.append(cand.cube_id)
+            else:
+                stack.extend(lat.cube(c) for c in reversed(cand.children))
+        fresh = [c for c in picked if c not in present]
+        for c in fresh:
+            present.add(c)
+            queue.append(c)
+            added_all.append(c)
+        rows.append({"cube_id": cid, "osc": osc, "budget": budget,
+                     "added": fresh})
+    new_ids = sorted(present,
+                     key=lambda cid: (lat.cube(cid).gen,
+                                      lat.cube(cid).index))
+    augmented = select_witnesses(lat, new_ids, new_delta)
+    oscs = {}
+    for cid in new_ids:
+        oscs[cid] = avg(sp, lat.cube(cid).members, b - means[cid], 1.0)
+    empirical = 0.0
+    vacuous = True
+    ratio_by_cube = {}
+    for cid in new_ids:
+        cube = lat.cube(cid)
+        inside = set(cube.members.tolist())
+        num = np.abs(b[cube.members] - means[cid])
+        denom = np.zeros(sp.n)
+        for other in new_ids:
+            oc = lat.cube(other)
+            if oc.gen >= cube.gen and int(oc.members[0]) in inside:
+                denom[oc.members] += oscs[other]
+        dvals = denom[cube.members]
+        live = dvals > 0.0
+        if np.any(num > 1e-14 * max(1.0, float(np.abs(b).max()))):
+            vacuous = False
+        if np.any(live):
+            ratio = float((num[live] / dvals[live]).max())
+        else:
+            ratio = 0.0
+        ratio_by_cube[cid] = ratio
+        empirical = max(empirical, ratio)
+    for row in rows:
+        row["max_ratio"] = ratio_by_cube.get(row["cube_id"], 0.0)
+    if vacuous:
+        empirical = 0.0
+    table = {"empirical_c": empirical, "vacuous": vacuous,
+             "delta": new_delta, "rows": rows, "added": added_all}
+    return augmented, table
+
+
+def test_augment_sparse_matches_parent(lattice):
+    rng = np.random.default_rng(23)
+    grew = 0
+    for _ in range(12):
+        family = random_sparse_family(lattice, rng)
+        # a spike on the lightest point makes the small cubes around it
+        # oscillate above the budget
+        b = 0.01 * rng.standard_normal(lattice.space.n)
+        b[np.argmin(lattice.space.masses)] += rng.uniform(1.0, 5.0)
+        want_fam, want = _parent_augment(family, b)
+        got_fam, got = augment_sparse(family, b)
+        assert got_fam.cube_ids == want_fam.cube_ids
+        assert got_fam.witnesses.keys() == want_fam.witnesses.keys()
+        for cid, wit in want_fam.witnesses.items():
+            assert got_fam.witnesses[cid].tolist() == wit.tolist()
+        assert got["added"] == want["added"]
+        assert got["vacuous"] == want["vacuous"]
+        assert got["delta"] == want["delta"]
+        assert got["empirical_c"] == pytest.approx(want["empirical_c"],
+                                                   rel=1e-12)
+        assert [(r["cube_id"], r["added"]) for r in got["rows"]] == \
+            [(r["cube_id"], r["added"]) for r in want["rows"]]
+        for g, w in zip(got["rows"], want["rows"]):
+            for key in ("osc", "budget", "max_ratio"):
+                assert g[key] == pytest.approx(w[key], rel=1e-12,
+                                               abs=1e-300), key
+        grew += bool(want["added"])
+    assert grew
+
+
+def test_augment_sparse_adds_in_depth_first_order():
+    # the picks below the root span generations 4 and 5, so depth-first
+    # order is not cube-id order
+    lat = build_standard_lattice(build_grid_space(32))
+    family = select_witnesses(lat, [0], 0.5)
+    b = np.zeros(32)
+    b[[3, 6, 15, 22, 28]] = [-3.9, -1.6, 1.8, 3.9, 0.6]
+    want_fam, want = _parent_augment(family, b)
+    got_fam, got = augment_sparse(family, b)
+    assert got["rows"][0]["added"] == [16, 37, 46, 26]
+    assert got["added"] == want["added"]
+    assert [r["cube_id"] for r in got["rows"]] == \
+        [r["cube_id"] for r in want["rows"]]
+    assert got_fam.cube_ids == want_fam.cube_ids

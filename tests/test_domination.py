@@ -417,6 +417,22 @@ def test_verify_non_finite_point_fails(lhs, rhs, constant):
     assert [v["point"] for v in rep["violations"]] == [1]
 
 
+def test_verify_mixed_points_in_order():
+    nan, inf = math.nan, math.inf
+    lhs = np.array([1.0, 3.0, 0.5, 0.0, nan, 1.0, 1.0, -1.0, 2.0, 1.0, inf])
+    rhs = np.array([1.0, 1.0, 0.0, 0.0, 1.0, nan, -1.0, -1.0, 1.0, inf,
+                    -2.0])
+    rep = verify_domination(dummy_cert(2.0), lhs, rhs)
+    got = [(v["point"], v["lhs"], v["bound"]) for v in rep["violations"]]
+    want = [(1, 3.0, 2.0), (2, 0.5, 0.0), (4, nan, 2.0), (5, 1.0, nan),
+            (6, 1.0, 0.0), (9, 1.0, inf), (10, inf, -4.0)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, nan_ok=True)
+        assert all(type(v) is type(u) for v, u in zip(g, w))
+    assert not rep["pass"]
+
+
 # -- coverage audit ----------------------------------------------------------
 
 def test_coverage_audit_n16(grid16):

@@ -1,5 +1,6 @@
 """Lattice constructions, adjacent systems, and witness selection."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -43,6 +44,27 @@ def oracle_c_adj(space, lattices):
                             best = dil
             worst = max(worst, best)
     return worst
+
+
+def parent_adjacent_cover(systems, ball):
+    """The set-based adjacent_cover the cube-layer version replaced."""
+    sp = systems.space
+    x = ball.center
+    want = set(ball.members.tolist())
+    dilated = sp.ball(x, systems.c_adj * ball.radius)
+    allowed = set(dilated.members.tolist())
+    best = None
+    for lat in systems.lattices:
+        for cube in lat.cubes:
+            mem = set(cube.members.tolist())
+            if want <= mem and mem <= allowed:
+                key = (cube.mass, lat.system, cube.gen, cube.index)
+                if best is None or key < best[0]:
+                    best = (key, lat.system, cube)
+    if best is None:
+        raise CoverError(f"no cube covers ball B({x}, {ball.radius}) "
+                         "within the dilation bound", ball=ball)
+    return best[1], best[2]
 
 
 class TestStandardLattice:
@@ -195,6 +217,30 @@ class TestShiftedAdjacent:
         sys_idx, cube = adjacent_cover(systems, sp.ball(5, 0.0))
         assert cube.members.tolist() == [5]
         assert sys_idx == 0
+
+    def test_cover_matches_parent_on_every_ball(self):
+        masses = np.random.default_rng(5).integers(1, 5, 32).astype(float)
+        sp = build_grid_space(32, masses=masses)
+        systems = build_shifted_adjacent(sp, 3)
+        for x in range(sp.n):
+            _, radii, _ = sp.balls(x)
+            for r in radii:
+                ball = sp.ball(x, float(r))
+                sys_idx, cube = adjacent_cover(systems, ball)
+                want_idx, want = parent_adjacent_cover(systems, ball)
+                assert (sys_idx, cube.cube_id) == (want_idx, want.cube_id)
+
+    def test_cover_error_within_dilation(self):
+        masses = np.random.default_rng(5).integers(1, 5, 32).astype(float)
+        sp = build_grid_space(32, masses=masses)
+        tight = dataclasses.replace(build_shifted_adjacent(sp, 3),
+                                    c_adj=1.0)
+        ball = sp.ball(3, 1 / 32)
+        with pytest.raises(CoverError, match=r"B\(3, 0.03125\)") as err:
+            adjacent_cover(tight, ball)
+        assert err.value.ball is ball
+        with pytest.raises(CoverError):
+            parent_adjacent_cover(tight, ball)
 
     def test_shifts2_n2_matches_standard(self):
         sp = build_grid_space(2)

@@ -1,9 +1,13 @@
-"""Golden dominate certificates: the same inputs give the same report.
+"""Golden reports: the same inputs give the same report.
 
-Each file under tests/golden/ holds the default `dominate` report for one
-(n, k, shifts) setting at seed 1.  Systems, cube ids, witnesses, alpha,
-coverage and the verdict must match exactly; every other float must match
-to a relative 1e-9.
+Each `dominate_*.json` file under tests/golden/ holds the default
+`dominate` report for one (n, k, shifts) setting at seed 1.  Systems, cube
+ids, witnesses, alpha, coverage and the verdict must match exactly; every
+other float must match to a relative 1e-9.
+
+`verify_n16_seed1.json` holds the `verify all --n 16 --seed 1` report.
+Check ids, verdicts and failure lists must match exactly; every other
+float must match to a relative 1e-9.
 
 Re-record (only when a behaviour change is intended and recorded in
 CHANGES.md) with `python tests/test_golden.py`.
@@ -12,6 +16,7 @@ CHANGES.md) with `python tests/test_golden.py`.
 import json
 import math
 import pathlib
+import tempfile
 
 import pytest
 from click.testing import CliRunner
@@ -21,6 +26,7 @@ from sparselab.cli import cli
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SETTINGS = [(n, k, shifts) for n in (16, 64) for k in ("1", "1,1")
             for shifts in (1, 3)]
+VERIFY_GOLDEN = GOLDEN / "verify_n16_seed1.json"
 REL = 1e-9
 
 
@@ -34,6 +40,16 @@ def _report(n, k, shifts):
                                       "--shifts", str(shifts)])
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
+
+
+def _verify_report():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "verify.json"
+        result = CliRunner().invoke(cli, ["--seed", "1", "verify", "all",
+                                          "--n", "16", "--report",
+                                          str(path)])
+        assert result.exit_code == 0, result.output
+        return json.loads(path.read_text())
 
 
 def _assert_close(got, want, path):
@@ -70,6 +86,17 @@ def test_dominate_matches_golden(n, k, shifts):
     _assert_close(got, want, "report")
 
 
+def test_verify_matches_golden():
+    want = json.loads(VERIFY_GOLDEN.read_text())
+    got = _verify_report()
+    assert [(c["check_id"], c["passed"], c["failures"])
+            for c in got["checks"]] == \
+        [(c["check_id"], c["passed"], c["failures"])
+         for c in want["checks"]]
+    assert got["passed"] == want["passed"]
+    _assert_close(got, want, "report")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for setting in SETTINGS:
@@ -77,3 +104,6 @@ if __name__ == "__main__":
         path.write_text(json.dumps(_report(*setting), sort_keys=True,
                                    indent=2) + "\n")
         print(path)
+    VERIFY_GOLDEN.write_text(json.dumps(_verify_report(), sort_keys=True,
+                                        indent=2) + "\n")
+    print(VERIFY_GOLDEN)

@@ -84,7 +84,8 @@ class TestReports:
     @pytest.mark.parametrize("lhs,rhs,bad", [
         (1.0, 1.0, False), (1.0 + 1e-12, 1.0, False), (1.1, 1.0, True),
         (0.0, 0.0, False), (math.nan, 1.0, True), (1.0, math.nan, True),
-        (math.inf, 1.0, True)])
+        (math.inf, 1.0, True), (math.inf, math.inf, True),
+        (1.0, math.inf, True), (-math.inf, 0.0, True)])
     def test_violates_counts_nan(self, lhs, rhs, bad):
         assert _violates(lhs, rhs) is bad
 
