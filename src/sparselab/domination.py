@@ -368,13 +368,14 @@ def verify_domination(cert: DominationCertificate, lhs, rhs) -> dict:
     rhs = np.asarray(rhs, dtype=np.float64)
     if lhs.shape != rhs.shape:
         raise ValueError("lhs and rhs must share a shape")
-    scale = max(1.0, float(np.abs(lhs).max(initial=0.0)),
-                cert.constant * float(np.abs(rhs).max(initial=0.0)))
-    tol = 1e-12 * scale
     pos = rhs > 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(pos, lhs / rhs, 0.0)
         scaled = cert.constant * rhs
+    # the tolerance scales with the finite entries only, so one infinite
+    # entry cannot hide the finite violations
+    sizes = np.abs(np.concatenate(([1.0], lhs.ravel(), scaled.ravel())))
+    tol = 1e-12 * float(sizes[np.isfinite(sizes)].max())
     finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(ratio)
     bad = ~finite | (lhs > np.where(pos, scaled, 0.0) + tol)
     bound = np.where(finite & ~pos, 0.0, scaled)

@@ -127,11 +127,13 @@ class DyadicLattice:
         return self.cube_sums(values) / self.cube_masses
 
     def cube_max(self, values) -> np.ndarray:
-        """Largest member value of every cube, by cube id."""
+        """Largest member value of every cube, by cube id; NaN if a
+        member is NaN."""
         values = np.broadcast_to(np.asarray(values, dtype=np.float64),
                                  self.point_to_cube.shape)
         out = np.full(len(self.cubes), -np.inf)
-        np.maximum.at(out, self.point_to_cube.ravel(), values.ravel())
+        with np.errstate(invalid="ignore"):
+            np.maximum.at(out, self.point_to_cube.ravel(), values.ravel())
         return out
 
     def deviations(self, b) -> np.ndarray:

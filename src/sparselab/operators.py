@@ -18,7 +18,7 @@ import numpy as np
 from ._accel import frac_kernel_m1, frac_kernel_m2, frac_kernel_m3
 from .dyadic import DyadicLattice, SparseFamily
 from .space import DiscreteSpace
-from .weights import cube_gauges, young_llogl
+from .weights import luxemburg_norm, young_llogl
 
 # ball_mass_kernel's per-space cache; an entry is freed with its space
 _KERNELS = weakref.WeakKeyDictionary()
@@ -106,26 +106,17 @@ def sparse_first_order(family: SparseFamily, fs, symbols, tau, tau_ell,
 
     Slots in tau carry |b_i(x) - <b_i>_Q| outside the average, slots in
     tau_ell minus tau carry the oscillation inside the average, the
-    rest enter through plain r-averages.
+    rest enter through plain r-averages: the higher-order form with
+    k_i = 1 on tau_ell, t_i = 0 on tau and t_i = 1 on the rest of tau_ell.
     """
-    lat = family.lattice
-    fs = _as_arrays(fs, lat.space.n)
-    symbols = _as_arrays(symbols, lat.space.n)
-    tau = sorted(set(tau))
-    tau_ell = sorted(set(tau_ell))
-    if not set(tau) <= set(tau_ell):
+    tau, tau_ell = set(tau), set(tau_ell)
+    if not tau <= tau_ell:
         raise ValueError("tau must be contained in tau_ell")
-    coeffs = lat.cube_masses ** (eta / r)
-    for i, f in enumerate(fs):
-        if i in tau or i not in tau_ell:
-            coeffs = coeffs * _r_averages(lat, f, r)
-        else:
-            coeffs = coeffs * _r_averages(
-                lat, lat.deviations(symbols[i]) * f, r)
-    factor = 1.0
-    for i in tau:
-        factor = factor * np.abs(lat.deviations(symbols[i]))
-    return family.pointwise(coeffs, factor)
+    m = len(fs)
+    k = [int(i in tau_ell) for i in range(m)]
+    t = [int(i in tau_ell - tau) for i in range(m)]
+    pair = MultiIndexPair(k, t, tuple(tau_ell), tuple(tau_ell))
+    return sparse_higher_order(family, fs, symbols, pair, eta=eta, r=r)
 
 
 def sparse_higher_order(family: SparseFamily, fs, symbols,
@@ -166,8 +157,8 @@ def sparse_endpoint(family: SparseFamily, fs, tau, eta: float = 0.0,
         if i in tau:
             coeffs = coeffs * _r_averages(lat, f, r)
         else:
-            coeffs = coeffs * cube_gauges(lat, np.abs(f) ** r, phi,
-                                          family.cube_ids) ** (1.0 / r)
+            coeffs = coeffs * luxemburg_norm(lat, np.abs(f) ** r,
+                                             phi) ** (1.0 / r)
     return family.pointwise(coeffs)
 
 
@@ -198,7 +189,7 @@ def endpoint_maximal(lattice: DyadicLattice, fs, tau, eta: float = 0.0,
         if i in tau:
             vals = vals * lattice.cube_means(np.abs(f))
         else:
-            vals = vals * cube_gauges(lattice, f, phi)
+            vals = vals * luxemburg_norm(lattice, f, phi)
     return vals[lattice.point_to_cube].max(axis=0)
 
 
@@ -210,7 +201,7 @@ def orlicz_maximal(lattice: DyadicLattice, fs, phis,
         raise ValueError("one gauge per argument required")
     vals = lattice.cube_masses ** eta
     for f, phi in zip(fs, phis):
-        vals = vals * cube_gauges(lattice, f, phi)
+        vals = vals * luxemburg_norm(lattice, f, phi)
     return vals[lattice.point_to_cube].max(axis=0)
 
 

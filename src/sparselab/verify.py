@@ -40,7 +40,7 @@ from .operators import (MultiIndexPair, dyadic_maximal, fractional_integral,
                         sparse_higher_order, sparse_operator)
 from .space import build_grid_space
 from .weights import (ExponentConfig, astar_from_duals, avg, bmo_norm,
-                      conjugate_exponent, cube_gauges, fujii_wilson_single,
+                      conjugate_exponent, fujii_wilson_single,
                       joint_astar_constant, luxemburg_norm, muckenhoupt_ap,
                       young_expl, young_identity, young_llogl,
                       young_power_log)
@@ -287,7 +287,7 @@ def oscillation_endpoint_form(family, fs, symbols, tau, osc_slots,
         if i in tau:
             coeffs = coeffs * lattice.cube_means(np.abs(f) ** r) ** (1.0 / r)
         else:
-            gauge = cube_gauges(lattice, np.abs(f) ** r, phi, family.cube_ids)
+            gauge = luxemburg_norm(lattice, np.abs(f) ** r, phi)
             coeffs = coeffs * (bmo_norms[i] * gauge ** (1.0 / r))
     factor = 1.0
     for i in osc_slots:
@@ -922,14 +922,17 @@ def _run_bmo(spec: CheckSpec, trials: int) -> CheckReport:
         f2 = _random_function(rng, space.n)
         g = _random_function(rng, space.n)
         bmo = bmo_norm(lattice, b)
-        phi_log = young_llogl(1.0)
-        phi_exp_r = young_expl(1.0 / r)
-        phi_exp = young_expl(1.0)
-        phi_log2 = young_llogl(2.0)
+        gauges = luxemburg_norm(lattice, f, young_llogl(1.0)).tolist()
+        devs = np.abs(lattice.deviations(b)) ** r
+        exp_gauges = luxemburg_norm(lattice, devs,
+                                    young_expl(1.0 / r)).tolist()
+        split_gauges = (luxemburg_norm(lattice, f1, young_expl(1.0)) *
+                        luxemburg_norm(lattice, f2, young_expl(1.0)) *
+                        luxemburg_norm(lattice, g, young_llogl(2.0))).tolist()
         means = lattice.cube_means(b)
         for cube in lattice.cubes:
             mem = cube.members
-            gauge = luxemburg_norm(space, mem, f, phi_log)
+            gauge = gauges[cube.cube_id]
             lower = avg(space, mem, f, 1.0)
             worst_lower = max(worst_lower, lower / gauge)
             if _violates(lower, gauge):
@@ -944,13 +947,9 @@ def _run_bmo(spec: CheckSpec, trials: int) -> CheckReport:
             osc = avg(space, mem, b - mean, r)
             if bmo > 0:
                 sup_osc = max(sup_osc, osc / bmo)
-                expg = luxemburg_norm(space, mem,
-                                      np.abs(b - mean) ** r, phi_exp_r)
-                sup_exp = max(sup_exp, expg / bmo ** r)
+                sup_exp = max(sup_exp, exp_gauges[cube.cube_id] / bmo ** r)
             lhs4 = avg(space, mem, f1 * f2 * g, 1.0)
-            rhs4 = (luxemburg_norm(space, mem, f1, phi_exp) *
-                    luxemburg_norm(space, mem, f2, phi_exp) *
-                    luxemburg_norm(space, mem, g, phi_log2))
+            rhs4 = split_gauges[cube.cube_id]
             if rhs4 > 0:
                 sup_split = max(sup_split, lhs4 / rhs4)
     report.worst_ratio = max(sup_upper, sup_osc, sup_exp, sup_split)

@@ -369,9 +369,6 @@ class YoungFunction:
                                          np.exp(np.minimum(t, 700.0) - 2.0)))
         raise ValueError(f"unknown Young function kind: {self.kind}")
 
-    def compose(self, other: "YoungFunction"):
-        return lambda t: self.value(other.value(t))
-
 
 def young_identity() -> YoungFunction:
     return YoungFunction("identity")
@@ -395,52 +392,51 @@ def young_llogl_conjugate() -> YoungFunction:
     return YoungFunction("llogl_conjugate")
 
 
-def luxemburg_norm(space: DiscreteSpace, members, f, phi: YoungFunction,
-                   tol: float = 1e-10) -> float:
-    """inf{lam > 0 : normalized mean of Phi(|f|/lam) over Q is <= 1}."""
-    members = np.asarray(members, dtype=np.intp)
-    vals = np.abs(np.asarray(f, dtype=np.float64)[members])
-    mass = space.masses[members]
-    total = float(mass.sum())
-    if float(vals.max(initial=0.0)) == 0.0:
-        return 0.0
+def luxemburg_norm(lattice: DyadicLattice, f,
+                   phi: YoungFunction) -> np.ndarray:
+    """inf{lam > 0 : mean of Phi(|f|/lam) over Q is <= 1} on every cube Q,
+    by cube id; f is shaped like a cube_sums input.
 
-    def mean_phi(lam: float) -> float:
-        return float(np.dot(phi.value(vals / lam), mass)) / total
+    Every cube runs the same bisection in lockstep: double lam from 1
+    while the mean is above 1, halve while it is at most 1, then bisect
+    to a relative width of 1e-10.  A cube whose largest |f| is 0 reads
+    0, one holding a NaN reads NaN and one holding an infinity reads inf.
+    """
+    vals = np.abs(np.broadcast_to(np.asarray(f, dtype=np.float64),
+                                  lattice.point_to_cube.shape))
+    top = lattice.cube_max(vals)
+    live = np.isfinite(top) & (top > 0)
 
-    hi = 1.0
-    steps = 0
-    while mean_phi(hi) > 1.0:
-        hi *= 2.0
-        steps += 1
-        if steps > 2000:
+    def mean_phi(lam):
+        return lattice.cube_means(phi.value(vals / lam[lattice.point_to_cube]))
+
+    hi = np.ones(len(lattice.cubes))
+    grow = live
+    for steps in range(2001):
+        grow = grow & (mean_phi(hi) > 1.0)
+        if not grow.any():
+            break
+        if steps == 2000:
             raise ArithmeticError("no finite bracket for the gauge norm")
+        hi[grow] *= 2.0
     lo = hi / 2.0
-    steps = 0
-    while mean_phi(lo) <= 1.0:
-        hi = lo
-        lo /= 2.0
-        steps += 1
-        if steps > 2000:
+    shrink = live
+    for steps in range(2001):
+        shrink = shrink & (mean_phi(lo) <= 1.0)
+        if not shrink.any():
+            break
+        if steps == 2000:
             raise ArithmeticError("gauge norm bracket collapsed")
-    while (hi - lo) > tol * hi:
+        hi[shrink] = lo[shrink]
+        lo[shrink] /= 2.0
+    wide = live & ((hi - lo) > 1e-10 * hi)
+    while wide.any():
         mid = 0.5 * (lo + hi)
-        if mean_phi(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def cube_gauges(lattice: DyadicLattice, f, phi: YoungFunction,
-                cube_ids=None) -> np.ndarray:
-    """Luxemburg norm of f on every cube (or only the listed ones), by
-    cube id; unlisted cubes read 0.  One scalar bisection per cube."""
-    out = np.zeros(len(lattice.cubes))
-    for cid in range(len(lattice.cubes)) if cube_ids is None else cube_ids:
-        out[cid] = luxemburg_norm(lattice.space, lattice.cube(cid).members,
-                                  f, phi)
-    return out
+        below = mean_phi(mid) <= 1.0
+        hi = np.where(wide & below, mid, hi)
+        lo = np.where(wide & ~below, mid, lo)
+        wide = wide & ((hi - lo) > 1e-10 * hi)
+    return np.where(live, hi, top)
 
 
 # -- weight presets ----------------------------------------------------------

@@ -11,10 +11,12 @@ from sparselab.dyadic import (build_hk_lattice, build_shifted_adjacent,
                               build_standard_lattice, random_sparse_family,
                               select_witnesses)
 from sparselab.operators import (MultiIndexPair, dyadic_maximal,
-                                 sharp_maximal_dyadic, sparse_higher_order,
-                                 sparse_operator)
+                                 sharp_maximal_dyadic, sparse_first_order,
+                                 sparse_higher_order, sparse_operator)
 from sparselab.space import build_explicit_space, build_grid_space
-from sparselab.weights import avg, bmo_norm, muckenhoupt_ap
+from sparselab.weights import (avg, bmo_norm, luxemburg_norm, muckenhoupt_ap,
+                               young_expl, young_identity, young_llogl,
+                               young_llogl_conjugate, young_power_log)
 
 
 def _standard():
@@ -374,3 +376,122 @@ def test_augment_sparse_adds_in_depth_first_order():
     assert [r["cube_id"] for r in got["rows"]] == \
         [r["cube_id"] for r in want["rows"]]
     assert got_fam.cube_ids == want_fam.cube_ids
+
+
+# -- Luxemburg gauges --------------------------------------------------------
+
+YOUNG = [young_identity(), young_llogl(1.0), young_llogl(2.0),
+         young_expl(1.0), young_expl(0.5), young_power_log(2.0, 0.5),
+         young_llogl_conjugate()]
+
+
+def _parent_luxemburg(space, members, f, phi, tol=1e-10):
+    # the scalar member-set bisection the lattice gauge replaced
+    members = np.asarray(members, dtype=np.intp)
+    vals = np.abs(np.asarray(f, dtype=np.float64)[members])
+    mass = space.masses[members]
+    total = float(mass.sum())
+    if float(vals.max(initial=0.0)) == 0.0:
+        return 0.0
+
+    def mean_phi(lam):
+        return float(np.dot(phi.value(vals / lam), mass)) / total
+
+    hi = 1.0
+    steps = 0
+    while mean_phi(hi) > 1.0:
+        hi *= 2.0
+        steps += 1
+        if steps > 2000:
+            raise ArithmeticError("no finite bracket for the gauge norm")
+    lo = hi / 2.0
+    steps = 0
+    while mean_phi(lo) <= 1.0:
+        hi = lo
+        lo /= 2.0
+        steps += 1
+        if steps > 2000:
+            raise ArithmeticError("gauge norm bracket collapsed")
+    while (hi - lo) > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if mean_phi(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _gauge_inputs(lattice):
+    rng = np.random.default_rng(14)
+    n = lattice.space.n
+    zero = lattice.cube(lattice.generations[1][0]).members
+    f = 3.0 * np.abs(rng.standard_normal(n))
+    f[zero] = 0.0
+    devs = np.abs(lattice.deviations(rng.standard_normal(n))) ** 2
+    devs[:, zero] = 0.0
+    return [f, 1e-3 * f, devs]
+
+
+@pytest.mark.parametrize("phi", YOUNG, ids=lambda phi: phi.kind)
+def test_gauge_matches_scalar_bisection(lattice, phi):
+    for f in _gauge_inputs(lattice):
+        table = _table(lattice, f)
+        want = np.array([_parent_luxemburg(lattice.space, c.members,
+                                           table[c.gen], phi)
+                         for c in lattice.cubes])
+        got = luxemburg_norm(lattice, f, phi)
+        assert np.array_equal(got, want)
+        assert np.any(got == 0.0) and np.any(got > 0.0)
+
+
+def test_gauge_nan_and_infinite_cubes(lattice):
+    n = lattice.space.n
+    f = np.abs(np.random.default_rng(15).standard_normal(n))
+    f[0], f[n - 1] = math.nan, math.inf
+    got = luxemburg_norm(lattice, f, young_llogl(1.0))
+    holds = np.zeros((2, len(lattice.cubes)), dtype=bool)
+    holds[0, lattice.point_to_cube[:, 0]] = True
+    holds[1, lattice.point_to_cube[:, n - 1]] = True
+    assert np.array_equal(np.isnan(got), holds[0])
+    assert np.array_equal(got == math.inf, holds[1] & ~holds[0])
+    clean = ~holds.any(axis=0)
+    want = [_parent_luxemburg(lattice.space, lattice.cube(cid).members, f,
+                              young_llogl(1.0))
+            for cid in np.flatnonzero(clean)]
+    assert np.array_equal(got[clean], want)
+
+
+# -- first-order form --------------------------------------------------------
+
+def _parent_first_order(family, fs, symbols, tau, tau_ell, eta, r):
+    # sparse_first_order before it became a call to sparse_higher_order
+    lat = family.lattice
+    coeffs = lat.cube_masses ** (eta / r)
+    for i, f in enumerate(fs):
+        if i in tau or i not in tau_ell:
+            g = f
+        else:
+            g = lat.deviations(symbols[i]) * f
+        coeffs = coeffs * lat.cube_means(np.abs(g) ** r) ** (1.0 / r)
+    factor = 1.0
+    for i in sorted(tau):
+        factor = factor * np.abs(lat.deviations(symbols[i]))
+    return family.pointwise(coeffs, factor)
+
+
+def test_first_order_is_higher_order_case(lattice):
+    rng = np.random.default_rng(16)
+    n = lattice.space.n
+    family = random_sparse_family(lattice, rng)
+    for trial in range(24):
+        m = 1 + trial % 3
+        r = 1.0 + trial % 2
+        fs = [np.abs(rng.standard_normal(n)) for _ in range(m)]
+        bs = [rng.standard_normal(n) for _ in range(m)]
+        tau_ell = {i for i in range(m) if rng.random() < 0.7}
+        tau = {i for i in tau_ell if rng.random() < 0.5}
+        got = sparse_first_order(family, fs, bs, tau, tau_ell, eta=0.5, r=r)
+        want = _parent_first_order(family, fs, bs, tau, tau_ell, 0.5, r)
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="tau must be contained"):
+        sparse_first_order(family, fs, bs, {0}, set())

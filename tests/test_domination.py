@@ -433,6 +433,13 @@ def test_verify_mixed_points_in_order():
     assert not rep["pass"]
 
 
+def test_verify_infinite_entry_keeps_finite_violations():
+    rep = verify_domination(dummy_cert(2.0), [3.0, 1.0], [1.0, math.inf])
+    assert [(v["point"], v["lhs"], v["bound"]) for v in rep["violations"]] \
+        == [(0, 3.0, 2.0), (1, 1.0, math.inf)]
+    assert not rep["pass"]
+
+
 # -- coverage audit ----------------------------------------------------------
 
 def test_coverage_audit_n16(grid16):

@@ -5,7 +5,8 @@ Each `dominate_*.json` file under tests/golden/ holds the default
 ids, witnesses, alpha, coverage and the verdict must match exactly; every
 other float must match to a relative 1e-9.
 
-`verify_n16_seed1.json` holds the `verify all --n 16 --seed 1` report.
+`verify_n16_seed1.json` and `verify_n64_seed1.json` hold the
+`verify all --n 16 --seed 1` and `verify all --n 64 --seed 1` reports.
 Check ids, verdicts and failure lists must match exactly; every other
 float must match to a relative 1e-9.
 
@@ -26,7 +27,7 @@ from sparselab.cli import cli
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SETTINGS = [(n, k, shifts) for n in (16, 64) for k in ("1", "1,1")
             for shifts in (1, 3)]
-VERIFY_GOLDEN = GOLDEN / "verify_n16_seed1.json"
+VERIFY_SIZES = (16, 64)
 REL = 1e-9
 
 
@@ -42,11 +43,15 @@ def _report(n, k, shifts):
     return json.loads(result.output)
 
 
-def _verify_report():
+def _verify_golden(n):
+    return GOLDEN / f"verify_n{n}_seed1.json"
+
+
+def _verify_report(n):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "verify.json"
         result = CliRunner().invoke(cli, ["--seed", "1", "verify", "all",
-                                          "--n", "16", "--report",
+                                          "--n", str(n), "--report",
                                           str(path)])
         assert result.exit_code == 0, result.output
         return json.loads(path.read_text())
@@ -86,15 +91,23 @@ def test_dominate_matches_golden(n, k, shifts):
     _assert_close(got, want, "report")
 
 
-def test_verify_matches_golden():
-    want = json.loads(VERIFY_GOLDEN.read_text())
-    got = _verify_report()
+def _check_verify(n):
+    want = json.loads(_verify_golden(n).read_text())
+    got = _verify_report(n)
     assert [(c["check_id"], c["passed"], c["failures"])
             for c in got["checks"]] == \
         [(c["check_id"], c["passed"], c["failures"])
          for c in want["checks"]]
     assert got["passed"] == want["passed"]
     _assert_close(got, want, "report")
+
+
+def test_verify_matches_golden():
+    _check_verify(16)
+
+
+def test_verify_n64_matches_golden():
+    _check_verify(64)
 
 
 if __name__ == "__main__":
@@ -104,6 +117,8 @@ if __name__ == "__main__":
         path.write_text(json.dumps(_report(*setting), sort_keys=True,
                                    indent=2) + "\n")
         print(path)
-    VERIFY_GOLDEN.write_text(json.dumps(_verify_report(), sort_keys=True,
-                                        indent=2) + "\n")
-    print(VERIFY_GOLDEN)
+    for n in VERIFY_SIZES:
+        path = _verify_golden(n)
+        path.write_text(json.dumps(_verify_report(n), sort_keys=True,
+                                   indent=2) + "\n")
+        print(path)

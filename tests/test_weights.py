@@ -305,10 +305,15 @@ class TestBmo:
             bmo_norm(lat, b + 5.0), rel=1e-9)
 
 
+def root_gauge(sp, f, phi):
+    """Gauge norm of f on the root cube, i.e. over the whole space."""
+    return luxemburg_norm(build_standard_lattice(sp), f, phi)[0]
+
+
 class TestOrlicz:
     def test_llogl_frozen_bracket(self):
         sp = build_grid_space(4)
-        norm = luxemburg_norm(sp, range(4), [1, 2, 4, 8], young_llogl(1.0))
+        norm = root_gauge(sp, [1, 2, 4, 8], young_llogl(1.0))
         assert 4.0 < norm < 5.0
         oracle = oracle_luxemburg(sp, range(4), [1, 2, 4, 8],
                                   young_llogl(1.0))
@@ -316,19 +321,27 @@ class TestOrlicz:
 
     def test_zero_function(self):
         sp = build_grid_space(4)
-        assert luxemburg_norm(sp, range(4), np.zeros(4),
-                              young_llogl(1.0)) == 0.0
+        assert root_gauge(sp, np.zeros(4), young_llogl(1.0)) == 0.0
+
+    def test_nan_reads_nan(self):
+        sp = build_grid_space(4)
+        gauge = luxemburg_norm(build_standard_lattice(sp), [1, np.nan, 2, 3],
+                               young_llogl(1.0))
+        # root {0..3}, {0, 1}, {2, 3}, then the four points
+        assert np.array_equal(np.isnan(gauge),
+                              [True, True, False, False, True, False, False])
+        assert gauge[2] > 0 and gauge[3] == 1.0 and gauge[6] > 0
 
     def test_identity_gauge_is_mean(self):
         sp = build_grid_space(8)
         rng = np.random.default_rng(2)
         f = np.abs(rng.normal(size=8))
-        norm = luxemburg_norm(sp, range(8), f, young_identity())
+        norm = root_gauge(sp, f, young_identity())
         assert norm == pytest.approx(f.mean(), rel=1e-9)
 
     def test_expl_constant_frozen(self):
         sp = build_grid_space(4)
-        norm = luxemburg_norm(sp, range(4), np.ones(4), young_expl(1.0))
+        norm = root_gauge(sp, np.ones(4), young_expl(1.0))
         assert norm == pytest.approx(1.0 / math.log(2.0), rel=1e-9)
 
     def test_homogeneity(self):
@@ -336,14 +349,17 @@ class TestOrlicz:
         rng = np.random.default_rng(4)
         f = np.abs(rng.normal(size=8)) + 0.1
         phi = young_llogl(2.0)
-        a = luxemburg_norm(sp, range(8), f, phi)
-        b = luxemburg_norm(sp, range(8), 3.0 * f, phi)
+        a = root_gauge(sp, f, phi)
+        b = root_gauge(sp, 3.0 * f, phi)
         assert b == pytest.approx(3.0 * a, rel=1e-8)
 
     def test_subset_members(self):
         sp = build_grid_space(8)
         f = np.array([9.0, 9, 1, 1, 1, 1, 9, 9])
-        inner = luxemburg_norm(sp, [2, 3, 4, 5], f, young_identity())
+        lat = build_standard_lattice(sp, shift=2)
+        cube = lat.cubes_at(1)[1]
+        assert cube.members.tolist() == [2, 3, 4, 5]
+        inner = luxemburg_norm(lat, f, young_identity())[cube.cube_id]
         assert inner == pytest.approx(1.0, rel=1e-9)
 
     @settings(max_examples=25, deadline=None)
@@ -355,8 +371,8 @@ class TestOrlicz:
         g = np.abs(rng.normal(size=8)) + 1e-3
         mem = range(8)
         lhs = avg(sp, mem, f * g)
-        rhs = 2.0 * luxemburg_norm(sp, mem, f, young_llogl(1.0)) * \
-            luxemburg_norm(sp, mem, g, young_llogl_conjugate())
+        rhs = 2.0 * root_gauge(sp, f, young_llogl(1.0)) * \
+            root_gauge(sp, g, young_llogl_conjugate())
         assert lhs <= rhs * (1 + 1e-9)
 
     def test_pairing_equality_for_constants(self):
@@ -364,8 +380,8 @@ class TestOrlicz:
         f = np.full(4, 3.0)
         g = np.full(4, 5.0)
         lhs = avg(sp, range(4), f * g)
-        rhs = 2.0 * luxemburg_norm(sp, range(4), f, young_llogl(1.0)) * \
-            luxemburg_norm(sp, range(4), g, young_llogl_conjugate())
+        rhs = 2.0 * root_gauge(sp, f, young_llogl(1.0)) * \
+            root_gauge(sp, g, young_llogl_conjugate())
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_power_log_reduces_to_llogl(self):
