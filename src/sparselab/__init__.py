@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from ._accel import backend_name
 from .domination import (
     DominationCertificate,
     DominationConfig,
@@ -39,7 +38,6 @@ from .verify import CheckReport, CheckSpec, registry_ids, run_check
 
 __all__ = [
     "__version__",
-    "backend_name",
     "AdjacentSystems",
     "Ball",
     "CheckReport",

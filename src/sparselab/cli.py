@@ -5,8 +5,8 @@ flags override the matching config fields.  All reports carry the schema
 tag "sparselab-report/1" and are written atomically (write to a
 temporary file, then rename), so a failed run never leaves a partial
 output file.  Report content is bit-identical for identical (config,
-seed); only ``bench`` output and ``--audit`` extras carry wall-clock
-timings and are exempt.
+seed); only ``--audit`` extras carry wall-clock timings and are
+exempt.
 
 Exit codes: 0 success, 1 a check or certificate failed, 2 configuration
 error.
@@ -20,17 +20,15 @@ import json
 import math
 import os
 import tempfile
-import time
 
 import click
 import numpy as np
 
-from . import _accel
 from .domination import cz_construct, derive_config, verify_domination
 from .dyadic import (WitnessSelectionError, build_shifted_adjacent,
                      build_standard_lattice, lattice_to_descriptor,
                      random_sparse_family, select_witnesses)
-from .operators import MultiIndexPair, ball_mass_kernel, sparse_coefficients
+from .operators import MultiIndexPair, sparse_coefficients
 from .space import build_grid_space, space_from_descriptor, space_to_descriptor
 from .space import doubling_constant as space_doubling_constant
 from .verify import CheckSpec, registry_ids, run_check
@@ -47,7 +45,7 @@ CONSTANT_KINDS = ("A_p", "A_inf_fujii", "A_pq_star", "A_pq",
 
 _TOP_FIELDS = {"schema", "space", "lattice", "exponents", "weights",
                "functions", "symbols", "family", "pair", "checks", "kinds",
-               "seed", "trials", "n", "out", "eta", "alpha", "bench"}
+               "seed", "trials", "n", "out", "eta", "alpha"}
 
 
 class ConfigError(click.UsageError):
@@ -560,6 +558,8 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
         raise ConfigError("shifts must be >= 1")
     pair = _pair_from_config(cfg, k_flag)
     m = pair.m
+    if m > 3:
+        raise ConfigError(f"pair has {m} slots; dominate supports at most 3")
     if eta is None:
         eta = _num_field(cfg, "eta", "config", default=0.0)
     _require_finite(eta, "eta")
@@ -663,88 +663,6 @@ def cmd_verify(ctx, check_ids, trials, n, report_path):
         _write_text(target, _json_payload(payload) + "\n")
     if not payload["passed"]:
         ctx.exit(1)
-
-
-# -- bench -------------------------------------------------------------------
-
-def _best_time(fn, repeats):
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-_BACKEND = _accel.backend_name()
-
-
-def _bench_frac_kernels(space, rng, repeats):
-    rows = []
-    kernel = ball_mass_kernel(space)
-    w1 = rng.uniform(0.1, 1.0, size=space.n)
-    w2 = rng.uniform(0.1, 1.0, size=space.n)
-    expo = -0.5
-    fast = _accel.frac_kernel_m1(kernel, w1, expo)
-    ref = _accel.frac_kernel_m1_numpy(kernel, w1, expo)
-    t_fast = _best_time(lambda: _accel.frac_kernel_m1(kernel, w1, expo),
-                        repeats)
-    t_ref = _best_time(
-        lambda: _accel.frac_kernel_m1_numpy(kernel, w1, expo), repeats)
-    rows.append(("frac_kernel_m1", _BACKEND, space.n, space.n,
-                 repr(t_fast), repr(t_ref),
-                 repr(space.n ** 2 / max(t_fast, 1e-12)),
-                 repr(float(np.abs(fast - ref).max()))))
-    if space.n <= 64:
-        fast = _accel.frac_kernel_m2(kernel, w1, w2, expo)
-        ref = _accel.frac_kernel_m2_numpy(kernel, w1, w2, expo)
-        t_fast = _best_time(
-            lambda: _accel.frac_kernel_m2(kernel, w1, w2, expo), repeats)
-        t_ref = _best_time(
-            lambda: _accel.frac_kernel_m2_numpy(kernel, w1, w2, expo),
-            repeats)
-        rows.append(("frac_kernel_m2", _BACKEND, space.n, space.n,
-                     repr(t_fast), repr(t_ref),
-                     repr(space.n ** 3 / max(t_fast, 1e-12)),
-                     repr(float(np.abs(fast - ref).max()))))
-    return rows
-
-
-@cli.command("bench")
-@click.option("--n", "ns", multiple=True, type=int,
-              help="Grid sizes to bench (repeatable; default 64 and "
-                   "256).")
-@click.option("--repeats", type=int, default=3, show_default=True,
-              help="Timing repetitions; the best is reported.")
-@click.pass_context
-def cmd_bench(ctx, ns, repeats):
-    """Time the compiled kernels against the numpy reference.
-
-    Rows are ordered by increasing problem size; summation in the numpy
-    reference path uses numpy's pairwise reductions.
-    """
-    cfg, seed = ctx.obj["cfg"], ctx.obj["seed"]
-    bench_cfg = cfg.get("bench", {})
-    if not isinstance(bench_cfg, dict):
-        raise ConfigError("bench must be an object")
-    for key in bench_cfg:
-        if key != "ns":
-            raise ConfigError(f"bench.{key} is not a recognized field")
-    if not ns:
-        ns = bench_cfg.get("ns", [64, 256])
-        if not isinstance(ns, list) or not all(_is_int(v) for v in ns):
-            raise ConfigError("bench.ns must be an integer array")
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-    rows = []
-    for n in sorted(set(int(v) for v in ns)):
-        space = build_grid_space(n)
-        rng = np.random.default_rng((seed, 11, n))
-        rows.extend(_bench_frac_kernels(space, rng, repeats))
-    _emit(_csv_text(("op", "backend", "n", "size", "seconds",
-                     "numpy_seconds", "throughput_per_s",
-                     "max_abs_diff"), rows),
-          ctx.obj["out"])
 
 
 def main(argv=None):

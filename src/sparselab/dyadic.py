@@ -576,6 +576,33 @@ def verify_sparse(family: SparseFamily) -> SparseReport:
     return SparseReport(ok=not violations, violations=violations)
 
 
+def _witness_walk(lattice: DyadicLattice, cube_ids: list[int],
+                  delta: float) -> tuple[dict, list]:
+    """Finest-first witness walk that skips starved cubes.
+
+    Each cube takes its still-free members as witnesses; a cube whose
+    free mass falls short of delta of its own mass is skipped, leaving
+    those points free for its ancestors.  Returns the witnesses and the
+    (cube id, free mass) of every skipped cube, in walk order.
+    """
+    sp = lattice.space
+    order = sorted(cube_ids, key=lambda cid: (-lattice.cube(cid).gen,
+                                              lattice.cube(cid).index))
+    taken = np.zeros(sp.n, dtype=bool)
+    witnesses: dict[int, np.ndarray] = {}
+    starved = []
+    for cid in order:
+        cube = lattice.cube(cid)
+        free = cube.members[~taken[cube.members]]
+        free_mass = math.fsum(sp.masses[free]) if free.size else 0.0
+        if free_mass < delta * cube.mass * (1 - 1e-9):
+            starved.append((cid, free_mass))
+            continue
+        witnesses[cid] = free
+        taken[free] = True
+    return witnesses, starved
+
+
 def select_witnesses(lattice: DyadicLattice, cube_ids: list[int],
                      delta: float) -> SparseFamily:
     """Canonical witnesses: each cube keeps what its chosen descendants left.
@@ -585,22 +612,14 @@ def select_witnesses(lattice: DyadicLattice, cube_ids: list[int],
     or to cubes disjoint from Q, never to ancestors).  Raises naming the
     first cube that cannot reach delta of its own mass.
     """
-    sp = lattice.space
-    order = sorted(cube_ids, key=lambda cid: (-lattice.cube(cid).gen,
-                                              lattice.cube(cid).index))
-    taken = np.zeros(sp.n, dtype=bool)
-    witnesses: dict[int, np.ndarray] = {}
-    for cid in order:
+    witnesses, starved = _witness_walk(lattice, cube_ids, delta)
+    if starved:
+        cid, free_mass = starved[0]
         cube = lattice.cube(cid)
-        free = cube.members[~taken[cube.members]]
-        free_mass = math.fsum(sp.masses[free]) if free.size else 0.0
-        if free_mass < delta * cube.mass * (1 - 1e-9):
-            raise WitnessSelectionError(
-                f"cube {cid} (generation {cube.gen}, index {cube.index}) "
-                f"retains mass {free_mass:.6g} < "
-                f"{delta * cube.mass:.6g}", cube_id=cid)
-        witnesses[cid] = free
-        taken[free] = True
+        raise WitnessSelectionError(
+            f"cube {cid} (generation {cube.gen}, index {cube.index}) "
+            f"retains mass {free_mass:.6g} < "
+            f"{delta * cube.mass:.6g}", cube_id=cid)
     return SparseFamily(lattice, list(cube_ids), witnesses, delta)
 
 
@@ -611,8 +630,8 @@ def random_sparse_family(lattice: DyadicLattice, rng,
     Top-down walk: an internal cube is either kept with its subtree
     left alone, kept with the walk continuing below it, or skipped;
     leaves join with even odds.  Keeping mixed generations (not every
-    leaf) leaves the selector room, and any cube the greedy selection
-    still starves is dropped one at a time.
+    leaf) leaves the selector room, and every cube the greedy selection
+    starves is dropped in one witness walk.
     """
     ids = []
     root = lattice.generations[0][0]
@@ -635,14 +654,11 @@ def random_sparse_family(lattice: DyadicLattice, rng,
     if not ids:
         ids = [root]
     ids = sorted(set(ids))
-    while ids:
-        try:
-            return select_witnesses(lattice, ids, delta)
-        except WitnessSelectionError as err:
-            if err.cube_id is None or err.cube_id not in ids:
-                break
-            ids.remove(err.cube_id)
-    return select_witnesses(lattice, [root], delta)
+    witnesses, _ = _witness_walk(lattice, ids, delta)
+    kept = [cid for cid in ids if cid in witnesses]
+    if not kept:
+        return select_witnesses(lattice, [root], delta)
+    return SparseFamily(lattice, kept, witnesses, delta)
 
 
 def max_feasible_delta(lattice: DyadicLattice, cube_ids: list[int],

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import frac_kernel_m1, frac_kernel_m2, frac_kernel_m3
 from .dyadic import DyadicLattice, SparseFamily
 from .space import DiscreteSpace
 from .weights import luxemburg_norm, young_llogl
@@ -293,10 +292,19 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float) -> np.ndarray:
     ws = [f * space.masses for f in fs]
     expo = eta - m
     if m == 1:
-        return frac_kernel_m1(K, ws[0], expo)
-    if m == 2:
-        return frac_kernel_m2(K, ws[0], ws[1], expo)
-    return frac_kernel_m3(K, ws[0], ws[1], ws[2], expo)
+        return (K ** expo) @ ws[0]
+    out = np.empty(n)
+    for x in range(n):
+        kx = K[x]
+        pair = kx[:, None] + kx[None, :]
+        if m == 2:
+            out[x] = ws[0] @ (pair ** expo) @ ws[1]
+            continue
+        acc = 0.0
+        for y3 in range(n):
+            acc += ws[2][y3] * (ws[0] @ ((pair + kx[y3]) ** expo) @ ws[1])
+        out[x] = acc
+    return out
 
 
 def commutator_integral(space: DiscreteSpace, fs, symbols, powers,

@@ -14,11 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
-
 # exhaustive triple scan is exact up to this size; larger spaces must
 # declare their quasi-triangle constant
 _EXACT_A0_LIMIT = 512
+
+
+def _quasi_triangle_constant(metric) -> float:
+    """Smallest a0 >= 1 with d(x, y) <= a0 (d(x, z) + d(z, y)) for all
+    x, y, z: an exact scan over every triple, one x at a time."""
+    n = metric.shape[0]
+    best = 1.0
+    for x in range(n):
+        dx = metric[x]
+        # denom[z, y] = d(x,z) + d(z,y)
+        denom = dx[:, None] + metric
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(denom > 0.0, dx[None, :] / denom, 0.0)
+        ratio[:, dx <= 0.0] = 0.0
+        m = float(ratio.max())
+        if m > best:
+            best = m
+    return best
 
 
 @dataclass(frozen=True)
@@ -84,7 +100,7 @@ class DiscreteSpace:
                     f"n={n} exceeds the exact-scan limit {_EXACT_A0_LIMIT}; "
                     "declare a0 explicitly"
                 )
-            self.a0 = float(_accel.quasi_triangle_constant(metric))
+            self.a0 = _quasi_triangle_constant(metric)
         else:
             if a0 < 1:
                 raise ValueError("a0 must be at least 1")
@@ -120,6 +136,8 @@ class DiscreteSpace:
     def ball_mass(self, center: int, radius) -> np.ndarray | float:
         """mu(B(center, r)) for a scalar or array of radii."""
         r = np.asarray(radius, dtype=np.float64)
+        if np.any(r < 0):
+            raise ValueError("ball radius must be nonnegative")
         pos = np.searchsorted(self._sorted_d[center], r, side="right") - 1
         out = self._prefix_mass[center][pos]
         return float(out) if np.isscalar(radius) else out

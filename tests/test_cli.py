@@ -244,6 +244,16 @@ class TestDominateCommand:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    def test_four_slots_exit_2(self, runner):
+        result = runner.invoke(cli, ["dominate", "--n", "16",
+                                     "--k", "1,1,1,1"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("Error:")]
+        assert errors == ["Error: pair has 4 slots; dominate supports "
+                          "at most 3"]
+
     def test_audit_writes_per_point_csv(self, runner, tmp_path):
         target = tmp_path / "cert.json"
         result = runner.invoke(cli, ["--seed", "21", "--audit",
@@ -328,25 +338,25 @@ class TestVerifyCommand:
         assert payload["checks"][0]["runtime_seconds"] >= 0.0
 
 
-class TestBenchCommand:
-    def test_monotone_rows_and_matching_backends(self, runner):
-        result = runner.invoke(cli, ["bench", "--n", "64",
-                                     "--repeats", "1"])
+class TestCommandSurface:
+    def test_help_lists_exactly_the_subcommands(self, runner):
+        result = runner.invoke(cli, ["--help"])
         assert result.exit_code == 0
-        rows = _rows(result.output)
-        assert [r["op"] for r in rows] == ["frac_kernel_m1",
-                                           "frac_kernel_m2"]
-        for row in rows:
-            assert row["backend"] in ("numba", "numpy")
-            assert float(row["max_abs_diff"]) < 1e-9
-            assert float(row["seconds"]) > 0.0
+        section = result.output.split("Commands:\n")[1]
+        # one "  name  summary" line per command; wrapped summaries
+        # continue on deeper-indented lines
+        names = [line.split()[0] for line in section.splitlines()
+                 if line.startswith("  ") and not line.startswith("   ")]
+        assert names == ["constants", "dominate", "lattice", "space",
+                         "sparse", "verify"]
 
-    def test_n256_includes_larger_rows(self, runner):
-        result = runner.invoke(cli, ["bench", "--n", "256",
-                                     "--repeats", "1"])
-        assert result.exit_code == 0
-        rows = _rows(result.output)
-        assert any(int(r["n"]) == 256 for r in rows)
-        sizes = [int(r["size"]) for r in rows]
-        assert sizes == sorted(sizes)
-        assert sizes[-1] == 256
+    def test_bench_is_not_a_command(self, runner):
+        result = runner.invoke(cli, ["bench"])
+        assert result.exit_code == 2
+        assert "No such command" in result.output
+
+    def test_bench_config_field_rejected(self, runner, tmp_path):
+        cfg = _write_config(tmp_path, {"bench": {"ns": [64]}})
+        result = runner.invoke(cli, ["--config", cfg, "space", "--n", "8"])
+        assert result.exit_code == 2
+        assert "bench" in result.output

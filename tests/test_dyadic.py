@@ -22,6 +22,7 @@ from sparselab.dyadic import (
     lattice_to_csv,
     lattice_to_json,
     max_feasible_delta,
+    random_sparse_family,
     select_witnesses,
     verify_sparse,
 )
@@ -65,6 +66,43 @@ def parent_adjacent_cover(systems, ball):
         raise CoverError(f"no cube covers ball B({x}, {ball.radius}) "
                          "within the dilation bound", ball=ball)
     return best[1], best[2]
+
+
+def parent_random_sparse_family(lattice, rng, delta=0.5):
+    """The drop-and-rerun thinning: drop the first starved cube and
+    select again over the remaining list, until selection succeeds.
+    Returns the family and the number of cubes dropped."""
+    ids = []
+    root = lattice.generations[0][0]
+    stack = [root]
+    while stack:
+        cid = stack.pop()
+        cube = lattice.cube(cid)
+        if not cube.children:
+            if rng.uniform() < 0.5:
+                ids.append(cid)
+            continue
+        roll = rng.uniform()
+        if roll < 0.25:
+            ids.append(cid)
+        elif roll < 0.55:
+            ids.append(cid)
+            stack.extend(reversed(cube.children))
+        else:
+            stack.extend(reversed(cube.children))
+    if not ids:
+        ids = [root]
+    ids = sorted(set(ids))
+    drops = 0
+    while ids:
+        try:
+            return select_witnesses(lattice, ids, delta), drops
+        except WitnessSelectionError as err:
+            if err.cube_id is None or err.cube_id not in ids:
+                break
+            ids.remove(err.cube_id)
+            drops += 1
+    return select_witnesses(lattice, [root], delta), drops
 
 
 class TestStandardLattice:
@@ -443,6 +481,28 @@ class TestWitnessSelection:
         report = verify_sparse(fam)
         assert report.ok, report.violations
 
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("integer_masses", [False, True])
+    def test_random_family_matches_drop_and_rerun(self, n, integer_masses):
+        masses = (np.random.default_rng(n).integers(1, 5, size=n)
+                  if integer_masses else None)
+        space = build_grid_space(n, masses)
+        # the standard lattice and three shifted ones
+        lattices = build_shifted_adjacent(space, 4).lattices
+        drops = 0
+        for lat in lattices:
+            for seed in range(40):
+                fam = random_sparse_family(lat, np.random.default_rng(seed))
+                ref, k = parent_random_sparse_family(
+                    lat, np.random.default_rng(seed))
+                drops += k
+                assert fam.cube_ids == ref.cube_ids
+                assert fam.witnesses.keys() == ref.witnesses.keys()
+                for cid, wit in ref.witnesses.items():
+                    assert np.array_equal(fam.witnesses[cid], wit)
+                assert fam.delta == ref.delta
+        assert drops > 0
 
 class TestSerialization:
     def test_json_roundtrip(self):

@@ -34,6 +34,24 @@ def oracle_doubling(metric, masses):
     return best
 
 
+def quasi_triangle_loops(metric):
+    """Triple-loop oracle: max of d(x, y) / (d(x, z) + d(z, y)), at least 1."""
+    n = metric.shape[0]
+    best = 1.0
+    for x in range(n):
+        for y in range(n):
+            dxy = metric[x, y]
+            if dxy <= 0.0:
+                continue
+            for z in range(n):
+                denom = metric[x, z] + metric[z, y]
+                if denom > 0.0:
+                    ratio = dxy / denom
+                    if ratio > best:
+                        best = ratio
+    return best
+
+
 class TestGridSpace:
     def test_single_point(self):
         sp = build_grid_space(1, [1.0])
@@ -77,6 +95,13 @@ class TestBalls:
         for x in range(16):
             vals = sp.ball_mass(x, radii)
             assert np.all(np.diff(vals) >= 0)
+
+    def test_ball_mass_rejects_negative_radius(self):
+        sp = build_grid_space(8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sp.ball_mass(0, -0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sp.ball_mass(0, np.array([0.0, 0.25, -0.1]))
 
     def test_ball_mass_matches_member_sum(self):
         sp = build_grid_space(8, [1, 2, 3, 4, 5, 6, 7, 8])
@@ -132,6 +157,20 @@ class TestQuasiTriangle:
         metric = (pts[:, None] - pts[None, :]) ** 2
         sp = build_explicit_space(metric, [1, 1, 1])
         assert sp.a0 == pytest.approx(2.0)
+
+    def test_scan_matches_triple_loop(self):
+        above_one = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 11))
+            pts = rng.uniform(size=(n, 2))
+            power = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            metric = np.linalg.norm(pts[:, None] - pts[None, :],
+                                    axis=-1) ** power
+            sp = build_explicit_space(metric, rng.uniform(0.5, 2.0, size=n))
+            assert sp.a0 == quasi_triangle_loops(sp.metric)
+            above_one += sp.a0 > 1.0
+        assert above_one >= 20
 
     def test_declared_a0_spot_check(self):
         pts = np.array([0.0, 1.0, 2.0])
