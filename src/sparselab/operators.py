@@ -1,9 +1,11 @@
 """Sparse forms, maximal functions, and fractional integrals.
 
 Every operator evaluates pointwise on the whole space and returns a
-length-n array.  Sparse forms run over the cubes of a sparse family;
-maximal functions run over lattice cubes or metric balls; the
-fractional integral sums the multilinear ball-mass kernel.
+length-n array; the fractional integral can also take blocks of
+argument columns and evaluate only the rows a caller reads.  Sparse
+forms run over the cubes of a sparse family; maximal functions run over
+lattice cubes or metric balls; the fractional integral sums the
+multilinear ball-mass kernel.
 """
 
 from __future__ import annotations
@@ -278,33 +280,79 @@ def ball_mass_kernel(space: DiscreteSpace) -> np.ndarray:
     return K
 
 
-def fractional_integral(space: DiscreteSpace, fs, eta: float) -> np.ndarray:
+def fractional_integral(space: DiscreteSpace, fs, eta: float,
+                        rows=None) -> np.ndarray:
     """Multilinear sum of (sum_i mu B(x, d(x,y_i)))^(eta-m) prod f_i(y_i).
 
-    Signed arguments are allowed; supports m in {1, 2, 3}.
+    Signed arguments are allowed; supports m in {1, 2, 3}.  The
+    arguments are all single (n,) columns or all (B, n) blocks of B
+    columns, and the result then carries one column per block row.
+    rows picks what is evaluated: None for every point; integer indices
+    for those rows only, shaped (len(rows),) or (len(rows), B); or a
+    boolean mask of the full result's shape, which evaluates the masked
+    entries and leaves the rest 0.
+
+    Every value is summed in one fixed order, whatever the rows and
+    columns asked for: m = 1 takes the full product of the kernel power
+    with the column, m = 2 contracts each row's power grid G with the
+    column as w_1 @ G @ w_2, and m = 3 sums such contractions over y_3.
     """
     n = space.n
-    fs = _as_arrays(fs, n)
+    fs = [np.asarray(f, dtype=np.float64) for f in fs]
     m = len(fs)
     if not 1 <= m <= 3:
         raise ValueError("fractional integral supports 1 to 3 arguments")
+    first = fs[0]
+    if first.ndim not in (1, 2) or first.shape[-1] != n or \
+            any(f.shape != first.shape for f in fs):
+        raise ValueError("arguments must share one shape, (n,) or (B, n)")
+    batched = first.ndim == 2
+    ws = [np.atleast_2d(f * space.masses) for f in fs]
+    width = ws[0].shape[0]
+    shape = (n, width) if batched else (n,)
+    if rows is None:
+        want, pick = np.ones((n, width), dtype=bool), slice(None)
+    elif np.asarray(rows).dtype == bool:
+        if np.shape(rows) != shape:
+            raise ValueError("a row mask must have the result's shape")
+        want, pick = np.asarray(rows).reshape(n, width), slice(None)
+    else:
+        pick = np.asarray(rows, dtype=np.intp)
+        want = np.zeros((n, width), dtype=bool)
+        want[pick] = True
     K = ball_mass_kernel(space)
-    ws = [f * space.masses for f in fs]
     expo = eta - m
+    out = np.zeros((n, width))
+    columns = list(zip(*ws))  # column b: row b of every block
     if m == 1:
-        return (K ** expo) @ ws[0]
-    out = np.empty(n)
-    for x in range(n):
-        kx = K[x]
-        pair = kx[:, None] + kx[None, :]
-        if m == 2:
-            out[x] = ws[0] @ (pair ** expo) @ ws[1]
-            continue
-        acc = 0.0
-        for y3 in range(n):
-            acc += ws[2][y3] * (ws[0] @ ((pair + kx[y3]) ** expo) @ ws[1])
-        out[x] = acc
-    return out
+        power = K ** expo
+        for b, (w,) in enumerate(columns):
+            out[:, b] = power @ w
+        out[~want] = 0.0
+    else:
+        # the wanted (row, column) entries, row by row
+        xs, bs = np.nonzero(want)
+        cuts = np.flatnonzero(np.diff(xs, prepend=-1, append=n)).tolist()
+        bs = bs.tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            x = xs[lo]
+            kx = K[x]
+            pair = kx[:, None] + kx[None, :]
+            cols = bs[lo:hi]
+            if m == 2:
+                pair **= expo  # the power grid, built in place
+                for b in cols:
+                    u, v = columns[b]
+                    out[x, b] = u @ pair @ v
+                continue
+            for b in cols:
+                u, v, w = columns[b]
+                acc = 0.0
+                for y3 in range(n):
+                    acc += w[y3] * (u @ ((pair + kx[y3]) ** expo) @ v)
+                out[x, b] = acc
+    out = out[pick]
+    return out if batched else out[..., 0]
 
 
 def commutator_integral(space: DiscreteSpace, fs, symbols, powers,
@@ -323,17 +371,22 @@ def commutator_integral(space: DiscreteSpace, fs, symbols, powers,
         raise ValueError("one symbol and one power per slot required")
     if any(v < 0 for v in powers):
         raise ValueError("powers must be nonnegative")
-    out = np.zeros(n)
+    terms = []
+    mods = [[] for _ in fs]
     for jvec in itertools.product(*[range(b + 1) for b in powers]):
         scale = 1.0
         outer = np.ones(n)
-        mods = []
         for i, (b, j) in enumerate(zip(powers, jvec)):
             scale *= math.comb(b, j) * (-1.0) ** j
             if b - j:
                 outer = outer * symbols[i] ** (b - j)
-            mods.append(fs[i] * symbols[i] ** j if j else fs[i])
-        out += scale * outer * fractional_integral(space, mods, eta)
+            mods[i].append(fs[i] * symbols[i] ** j if j else fs[i])
+        terms.append((scale, outer))
+    # one batched call: term t is column t of every slot's block
+    vals = fractional_integral(space, [np.array(col) for col in mods], eta)
+    out = np.zeros(n)
+    for t, (scale, outer) in enumerate(terms):
+        out += scale * outer * vals[:, t]
     return out
 
 
@@ -347,7 +400,7 @@ def _grand_maximal(space, fs, eta, dilation, base, outer):
     radius grows past some value, so the balls that count around each
     center are a prefix of its positive radii."""
     fs = _as_arrays(fs, space.n)
-    out = np.zeros(space.n)
+    keeps, balls = [], []
     for y in np.flatnonzero(base):
         order, radii, ends = space.balls(y)
         d = space.metric[y]
@@ -356,12 +409,19 @@ def _grand_maximal(space, fs, eta, dilation, base, outer):
         live = np.logical_and.accumulate(
             inside & (dilation * radii[1:] < reach))
         for j in range(1, 1 + int(np.count_nonzero(live))):
-            ball = order[:ends[j]]
-            keep = outer & (d > dilation * radii[j])
-            vals = fractional_integral(space, [f * keep for f in fs], eta)
-            peak = float(np.abs(vals[ball]).max())
-            out[ball] = np.maximum(out[ball], peak)
-    return out
+            balls.append(order[:ends[j]])
+            keeps.append(outer & (d > dilation * radii[j]))
+    if not balls:
+        return np.zeros(space.n)
+    # column b is one (center, radius) ball: its cut-off arguments, read
+    # on its own members only, all in one pass over the rows
+    held = np.zeros((space.n, len(balls)), dtype=bool)
+    for b, ball in enumerate(balls):
+        held[ball, b] = True
+    keep = np.array(keeps)
+    vals = fractional_integral(space, [f * keep for f in fs], eta, rows=held)
+    peaks = np.abs(vals).max(axis=0)
+    return np.where(held, peaks, 0.0).max(axis=1)
 
 
 def truncated_grand_maximal(space: DiscreteSpace, fs, eta: float,

@@ -46,7 +46,7 @@ class Ball:
     members: np.ndarray
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ValueError("ball radius must be nonnegative")
 
 
@@ -128,7 +128,7 @@ class DiscreteSpace:
     def ball(self, center: int, radius: float) -> Ball:
         if not 0 <= center < self.n:
             raise ValueError("ball center out of range")
-        if radius < 0:
+        if not radius >= 0:
             raise ValueError("ball radius must be nonnegative")
         members = np.flatnonzero(self.metric[center] <= radius)
         return Ball(int(center), float(radius), members)
@@ -136,7 +136,7 @@ class DiscreteSpace:
     def ball_mass(self, center: int, radius) -> np.ndarray | float:
         """mu(B(center, r)) for a scalar or array of radii."""
         r = np.asarray(radius, dtype=np.float64)
-        if np.any(r < 0):
+        if not np.all(r >= 0):
             raise ValueError("ball radius must be nonnegative")
         pos = np.searchsorted(self._sorted_d[center], r, side="right") - 1
         out = self._prefix_mass[center][pos]

@@ -425,6 +425,75 @@ class TestCommutator:
         assert got == pytest.approx(want, rel=1e-11)
 
 
+def loop_commutator(space, fs, symbols, powers, eta):
+    """One full fractional-integral call per binomial term."""
+    n = space.n
+    out = np.zeros(n)
+    for jvec in itertools.product(*[range(b + 1) for b in powers]):
+        scale = 1.0
+        outer = np.ones(n)
+        mods = []
+        for i, (b, j) in enumerate(zip(powers, jvec)):
+            scale *= math.comb(b, j) * (-1.0) ** j
+            if b - j:
+                outer = outer * symbols[i] ** (b - j)
+            mods.append(fs[i] * symbols[i] ** j if j else fs[i])
+        out += scale * outer * fractional_integral(space, mods, eta)
+    return out
+
+
+class TestBatchedFractionalIntegral:
+    """Column blocks and row restriction give exactly the per-column
+    full-space values."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_matches_per_column_calls(self, m, width):
+        for sp in ball_layer_spaces():
+            rng = np.random.default_rng(40 + 3 * m + width)
+            blocks = [rng.normal(size=(width, sp.n)) for _ in range(m)]
+            eta = 0.5 * m
+            full = np.stack([fractional_integral(sp, [a[b] for a in blocks],
+                                                 eta)
+                             for b in range(width)], axis=1)
+            rows = rng.choice(sp.n, size=sp.n // 3, replace=False)
+            got = fractional_integral(sp, blocks, eta, rows=rows)
+            assert got.shape == (len(rows), width)
+            assert np.array_equal(got, full[rows])
+            assert np.array_equal(fractional_integral(sp, blocks, eta), full)
+            mask = rng.random((sp.n, width)) < 0.3
+            got = fractional_integral(sp, blocks, eta, rows=mask)
+            assert np.array_equal(got, np.where(mask, full, 0.0))
+            single = fractional_integral(sp, [a[0] for a in blocks], eta,
+                                         rows=rows)
+            assert single.shape == (len(rows),)
+            assert np.array_equal(single, full[rows, 0])
+
+    @pytest.mark.parametrize("powers", [(1,), (2,), (1, 1), (2, 1)])
+    def test_commutator_matches_term_loop(self, powers):
+        for sp in ball_layer_spaces():
+            rng = np.random.default_rng(46 + sum(powers) + len(powers))
+            fs = [rng.normal(size=sp.n) for _ in powers]
+            symbols = [rng.normal(size=sp.n) for _ in powers]
+            got = commutator_integral(sp, fs, symbols, powers, 0.5)
+            want = loop_commutator(sp, fs, symbols, powers, 0.5)
+            assert np.array_equal(got, want)
+
+    def test_rejects_bad_blocks(self):
+        sp = build_grid_space(8)
+        with pytest.raises(ValueError):
+            fractional_integral(sp, [np.ones((3, 7))], 0.5)
+        with pytest.raises(ValueError):
+            fractional_integral(sp, [np.ones((3, 8)), np.ones((2, 8))], 0.5)
+        with pytest.raises(ValueError):
+            fractional_integral(sp, [np.ones((2, 3, 8))], 0.5)
+        with pytest.raises(ValueError):
+            fractional_integral(sp, [np.ones(8), np.ones((1, 8))], 0.5)
+        with pytest.raises(ValueError):
+            fractional_integral(sp, [np.ones((3, 8))], 0.5,
+                                rows=np.ones(8, dtype=bool))
+
+
 class TestEndpointMaximal:
     def test_full_tau_matches_identity_gauges(self):
         lat = build_standard_lattice(build_grid_space(8))

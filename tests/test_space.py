@@ -103,6 +103,20 @@ class TestBalls:
         with pytest.raises(ValueError, match="nonnegative"):
             sp.ball_mass(0, np.array([0.0, 0.25, -0.1]))
 
+    def test_ball_mass_rejects_nan_radius(self):
+        sp = build_grid_space(8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sp.ball_mass(0, np.nan)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sp.ball_mass(0, np.array([0.0, np.nan, 0.25]))
+
+    def test_ball_rejects_nan_radius(self):
+        sp = build_grid_space(8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sp.ball(0, np.nan)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sp.ball(0, float("nan"))
+
     def test_ball_mass_matches_member_sum(self):
         sp = build_grid_space(8, [1, 2, 3, 4, 5, 6, 7, 8])
         for x in range(8):
