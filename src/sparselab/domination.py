@@ -266,7 +266,7 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
                        "ratio": zero.copy()},
             coverage=coverage)
 
-    radius0 = float(space.metric[0].max())
+    radius0 = float(space.distances(0).max())
     root_ball = space.ball(0, radius0)
     sys_idx, root_cube = adjacent_cover(systems, root_ball)
     lattice = systems.lattices[sys_idx]

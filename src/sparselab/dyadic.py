@@ -71,7 +71,7 @@ class Cube:
     @property
     def containment_radius(self) -> float:
         sp = self.lat.space
-        return float(sp.metric[self.center][self.members].max())
+        return float(sp.distances(self.center)[self.members].max())
 
 
 class DyadicLattice:
@@ -334,7 +334,7 @@ def _compute_c_adj(space: DiscreteSpace, lattices: list[DyadicLattice]) -> float
         # cube c covers exactly the balls j < covered[c]
         covered = np.minimum(np.searchsorted(-blo, -los, side="right"),
                              np.searchsorted(bhi, his, side="right"))
-        dist = space.metric[x]
+        dist = space.distances(x)
         best = np.full(radii.size + 1, np.inf)
         np.minimum.at(best, covered, np.maximum(dist[los], dist[his]))
         best = np.minimum.accumulate(best[::-1])[-2::-1]
@@ -385,7 +385,7 @@ def adjacent_cover(systems: AdjacentSystems, ball: Ball) -> tuple[int, Cube]:
     """
     sp = systems.space
     x = ball.center
-    far = np.flatnonzero(sp.metric[x] > systems.c_adj * ball.radius)
+    far = np.flatnonzero(sp.distances(x) > systems.c_adj * ball.radius)
     best = None
     for lat in systems.lattices:
         table = lat.point_to_cube

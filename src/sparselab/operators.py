@@ -274,7 +274,7 @@ def ball_mass_kernel(space: DiscreteSpace) -> np.ndarray:
     if K is None:
         K = np.empty((space.n, space.n))
         for x in range(space.n):
-            K[x] = space.ball_mass(x, space.metric[x])
+            K[x] = space.ball_mass(x, space.distances(x))
         K.flags.writeable = False
         _KERNELS[space] = K
     return K
@@ -403,7 +403,7 @@ def _grand_maximal(space, fs, eta, dilation, base, outer):
     keeps, balls = [], []
     for y in np.flatnonzero(base):
         order, radii, ends = space.balls(y)
-        d = space.metric[y]
+        d = space.distances(y)
         inside = np.logical_and.accumulate(base[order])[ends[1:] - 1]
         reach = d[outer].max(initial=-np.inf)
         live = np.logical_and.accumulate(
@@ -439,5 +439,5 @@ def truncated_grand_maximal_local(space: DiscreteSpace, fs, eta: float,
     to dilation*B0 minus dilation*B."""
     base = np.zeros(space.n, dtype=bool)
     base[space.ball(base_center, base_radius).members] = True
-    big0 = space.metric[base_center] <= dilation * base_radius
+    big0 = space.distances(base_center) <= dilation * base_radius
     return _grand_maximal(space, fs, eta, dilation, base, big0)

@@ -1,14 +1,19 @@
 """Finite model spaces: point sets, quasi-metrics, masses, and balls.
 
 A space is a finite point set {0, ..., n-1} carrying a symmetric
-quasi-metric matrix and strictly positive per-point masses.  Balls use
-the closed convention B(x, r) = {y : d(x, y) <= r}, so every ball owns
-its center and the mass of a ball is a right-continuous step function of
+quasi-metric and strictly positive per-point masses.  Balls use the
+closed convention B(x, r) = {y : d(x, y) <= r}, so every ball owns its
+center and the mass of a ball is a right-continuous step function of
 the radius with finitely many breakpoints.
+
+Explicit spaces keep their dense (n, n) distance, order and prefix-mass
+tables.  Grid spaces keep only masses and positions and build each
+center's row on demand, in O(n) memory.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -37,6 +42,17 @@ def _quasi_triangle_constant(metric) -> float:
     return best
 
 
+def _checked_masses(masses) -> np.ndarray:
+    masses = np.asarray(masses, dtype=np.float64)
+    if masses.ndim != 1:
+        raise ValueError("masses must be a 1-d array")
+    if masses.shape[0] == 0:
+        raise ValueError("space must contain at least one point")
+    if not np.all(np.isfinite(masses)) or np.any(masses <= 0):
+        raise ValueError("masses must be strictly positive and finite")
+    return masses
+
+
 @dataclass(frozen=True)
 class Ball:
     """Closed ball: center index, radius, and the sorted member indices."""
@@ -51,7 +67,7 @@ class Ball:
 
 
 class DiscreteSpace:
-    """Finite quasi-metric measure space.
+    """Finite quasi-metric measure space with dense tables.
 
     Attributes
     ----------
@@ -63,17 +79,11 @@ class DiscreteSpace:
     """
 
     def __init__(self, kind: str, masses, metric, a0: float | None = None):
-        masses = np.asarray(masses, dtype=np.float64)
+        masses = _checked_masses(masses)
         metric = np.asarray(metric, dtype=np.float64)
-        if masses.ndim != 1:
-            raise ValueError("masses must be a 1-d array")
         n = masses.shape[0]
-        if n == 0:
-            raise ValueError("space must contain at least one point")
         if metric.shape != (n, n):
             raise ValueError("metric must be an n-by-n matrix")
-        if not np.all(np.isfinite(masses)) or np.any(masses <= 0):
-            raise ValueError("masses must be strictly positive and finite")
         if not np.all(np.isfinite(metric)):
             raise ValueError("metric entries must be finite")
         if np.any(metric < 0):
@@ -82,8 +92,8 @@ class DiscreteSpace:
             raise ValueError("metric must be symmetric")
         if np.any(np.diag(metric) != 0):
             raise ValueError("metric diagonal must vanish")
-        off = metric + np.eye(n)
-        if np.any(off == 0):
+        # the n diagonal zeros must be the only ones
+        if np.count_nonzero(metric == 0) != n:
             raise ValueError("d(x,y)=0 requires x=y")
         self.kind = kind
         self.n = n
@@ -107,14 +117,18 @@ class DiscreteSpace:
             self.a0 = float(a0)
             self._spot_check_a0()
 
+    def _pair_distances(self, x, y) -> np.ndarray:
+        return self.metric[x, y]
+
     def _spot_check_a0(self, samples: int = 20000) -> None:
         if self.n < 3:
             return
         rng = np.random.default_rng(0)
         idx = rng.integers(0, self.n, size=(samples, 3))
         x, y, z = idx[:, 0], idx[:, 1], idx[:, 2]
-        lhs = self.metric[x, y]
-        rhs = self.a0 * (self.metric[x, z] + self.metric[z, y])
+        d = self._pair_distances
+        lhs = d(x, y)
+        rhs = self.a0 * (d(x, z) + d(z, y))
         bad = lhs > rhs * (1 + 1e-12)
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
@@ -123,6 +137,18 @@ class DiscreteSpace:
                 f"({x[i]}, {y[i]}, {z[i]})"
             )
 
+    # -- rows --------------------------------------------------------------
+
+    def distances(self, center: int) -> np.ndarray:
+        """d(center, y) for every point y."""
+        return self.metric[center]
+
+    def _sorted_row(self, center: int):
+        """The points by distance from center (stable, so ties go by
+        index), their distances and the running masses of that order."""
+        return (self._order[center], self._sorted_d[center],
+                self._prefix_mass[center])
+
     # -- balls -------------------------------------------------------------
 
     def ball(self, center: int, radius: float) -> Ball:
@@ -130,7 +156,7 @@ class DiscreteSpace:
             raise ValueError("ball center out of range")
         if not radius >= 0:
             raise ValueError("ball radius must be nonnegative")
-        members = np.flatnonzero(self.metric[center] <= radius)
+        members = np.flatnonzero(self.distances(center) <= radius)
         return Ball(int(center), float(radius), members)
 
     def ball_mass(self, center: int, radius) -> np.ndarray | float:
@@ -138,26 +164,102 @@ class DiscreteSpace:
         r = np.asarray(radius, dtype=np.float64)
         if not np.all(r >= 0):
             raise ValueError("ball radius must be nonnegative")
-        pos = np.searchsorted(self._sorted_d[center], r, side="right") - 1
-        out = self._prefix_mass[center][pos]
+        _, d, prefix = self._sorted_row(center)
+        out = prefix[np.searchsorted(d, r, side="right") - 1]
         return float(out) if np.isscalar(radius) else out
 
     def balls(self, center: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every closed ball around center, smallest first: the points
         by distance, the distinct radii (0 first) and member counts, so
         ball j is order[:ends[j]] with mass ball_mass(center, radii[j])."""
-        d = self._sorted_d[center]
+        order, d, _ = self._sorted_row(center)
         ends = np.append(np.flatnonzero(np.diff(d) > 0) + 1, self.n)
-        return self._order[center], d[ends - 1], ends
+        return order, d[ends - 1], ends
 
     def realized_distances(self, center: int | None = None) -> np.ndarray:
         """Sorted positive distances, from one center or from all pairs."""
-        d = self.metric[center] if center is not None else self.metric
-        vals = np.unique(d)
+        if center is None:
+            vals = functools.reduce(
+                np.union1d, (self.distances(x) for x in range(self.n)))
+        else:
+            vals = np.unique(self.distances(center))
         return vals[vals > 0]
 
     def mass_of(self, members) -> float:
         return float(self.masses[np.asarray(members, dtype=np.intp)].sum())
+
+
+class GridSpace(DiscreteSpace):
+    """Grid model in O(n) memory: points k/n on [0, 1), d(x, y) = |x - y|.
+
+    For power-of-two n every distance is an exact multiple of 1/n, so the
+    rows built here equal those of the dense tables bit for bit: the
+    order is the stable argsort of the distance row (x, x-1, x+1, x-2,
+    x+2, ..., then the rest of the longer side) and the prefix masses
+    are the same sequential sum.
+    """
+
+    def __init__(self, masses):
+        masses = _checked_masses(masses)
+        n = masses.shape[0]
+        pos = np.arange(n, dtype=np.float64) / n
+        # strictly increasing finite positions make |pos[x] - pos[y]| a
+        # metric: symmetric, nonnegative, zero exactly on the diagonal
+        if not np.all(np.isfinite(pos)) or np.any(np.diff(pos) <= 0):
+            raise ValueError("grid positions must be finite and increasing")
+        self.kind = "grid"
+        self.n = n
+        self.masses = masses
+        self.positions = pos
+        # |k|/n for k = 1-n, ..., n-1: each distance row is a window of it
+        self._reach = np.abs(np.arange(1 - n, n)) / n
+        self._reach.flags.writeable = False
+        # 0, -1, 1, -2, 2, ...: the nearest points' offsets, in order
+        k = np.arange(n)
+        self._zigzag = (k + 1) // 2 * np.where(k % 2, -1, 1)
+        self.total_mass = float(masses.sum())
+        self.a0 = 1.0
+        self._spot_check_a0()
+
+    @property
+    def metric(self) -> np.ndarray:
+        """The dense (n, n) distance matrix, built anew on each access."""
+        pos = self.positions
+        return np.abs(pos[:, None] - pos[None, :])
+
+    def _pair_distances(self, x, y) -> np.ndarray:
+        return np.abs(self.positions[x] - self.positions[y])
+
+    def distances(self, center: int) -> np.ndarray:
+        return self._reach[self.n - 1 - center:2 * self.n - 1 - center]
+
+    def _row_order(self, x: int) -> np.ndarray:
+        n = self.n
+        near = min(x, n - 1 - x)
+        both = 2 * near + 1
+        order = np.empty(n, dtype=np.intp)
+        np.add(self._zigzag[:both], x, out=order[:both])
+        # then the rest of the longer side, nearest first
+        rest = np.arange(near + 1, n - near)
+        if near == x:
+            np.add(x, rest, out=order[both:])
+        else:
+            np.subtract(x, rest, out=order[both:])
+        return order
+
+    def _sorted_row(self, center: int):
+        order = self._row_order(center)
+        return (order, self.distances(center)[order],
+                np.cumsum(self.masses[order]))
+
+    def balls(self, center: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # ball j has radius j/n and holds both sides out to j, clipped at
+        # the nearer end of the grid
+        n = self.n
+        near = min(center, n - 1 - center)
+        j = np.arange(n - near)
+        radii = self._reach[n - 1:2 * n - 1 - near]
+        return self._row_order(center), radii, np.minimum(2 * j, near + j) + 1
 
 
 def build_grid_space(n: int, masses=None) -> DiscreteSpace:
@@ -169,9 +271,7 @@ def build_grid_space(n: int, masses=None) -> DiscreteSpace:
     masses = np.asarray(masses, dtype=np.float64)
     if masses.shape != (n,):
         raise ValueError("masses must have length n")
-    pos = np.arange(n, dtype=np.float64) / n
-    metric = np.abs(pos[:, None] - pos[None, :])
-    return DiscreteSpace("grid", masses, metric, a0=1.0)
+    return GridSpace(masses)
 
 
 def build_explicit_space(metric, masses, a0: float | None = None) -> DiscreteSpace:
@@ -187,10 +287,11 @@ def doubling_constant(space: DiscreteSpace) -> float:
     """
     best = 1.0
     for x in range(space.n):
-        dx = space.metric[x]
-        cand = np.unique(np.concatenate([[0.0], dx, 0.5 * dx]))
-        inner = space.ball_mass(x, cand)
-        outer = space.ball_mass(x, 2.0 * cand)
+        # one row per center serves both radius lookups
+        _, d, prefix = space._sorted_row(x)
+        cand = np.unique(np.concatenate([[0.0], d, 0.5 * d]))
+        inner = prefix[np.searchsorted(d, cand, side="right") - 1]
+        outer = prefix[np.searchsorted(d, 2.0 * cand, side="right") - 1]
         best = max(best, float(np.max(outer / inner)))
     return best
 

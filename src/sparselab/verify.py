@@ -22,6 +22,7 @@ report does not depend on execution order or thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -189,6 +190,12 @@ def _lp_norm(space, f, weight, p: float) -> float:
         return float(vals.max()) if vals.size else 0.0
     total = np.sum(np.abs(np.asarray(f)) ** p * w * space.masses)
     return float(total ** (1.0 / p))
+
+
+def _fold(acc: float, value: float, pick=max) -> float:
+    """pick(acc, value), except that a NaN on either side is kept: max
+    and min alone drop a NaN that comes second."""
+    return value if math.isnan(value) else pick(acc, value)
 
 
 def _violates(lhs: float, rhs: float) -> bool:
@@ -375,7 +382,7 @@ def _run_holder(spec: CheckSpec, trials: int) -> CheckReport:
         size = int(rng.integers(1, len(mem) + 1))
         members = np.sort(rng.choice(mem, size=size, replace=False))
         lhs, rhs = holder_sides(space, members, ws, p, q)
-        worst = max(worst, lhs / rhs)
+        worst = _fold(worst, lhs / rhs)
         if _violates(lhs, rhs):
             report.failures.append({
                 "trial": trial, "seed": spec.seed, "n": spec.n,
@@ -403,7 +410,7 @@ def _run_dyadic_maximal(spec: CheckSpec, trials: int) -> CheckReport:
         lhs = _lp_norm(space, maximal, sigma, p)
         rhs = pc * _lp_norm(space, f, sigma, p)
         constant = max(constant, pc)
-        worst = max(worst, lhs / rhs)
+        worst = _fold(worst, lhs / rhs)
         if _violates(lhs, rhs):
             report.failures.append({
                 "trial": trial, "seed": spec.seed, "n": spec.n,
@@ -600,7 +607,7 @@ def _run_astar_chain(spec: CheckSpec, trials: int) -> CheckReport:
         if _violates(sides["lhs"], sides["composed_rhs"]):
             fail("composed", sides["lhs"], sides["composed_rhs"])
         if sides["composed_rhs"] > 0:
-            worst = max(worst, sides["lhs"] / sides["composed_rhs"])
+            worst = _fold(worst, sides["lhs"] / sides["composed_rhs"])
     report.worst_ratio = worst
     report.explicit_constant = sides["c_explicit"]
     report.details = {"gate": "passed"}
@@ -636,14 +643,14 @@ def _run_dyadicsum(spec: CheckSpec, trials: int) -> CheckReport:
         rhs = layered ** (1.0 / s)
         ratio = lhs / rhs
         per_trial.append(ratio)
-        sup_ratio = max(sup_ratio, ratio)
-        inf_ratio = min(inf_ratio, ratio)
+        sup_ratio = _fold(sup_ratio, ratio)
+        inf_ratio = _fold(inf_ratio, ratio, min)
         if not math.isfinite(ratio):
             report.failures.append({
                 "trial": trial, "seed": spec.seed, "n": spec.n,
                 "s": s, "lhs": lhs, "rhs": rhs,
             })
-    report.worst_ratio = max(sup_ratio, 1.0 / inf_ratio)
+    report.worst_ratio = _fold(sup_ratio, 1.0 / inf_ratio)
     report.details = {"ratio_sup": sup_ratio, "ratio_inf": inf_ratio,
                       "per_trial": per_trial}
     return report
@@ -683,12 +690,12 @@ def _run_kolmogorov(spec: CheckSpec, trials: int) -> CheckReport:
         base = float(terms[top])
         proof_c = 1.0 / (family.delta * (1.0 - s1 - s2))
         geo_c = 1.0 / (1.0 - family.delta ** (1.0 - s1 - s2))
-        if base > 0:
+        if base > 0 or math.isnan(base):
             ratio_geo = lhs / (geo_c * base)
             ratio_proof = lhs / (proof_c * base)
             per_trial.append(ratio_geo)
-            worst_geo = max(worst_geo, ratio_geo)
-            worst_proof = max(worst_proof, ratio_proof)
+            worst_geo = _fold(worst_geo, ratio_geo)
+            worst_proof = _fold(worst_proof, ratio_proof)
             if _violates(lhs, proof_c * base):
                 report.failures.append({
                     "trial": trial, "seed": spec.seed, "n": spec.n,
@@ -747,10 +754,11 @@ def _run_testing(spec: CheckSpec, trials: int) -> CheckReport:
                              mus ** (1.0 + eta * q))[ids]))
         lhs = _lp_norm(space, stacked ** (1.0 / gamma), u, q)
         rhs = astar ** (1.0 / q) * tail ** (1.0 / q)
-        ratio = lhs / rhs if rhs > 0 else 0.0
+        # rhs >= 0; a NaN rhs reaches the ratio
+        ratio = lhs / rhs if rhs != 0 else 0.0
         per_trial.append(ratio)
-        worst = max(worst, ratio)
-        if asserting and _violates(lhs, rhs):
+        worst = _fold(worst, ratio)
+        if (asserting and _violates(lhs, rhs)) or not math.isfinite(ratio):
             report.failures.append({
                 "trial": trial, "seed": spec.seed, "n": spec.n,
                 "q": q, "gamma": gamma, "lhs": lhs, "rhs": rhs,
@@ -770,9 +778,16 @@ def _run_testing(spec: CheckSpec, trials: int) -> CheckReport:
                     mus ** (1.0 + gamma * eta * s_d))[ids]))
                 lhs_d = _lp_norm(space, dual, sig[reduce], s_d)
                 rhs_d = astar ** (gamma / q) * dtail ** (1.0 / s_d)
-                if rhs_d > 0:
-                    worst_dual = max(worst_dual, lhs_d / rhs_d)
-    report.worst_ratio = max(worst, worst_dual) if not asserting else worst
+                if rhs_d == 0:
+                    continue
+                ratio_d = lhs_d / rhs_d
+                worst_dual = _fold(worst_dual, ratio_d)
+                if not math.isfinite(ratio_d):
+                    report.failures.append({
+                        "trial": trial, "seed": spec.seed, "n": spec.n,
+                        "dual_slot": reduce, "lhs": lhs_d, "rhs": rhs_d,
+                    })
+    report.worst_ratio = _fold(worst, worst_dual) if not asserting else worst
     report.explicit_constant = 1.0 if asserting else None
     report.details = {
         "constant_one_scope": "q <= gamma",
@@ -840,15 +855,21 @@ def _run_endpoint_weak(spec: CheckSpec, trials: int) -> CheckReport:
                         piece = np.abs(fs[i]) ** r / lam ** r
                     rhs *= float(np.sum(piece * omegas[i] *
                                         space.masses)) ** q0
-                if rhs > 0:
-                    trial_worst = max(trial_worst, lhs / rhs)
+                # rhs >= 0; a NaN rhs reaches the fold
+                if rhs != 0:
+                    trial_worst = _fold(trial_worst, lhs / rhs)
                 elif lhs > 1e-12:
                     report.failures.append({
                         "trial": trial, "seed": spec.seed, "n": spec.n,
                         "level": float(level), "lhs": lhs, "rhs": 0.0,
                     })
         per_trial.append(trial_worst)
-        worst = max(worst, trial_worst)
+        worst = _fold(worst, trial_worst)
+        if not math.isfinite(trial_worst):
+            report.failures.append({
+                "trial": trial, "seed": spec.seed, "n": spec.n,
+                "ratio": trial_worst,
+            })
     report.worst_ratio = worst
     report.explicit_constant = max(mg["bound"] for mg in margins)
     report.details = {
@@ -888,8 +909,8 @@ def _run_m_vs_i(spec: CheckSpec, trials: int) -> CheckReport:
             continue
         ratios = lhs[live] / rhs[live]
         if ratios.size:
-            worst = max(worst, float(ratios.max()))
-        bad = lhs > rhs * (1.0 + RELATIVE_TOL)
+            worst = _fold(worst, float(ratios.max()))
+        bad = ~(lhs <= rhs * (1.0 + RELATIVE_TOL))  # NaN counts as bad
         if np.any(bad):
             point = int(np.argmax(np.where(bad, lhs / rhs, 0.0)))
             report.failures.append({
@@ -908,10 +929,9 @@ def _run_m_vs_i(spec: CheckSpec, trials: int) -> CheckReport:
 def _run_bmo(spec: CheckSpec, trials: int) -> CheckReport:
     space, lattice = _setup(spec)
     report = CheckReport("bmo_lemmas", MODE_MONITOR, trials)
-    sup_upper = 0.0
-    sup_osc = 0.0
-    sup_exp = 0.0
-    sup_split = 0.0
+    sups = dict.fromkeys(("upper_gauge_constant", "oscillation_constant",
+                          "exponential_gauge_constant",
+                          "product_split_constant"), 0.0)
     worst_lower = 0.0
     for trial in range(trials):
         rng = _trial_rng(spec.seed, trial)
@@ -934,33 +954,37 @@ def _run_bmo(spec: CheckSpec, trials: int) -> CheckReport:
             mem = cube.members
             gauge = gauges[cube.cube_id]
             lower = avg(space, mem, f, 1.0)
-            worst_lower = max(worst_lower, lower / gauge)
+            worst_lower = _fold(worst_lower, lower / gauge)
             if _violates(lower, gauge):
                 report.failures.append({
                     "trial": trial, "seed": spec.seed, "n": spec.n,
                     "cube": int(cube.cube_id), "part": "mean below gauge",
                     "lhs": lower, "rhs": gauge,
                 })
-            sup_upper = max(sup_upper,
-                            gauge / avg(space, mem, f, r + 1.0))
+            ratios = {"upper_gauge_constant":
+                      gauge / avg(space, mem, f, r + 1.0)}
             mean = means[cube.cube_id]
             osc = avg(space, mem, b - mean, r)
-            if bmo > 0:
-                sup_osc = max(sup_osc, osc / bmo)
-                sup_exp = max(sup_exp, exp_gauges[cube.cube_id] / bmo ** r)
+            # bmo and rhs4 are >= 0; a NaN one reaches the ratios
+            if bmo != 0:
+                ratios["oscillation_constant"] = osc / bmo
+                ratios["exponential_gauge_constant"] = \
+                    exp_gauges[cube.cube_id] / bmo ** r
             lhs4 = avg(space, mem, f1 * f2 * g, 1.0)
             rhs4 = split_gauges[cube.cube_id]
-            if rhs4 > 0:
-                sup_split = max(sup_split, lhs4 / rhs4)
-    report.worst_ratio = max(sup_upper, sup_osc, sup_exp, sup_split)
+            if rhs4 != 0:
+                ratios["product_split_constant"] = lhs4 / rhs4
+            for part, ratio in ratios.items():
+                sups[part] = _fold(sups[part], ratio)
+                if not math.isfinite(ratio):
+                    report.failures.append({
+                        "trial": trial, "seed": spec.seed, "n": spec.n,
+                        "cube": int(cube.cube_id), "part": part,
+                        "ratio": ratio,
+                    })
+    report.worst_ratio = functools.reduce(_fold, sups.values())
     report.explicit_constant = 1.0
-    report.details = {
-        "lower_bound_worst": worst_lower,
-        "upper_gauge_constant": sup_upper,
-        "oscillation_constant": sup_osc,
-        "exponential_gauge_constant": sup_exp,
-        "product_split_constant": sup_split,
-    }
+    report.details = {"lower_bound_worst": worst_lower, **sups}
     return report
 
 
@@ -1002,7 +1026,7 @@ def _run_caopro(spec: CheckSpec, trials: int) -> CheckReport:
                                      _trial_rng(spec.seed, trial, 3))
         ratio = est_l / (c0 * est_r) if est_r > 0 and c0 > 0 else math.inf
         per_trial.append(ratio)
-        worst = max(worst, ratio)
+        worst = _fold(worst, ratio)
         if not math.isfinite(ratio) or ratio > CAOPRO_RATIO_BASELINE:
             report.failures.append({
                 "trial": trial, "seed": spec.seed, "n": spec.n,
@@ -1082,7 +1106,7 @@ def _run_bloom_maximal(spec: CheckSpec, trials: int) -> CheckReport:
                                      starts=1, rounds=2)
         ratio = est_l / (w0 * est_r) if est_r > 0 and w0 > 0 else math.inf
         per_trial.append(ratio)
-        worst = max(worst, ratio)
+        worst = _fold(worst, ratio)
         if not math.isfinite(ratio):
             report.failures.append({
                 "trial": trial, "seed": spec.seed, "n": spec.n,
@@ -1181,7 +1205,7 @@ def _run_bloom_iterated(spec: CheckSpec, trials: int) -> CheckReport:
         ratio = est_l / (transfer * est_r) if est_r > 0 and transfer > 0 \
             else math.inf
         per_trial.append(ratio)
-        worst = max(worst, ratio)
+        worst = _fold(worst, ratio)
         if not math.isfinite(ratio):
             report.failures.append({
                 "trial": trial, "seed": spec.seed, "n": spec.n,
@@ -1243,7 +1267,12 @@ def _run_sharp_maximal(spec: CheckSpec, trials: int) -> CheckReport:
         ratios = lhs[live] / rhs[live]
         trial_worst = float(ratios.max()) if ratios.size else 0.0
         per_trial.append(trial_worst)
-        worst = max(worst, trial_worst)
+        worst = _fold(worst, trial_worst)
+        if not math.isfinite(trial_worst):
+            report.failures.append({
+                "trial": trial, "seed": spec.seed, "n": spec.n,
+                "ratio": trial_worst,
+            })
     report.worst_ratio = worst
     report.details = {"per_trial": per_trial, "delta": delta,
                       "epsilon": eps}

@@ -203,6 +203,11 @@ class TestQuasiTriangle:
         metric = np.zeros((2, 2))
         with pytest.raises(ValueError, match="requires x=y"):
             build_explicit_space(metric, [1, 1])
+        # one zero pair among positive distances
+        metric = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0],
+                           [1.0, 2.0, 0.0]])
+        with pytest.raises(ValueError, match="requires x=y"):
+            build_explicit_space(metric, [1, 1, 1])
 
 
 @st.composite

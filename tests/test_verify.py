@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparselab import verify
 from sparselab.dyadic import (build_standard_lattice, random_sparse_family,
                               select_witnesses, verify_sparse)
 from sparselab.operators import fractional_integral, fractional_maximal
 from sparselab.space import build_grid_space
 from sparselab.verify import (CAOPRO_RATIO_BASELINE, CheckReport, CheckSpec,
-                              REGISTRY, _operator_norm_lower, _violates,
-                              astar_gate_values,
+                              REGISTRY, _fold, _operator_norm_lower,
+                              _violates, astar_gate_values,
                               holder_sides, kolmogorov_chain_values,
                               oscillation_endpoint_form, registry_ids,
                               run_check, young_composition_margin)
@@ -88,6 +89,33 @@ class TestReports:
         (1.0, math.inf, True), (-math.inf, 0.0, True)])
     def test_violates_counts_nan(self, lhs, rhs, bad):
         assert _violates(lhs, rhs) is bad
+
+    @pytest.mark.parametrize("acc,value,pick,want", [
+        (1.0, 2.0, max, 2.0), (2.0, 1.0, max, 2.0), (1.0, math.nan, max, None),
+        (math.nan, 2.0, max, None), (1.0, math.inf, max, math.inf),
+        (1.0, 0.5, min, 0.5), (1.0, math.nan, min, None),
+        (math.nan, 0.5, min, None)])
+    def test_fold_keeps_nan(self, acc, value, pick, want):
+        got = _fold(acc, value, pick)
+        assert math.isnan(got) if want is None else got == want
+
+    def test_nan_trial_ratio_fails_the_check(self, monkeypatch):
+        # one NaN entry of the maximal function in trial 1 makes that
+        # trial's ratio NaN; it must fail the check and set worst_ratio
+        calls = []
+
+        def poisoned(space, fs, eta=0.0, centered=True):
+            out = fractional_maximal(space, fs, eta=eta, centered=centered)
+            calls.append(None)
+            if len(calls) == 2:
+                out[3] = math.nan
+            return out
+
+        monkeypatch.setattr(verify, "fractional_maximal", poisoned)
+        report = run_check(CheckSpec("m_vs_i", trials=3))
+        assert [f["trial"] for f in report.failures] == [1]
+        assert report.failures[0]["point"] == 3
+        assert math.isnan(report.worst_ratio)
 
     def test_pass_iff_failures_empty(self):
         clean = CheckReport("x", "exact", 3)
