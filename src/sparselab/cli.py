@@ -245,7 +245,23 @@ def _emit(text, out):
 
 
 def _json_payload(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """Strict JSON text; a NaN or infinite float is written as the string
+    "NaN", "Infinity" or "-Infinity"."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        return json.dumps(_nonfinite_as_strings(payload), sort_keys=True,
+                          indent=2, allow_nan=False)
+
+
+def _nonfinite_as_strings(value):
+    if isinstance(value, dict):
+        return {k: _nonfinite_as_strings(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nonfinite_as_strings(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)  # "NaN", "Infinity" or "-Infinity"
+    return value
 
 
 def _csv_text(header, rows) -> str:
@@ -634,8 +650,12 @@ def cmd_verify(ctx, check_ids, trials, n, report_path):
                               + ", ".join(valid))
     if trials is None:
         trials = _int_field(cfg, "trials", "config", default=0, minimum=0)
+    elif trials < 0:
+        raise ConfigError("trials must be >= 0")
     if n is None:
         n = _int_field(cfg, "n", "config", default=16, minimum=2)
+    elif n < 2:
+        raise ConfigError("n must be >= 2")
     ecfg = _exponents_from_config(cfg)
     reports = []
     for cid in ids:

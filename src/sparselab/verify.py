@@ -67,8 +67,9 @@ _WEIGHT_SPREADS = (0.5, 1.0, 2.0)
 class CheckSpec:
     """What to run: a check id plus sizing, seeding, and exponents.
 
-    trials = 0 means the registry default for that check.  mode may be
-    left None; when given it must agree with the registry entry.
+    trials = 0 means the registry default for that check, and negative
+    trials are rejected.  mode may be left None; when given it must
+    agree with the registry entry.
     """
 
     check_id: str
@@ -136,11 +137,44 @@ def _jsonable(value):
     return value
 
 
+# -- trials -------------------------------------------------------------------
+
+class _Trial:
+    """One trial of a check: its index, its seeded streams and the stamp
+    on its failure records.
+
+    Stream ``salt`` is keyed by (seed, salt, trial), so a report does not
+    depend on execution order.  Salt 0 (``rng``) draws the trial's data,
+    1 + sparse_seed its sparse family, 2 and 3 the two operator-norm
+    probes of a norm transfer.
+    """
+
+    def __init__(self, spec: CheckSpec, report: CheckReport, index: int):
+        self.spec, self.report, self.index = spec, report, index
+        self.rng = self.stream(0)
+
+    def stream(self, salt: int) -> np.random.Generator:
+        return np.random.default_rng(
+            (int(self.spec.seed), int(salt), int(self.index)))
+
+    def family(self, lattice) -> SparseFamily:
+        return random_sparse_family(
+            lattice, self.stream(1 + self.spec.sparse_seed))
+
+    def fail(self, **fields) -> None:
+        self.report.failures.append({"trial": self.index,
+                                     "seed": self.spec.seed,
+                                     "n": self.spec.n, **fields})
+
+
+def _trials(spec: CheckSpec, report: CheckReport):
+    """(trial, its stream-0 generator) for each of the report's trials."""
+    for index in range(report.trials):
+        trial = _Trial(spec, report, index)
+        yield trial, trial.rng
+
+
 # -- randomness ---------------------------------------------------------------
-
-def _trial_rng(seed: int, trial: int, salt: int = 0) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(salt), int(trial)))
-
 
 def _random_weight(rng, n: int) -> np.ndarray:
     a = float(rng.choice(_WEIGHT_SPREADS))
@@ -196,6 +230,34 @@ def _fold(acc: float, value: float, pick=max) -> float:
     """pick(acc, value), except that a NaN on either side is kept: max
     and min alone drop a NaN that comes second."""
     return value if math.isnan(value) else pick(acc, value)
+
+
+def _worst(ratios) -> float:
+    """Largest of the ratios, 0.0 when there are none; a NaN is kept."""
+    return functools.reduce(_fold, ratios, 0.0)
+
+
+def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs, where rhs = 0 reads 0.0 for |lhs| <= 1e-12 and inf
+    otherwise; a NaN on either side gives NaN."""
+    if math.isnan(lhs) or math.isnan(rhs):
+        return math.nan
+    if rhs == 0:
+        return 0.0 if abs(lhs) <= 1e-12 else math.inf
+    return lhs / rhs
+
+
+def _live_ratio(trial: _Trial, lhs, rhs, **fields) -> float | None:
+    """Largest pointwise lhs / rhs over the points where rhs > 0 (0.0 when
+    there are none), or None after a failure is recorded because lhs
+    exceeds 1e-12 at a point where rhs is not positive."""
+    live = rhs > 0
+    if np.any(lhs[~live] > 1e-12):
+        trial.fail(**fields, point=int(np.argmax(lhs * ~live)),
+                   lhs=float(np.max(lhs[~live])), rhs=0.0)
+        return None
+    ratios = lhs[live] / rhs[live]
+    return float(ratios.max()) if ratios.size else 0.0
 
 
 def _violates(lhs: float, rhs: float) -> bool:
@@ -350,6 +412,22 @@ def _operator_norm_lower(space, apply_fn, m, in_weights, p, out_weight, q,
     return best
 
 
+def _norm_transfer(trial: _Trial, space, cfg: ExponentConfig, left, right,
+                   transfer: float, per_trial: list, **probe):
+    """Operator-norm lower bounds est_l and est_r of two forms, each given
+    as (apply_fn, in_weights, out_weight) and probed on streams 2 and 3,
+    and the quotient est_l / (transfer * est_r), inf when est_r or the
+    transfer constant vanishes.  The quotient is appended to per_trial."""
+    est_l, est_r = (
+        _operator_norm_lower(space, fn, cfg.m, ins, cfg.p, out, cfg.q,
+                             trial.stream(salt), **probe)
+        for salt, (fn, ins, out) in ((2, left), (3, right)))
+    ratio = est_l / (transfer * est_r) if est_r > 0 and transfer > 0 \
+        else math.inf
+    per_trial.append(ratio)
+    return est_l, est_r, ratio
+
+
 def _augment_joint(family, symbols, max_rounds: int = 8) -> SparseFamily:
     """Stopping-time augmentation alternated over several symbols until
     the cube set stabilizes (or the round budget runs out)."""
@@ -365,14 +443,12 @@ def _augment_joint(family, symbols, max_rounds: int = 8) -> SparseFamily:
 
 # -- check: holder_eq ---------------------------------------------------------
 
-def _run_holder(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_holder(spec: CheckSpec, report: CheckReport) -> None:
     space, lattice = _setup(spec)
-    report = CheckReport("holder_eq", MODE_EXACT, trials,
-                         explicit_constant=1.0)
+    report.explicit_constant = 1.0
     worst = 0.0
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
-        m = trial % 3 + 1
+    for trial, rng in _trials(spec, report):
+        m = trial.index % 3 + 1
         p = tuple(float(rng.choice(_P_CHOICES)) for _ in range(m))
         s = math.fsum(1.0 / v for v in p)
         q = 1.0 / (s * float(rng.uniform(0.25, 1.0)))
@@ -382,26 +458,20 @@ def _run_holder(spec: CheckSpec, trials: int) -> CheckReport:
         size = int(rng.integers(1, len(mem) + 1))
         members = np.sort(rng.choice(mem, size=size, replace=False))
         lhs, rhs = holder_sides(space, members, ws, p, q)
-        worst = _fold(worst, lhs / rhs)
+        worst = _fold(worst, _ratio(lhs, rhs))
         if _violates(lhs, rhs):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "m": m, "p": list(p), "q": q,
-                "members": members.tolist(), "lhs": lhs, "rhs": rhs,
-            })
+            trial.fail(m=m, p=list(p), q=q, members=members.tolist(),
+                       lhs=lhs, rhs=rhs)
     report.worst_ratio = worst
-    return report
 
 
 # -- check: dyadic_maximal ----------------------------------------------------
 
-def _run_dyadic_maximal(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_dyadic_maximal(spec: CheckSpec, report: CheckReport) -> None:
     space, lattice = _setup(spec)
-    report = CheckReport("dyadic_maximal", MODE_CONSTANT, trials)
     worst = 0.0
     constant = 0.0
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
+    for trial, rng in _trials(spec, report):
         p = float(rng.choice(_P_CHOICES))
         pc = conjugate_exponent(p)
         sigma = _random_weight(rng, space.n)
@@ -410,15 +480,11 @@ def _run_dyadic_maximal(spec: CheckSpec, trials: int) -> CheckReport:
         lhs = _lp_norm(space, maximal, sigma, p)
         rhs = pc * _lp_norm(space, f, sigma, p)
         constant = max(constant, pc)
-        worst = _fold(worst, lhs / rhs)
+        worst = _fold(worst, _ratio(lhs, rhs))
         if _violates(lhs, rhs):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "p": p, "constant": pc, "lhs": lhs, "rhs": rhs,
-            })
+            trial.fail(p=p, constant=pc, lhs=lhs, rhs=rhs)
     report.worst_ratio = worst
     report.explicit_constant = constant
-    return report
 
 
 # -- check: thm_astar_chain ---------------------------------------------------
@@ -565,33 +631,26 @@ def _gate_mismatches(sides, expected) -> list:
     return bad
 
 
-def _run_astar_chain(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_astar_chain(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(2, (2.0, 2.0), 2.0, gamma=1.0)
-    report = CheckReport("thm_astar_chain", MODE_CONSTANT, trials)
     sides, expected = astar_gate_values()
     for miss in _gate_mismatches(sides, expected):
         miss["trial"] = "hand-gate"
         report.failures.append(miss)
     if report.failures:
-        return report
+        return
     space, lattice = _setup(spec)
     worst = 0.0
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
+    for trial, rng in _trials(spec, report):
         ws = [_random_weight(rng, space.n) for _ in range(cfg.m)]
         fs = [_random_function(rng, space.n, floor=1e-8)
               for _ in range(cfg.m)]
-        family = random_sparse_family(
-            lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
-        sides = _astar_sides(lattice, family, cfg, ws, fs)
+        sides = _astar_sides(lattice, trial.family(lattice), cfg, ws, fs)
 
         def fail(stage, lhs, rhs):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "stage": stage, "lhs": lhs, "rhs": rhs,
-                "config": {"m": cfg.m, "p": list(cfg.p), "q": cfg.q,
-                           "gamma": cfg.gamma, "eta": cfg.eta},
-            })
+            trial.fail(stage=stage, lhs=lhs, rhs=rhs,
+                       config={"m": cfg.m, "p": list(cfg.p), "q": cfg.q,
+                               "gamma": cfg.gamma, "eta": cfg.eta})
 
         if _violates(sides["lhs"], sides["embed_rhs"]):
             fail("embedding", sides["lhs"], sides["embed_rhs"])
@@ -611,20 +670,15 @@ def _run_astar_chain(spec: CheckSpec, trials: int) -> CheckReport:
     report.worst_ratio = worst
     report.explicit_constant = sides["c_explicit"]
     report.details = {"gate": "passed"}
-    return report
 
 
 # -- check: dyadicsum_equiv ---------------------------------------------------
 
-def _run_dyadicsum(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_dyadicsum(spec: CheckSpec, report: CheckReport) -> None:
     space, lattice = _setup(spec)
-    report = CheckReport("dyadicsum_equiv", MODE_MONITOR, trials)
     ncubes = len(lattice.cubes)
-    sup_ratio = 0.0
-    inf_ratio = math.inf
     per_trial = []
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
+    for trial, rng in _trials(spec, report):
         s = float(rng.choice((1.5, 2.0, 3.0)))
         sigma = _random_weight(rng, space.n)
         alpha = np.abs(rng.standard_normal(ncubes))
@@ -641,44 +695,37 @@ def _run_dyadicsum(spec: CheckSpec, trials: int) -> CheckReport:
         layered = float(np.sum(
             alpha * (subtree / sig_mass) ** (s - 1.0) * sig_mass))
         rhs = layered ** (1.0 / s)
-        ratio = lhs / rhs
+        ratio = _ratio(lhs, rhs)
         per_trial.append(ratio)
-        sup_ratio = _fold(sup_ratio, ratio)
-        inf_ratio = _fold(inf_ratio, ratio, min)
         if not math.isfinite(ratio):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "s": s, "lhs": lhs, "rhs": rhs,
-            })
-    report.worst_ratio = _fold(sup_ratio, 1.0 / inf_ratio)
+            trial.fail(s=s, lhs=lhs, rhs=rhs)
+    sup_ratio = _worst(per_trial)
+    inf_ratio = functools.reduce(functools.partial(_fold, pick=min),
+                                 per_trial, math.inf)
+    report.worst_ratio = _fold(sup_ratio, _ratio(1.0, inf_ratio))
     report.details = {"ratio_sup": sup_ratio, "ratio_inf": inf_ratio,
                       "per_trial": per_trial}
-    return report
 
 
 # -- check: kolmogorov_sum ----------------------------------------------------
 
-def _run_kolmogorov(spec: CheckSpec, trials: int) -> CheckReport:
-    report = CheckReport("kolmogorov_sum", MODE_MONITOR, trials)
+def _run_kolmogorov(spec: CheckSpec, report: CheckReport) -> None:
     chain = kolmogorov_chain_values(max(spec.n, 8))
     if abs(chain["ratio"] - chain["partial_sum"]) > GATE_TOL * \
             chain["partial_sum"]:
         report.failures.append({"trial": "chain-gate",
                                 "got": chain["ratio"],
                                 "want": chain["partial_sum"]})
-        return report
+        return
     space, lattice = _setup(spec)
-    worst_geo = 0.0
     worst_proof = 0.0
     per_trial = []
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
+    for trial, rng in _trials(spec, report):
         s1 = float(rng.choice((0.0, 0.2, 0.4)))
         s2 = float(rng.choice((0.0, 0.25, 0.45)))
         u = _random_masked(rng, space.n)
         v = _random_masked(rng, space.n)
-        family = random_sparse_family(
-            lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
+        family = trial.family(lattice)
         top = family.cube_ids[int(rng.integers(0, len(family.cube_ids)))]
         outside = np.ones(space.n)
         outside[lattice.cube(top).members] = 0.0
@@ -694,54 +741,41 @@ def _run_kolmogorov(spec: CheckSpec, trials: int) -> CheckReport:
             ratio_geo = lhs / (geo_c * base)
             ratio_proof = lhs / (proof_c * base)
             per_trial.append(ratio_geo)
-            worst_geo = _fold(worst_geo, ratio_geo)
             worst_proof = _fold(worst_proof, ratio_proof)
             if _violates(lhs, proof_c * base):
-                report.failures.append({
-                    "trial": trial, "seed": spec.seed, "n": spec.n,
-                    "s1": s1, "s2": s2, "top_cube": int(top),
-                    "lhs": lhs, "rhs": proof_c * base,
-                    "constant": proof_c,
-                })
+                trial.fail(s1=s1, s2=s2, top_cube=int(top), lhs=lhs,
+                           rhs=proof_c * base, constant=proof_c)
         elif lhs > 1e-12:
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "s1": s1, "s2": s2, "top_cube": int(top),
-                "lhs": lhs, "rhs": 0.0, "constant": proof_c,
-            })
+            trial.fail(s1=s1, s2=s2, top_cube=int(top), lhs=lhs, rhs=0.0,
+                       constant=proof_c)
         else:
             per_trial.append(0.0)
-    report.worst_ratio = worst_geo
+    report.worst_ratio = _worst(per_trial)
     report.explicit_constant = chain["proof_bound"]
     report.details = {
         "chain": chain,
         "worst_vs_proof_constant": worst_proof,
         "per_trial": per_trial,
     }
-    return report
 
 
 # -- check: testing_lemma -----------------------------------------------------
 
-def _run_testing(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_testing(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(2, (2.0, 2.0), 1.0, gamma=1.0)
     if cfg.m != 2:
         raise ValueError("testing_lemma runs the two-slot form; got "
                          f"m={cfg.m}")
     space, lattice = _setup(spec)
-    report = CheckReport("testing_lemma", MODE_CONSTANT, trials)
     q, gamma, eta = cfg.q, cfg.gamma, cfg.eta
     p = cfg.p
     asserting = q <= gamma * (1.0 + 1e-12)
-    worst = 0.0
     worst_dual = 0.0
     per_trial = []
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
+    for trial, rng in _trials(spec, report):
         u = _random_weight(rng, space.n)
         sig = [_random_weight(rng, space.n), _random_weight(rng, space.n)]
-        family = random_sparse_family(
-            lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
+        family = trial.family(lattice)
         astar = astar_from_duals(lattice, u, sig, p, q)
         ids = family.cube_ids
         mus = lattice.cube_masses
@@ -754,15 +788,10 @@ def _run_testing(spec: CheckSpec, trials: int) -> CheckReport:
                              mus ** (1.0 + eta * q))[ids]))
         lhs = _lp_norm(space, stacked ** (1.0 / gamma), u, q)
         rhs = astar ** (1.0 / q) * tail ** (1.0 / q)
-        # rhs >= 0; a NaN rhs reaches the ratio
-        ratio = lhs / rhs if rhs != 0 else 0.0
+        ratio = _ratio(lhs, rhs)
         per_trial.append(ratio)
-        worst = _fold(worst, ratio)
         if (asserting and _violates(lhs, rhs)) or not math.isfinite(ratio):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "q": q, "gamma": gamma, "lhs": lhs, "rhs": rhs,
-            })
+            trial.fail(q=q, gamma=gamma, lhs=lhs, rhs=rhs)
         if not asserting:
             for keep, reduce in ((0, 1), (1, 0)):
                 if p[reduce] <= gamma:
@@ -778,16 +807,12 @@ def _run_testing(spec: CheckSpec, trials: int) -> CheckReport:
                     mus ** (1.0 + gamma * eta * s_d))[ids]))
                 lhs_d = _lp_norm(space, dual, sig[reduce], s_d)
                 rhs_d = astar ** (gamma / q) * dtail ** (1.0 / s_d)
-                if rhs_d == 0:
-                    continue
-                ratio_d = lhs_d / rhs_d
+                ratio_d = _ratio(lhs_d, rhs_d)
                 worst_dual = _fold(worst_dual, ratio_d)
                 if not math.isfinite(ratio_d):
-                    report.failures.append({
-                        "trial": trial, "seed": spec.seed, "n": spec.n,
-                        "dual_slot": reduce, "lhs": lhs_d, "rhs": rhs_d,
-                    })
-    report.worst_ratio = _fold(worst, worst_dual) if not asserting else worst
+                    trial.fail(dual_slot=reduce, lhs=lhs_d, rhs=rhs_d)
+    worst = _worst(per_trial)
+    report.worst_ratio = worst if asserting else _fold(worst, worst_dual)
     report.explicit_constant = 1.0 if asserting else None
     report.details = {
         "constant_one_scope": "q <= gamma",
@@ -795,15 +820,13 @@ def _run_testing(spec: CheckSpec, trials: int) -> CheckReport:
         "per_trial": per_trial,
         "worst_dual_ratio": worst_dual,
     }
-    return report
 
 
 # -- check: endpoint_weak -----------------------------------------------------
 
-def _run_endpoint_weak(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_endpoint_weak(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(2, (1.0, 1.0), 2.0 / 3.0)
     space, lattice = _setup(spec)
-    report = CheckReport("endpoint_weak", MODE_MONITOR, trials)
     margins = [young_composition_margin(r) for r in (1.0, 2.0, 3.0)]
     for margin in margins:
         if margin["violations"]:
@@ -818,10 +841,8 @@ def _run_endpoint_weak(spec: CheckSpec, trials: int) -> CheckReport:
     tau_ell = (0,)
     ell = float(len(tau_ell))
     phi_bump = young_power_log(r, ell)
-    worst = 0.0
     per_trial = []
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
+    for trial, rng in _trials(spec, report):
         omegas = [_random_weight(rng, space.n) for _ in range(m)]
         omega = np.ones(space.n)
         for w in omegas:
@@ -830,8 +851,7 @@ def _run_endpoint_weak(spec: CheckSpec, trials: int) -> CheckReport:
         fs = [_random_function(rng, space.n) for _ in range(m)]
         bs = [rng.standard_normal(space.n) for _ in range(m)]
         bmos = [bmo_norm(lattice, b) for b in bs]
-        family = random_sparse_family(
-            lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
+        family = trial.family(lattice)
         plain = sparse_endpoint(family, fs, tau=tuple(range(m)),
                                 eta=eta, r=r)
         comm = oscillation_endpoint_form(family, fs, bs, tau_ell, tau_ell,
@@ -859,82 +879,58 @@ def _run_endpoint_weak(spec: CheckSpec, trials: int) -> CheckReport:
                 if rhs != 0:
                     trial_worst = _fold(trial_worst, lhs / rhs)
                 elif lhs > 1e-12:
-                    report.failures.append({
-                        "trial": trial, "seed": spec.seed, "n": spec.n,
-                        "level": float(level), "lhs": lhs, "rhs": 0.0,
-                    })
+                    trial.fail(level=float(level), lhs=lhs, rhs=0.0)
         per_trial.append(trial_worst)
-        worst = _fold(worst, trial_worst)
         if not math.isfinite(trial_worst):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "ratio": trial_worst,
-            })
-    report.worst_ratio = worst
+            trial.fail(ratio=trial_worst)
+    report.worst_ratio = _worst(per_trial)
     report.explicit_constant = max(mg["bound"] for mg in margins)
     report.details = {
         "young_margins": margins,
         "per_trial": per_trial,
         "q0": q0,
     }
-    return report
 
 
 # -- check: m_vs_i ------------------------------------------------------------
 
-def _run_m_vs_i(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_m_vs_i(spec: CheckSpec, report: CheckReport) -> None:
     space = _space_for(spec)
-    report = CheckReport("m_vs_i", MODE_CONSTANT, trials)
     worst = 0.0
     constant = 0.0
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
+    for trial, rng in _trials(spec, report):
         if spec.config is not None:
             m, eta = spec.config.m, spec.config.eta
         else:
-            m = trial % 3 + 1
+            m = trial.index % 3 + 1
             eta = float(rng.choice((0.0, 0.25, 0.5, 0.75))) * m
         fs = [_random_function(rng, space.n) for _ in range(m)]
         lhs = fractional_maximal(space, fs, eta=eta, centered=True)
         scale = float(m) ** (m - eta)
         rhs = scale * fractional_integral(space, fs, eta)
         constant = max(constant, scale)
-        live = rhs > 0
-        if np.any(lhs[~live] > 1e-12):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "m": m, "eta": eta, "point": int(np.argmax(lhs * ~live)),
-                "lhs": float(np.max(lhs[~live])), "rhs": 0.0,
-            })
+        trial_worst = _live_ratio(trial, lhs, rhs, m=m, eta=eta)
+        if trial_worst is None:
             continue
-        ratios = lhs[live] / rhs[live]
-        if ratios.size:
-            worst = _fold(worst, float(ratios.max()))
+        worst = _fold(worst, trial_worst)
         bad = ~(lhs <= rhs * (1.0 + RELATIVE_TOL))  # NaN counts as bad
         if np.any(bad):
             point = int(np.argmax(np.where(bad, lhs / rhs, 0.0)))
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "m": m, "eta": eta, "point": point,
-                "lhs": float(lhs[point]), "rhs": float(rhs[point]),
-                "constant": scale,
-            })
+            trial.fail(m=m, eta=eta, point=point, lhs=float(lhs[point]),
+                       rhs=float(rhs[point]), constant=scale)
     report.worst_ratio = worst
     report.explicit_constant = constant
-    return report
 
 
 # -- check: bmo_lemmas --------------------------------------------------------
 
-def _run_bmo(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_bmo(spec: CheckSpec, report: CheckReport) -> None:
     space, lattice = _setup(spec)
-    report = CheckReport("bmo_lemmas", MODE_MONITOR, trials)
     sups = dict.fromkeys(("upper_gauge_constant", "oscillation_constant",
                           "exponential_gauge_constant",
                           "product_split_constant"), 0.0)
     worst_lower = 0.0
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
+    for trial, rng in _trials(spec, report):
         r = float(rng.choice((1.0, 2.0)))
         f = _random_function(rng, space.n, floor=1e-8)
         b = rng.standard_normal(space.n)
@@ -954,15 +950,12 @@ def _run_bmo(spec: CheckSpec, trials: int) -> CheckReport:
             mem = cube.members
             gauge = gauges[cube.cube_id]
             lower = avg(space, mem, f, 1.0)
-            worst_lower = _fold(worst_lower, lower / gauge)
+            worst_lower = _fold(worst_lower, _ratio(lower, gauge))
             if _violates(lower, gauge):
-                report.failures.append({
-                    "trial": trial, "seed": spec.seed, "n": spec.n,
-                    "cube": int(cube.cube_id), "part": "mean below gauge",
-                    "lhs": lower, "rhs": gauge,
-                })
+                trial.fail(cube=int(cube.cube_id), part="mean below gauge",
+                           lhs=lower, rhs=gauge)
             ratios = {"upper_gauge_constant":
-                      gauge / avg(space, mem, f, r + 1.0)}
+                      _ratio(gauge, avg(space, mem, f, r + 1.0))}
             mean = means[cube.cube_id]
             osc = avg(space, mem, b - mean, r)
             # bmo and rhs4 are >= 0; a NaN one reaches the ratios
@@ -977,29 +970,22 @@ def _run_bmo(spec: CheckSpec, trials: int) -> CheckReport:
             for part, ratio in ratios.items():
                 sups[part] = _fold(sups[part], ratio)
                 if not math.isfinite(ratio):
-                    report.failures.append({
-                        "trial": trial, "seed": spec.seed, "n": spec.n,
-                        "cube": int(cube.cube_id), "part": part,
-                        "ratio": ratio,
-                    })
-    report.worst_ratio = functools.reduce(_fold, sups.values())
+                    trial.fail(cube=int(cube.cube_id), part=part,
+                               ratio=ratio)
+    report.worst_ratio = _worst(sups.values())
     report.explicit_constant = 1.0
     report.details = {"lower_bound_worst": worst_lower, **sups}
-    return report
 
 
 # -- check: caopro_norm_transfer ----------------------------------------------
 
-def _run_caopro(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_caopro(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(2, (2.0, 2.0), 2.0)
     space, lattice = _setup(spec)
-    report = CheckReport("caopro_norm_transfer", MODE_MONITOR, trials)
-    m, p, q, eta = cfg.m, cfg.p, cfg.q, cfg.eta
-    worst = 0.0
+    m, p, eta = cfg.m, cfg.p, cfg.eta
     per_trial = []
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
-        tau = (0,) if trial % 2 == 0 else tuple(range(m))
+    for trial, rng in _trials(spec, report):
+        tau = (0,) if trial.index % 2 == 0 else tuple(range(m))
         sigmas = [_random_weight(rng, space.n) for _ in range(m)]
         omegas = [s_i ** (1.0 - p_i) for s_i, p_i in zip(sigmas, p)]
         u = _random_weight(rng, space.n)
@@ -1011,8 +997,7 @@ def _run_caopro(spec: CheckSpec, trials: int) -> CheckReport:
                 c0 *= fujii_wilson_single(lattice, sigmas[j])
         for val in bmos:
             c0 *= val
-        family = random_sparse_family(
-            lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
+        family = trial.family(lattice)
 
         def commutator(fs, fam=family, sym=bs, t=tau):
             return sparse_first_order(fam, fs, sym, t, t, eta=eta, r=1.0)
@@ -1020,25 +1005,17 @@ def _run_caopro(spec: CheckSpec, trials: int) -> CheckReport:
         def plain(fs, fam=family):
             return sparse_operator(fam, fs, eta=eta)
 
-        est_l = _operator_norm_lower(space, commutator, m, omegas, p, u, q,
-                                     _trial_rng(spec.seed, trial, 2))
-        est_r = _operator_norm_lower(space, plain, m, omegas, p, u, q,
-                                     _trial_rng(spec.seed, trial, 3))
-        ratio = est_l / (c0 * est_r) if est_r > 0 and c0 > 0 else math.inf
-        per_trial.append(ratio)
-        worst = _fold(worst, ratio)
+        est_l, est_r, ratio = _norm_transfer(
+            trial, space, cfg, (commutator, omegas, u), (plain, omegas, u),
+            c0, per_trial)
         if not math.isfinite(ratio) or ratio > CAOPRO_RATIO_BASELINE:
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "tau": list(tau), "ratio": ratio,
-                "baseline": CAOPRO_RATIO_BASELINE,
-                "lhs_norm": est_l, "rhs_norm": est_r, "c0": c0,
-            })
-    report.worst_ratio = worst
+            trial.fail(tau=list(tau), ratio=ratio,
+                       baseline=CAOPRO_RATIO_BASELINE, lhs_norm=est_l,
+                       rhs_norm=est_r, c0=c0)
+    report.worst_ratio = _worst(per_trial)
     report.explicit_constant = CAOPRO_RATIO_BASELINE
     report.details = {"per_trial": per_trial,
                       "baseline": CAOPRO_RATIO_BASELINE}
-    return report
 
 
 # -- checks: bloom_maximal / bloom_iterated -----------------------------------
@@ -1054,16 +1031,13 @@ def _bloom_exponent(x: float) -> float:
     return max(1.0, 1.0 / (x - 1.0))
 
 
-def _run_bloom_maximal(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_bloom_maximal(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(3, (2.0, 2.0, 2.0), 2.0)
     space, lattice = _setup(spec)
-    report = CheckReport("bloom_maximal", MODE_MONITOR, trials)
     m, p, q, eta = cfg.m, cfg.p, cfg.q, cfg.eta
-    worst = 0.0
     per_trial = []
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
-        k, t, tau = _BLOOM_MAX_PRESETS[trial % len(_BLOOM_MAX_PRESETS)]
+    for trial, rng in _trials(spec, report):
+        k, t, tau = _BLOOM_MAX_PRESETS[trial.index % len(_BLOOM_MAX_PRESETS)]
         t_total = sum(k[i] - t[i] for i in tau) - 1
         mus = [_random_weight(rng, space.n) for _ in range(m)]
         vs = {i: _random_weight(rng, space.n) for i in tau}
@@ -1087,8 +1061,7 @@ def _run_bloom_maximal(spec: CheckSpec, trials: int) -> CheckReport:
                                weight=eta0) ** (k[i] - t[i])
             if t[i] > 0:
                 w0 *= bmo_norm(lattice, bs[i], weight=etas[i]) ** t[i]
-        family = random_sparse_family(
-            lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
+        family = trial.family(lattice)
         augmented = _augment_joint(family, [bs[i] for i in tau])
         pair = MultiIndexPair(k, t, tau, tau)
 
@@ -1098,24 +1071,14 @@ def _run_bloom_maximal(spec: CheckSpec, trials: int) -> CheckReport:
         def plain(fs, fam=augmented):
             return sparse_operator(fam, fs, eta=eta)
 
-        est_l = _operator_norm_lower(space, oscillated, m, mus, p, lam, q,
-                                     _trial_rng(spec.seed, trial, 2),
-                                     starts=1, rounds=2)
-        est_r = _operator_norm_lower(space, plain, m, carriers, p, mu0, q,
-                                     _trial_rng(spec.seed, trial, 3),
-                                     starts=1, rounds=2)
-        ratio = est_l / (w0 * est_r) if est_r > 0 and w0 > 0 else math.inf
-        per_trial.append(ratio)
-        worst = _fold(worst, ratio)
+        est_l, est_r, ratio = _norm_transfer(
+            trial, space, cfg, (oscillated, mus, lam), (plain, carriers, mu0),
+            w0, per_trial, starts=1, rounds=2)
         if not math.isfinite(ratio):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "k": list(k), "t": list(t), "tau": list(tau),
-                "lhs_norm": est_l, "rhs_norm": est_r, "transfer": w0,
-            })
-    report.worst_ratio = worst
+            trial.fail(k=list(k), t=list(t), tau=list(tau), lhs_norm=est_l,
+                       rhs_norm=est_r, transfer=w0)
+    report.worst_ratio = _worst(per_trial)
     report.details = {"per_trial": per_trial}
-    return report
 
 
 _BLOOM_ITER_PRESETS = (
@@ -1124,17 +1087,15 @@ _BLOOM_ITER_PRESETS = (
 )
 
 
-def _run_bloom_iterated(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_bloom_iterated(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(4, (2.0,) * 4, 2.0)
     space, lattice = _setup(spec)
-    report = CheckReport("bloom_iterated", MODE_MONITOR, trials)
     m, p, q, eta = cfg.m, cfg.p, cfg.q, cfg.eta
     qx = _bloom_exponent(q)
-    worst = 0.0
     per_trial = []
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
-        k, t, tau = _BLOOM_ITER_PRESETS[trial % len(_BLOOM_ITER_PRESETS)]
+    for trial, rng in _trials(spec, report):
+        k, t, tau = _BLOOM_ITER_PRESETS[trial.index %
+                                        len(_BLOOM_ITER_PRESETS)]
         zeta = _random_weight(rng, space.n)
         lam = _random_weight(rng, space.n)
         zetas = [_random_weight(rng, space.n) for _ in range(m)]
@@ -1185,8 +1146,7 @@ def _run_bloom_iterated(spec: CheckSpec, trials: int) -> CheckReport:
                 muckenhoupt_ap(lattice, thetas[i], p[i]) **
                 ((t[i] - 1.0) / 2.0)) ** _bloom_exponent(p[i])
         carriers = [thetas[i] if i in tau else zetas[i] for i in range(m)]
-        family = random_sparse_family(
-            lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
+        family = trial.family(lattice)
         augmented = _augment_joint(family, [bs[i] for i in tau])
         pair = MultiIndexPair(k, t, tau, tau)
 
@@ -1196,50 +1156,34 @@ def _run_bloom_iterated(spec: CheckSpec, trials: int) -> CheckReport:
         def plain(fs, fam=augmented):
             return sparse_operator(fam, fs, eta=eta)
 
-        est_l = _operator_norm_lower(space, oscillated, m, zetas, p, lam, q,
-                                     _trial_rng(spec.seed, trial, 2),
-                                     starts=1, rounds=2)
-        est_r = _operator_norm_lower(space, plain, m, carriers, p, zeta, q,
-                                     _trial_rng(spec.seed, trial, 3),
-                                     starts=1, rounds=2)
-        ratio = est_l / (transfer * est_r) if est_r > 0 and transfer > 0 \
-            else math.inf
-        per_trial.append(ratio)
-        worst = _fold(worst, ratio)
+        est_l, est_r, ratio = _norm_transfer(
+            trial, space, cfg, (oscillated, zetas, lam),
+            (plain, carriers, zeta), transfer, per_trial, starts=1, rounds=2)
         if not math.isfinite(ratio):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "k": list(k), "t": list(t), "tau": list(tau),
-                "lhs_norm": est_l, "rhs_norm": est_r,
-                "transfer": transfer,
-            })
-    report.worst_ratio = worst
+            trial.fail(k=list(k), t=list(t), tau=list(tau), lhs_norm=est_l,
+                       rhs_norm=est_r, transfer=transfer)
+    report.worst_ratio = _worst(per_trial)
     report.details = {"per_trial": per_trial}
-    return report
 
 
 # -- check: sharp_maximal_commutator ------------------------------------------
 
-def _run_sharp_maximal(spec: CheckSpec, trials: int) -> CheckReport:
+def _run_sharp_maximal(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(3, (2.0, 2.0, 2.0), 2.0)
     space, lattice = _setup(spec)
-    report = CheckReport("sharp_maximal_commutator", MODE_MONITOR, trials)
     m, eta, r = cfg.m, cfg.eta, cfg.r
     tau = tuple(range(m - 1)) if m > 1 else (0,)
     delta = 0.25
     eps = 0.5
     phis = [young_identity() if i in tau else young_llogl(r)
             for i in range(m)]
-    worst = 0.0
     per_trial = []
-    for trial in range(trials):
-        rng = _trial_rng(spec.seed, trial)
+    for trial, rng in _trials(spec, report):
         fs = [_random_function(rng, space.n, floor=1e-8)
               for _ in range(m)]
         bs = [rng.standard_normal(space.n) for _ in range(m)]
         bmos = [bmo_norm(lattice, b) for b in bs]
-        family = random_sparse_family(
-            lattice, _trial_rng(spec.seed, trial, 1 + spec.sparse_seed))
+        family = trial.family(lattice)
         full = oscillation_endpoint_form(family, fs, bs, tau, tau,
                                          eta, r, bmos)
         lhs = sharp_maximal_dyadic(lattice, full, delta=delta)
@@ -1256,27 +1200,15 @@ def _run_sharp_maximal(spec: CheckSpec, trials: int) -> CheckReport:
                 scale = math.prod(bmos[i] for i in sub)
                 rhs = rhs + scale * power_maximal_dyadic(lattice, lower,
                                                          eps)
-        live = rhs > 0
-        if np.any(lhs[~live] > 1e-12):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "point": int(np.argmax(lhs * ~live)),
-                "lhs": float(np.max(lhs[~live])), "rhs": 0.0,
-            })
+        trial_worst = _live_ratio(trial, lhs, rhs)
+        if trial_worst is None:
             continue
-        ratios = lhs[live] / rhs[live]
-        trial_worst = float(ratios.max()) if ratios.size else 0.0
         per_trial.append(trial_worst)
-        worst = _fold(worst, trial_worst)
         if not math.isfinite(trial_worst):
-            report.failures.append({
-                "trial": trial, "seed": spec.seed, "n": spec.n,
-                "ratio": trial_worst,
-            })
-    report.worst_ratio = worst
+            trial.fail(ratio=trial_worst)
+    report.worst_ratio = _worst(per_trial)
     report.details = {"per_trial": per_trial, "delta": delta,
                       "epsilon": eps}
-    return report
 
 
 # -- registry -----------------------------------------------------------------
@@ -1314,9 +1246,11 @@ def run_check(spec: CheckSpec) -> CheckReport:
         raise ValueError(
             f"check {spec.check_id!r} runs in mode {entry.mode!r}, "
             f"not {spec.mode!r}")
+    if spec.trials < 0:
+        raise ValueError(f"trials must be >= 0, got {spec.trials}")
     trials = spec.trials if spec.trials > 0 else entry.default_trials
+    report = CheckReport(spec.check_id, entry.mode, trials)
     start = perf_counter()
-    report = entry.runner(spec, trials)
+    entry.runner(spec, report)
     report.runtime = perf_counter() - start
-    report.mode = entry.mode
     return report

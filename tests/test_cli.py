@@ -3,12 +3,13 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sparselab.cli import cli
+from sparselab.cli import _json_payload, cli
 from sparselab.dyadic import build_standard_lattice
 from sparselab.space import build_grid_space
 from sparselab.verify import CheckReport
@@ -27,6 +28,10 @@ def _write_config(tmp_path, payload, name="config.json"):
 
 def _rows(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
 
 
 class TestSpaceCommand:
@@ -280,6 +285,30 @@ class TestVerifyCommand:
         result = runner.invoke(cli, ["verify"])
         assert result.exit_code == 2
         assert "empty check list" in result.output
+
+    @pytest.mark.parametrize("flag,value", [("--trials", "-5"),
+                                            ("--n", "1")])
+    def test_out_of_range_flag_exits_2(self, runner, flag, value):
+        result = runner.invoke(cli, ["verify", "holder_eq", flag, value])
+        assert result.exit_code == 2
+        assert "must be >=" in result.output
+
+    def test_non_finite_ratio_report_is_strict_json(self, runner, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr("sparselab.verify.holder_sides",
+                            lambda *args: (1.0, 0.0))
+        report = tmp_path / "rep.json"
+        result = runner.invoke(cli, ["verify", "holder_eq", "--trials", "2",
+                                     "--report", str(report)])
+        assert result.exit_code == 1
+        payload = json.loads(report.read_text(),
+                             parse_constant=_reject_constant)
+        assert payload["checks"][0]["worst_ratio"] == "Infinity"
+
+    def test_payload_writes_non_finite_floats_as_strings(self):
+        text = _json_payload({"x": [math.nan, math.inf, -math.inf, 1.5]})
+        assert json.loads(text, parse_constant=_reject_constant) == \
+            {"x": ["NaN", "Infinity", "-Infinity", 1.5]}
 
     def test_passing_checks_write_report(self, runner, tmp_path):
         report = tmp_path / "report.json"

@@ -10,6 +10,11 @@ other float must match to a relative 1e-9.
 Check ids, verdicts and failure lists must match exactly; every other
 float must match to a relative 1e-9.
 
+`verify_failures_n16.json` holds the descriptor of every registry check
+at n = 16, trials = 2, seed 1 under three injected faults that between
+them make every check record failures, so it pins the failure-record
+format.  It is compared under the same rules, with NaN equal to NaN.
+
 Re-record (only when a behaviour change is intended and recorded in
 CHANGES.md) with `python tests/test_golden.py`.
 """
@@ -22,6 +27,7 @@ import tempfile
 import pytest
 from click.testing import CliRunner
 
+from sparselab import verify
 from sparselab.cli import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -30,6 +36,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 SETTINGS = [(n, k, shifts) for n in (16, 64) for k in ("1", "1,1")
             for shifts in (1, 3)] + [(128, "1,1", 3)]
 VERIFY_SIZES = (16, 64)
+FAILURE_GOLDEN = GOLDEN / "verify_failures_n16.json"
 REL = 1e-9
 
 
@@ -59,6 +66,36 @@ def _verify_report(n):
         return json.loads(path.read_text())
 
 
+def _nan_at_zero(original):
+    def patched(*args, **kwargs):
+        f = original(*args, **kwargs)
+        f[0] = math.nan
+        return f
+    return patched
+
+
+def _failure_reports():
+    """Descriptor of every check under each injected fault."""
+    injections = {
+        "violates_always": {"_violates": lambda lhs, rhs: True,
+                            "CAOPRO_RATIO_BASELINE": 0.0},
+        "nan_function": {
+            "_random_function": _nan_at_zero(verify._random_function)},
+        "nan_lp_norm": {"_lp_norm": lambda *args, **kwargs: math.nan},
+    }
+    out = {}
+    for name, patches in injections.items():
+        with pytest.MonkeyPatch.context() as mp:
+            for attr, value in patches.items():
+                mp.setattr(verify, attr, value)
+            out[name] = {
+                cid: verify.run_check(verify.CheckSpec(
+                    cid, n=16, trials=2, seed=1)).to_descriptor()
+                for cid in verify.registry_ids()}
+    # through JSON, as the golden file is read
+    return json.loads(json.dumps(out))
+
+
 def _assert_close(got, want, path):
     if isinstance(want, dict):
         assert isinstance(got, dict) and got.keys() == want.keys(), path
@@ -70,7 +107,8 @@ def _assert_close(got, want, path):
             _assert_close(g, w, f"{path}[{i}]")
     elif isinstance(want, float):
         assert isinstance(got, (int, float)), path
-        assert math.isclose(got, want, rel_tol=REL, abs_tol=0.0), \
+        assert (math.isnan(got) and math.isnan(want)) or \
+            math.isclose(got, want, rel_tol=REL, abs_tol=0.0), \
             f"{path}: {got!r} != {want!r}"
     else:
         assert got == want and type(got) is type(want), path
@@ -112,6 +150,15 @@ def test_verify_n64_matches_golden():
     _check_verify(64)
 
 
+def test_verify_failure_records_match_golden():
+    want = json.loads(FAILURE_GOLDEN.read_text())
+    got = _failure_reports()
+    # together the injections make every check record a failure
+    assert all(any(not checks[cid]["passed"] for checks in want.values())
+               for cid in verify.registry_ids())
+    _assert_close(got, want, "failures")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for setting in SETTINGS:
@@ -124,3 +171,6 @@ if __name__ == "__main__":
         path.write_text(json.dumps(_verify_report(n), sort_keys=True,
                                    indent=2) + "\n")
         print(path)
+    FAILURE_GOLDEN.write_text(json.dumps(_failure_reports(), sort_keys=True,
+                                         indent=2) + "\n")
+    print(FAILURE_GOLDEN)

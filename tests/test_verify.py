@@ -15,7 +15,7 @@ from sparselab.operators import fractional_integral, fractional_maximal
 from sparselab.space import build_grid_space
 from sparselab.verify import (CAOPRO_RATIO_BASELINE, CheckReport, CheckSpec,
                               REGISTRY, _fold, _operator_norm_lower,
-                              _violates, astar_gate_values,
+                              _ratio, _violates, astar_gate_values,
                               holder_sides, kolmogorov_chain_values,
                               oscillation_endpoint_form, registry_ids,
                               run_check, young_composition_margin)
@@ -80,6 +80,10 @@ class TestRegistry:
         report = run_check(CheckSpec("holder_eq", trials=0))
         assert report.trials == REGISTRY["holder_eq"].default_trials
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            run_check(CheckSpec("holder_eq", trials=-5))
+
 
 class TestReports:
     @pytest.mark.parametrize("lhs,rhs,bad", [
@@ -130,6 +134,56 @@ class TestReports:
         assert "runtime_seconds" not in desc
         timed = report.to_descriptor(include_runtime=True)
         assert timed["runtime_seconds"] >= 0.0
+
+
+def _zero(*args, **kwargs):
+    return 0.0
+
+
+class TestZeroDenominators:
+    @pytest.mark.parametrize("lhs,rhs,want", [
+        (2.0, 4.0, 0.5), (0.0, 0.0, 0.0), (1e-13, 0.0, 0.0),
+        (-1e-13, 0.0, 0.0), (1.0, 0.0, math.inf), (math.nan, 0.0, None),
+        (1.0, math.nan, None), (math.nan, 1.0, None),
+        (math.inf, 0.0, math.inf)])
+    def test_ratio_convention(self, lhs, rhs, want):
+        got = _ratio(lhs, rhs)
+        assert math.isnan(got) if want is None else got == want
+
+    @pytest.mark.parametrize("sides,worst,failed", [
+        ((0.0, 0.0), 0.0, []), ((1.0, 0.0), math.inf, [0, 1])])
+    def test_holder_zero_rhs_is_recorded(self, monkeypatch, sides, worst,
+                                         failed):
+        monkeypatch.setattr(verify, "holder_sides", lambda *args: sides)
+        report = run_check(CheckSpec("holder_eq", trials=2))
+        assert report.worst_ratio == worst
+        assert [f["trial"] for f in report.failures] == failed
+        assert all(f["seed"] == 1 and f["n"] == 16 for f in report.failures)
+
+    @pytest.mark.parametrize("check_id,name,worst", [
+        ("dyadic_maximal", "_lp_norm", 0.0),
+        # every ratio is 0, so 1 / ratio_inf is inf
+        ("dyadicsum_equiv", "_lp_norm", math.inf),
+        # rhs = 0 under a positive lhs
+        ("testing_lemma", "astar_from_duals", math.inf)])
+    def test_zero_factor_ratios(self, monkeypatch, check_id, name, worst):
+        monkeypatch.setattr(verify, name, _zero)
+        assert run_check(CheckSpec(check_id, trials=2)).worst_ratio == worst
+
+    def test_bmo_zero_functions_do_not_raise(self, monkeypatch):
+        monkeypatch.setattr(verify, "_random_function",
+                            lambda rng, n, floor=0.0: np.zeros(n))
+        report = run_check(CheckSpec("bmo_lemmas", trials=1))
+        assert report.details["upper_gauge_constant"] == 0.0
+        assert report.details["lower_bound_worst"] == 0.0
+
+    def test_bmo_zero_gauge_fails_the_lower_bound(self, monkeypatch):
+        monkeypatch.setattr(verify, "luxemburg_norm",
+                            lambda lattice, f, phi: np.zeros(
+                                len(lattice.cubes)))
+        report = run_check(CheckSpec("bmo_lemmas", trials=1))
+        assert report.details["lower_bound_worst"] == math.inf
+        assert {f["part"] for f in report.failures} == {"mean below gauge"}
 
 
 class TestHolderCheck:
