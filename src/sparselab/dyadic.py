@@ -157,39 +157,50 @@ class DyadicLattice:
     # -- construction helpers ---------------------------------------------
 
     def _finish(self, gen_members: list[list[np.ndarray]],
-                centers: list[list[int]]) -> None:
-        """Populate cubes from per-generation member blocks (finest last)."""
+                centers: list) -> None:
+        """Populate cubes from per-generation member blocks (finest last).
+
+        Each generation is labelled in one pass and checked with one
+        count per point; nesting is one gather of every point's parent
+        label.  Partition and cover are checked on every generation
+        before nesting on any, and the first offending generation, or
+        cube by id, is named.
+        """
         n = self.space.n
-        self.point_to_cube = np.full((len(gen_members), n), -1, dtype=np.intp)
+        self.point_to_cube = np.empty((len(gen_members), n), dtype=np.intp)
+        heads = []  # per generation, the first member of each cube
         for k, blocks in enumerate(gen_members):
-            ids = []
-            for idx, members in enumerate(blocks):
-                members = np.asarray(members, dtype=np.intp)
-                cube = Cube(
-                    system=self.system, gen=k, index=idx, members=members,
-                    center=int(centers[k][idx]), cube_id=len(self.cubes),
-                    mass=self.space.mass_of(members), lat=self,
-                )
-                self.cubes.append(cube)
-                ids.append(cube.cube_id)
-                if np.any(self.point_to_cube[k, members] != -1):
-                    raise LatticeError(f"generation {k} does not partition")
-                self.point_to_cube[k, members] = cube.cube_id
-            if np.any(self.point_to_cube[k] == -1):
+            blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
+            first = len(self.cubes)
+            sizes = np.array([b.size for b in blocks])
+            members = np.concatenate(blocks)
+            counts = np.bincount(members, minlength=n)
+            if np.any(counts > 1) or np.any(sizes == 0):
+                raise LatticeError(f"generation {k} does not partition")
+            if np.any(counts == 0):
                 raise LatticeError(f"generation {k} does not cover the space")
+            ids = list(range(first, first + len(blocks)))
+            self.point_to_cube[k, members] = np.repeat(ids, sizes)
+            self.cubes.extend(
+                Cube(system=self.system, gen=k, index=idx, members=block,
+                     center=int(centers[k][idx]), cube_id=first + idx,
+                     mass=self.space.mass_of(block), lat=self)
+                for idx, block in enumerate(blocks))
             self.generations.append(ids)
+            heads.append(members[np.cumsum(sizes) - sizes])
         # summed like every other cube statistic, so a constant averages
         # to itself exactly
         self.cube_masses = self.cube_sums(np.ones(n))
         for k in range(1, len(gen_members)):
-            for cid in self.generations[k]:
-                cube = self.cubes[cid]
-                parent = int(self.point_to_cube[k - 1, cube.members[0]])
-                if not np.all(self.point_to_cube[k - 1, cube.members] == parent):
-                    raise LatticeError(
-                        f"cube {cid} at generation {k} is not nested"
-                    )
-                cube.parent = parent
+            parents = self.point_to_cube[k - 1, heads[k]]
+            own = self.point_to_cube[k]
+            first = self.generations[k][0]
+            straddles = parents[own - first] != self.point_to_cube[k - 1]
+            if np.any(straddles):
+                cid = int(own[straddles].min())
+                raise LatticeError(f"cube {cid} at generation {k} is not nested")
+            for cid, parent in zip(self.generations[k], parents.tolist()):
+                self.cubes[cid].parent = parent
                 self.cubes[parent].children.append(cid)
 
     # -- reports -----------------------------------------------------------
@@ -274,28 +285,25 @@ def build_standard_lattice(space: DiscreteSpace, system: int = 0,
     levels = _grid_levels(n)
     lat = DyadicLattice(space, system, STANDARD_DELTA, STANDARD_A1,
                         STANDARD_BIG_A1)
+    points = np.arange(n, dtype=np.intp)
     gen_members: list[list[np.ndarray]] = []
-    centers: list[list[int]] = []
+    centers: list[np.ndarray] = []
     for k in range(levels + 1):
         width = n >> k
-        cuts = sorted({(shift + j * width) % n for j in range(1 << k)})
+        cuts = np.unique((shift + np.arange(1 << k) * width) % n)
         if cuts[0] == 0:
-            bounds = cuts + [n]
-        elif len(cuts) == 1:
+            bounds = np.append(cuts, n)
+        elif cuts.size == 1:
             # one cyclic block wrapping the whole index range: keep whole
-            bounds = [0, n]
+            bounds = np.array([0, n])
         else:
             # block straddling the boundary splits there into two cubes
-            bounds = [0] + cuts + [n]
-        blocks = [np.arange(bounds[i], bounds[i + 1], dtype=np.intp)
-                  for i in range(len(bounds) - 1)]
-        for block in blocks:
-            if not np.all(np.diff(block) == 1):
-                raise LatticeError(
-                    f"shift {shift} produced a non-interval cube"
-                )
-        gen_members.append(blocks)
-        centers.append([int(b[(len(b) - 1) // 2]) for b in blocks])
+            bounds = np.concatenate([[0], cuts, [n]])
+        sizes = np.diff(bounds)
+        if np.any(sizes <= 0):
+            raise LatticeError(f"shift {shift} produced a non-interval cube")
+        gen_members.append(np.split(points, bounds[1:-1]))
+        centers.append(bounds[:-1] + (sizes - 1) // 2)
     lat._finish(gen_members, centers)
     return lat
 

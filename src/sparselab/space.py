@@ -281,18 +281,18 @@ def build_explicit_space(metric, masses, a0: float | None = None) -> DiscreteSpa
 def doubling_constant(space: DiscreteSpace) -> float:
     """Minimal C with mu(B(x, 2r)) <= C mu(B(x, r)) for every x and r > 0.
 
-    The ratio is piecewise constant in r; both balls only change at the
-    breakpoints {d, d/2 : d a distance from x}, so scanning those (plus
-    r = 0) realizes the exact supremum over all radii.
+    The ratio is a right-continuous step function of r.  It rises only
+    where the outer ball grows, at r = d/2 for a distance d from x, and
+    falls where the inner ball grows, so its supremum over all radii is
+    its largest value at those breakpoints: the mass of ball j over the
+    mass of the last ball of radius at most radii[j] / 2.
     """
     best = 1.0
     for x in range(space.n):
-        # one row per center serves both radius lookups
-        _, d, prefix = space._sorted_row(x)
-        cand = np.unique(np.concatenate([[0.0], d, 0.5 * d]))
-        inner = prefix[np.searchsorted(d, cand, side="right") - 1]
-        outer = prefix[np.searchsorted(d, 2.0 * cand, side="right") - 1]
-        best = max(best, float(np.max(outer / inner)))
+        order, radii, ends = space.balls(x)
+        mass = np.cumsum(space.masses[order])[ends - 1]
+        inner = mass[np.searchsorted(radii, 0.5 * radii, side="right") - 1]
+        best = max(best, float(np.max(mass / inner)))
     return best
 
 

@@ -702,6 +702,10 @@ def _run_dyadicsum(spec: CheckSpec, report: CheckReport) -> None:
     sup_ratio = _worst(per_trial)
     inf_ratio = functools.reduce(functools.partial(_fold, pick=min),
                                  per_trial, math.inf)
+    if inf_ratio == 0:
+        # the lower equivalence constant 1 / ratio_inf is infinite; a
+        # non-finite trial ratio is already recorded by its trial
+        report.failures.append({"trial": "ratio-inf", "ratio_inf": 0.0})
     report.worst_ratio = _fold(sup_ratio, _ratio(1.0, inf_ratio))
     report.details = {"ratio_sup": sup_ratio, "ratio_inf": inf_ratio,
                       "per_trial": per_trial}

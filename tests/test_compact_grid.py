@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from sparselab.cli import cli
+from sparselab.dyadic import build_standard_lattice
 from sparselab.operators import ball_mass_kernel
 from sparselab.space import (GridSpace, build_explicit_space,
                              build_grid_space, doubling_constant)
@@ -58,6 +59,21 @@ def test_grid_build_and_rows_stay_below_n_squared_bytes():
         sp.balls(n // 3)
         sp.ball_mass(n // 3, np.linspace(0.0, 1.0, 64))
         sp.distances(n - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
+
+
+def test_doubling_scan_and_lattice_stay_below_n_squared_bytes():
+    # an n-by-n table of even one byte per entry would reach n^2 bytes;
+    # the space is built first, as its a0 spot check has its own transient
+    n = 2048
+    sp = build_grid_space(n)
+    tracemalloc.start()
+    try:
+        doubling_constant(sp)
+        build_standard_lattice(sp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from sparselab.dyadic import (
     AdjacentSystems,
+    STANDARD_A1,
+    STANDARD_BIG_A1,
+    STANDARD_DELTA,
     CoverError,
+    Cube,
+    DyadicLattice,
     LatticeError,
     WitnessSelectionError,
     _compute_c_adj,
@@ -103,6 +108,159 @@ def parent_random_sparse_family(lattice, rng, delta=0.5):
             ids.remove(err.cube_id)
             drops += 1
     return select_witnesses(lattice, [root], delta), drops
+
+
+def reference_finish(lat, gen_members, centers):
+    """The per-cube _finish the generation passes replaced: one mass,
+    partition and nesting check per cube."""
+    n = lat.space.n
+    lat.point_to_cube = np.full((len(gen_members), n), -1, dtype=np.intp)
+    for k, blocks in enumerate(gen_members):
+        ids = []
+        for idx, members in enumerate(blocks):
+            members = np.asarray(members, dtype=np.intp)
+            cube = Cube(
+                system=lat.system, gen=k, index=idx, members=members,
+                center=int(centers[k][idx]), cube_id=len(lat.cubes),
+                mass=lat.space.mass_of(members), lat=lat,
+            )
+            lat.cubes.append(cube)
+            ids.append(cube.cube_id)
+            if np.any(lat.point_to_cube[k, members] != -1):
+                raise LatticeError(f"generation {k} does not partition")
+            lat.point_to_cube[k, members] = cube.cube_id
+        if np.any(lat.point_to_cube[k] == -1):
+            raise LatticeError(f"generation {k} does not cover the space")
+        lat.generations.append(ids)
+    lat.cube_masses = lat.cube_sums(np.ones(n))
+    for k in range(1, len(gen_members)):
+        for cid in lat.generations[k]:
+            cube = lat.cubes[cid]
+            parent = int(lat.point_to_cube[k - 1, cube.members[0]])
+            if not np.all(lat.point_to_cube[k - 1, cube.members] == parent):
+                raise LatticeError(f"cube {cid} at generation {k} is not nested")
+            cube.parent = parent
+            lat.cubes[parent].children.append(cid)
+
+
+def reference_standard_lattice(space, shift=0):
+    """The per-block build_standard_lattice the bound arrays replaced."""
+    n = space.n
+    lat = DyadicLattice(space, 0, STANDARD_DELTA, STANDARD_A1,
+                        STANDARD_BIG_A1)
+    gen_members, centers = [], []
+    for k in range(n.bit_length()):
+        width = n >> k
+        cuts = sorted({(shift + j * width) % n for j in range(1 << k)})
+        if cuts[0] == 0:
+            bounds = cuts + [n]
+        elif len(cuts) == 1:
+            bounds = [0, n]
+        else:
+            bounds = [0] + cuts + [n]
+        blocks = [np.arange(bounds[i], bounds[i + 1], dtype=np.intp)
+                  for i in range(len(bounds) - 1)]
+        for block in blocks:
+            if not np.all(np.diff(block) == 1):
+                raise LatticeError(
+                    f"shift {shift} produced a non-interval cube")
+        gen_members.append(blocks)
+        centers.append([int(b[(len(b) - 1) // 2]) for b in blocks])
+    reference_finish(lat, gen_members, centers)
+    return lat
+
+
+def assert_same_lattice(got, want):
+    assert got.generations == want.generations
+    for name in ("point_to_cube", "cube_masses"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert len(got.cubes) == len(want.cubes)
+    for a, b in zip(got.cubes, want.cubes):
+        assert a.members.dtype == b.members.dtype
+        assert np.array_equal(a.members, b.members)
+        assert type(a.center) is int and a.center == b.center
+        assert repr(a.mass) == repr(b.mass)
+        assert (a.system, a.gen, a.index, a.cube_id, a.parent, a.children) \
+            == (b.system, b.gen, b.index, b.cube_id, b.parent, b.children)
+
+
+def _lattice_masses(n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "unit":
+        return np.ones(n)
+    if kind == "uniform":
+        return rng.uniform(0.1, 3.0, size=n)
+    return rng.lognormal(0.0, 1.5, size=n)
+
+
+class TestFinish:
+    """_finish on hand-built generations: the first offending generation
+    or cube is named, partition and cover before nesting."""
+
+    @staticmethod
+    def finish(n, gen_members):
+        lat = DyadicLattice(build_grid_space(n), 0, STANDARD_DELTA,
+                            STANDARD_A1, STANDARD_BIG_A1)
+        blocks = [[np.array(b, dtype=np.intp) for b in gen]
+                  for gen in gen_members]
+        lat._finish(blocks, [[0] * len(gen) for gen in blocks])
+        return lat
+
+    @pytest.mark.parametrize("gens,message", [
+        ([[[0, 1, 2, 3]], [[0, 1, 2], [2, 3]]],
+         "generation 1 does not partition"),
+        ([[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2], [2], [3]]],
+         "generation 2 does not partition"),
+        ([[[0, 1, 2, 3]], [[0, 1], [3]]],
+         "generation 1 does not cover the space"),
+        # a gap and an overlap in one generation: the overlap is named
+        ([[[0, 1, 2, 3]], [[0, 1], [1]]],
+         "generation 1 does not partition"),
+        ([[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2], [3]]],
+         "cube 4 at generation 2 is not nested"),
+        # the first straddling cube by id
+        ([[[0, 1, 2, 3, 4, 5, 6, 7]], [[0, 1, 2, 3], [4, 5, 6, 7]],
+          [[0, 1], [2, 3], [4, 5], [6, 7]],
+          [[0], [1, 2], [3], [4], [5, 6], [7]]],
+         "cube 8 at generation 3 is not nested"),
+        ([[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2], [3]],
+          [[0], [1], [2]]],
+         "generation 3 does not cover the space"),
+    ])
+    def test_error_names_first_offender(self, gens, message):
+        n = len(gens[0][0])
+        with pytest.raises(LatticeError, match=f"^{message}$"):
+            self.finish(n, gens)
+
+    def test_empty_block_does_not_partition(self):
+        # a cube with no member is no cell of a partition, and it has no
+        # first member to find its parent by
+        with pytest.raises(LatticeError,
+                           match="^generation 1 does not partition$"):
+            self.finish(4, [[[0, 1, 2, 3]], [[0, 1], [], [2, 3]]])
+
+
+class TestStandardLatticeReference:
+    @pytest.mark.parametrize("kind", ["unit", "uniform", "lognormal"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 64, 256, 2048])
+    def test_matches_per_block_build(self, n, kind):
+        sp = build_grid_space(n, _lattice_masses(n, kind))
+        for shift in sorted({0, 1 % n, n // 3, n - 1}):
+            assert_same_lattice(build_standard_lattice(sp, shift=shift),
+                                reference_standard_lattice(sp, shift))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hk_cube_dump_unchanged(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(size=(24, 2))
+        metric = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        sp = build_explicit_space(metric, rng.lognormal(0.0, 1.0, size=24))
+        got = build_hk_lattice(sp, 0.5)
+        monkeypatch.setattr(DyadicLattice, "_finish", reference_finish)
+        want = build_hk_lattice(sp, 0.5)
+        assert_same_lattice(got, want)
+        assert lattice_to_json(got) == lattice_to_json(want)
 
 
 class TestStandardLattice:

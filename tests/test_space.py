@@ -34,6 +34,20 @@ def oracle_doubling(metric, masses):
     return best
 
 
+def reference_doubling(space):
+    """The sorted-candidate scan the ball-index scan replaced: every
+    radius in {0} + {d} + {d/2} from each center, deduplicated by
+    np.unique, with both ball masses looked up in the prefix row."""
+    best = 1.0
+    for x in range(space.n):
+        _, d, prefix = space._sorted_row(x)
+        cand = np.unique(np.concatenate([[0.0], d, 0.5 * d]))
+        inner = prefix[np.searchsorted(d, cand, side="right") - 1]
+        outer = prefix[np.searchsorted(d, 2.0 * cand, side="right") - 1]
+        best = max(best, float(np.max(outer / inner)))
+    return best
+
+
 def quasi_triangle_loops(metric):
     """Triple-loop oracle: max of d(x, y) / (d(x, z) + d(z, y)), at least 1."""
     n = metric.shape[0]
@@ -159,6 +173,34 @@ class TestDoublingConstant:
             )
 
 
+    @pytest.mark.parametrize("kind", ["unit", "uniform", "lognormal"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 64, 256, 2048])
+    def test_grids_equal_the_sorted_candidate_scan(self, n, kind):
+        rng = np.random.default_rng(n)
+        masses = {"unit": np.ones(n),
+                  "uniform": rng.uniform(0.1, 3.0, size=n),
+                  "lognormal": rng.lognormal(0.0, 1.5, size=n)}[kind]
+        sp = build_grid_space(n, masses)
+        assert doubling_constant(sp) == reference_doubling(sp)
+
+    @pytest.mark.parametrize("kind", ["plane", "plane-squared", "cycle"])
+    def test_explicit_spaces_equal_the_sorted_candidate_scan(self, kind):
+        # plane distances rarely tie; squared they form a quasi-metric;
+        # cycle distances tie everywhere and d/2 is often a distance too,
+        # so both balls grow at the same radius
+        rng = np.random.default_rng(11)
+        n = 40
+        if kind == "cycle":
+            k = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+            metric = np.minimum(k, n - k).astype(float)
+        else:
+            pts = rng.uniform(size=(n, 2))
+            metric = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+            metric = metric ** (2.0 if kind == "plane-squared" else 1.0)
+        sp = build_explicit_space(metric, rng.lognormal(0.0, 1.0, size=n))
+        assert doubling_constant(sp) == reference_doubling(sp)
+
+
 class TestQuasiTriangle:
     def test_grid_is_metric(self):
         sp = build_grid_space(16)
@@ -224,6 +266,14 @@ def random_point_spaces(draw):
     metric = eucl**power
     masses = np.exp(rng.uniform(-1, 1, size=n))
     return metric, masses
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_point_spaces())
+def test_doubling_equals_the_sorted_candidate_scan(data):
+    metric, masses = data
+    sp = build_explicit_space(metric, masses)
+    assert doubling_constant(sp) == reference_doubling(sp)
 
 
 @settings(max_examples=40, deadline=None)

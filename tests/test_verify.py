@@ -170,6 +170,13 @@ class TestZeroDenominators:
         monkeypatch.setattr(verify, name, _zero)
         assert run_check(CheckSpec(check_id, trials=2)).worst_ratio == worst
 
+    def test_dyadicsum_zero_ratio_inf_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "_lp_norm", _zero)
+        report = run_check(CheckSpec("dyadicsum_equiv", trials=2))
+        assert report.details["ratio_inf"] == 0.0
+        assert report.passed is False
+        assert report.failures == [{"trial": "ratio-inf", "ratio_inf": 0.0}]
+
     def test_bmo_zero_functions_do_not_raise(self, monkeypatch):
         monkeypatch.setattr(verify, "_random_function",
                             lambda rng, n, floor=0.0: np.zeros(n))
