@@ -15,6 +15,12 @@ at n = 16, trials = 2, seed 1 under three injected faults that between
 them make every check record failures, so it pins the failure-record
 format.  It is compared under the same rules, with NaN equal to NaN.
 
+`lattice_n16_s3.json` holds the stdout of `lattice --n 16 --shifts 3`, and
+`hk_lattice_n24.json` the `lattice_to_json` dump of a net lattice on a
+seeded 24-point plane space with a random witness family.  Both are
+compared byte for byte: member order, parents, mass reprs and witness
+lists must not move.
+
 Re-record (only when a behaviour change is intended and recorded in
 CHANGES.md) with `python tests/test_golden.py`.
 """
@@ -24,11 +30,15 @@ import math
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from sparselab import verify
 from sparselab.cli import cli
+from sparselab.dyadic import (build_hk_lattice, lattice_to_json,
+                              random_sparse_family)
+from sparselab.space import build_explicit_space
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # n = 128 with k = 1,1 and three shifts: the bilinear grand-maximal
@@ -37,6 +47,8 @@ SETTINGS = [(n, k, shifts) for n in (16, 64) for k in ("1", "1,1")
             for shifts in (1, 3)] + [(128, "1,1", 3)]
 VERIFY_SIZES = (16, 64)
 FAILURE_GOLDEN = GOLDEN / "verify_failures_n16.json"
+LATTICE_GOLDEN = GOLDEN / "lattice_n16_s3.json"
+HK_GOLDEN = GOLDEN / "hk_lattice_n24.json"
 REL = 1e-9
 
 
@@ -94,6 +106,22 @@ def _failure_reports():
                 for cid in verify.registry_ids()}
     # through JSON, as the golden file is read
     return json.loads(json.dumps(out))
+
+
+def _lattice_report():
+    result = CliRunner().invoke(cli, ["--seed", "1", "lattice", "--n", "16",
+                                      "--shifts", "3"])
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+def _hk_dump():
+    rng = np.random.default_rng(22)
+    pts = rng.uniform(size=(24, 2))
+    metric = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+    space = build_explicit_space(metric, rng.lognormal(0.0, 1.0, size=24))
+    lattice = build_hk_lattice(space, 0.7)
+    return lattice_to_json(lattice, random_sparse_family(lattice, rng)) + "\n"
 
 
 def _assert_close(got, want, path):
@@ -159,6 +187,14 @@ def test_verify_failure_records_match_golden():
     _assert_close(got, want, "failures")
 
 
+def test_lattice_report_matches_golden_bytes():
+    assert _lattice_report() == LATTICE_GOLDEN.read_text()
+
+
+def test_hk_lattice_dump_matches_golden_bytes():
+    assert _hk_dump() == HK_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for setting in SETTINGS:
@@ -174,3 +210,6 @@ if __name__ == "__main__":
     FAILURE_GOLDEN.write_text(json.dumps(_failure_reports(), sort_keys=True,
                                          indent=2) + "\n")
     print(FAILURE_GOLDEN)
+    LATTICE_GOLDEN.write_text(_lattice_report())
+    HK_GOLDEN.write_text(_hk_dump())
+    print(LATTICE_GOLDEN, HK_GOLDEN)
