@@ -374,6 +374,11 @@ def _require_exponents(ecfg, kind, m):
         raise ConfigError(f"exponents.m = {ecfg.m} but {m} weights given")
 
 
+_JOINT_CONSTANTS = {"A_pq_star": joint_astar_constant,
+                    "A_pq": fractional_apq_constant,
+                    "W_inf": fujii_wilson_constant, "H_inf": hruscev_constant}
+
+
 def _constant_rows(kind, lattice, ws, ecfg):
     m = len(ws)
     if kind == "A_p":
@@ -384,21 +389,9 @@ def _constant_rows(kind, lattice, ws, ecfg):
         return [(f"A_inf_fujii:{i}",
                  *fujii_wilson_single(lattice, w, detail=True))
                 for i, w in enumerate(ws)]
-    if kind == "A_pq_star":
+    if kind in _JOINT_CONSTANTS:
         _require_exponents(ecfg, kind, m)
-        return [("A_pq_star", *joint_astar_constant(
-            lattice, ws, ecfg.p, ecfg.q, detail=True))]
-    if kind == "A_pq":
-        _require_exponents(ecfg, kind, m)
-        return [("A_pq", *fractional_apq_constant(
-            lattice, ws, ecfg.p, ecfg.q, detail=True))]
-    if kind == "W_inf":
-        _require_exponents(ecfg, kind, m)
-        return [("W_inf", *fujii_wilson_constant(
-            lattice, ws, ecfg.p, ecfg.q, detail=True))]
-    if kind == "H_inf":
-        _require_exponents(ecfg, kind, m)
-        return [("H_inf", *hruscev_constant(
+        return [(kind, *_JOINT_CONSTANTS[kind](
             lattice, ws, ecfg.p, ecfg.q, detail=True))]
     if kind in ("W_inf_i", "H_inf_i"):
         _require_exponents(ecfg, kind, m)
@@ -499,6 +492,8 @@ def cmd_sparse(ctx, n, eta, dump_path):
     if eta is None:
         eta = ecfg.eta if ecfg is not None else 0.0
     _require_finite(eta, "eta")
+    if eta < 0:
+        raise ConfigError("eta must be >= 0")
     fs = _functions_from_config(space, cfg, m, seed, 7)
     coeffs = sparse_coefficients(lattice, fs, eta=eta, p0=p0, gamma=gamma)
     out_arr = family.pointwise(coeffs) ** (1.0 / gamma)
@@ -579,8 +574,8 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
     if eta is None:
         eta = _num_field(cfg, "eta", "config", default=0.0)
     _require_finite(eta, "eta")
-    if eta >= m:
-        raise ConfigError(f"eta must be < {m} (the slot count)")
+    if not 0 <= eta < m:
+        raise ConfigError(f"eta must lie in [0, {m}) (m = slot count)")
     if alpha is None:
         alpha = _num_field(cfg, "alpha", "config", default=1.0)
     _require_finite(alpha, "alpha")

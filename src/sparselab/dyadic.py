@@ -1,9 +1,10 @@
 """Dyadic lattices, adjacent systems, and sparse families.
 
 A lattice is a list of generations; each generation partitions the point
-set into cubes, and cubes nest across generations.  Every cube carries
-its center and the two sandwich radii: the largest ball around the
-center still inside the cube and the smallest ball containing it.
+set into cubes, and cubes nest across generations.  Cubes live in arrays
+indexed by cube id; a `Cube` view carries a cube's center and the two
+sandwich radii: the largest ball around the center still inside the
+cube and the smallest ball containing it.
 
 Three constructions are provided: the standard binary lattice on grids,
 cyclically shifted copies of it forming adjacent systems, and a general
@@ -16,6 +17,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,8 @@ class CoverError(ValueError):
 
 @dataclass
 class Cube:
+    """One cube of a lattice, read from the lattice's arrays."""
+
     system: int
     gen: int
     index: int
@@ -62,8 +66,7 @@ class Cube:
     @property
     def core_radius(self) -> float:
         """Largest realized radius r with B(center, r) a subset of the cube."""
-        inside = np.zeros(self.lat.space.n, dtype=bool)
-        inside[self.members] = True
+        inside = self.lat.point_to_cube[self.gen] == self.cube_id
         order, radii, ends = self.lat.space.balls(self.center)
         kept = np.logical_and.accumulate(inside[order])[ends - 1]
         return float(radii[kept][-1])
@@ -74,7 +77,28 @@ class Cube:
         return float(sp.distances(self.center)[self.members].max())
 
 
+class _Cubes(Sequence):
+    """Every cube of a lattice by id, each view built when read."""
+
+    def __init__(self, lat: "DyadicLattice"):
+        self.lat = lat
+
+    def __len__(self) -> int:
+        return len(self.lat.gen)
+
+    def __getitem__(self, cube_id: int) -> Cube:
+        return self.lat.cube(cube_id)
+
+
 class DyadicLattice:
+    """Nested partitions as arrays by cube id, in (gen, index) order:
+    `gen`, `index`, `center`, `parent` (-1 at generation 0), `mass` (each
+    cube's own `mass_of` sum), and `start`/`stop`, a cube's members as a
+    slice of row `gen` of `member_table`.  Row k of `member_table` lists
+    the generation-k cubes' members and row k of `point_to_cube` labels
+    every point with its generation-k cube.
+    """
+
     def __init__(self, space: DiscreteSpace, system: int, delta: float,
                  a1: float, big_a1: float):
         self.space = space
@@ -82,29 +106,33 @@ class DyadicLattice:
         self.delta = float(delta)
         self.a1 = float(a1)
         self.big_a1 = float(big_a1)
-        self.cubes: list[Cube] = []
-        self.generations: list[list[int]] = []
-        self.point_to_cube: np.ndarray | None = None
-        self.cube_masses: np.ndarray | None = None
+        self.generations: list[range] = []
 
     @property
     def depth(self) -> int:
         return len(self.generations) - 1
 
+    @property
+    def cubes(self) -> _Cubes:
+        return _Cubes(self)
+
     def cube(self, cube_id: int) -> Cube:
-        return self.cubes[cube_id]
+        cid = range(len(self.gen))[cube_id]
+        k, parent = self.gen.item(cid), self.parent.item(cid)
+        lo, hi = self._child_start.item(cid), self._child_start.item(cid + 1)
+        return Cube(
+            system=self.system, gen=k, index=self.index.item(cid),
+            members=self.member_table[
+                k, self.start.item(cid):self.stop.item(cid)],
+            center=self.center.item(cid), cube_id=cid,
+            mass=self.mass.item(cid), parent=None if parent < 0 else parent,
+            children=self._children[lo:hi].tolist(), lat=self)
 
     def cubes_at(self, k: int) -> list[Cube]:
-        return [self.cubes[i] for i in self.generations[k]]
-
-    def all_cubes(self) -> list[Cube]:
-        return list(self.cubes)
+        return [self.cube(i) for i in self.generations[k]]
 
     def cube_containing(self, k: int, x: int) -> Cube:
-        return self.cubes[int(self.point_to_cube[k, x])]
-
-    def cubes_containing(self, x: int) -> list[Cube]:
-        return [self.cube_containing(k, x) for k in range(self.depth + 1)]
+        return self.cube(self.point_to_cube[k, x])
 
     # -- cube statistics ---------------------------------------------------
     # Row k of point_to_cube labels every point with its generation-k
@@ -120,7 +148,7 @@ class DyadicLattice:
             np.asarray(values, dtype=np.float64) * self.space.masses,
             self.point_to_cube.shape)
         return np.bincount(self.point_to_cube.ravel(), weighted.ravel(),
-                           minlength=len(self.cubes))
+                           minlength=len(self.gen))
 
     def cube_means(self, values) -> np.ndarray:
         """Normalized (signed) average of values over every cube."""
@@ -131,7 +159,7 @@ class DyadicLattice:
         member is NaN."""
         values = np.broadcast_to(np.asarray(values, dtype=np.float64),
                                  self.point_to_cube.shape)
-        out = np.full(len(self.cubes), -np.inf)
+        out = np.full(len(self.gen), -np.inf)
         with np.errstate(invalid="ignore"):
             np.maximum.at(out, self.point_to_cube.ravel(), values.ravel())
         return out
@@ -158,60 +186,66 @@ class DyadicLattice:
 
     def _finish(self, gen_members: list[list[np.ndarray]],
                 centers: list) -> None:
-        """Populate cubes from per-generation member blocks (finest last).
+        """Fill the cube arrays from per-generation member blocks (finest
+        last).
 
         Each generation is labelled in one pass and checked with one
-        count per point; nesting is one gather of every point's parent
+        count per point; nesting is one gather of every cube's parent
         label.  Partition and cover are checked on every generation
         before nesting on any, and the first offending generation, or
         cube by id, is named.
         """
         n = self.space.n
         self.point_to_cube = np.empty((len(gen_members), n), dtype=np.intp)
-        heads = []  # per generation, the first member of each cube
+        self.member_table = np.empty_like(self.point_to_cube)
+        sizes, masses = [], []
         for k, blocks in enumerate(gen_members):
             blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
-            first = len(self.cubes)
-            sizes = np.array([b.size for b in blocks])
+            sizes.append(np.array([b.size for b in blocks], dtype=np.intp))
             members = np.concatenate(blocks)
             counts = np.bincount(members, minlength=n)
-            if np.any(counts > 1) or np.any(sizes == 0):
+            if np.any(counts > 1) or np.any(sizes[k] == 0):
                 raise LatticeError(f"generation {k} does not partition")
             if np.any(counts == 0):
                 raise LatticeError(f"generation {k} does not cover the space")
-            ids = list(range(first, first + len(blocks)))
-            self.point_to_cube[k, members] = np.repeat(ids, sizes)
-            self.cubes.extend(
-                Cube(system=self.system, gen=k, index=idx, members=block,
-                     center=int(centers[k][idx]), cube_id=first + idx,
-                     mass=self.space.mass_of(block), lat=self)
-                for idx, block in enumerate(blocks))
+            ids = range(len(masses), len(masses) + len(blocks))
+            self.member_table[k] = members
+            self.point_to_cube[k, members] = np.repeat(ids, sizes[k])
             self.generations.append(ids)
-            heads.append(members[np.cumsum(sizes) - sizes])
+            masses.extend(self.space.mass_of(b) for b in blocks)
+        self.gen = np.repeat(np.arange(len(sizes)), [s.size for s in sizes])
+        self.index = np.concatenate([np.arange(s.size) for s in sizes])
+        self.stop = np.concatenate([np.cumsum(s) for s in sizes])
+        self.start = self.stop - np.concatenate(sizes)
+        self.center = np.concatenate(centers).astype(np.intp)
+        self.mass = np.array(masses)
         # summed like every other cube statistic, so a constant averages
         # to itself exactly
         self.cube_masses = self.cube_sums(np.ones(n))
-        for k in range(1, len(gen_members)):
-            parents = self.point_to_cube[k - 1, heads[k]]
-            own = self.point_to_cube[k]
-            first = self.generations[k][0]
-            straddles = parents[own - first] != self.point_to_cube[k - 1]
-            if np.any(straddles):
-                cid = int(own[straddles].min())
-                raise LatticeError(f"cube {cid} at generation {k} is not nested")
-            for cid, parent in zip(self.generations[k], parents.tolist()):
-                self.cubes[cid].parent = parent
-                self.cubes[parent].children.append(cid)
+        # a cube's parent holds its first member one generation up
+        kids = self.gen > 0
+        self.parent = np.full(len(masses), -1, dtype=np.intp)
+        self.parent[kids] = self.point_to_cube[
+            self.gen[kids] - 1, self.member_table[self.gen, self.start][kids]]
+        straddles = self.parent[self.point_to_cube[1:]] != \
+            self.point_to_cube[:-1]
+        if np.any(straddles):
+            k = int(straddles.any(axis=1).argmax())
+            cid = int(self.point_to_cube[k + 1][straddles[k]].min())
+            raise LatticeError(f"cube {cid} at generation {k + 1} is not nested")
+        # children by parent, each parent's in id order
+        self._child_start = np.concatenate([[0], np.cumsum(
+            np.bincount(self.parent[kids], minlength=len(masses)))])
+        self._children = np.argsort(self.parent, kind="stable")[
+            len(self.generations[0]):]
 
     # -- reports -----------------------------------------------------------
 
     def cmu0(self) -> float:
         """Largest parent-to-child mass ratio over consecutive generations."""
-        best = 1.0
-        for cube in self.cubes:
-            for child_id in cube.children:
-                best = max(best, cube.mass / self.cubes[child_id].mass)
-        return best
+        kids = self.parent >= 0
+        return float(np.max(self.mass[self.parent[kids]] / self.mass[kids],
+                            initial=1.0))
 
     def containment_report(self) -> dict:
         """Check the nominal two-ball sandwich for every cube.
@@ -221,19 +255,17 @@ class DyadicLattice:
         (must contain it) around its center.  Failures are reported, not
         raised; effective radii always satisfy the sandwich.
         """
-        sp = self.space
         failures = []
         for cube in self.cubes:
             scale = self.delta ** cube.gen
-            core = sp.ball(cube.center, self.a1 * scale)
-            contain = sp.ball(cube.center, self.big_a1 * scale)
-            mem = set(cube.members.tolist())
-            core_ok = set(core.members.tolist()) <= mem
-            contain_ok = mem <= set(contain.members.tolist())
+            dist = self.space.distances(cube.center)
+            core_ok = bool(np.all(self.point_to_cube[
+                cube.gen, dist <= self.a1 * scale] == cube.cube_id))
+            contain_ok = bool(dist[cube.members].max() <= self.big_a1 * scale)
             if not (core_ok and contain_ok):
                 failures.append({
                     "cube_id": cube.cube_id, "gen": cube.gen,
-                    "core_ok": bool(core_ok), "contain_ok": bool(contain_ok),
+                    "core_ok": core_ok, "contain_ok": contain_ok,
                     "core_radius": cube.core_radius,
                     "containment_radius": cube.containment_radius,
                 })
@@ -243,32 +275,25 @@ class DyadicLattice:
 
     def check_invariants(self) -> None:
         """Exact partition and mass-telescope checks; raises on violation."""
-        total = self.space.masses.sum()
-        for k, ids in enumerate(self.generations):
-            counts = np.zeros(self.space.n, dtype=np.intp)
-            gen_mass = 0.0
-            for cid in ids:
-                counts[self.cubes[cid].members] += 1
-                gen_mass += self.cubes[cid].mass
-            if not np.all(counts == 1):
+        total = float(self.space.masses.sum())
+        gen_mass = np.bincount(self.gen, self.mass)
+        for k, row in enumerate(self.member_table):
+            if not np.all(np.bincount(row, minlength=self.space.n) == 1):
                 raise LatticeError(f"generation {k} is not a partition")
-            if gen_mass != float(total) and not math.isclose(
-                    gen_mass, float(total), rel_tol=1e-12):
+            if not math.isclose(gen_mass[k], total, rel_tol=1e-12):
                 raise LatticeError(f"generation {k} mass mismatch")
-        for cube in self.cubes:
-            if cube.children:
-                child_mass = sum(self.cubes[c].mass for c in cube.children)
-                if not math.isclose(cube.mass, child_mass, rel_tol=1e-12):
-                    raise LatticeError(
-                        f"cube {cube.cube_id} mass does not telescope"
-                    )
+        kids = self.parent >= 0
+        child_mass = np.bincount(self.parent[kids], self.mass[kids],
+                                 minlength=len(self.gen))
+        loose = (np.diff(self._child_start) > 0) & (
+            np.abs(self.mass - child_mass) >
+            1e-12 * np.maximum(self.mass, child_mass))
+        if np.any(loose):
+            raise LatticeError(
+                f"cube {int(np.flatnonzero(loose)[0])} mass does not telescope")
 
 
 # -- standard grid lattice ---------------------------------------------------
-
-def _grid_levels(n: int) -> int:
-    return n.bit_length() - 1
-
 
 def build_standard_lattice(space: DiscreteSpace, system: int = 0,
                            shift: int = 0) -> DyadicLattice:
@@ -282,23 +307,17 @@ def build_standard_lattice(space: DiscreteSpace, system: int = 0,
         raise LatticeError("standard lattice requires a grid space; "
                            "use build_hk_lattice for explicit spaces")
     n = space.n
-    levels = _grid_levels(n)
     lat = DyadicLattice(space, system, STANDARD_DELTA, STANDARD_A1,
                         STANDARD_BIG_A1)
     points = np.arange(n, dtype=np.intp)
     gen_members: list[list[np.ndarray]] = []
     centers: list[np.ndarray] = []
-    for k in range(levels + 1):
+    for k in range(n.bit_length()):
         width = n >> k
         cuts = np.unique((shift + np.arange(1 << k) * width) % n)
-        if cuts[0] == 0:
-            bounds = np.append(cuts, n)
-        elif cuts.size == 1:
-            # one cyclic block wrapping the whole index range: keep whole
-            bounds = np.array([0, n])
-        else:
-            # block straddling the boundary splits there into two cubes
-            bounds = np.concatenate([[0], cuts, [n]])
+        # a block straddling the index boundary splits there into two
+        # cubes; one cyclic block wrapping the whole range stays whole
+        bounds = np.union1d(cuts if cuts.size > 1 else 0, [0, n])
         sizes = np.diff(bounds)
         if np.any(sizes <= 0):
             raise LatticeError(f"shift {shift} produced a non-interval cube")
@@ -323,18 +342,27 @@ class AdjacentSystems:
         return len(self.lattices)
 
 
+def _cube_ends(lat: DyadicLattice, cids) -> tuple[np.ndarray, np.ndarray]:
+    """First and last member of each cube in cids (any shape)."""
+    k = lat.gen[cids]
+    return (lat.member_table[k, lat.start[cids]],
+            lat.member_table[k, lat.stop[cids] - 1])
+
+
 def _compute_c_adj(space: DiscreteSpace, lattices: list[DyadicLattice]) -> float:
     """Exhaustive ball scan: worst-case minimal dilation over covering cubes.
 
-    On a grid cubes and balls are index intervals, and the balls around a
+    A cube holding a ball holds its center, so only the center's home
+    cubes, column x of point_to_cube, can cover a ball around x.  On a
+    grid cubes and balls are index intervals, and the balls around a
     center grow, so each cube covers the balls of a prefix of the radii.
     A cube's dilation is the distance to its farther end over the radius.
     """
-    cubes = [cube for lat in lattices for cube in lat.cubes]
-    los = np.array([int(cube.members[0]) for cube in cubes])
-    his = np.array([int(cube.members[-1]) for cube in cubes])
+    homes = [_cube_ends(lat, lat.point_to_cube) for lat in lattices]
+    home_los, home_his = (np.concatenate(e) for e in zip(*homes))
     worst = 1.0
     for x in range(space.n):
+        los, his = home_los[:, x], home_his[:, x]
         order, radii, ends = space.balls(x)
         radii, ends = radii[1:], ends[1:]
         blo = np.minimum.accumulate(order)[ends - 1]
@@ -363,12 +391,7 @@ def build_shifted_adjacent(space: DiscreteSpace, shifts: int) -> AdjacentSystems
     if shifts < 1:
         raise LatticeError("shift count must be positive")
     n = space.n
-    values, seen = [], set()
-    for t in range(shifts):
-        s = (n * t) // shifts
-        if s % n not in seen:
-            seen.add(s % n)
-            values.append(s % n)
+    values = list(dict.fromkeys((n * t) // shifts % n for t in range(shifts)))
     lattices = []
     skipped = []
     for idx, s in enumerate(values):
@@ -386,22 +409,23 @@ def build_shifted_adjacent(space: DiscreteSpace, shifts: int) -> AdjacentSystems
 def adjacent_cover(systems: AdjacentSystems, ball: Ball) -> tuple[int, Cube]:
     """Smallest-mass cube Q with ball <= Q <= c_adj-dilated ball.
 
-    Ties broken lexicographically by (system, generation, index).  In
-    each lattice the cubes holding the ball sit at the generations where
-    its members share one cube; a cube stays inside the dilated ball when
-    no point beyond the dilated radius shares it.
+    Ties broken lexicographically by (system, generation, index).  Only
+    the center's home cubes can hold the ball.  Cubes and balls are
+    index intervals (shifted systems exist only on grids), so a home
+    cube holds the ball when its ends enclose the ball's, and stays
+    inside the dilated ball when both its ends do.
     """
-    sp = systems.space
     x = ball.center
-    far = np.flatnonzero(sp.distances(x) > systems.c_adj * ball.radius)
+    dist = systems.space.distances(x)
+    bound = systems.c_adj * ball.radius
     best = None
     for lat in systems.lattices:
-        table = lat.point_to_cube
-        home = table[:, ball.members[:1]]
-        fits = np.all(table[:, ball.members] == home, axis=1) & \
-            ~np.any(table[:, far] == home, axis=1)
-        for cid in home[fits, 0]:
-            cube = lat.cubes[cid]
+        home = lat.point_to_cube[:, x]
+        lo, hi = _cube_ends(lat, home)
+        fits = (lo <= ball.members[0]) & (hi >= ball.members[-1]) & \
+            (np.maximum(dist[lo], dist[hi]) <= bound)
+        for cid in home[fits]:
+            cube = lat.cube(cid)
             key = (cube.mass, lat.system, cube.gen, cube.index)
             if best is None or key < best[0]:
                 best = (key, lat.system, cube)
@@ -449,59 +473,43 @@ def build_hk_lattice(space: DiscreteSpace, delta: float,
         raise LatticeError("delta must lie in (0, 1)")
     metric = space.metric
     n = space.n
-    nets: list[list[int]] = []
-    net = [0]
-    k = 0
-    while True:
+    nets, net = [], [0]
+    for k in range(_MAX_GENERATIONS + 1):
         net = _greedy_net(metric, net, delta**k)
         # separation audit for the generation just built
-        arr = np.array(net)
-        if len(arr) > 1:
-            sub = metric[np.ix_(arr, arr)]
-            off = sub[~np.eye(len(arr), dtype=bool)]
-            if off.min() < delta**k * (1 - 1e-12):
-                raise LatticeError(f"net separation violated at generation {k}")
+        sub = metric[np.ix_(net, net)]
+        np.fill_diagonal(sub, np.inf)
+        if sub.min() < delta**k * (1 - 1e-12):
+            raise LatticeError(f"net separation violated at generation {k}")
         nets.append(list(net))
         if len(net) == n:
             break
-        k += 1
-        if k > _MAX_GENERATIONS:
-            raise LatticeError(
-                f"net construction exceeded {_MAX_GENERATIONS} generations "
-                f"(stalled at generation {k - 1})"
-            )
-    depth = len(nets) - 1
-    # attach finer centers to coarser ones
-    parent_center: list[dict[int, int]] = [dict() for _ in range(depth + 1)]
-    for k in range(1, depth + 1):
-        coarse = np.array(nets[k - 1])
-        coarse_set = set(nets[k - 1])
-        for c in nets[k]:
-            if c in coarse_set:
-                parent_center[k][c] = c
-                continue
-            d = metric[c, coarse]
-            best = d.min()
-            tied = coarse[d == best]
-            parent_center[k][c] = int(tied.min() if k == depth else tied.max())
-    # subtree-union members, finest generation first
-    members: list[dict[int, list[int]]] = [dict() for _ in range(depth + 1)]
-    for c in nets[depth]:
-        members[depth][c] = [c]
-    for k in range(depth, 0, -1):
-        for c in nets[k - 1]:
-            members[k - 1][c] = []
-        for c in nets[k]:
-            members[k - 1][parent_center[k][c]].extend(members[k][c])
+    else:
+        raise LatticeError(
+            f"net construction exceeded {_MAX_GENERATIONS} generations "
+            f"(stalled at generation {_MAX_GENERATIONS})")
+    # each point's center per generation, finest first: a finer center
+    # attaches to a nearest coarser one (distance ties: smallest index at
+    # the finest generation, largest above it), a center to itself
+    label = np.arange(n)
     gen_members, centers = [], []
-    for k in range(depth + 1):
-        order = sorted(nets[k])
-        gen_members.append([np.array(sorted(members[k][c]), dtype=np.intp)
-                            for c in order])
-        centers.append(order)
-    a1 = 1.0 / (3.0 * space.a0**2)
-    big_a1 = 2.0 * space.a0
-    lat = DyadicLattice(space, system, delta, a1, big_a1)
+    for k in range(len(nets) - 1, -1, -1):
+        if k < len(nets) - 1:
+            fine, coarse = np.array(nets[k + 1]), np.array(nets[k])
+            d = metric[np.ix_(fine, coarse)]
+            tied = d == d.min(axis=1, keepdims=True)
+            up = np.empty(n, dtype=np.intp)
+            up[fine] = (np.where(tied, coarse, n).min(axis=1)
+                        if k + 2 == len(nets)
+                        else np.where(tied, coarse, -1).max(axis=1))
+            label = up[label]
+        # a cube's members in point order, cubes by center
+        order = np.argsort(label, kind="stable")
+        heads, starts = np.unique(label[order], return_index=True)
+        gen_members.insert(0, np.split(order, starts[1:]))
+        centers.insert(0, heads)
+    lat = DyadicLattice(space, system, delta, 1.0 / (3.0 * space.a0**2),
+                        2.0 * space.a0)
     lat._finish(gen_members, centers)
     return lat
 
@@ -514,9 +522,6 @@ class SparseFamily:
     cube_ids: list[int]
     witnesses: dict[int, np.ndarray]
     delta: float
-
-    def cubes(self) -> list[Cube]:
-        return [self.lattice.cube(cid) for cid in self.cube_ids]
 
     def witness_mass(self, cube_id: int) -> float:
         return self.lattice.space.mass_of(self.witnesses[cube_id])
@@ -565,8 +570,7 @@ def verify_sparse(family: SparseFamily) -> SparseReport:
             violations.append({"cube_id": cid, "reason": "missing witness"})
             continue
         wit = np.asarray(family.witnesses[cid], dtype=np.intp)
-        mem = set(cube.members.tolist())
-        if not set(wit.tolist()) <= mem:
+        if not set(wit.tolist()) <= set(cube.members.tolist()):
             violations.append({"cube_id": cid,
                                "reason": "witness not inside cube"})
         counts[wit] += 1
@@ -594,16 +598,18 @@ def _witness_walk(lattice: DyadicLattice, cube_ids: list[int],
     (cube id, free mass) of every skipped cube, in walk order.
     """
     sp = lattice.space
-    order = sorted(cube_ids, key=lambda cid: (-lattice.cube(cid).gen,
-                                              lattice.cube(cid).index))
+    ids = np.asarray(cube_ids, dtype=np.intp)
+    order = ids[np.lexsort((lattice.index[ids], -lattice.gen[ids]))]
     taken = np.zeros(sp.n, dtype=bool)
     witnesses: dict[int, np.ndarray] = {}
     starved = []
-    for cid in order:
-        cube = lattice.cube(cid)
-        free = cube.members[~taken[cube.members]]
+    for cid, k, lo, hi, mass in zip(order.tolist(), *(
+            a[order].tolist() for a in (lattice.gen, lattice.start,
+                                        lattice.stop, lattice.mass))):
+        members = lattice.member_table[k, lo:hi]
+        free = members[~taken[members]]
         free_mass = math.fsum(sp.masses[free]) if free.size else 0.0
-        if free_mass < delta * cube.mass * (1 - 1e-9):
+        if free_mass < delta * mass * (1 - 1e-9):
             starved.append((cid, free_mass))
             continue
         witnesses[cid] = free
@@ -641,24 +647,22 @@ def random_sparse_family(lattice: DyadicLattice, rng,
     leaf) leaves the selector room, and every cube the greedy selection
     starves is dropped in one witness walk.
     """
+    first, kids = lattice._child_start.tolist(), lattice._children.tolist()
     ids = []
     root = lattice.generations[0][0]
     stack = [root]
     while stack:
         cid = stack.pop()
-        cube = lattice.cube(cid)
-        if not cube.children:
+        children = kids[first[cid]:first[cid + 1]]
+        if not children:
             if rng.uniform() < 0.5:
                 ids.append(cid)
             continue
         roll = rng.uniform()
-        if roll < 0.25:
+        if roll < 0.55:
             ids.append(cid)
-        elif roll < 0.55:
-            ids.append(cid)
-            stack.extend(reversed(cube.children))
-        else:
-            stack.extend(reversed(cube.children))
+        if roll >= 0.25:
+            stack.extend(reversed(children))
     if not ids:
         ids = [root]
     ids = sorted(set(ids))
@@ -695,6 +699,7 @@ def max_feasible_delta(lattice: DyadicLattice, cube_ids: list[int],
 
 def lattice_to_descriptor(lattice: DyadicLattice,
                           family: SparseFamily | None = None) -> dict:
+    witnesses = family.witnesses if family is not None else {}
     cubes = []
     for cube in lattice.cubes:
         entry = {
@@ -703,9 +708,8 @@ def lattice_to_descriptor(lattice: DyadicLattice,
             "members": cube.members.tolist(), "parent": cube.parent,
             "mass": cube.mass,
         }
-        if family is not None and cube.cube_id in family.witnesses:
-            entry["witness"] = np.asarray(
-                family.witnesses[cube.cube_id]).tolist()
+        if cube.cube_id in witnesses:
+            entry["witness"] = np.asarray(witnesses[cube.cube_id]).tolist()
         cubes.append(entry)
     return {
         "system": lattice.system, "delta": lattice.delta, "a1": lattice.a1,

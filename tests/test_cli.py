@@ -249,6 +249,18 @@ class TestDominateCommand:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("args,message", [
+        (["dominate", "--n", "8", "--eta", "-1"],
+         "Error: eta must lie in [0, 1) (m = slot count)"),
+        (["sparse", "--n", "8", "--eta", "-3"], "Error: eta must be >= 0"),
+    ])
+    def test_negative_eta_exits_2(self, runner, args, message):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert [line for line in result.output.splitlines()
+                if line.startswith("Error:")] == [message]
+
     def test_four_slots_exit_2(self, runner):
         result = runner.invoke(cli, ["dominate", "--n", "16",
                                      "--k", "1,1,1,1"])

@@ -568,7 +568,7 @@ def test_augment_pointwise_oscillation_bound(grid32):
 
 def test_augment_infeasible_reselection_errors():
     lat = build_standard_lattice(build_grid_space(8))
-    every = [c.cube_id for c in lat.all_cubes()]
+    every = [c.cube_id for c in lat.cubes]
     fam = SparseFamily(lat, every, {c: lat.cube(c).members for c in every},
                        0.5)
     with pytest.raises(WitnessSelectionError):

@@ -35,38 +35,40 @@ from sparselab.space import build_explicit_space, build_grid_space
 
 
 def oracle_c_adj(space, lattices):
-    """Brute-force covering scan over every realized ball, sets only."""
+    """Brute-force covering scan over every realized ball and every cube,
+    with membership as boolean rows."""
+    inside = np.array([np.isin(np.arange(space.n), cube.members)
+                       for lat in lattices for cube in lat.cubes])
     worst = 1.0
     for x in range(space.n):
+        reach = np.where(inside, space.metric[x], -np.inf).max(axis=1)
         for r in space.realized_distances(x):
-            ball = set(np.flatnonzero(space.metric[x] <= r).tolist())
-            best = None
-            for lat in lattices:
-                for cube in lat.cubes:
-                    mem = set(cube.members.tolist())
-                    if ball <= mem:
-                        dil = max(space.metric[x][m] for m in mem) / r
-                        if best is None or dil < best:
-                            best = dil
-            worst = max(worst, best)
+            ball = space.metric[x] <= r
+            covers = ~np.any(ball & ~inside, axis=1)
+            worst = max(worst, float(reach[covers].min() / r))
     return worst
 
 
-def parent_adjacent_cover(systems, ball):
-    """The set-based adjacent_cover the cube-layer version replaced."""
+def cube_sets(systems):
+    """(system, cube, member set) of every cube of every lattice."""
+    return [(lat.system, cube, set(cube.members.tolist()))
+            for lat in systems.lattices for cube in lat.cubes]
+
+
+def parent_adjacent_cover(systems, ball, cubes=None):
+    """The set-based adjacent_cover the cube-layer version replaced;
+    cubes, when given, is cube_sets(systems)."""
     sp = systems.space
     x = ball.center
     want = set(ball.members.tolist())
     dilated = sp.ball(x, systems.c_adj * ball.radius)
     allowed = set(dilated.members.tolist())
     best = None
-    for lat in systems.lattices:
-        for cube in lat.cubes:
-            mem = set(cube.members.tolist())
-            if want <= mem and mem <= allowed:
-                key = (cube.mass, lat.system, cube.gen, cube.index)
-                if best is None or key < best[0]:
-                    best = (key, lat.system, cube)
+    for system, cube, mem in cubes or cube_sets(systems):
+        if want <= mem and mem <= allowed:
+            key = (cube.mass, system, cube.gen, cube.index)
+            if best is None or key < best[0]:
+                best = (key, system, cube)
     if best is None:
         raise CoverError(f"no cube covers ball B({x}, {ball.radius}) "
                          "within the dilation bound", ball=ball)
@@ -112,35 +114,55 @@ def parent_random_sparse_family(lattice, rng, delta=0.5):
 
 def reference_finish(lat, gen_members, centers):
     """The per-cube _finish the generation passes replaced: one mass,
-    partition and nesting check per cube."""
+    partition and nesting check per cube.  Returns the reference
+    records: point_to_cube, cube_masses, generations and one Cube each."""
     n = lat.space.n
-    lat.point_to_cube = np.full((len(gen_members), n), -1, dtype=np.intp)
+    point_to_cube = np.full((len(gen_members), n), -1, dtype=np.intp)
+    cubes, generations = [], []
     for k, blocks in enumerate(gen_members):
         ids = []
         for idx, members in enumerate(blocks):
             members = np.asarray(members, dtype=np.intp)
             cube = Cube(
                 system=lat.system, gen=k, index=idx, members=members,
-                center=int(centers[k][idx]), cube_id=len(lat.cubes),
+                center=int(centers[k][idx]), cube_id=len(cubes),
                 mass=lat.space.mass_of(members), lat=lat,
             )
-            lat.cubes.append(cube)
+            cubes.append(cube)
             ids.append(cube.cube_id)
-            if np.any(lat.point_to_cube[k, members] != -1):
+            if np.any(point_to_cube[k, members] != -1):
                 raise LatticeError(f"generation {k} does not partition")
-            lat.point_to_cube[k, members] = cube.cube_id
-        if np.any(lat.point_to_cube[k] == -1):
+            point_to_cube[k, members] = cube.cube_id
+        if np.any(point_to_cube[k] == -1):
             raise LatticeError(f"generation {k} does not cover the space")
-        lat.generations.append(ids)
-    lat.cube_masses = lat.cube_sums(np.ones(n))
+        generations.append(ids)
+    cube_masses = np.bincount(
+        point_to_cube.ravel(),
+        np.broadcast_to(lat.space.masses, point_to_cube.shape).ravel(),
+        minlength=len(cubes))
     for k in range(1, len(gen_members)):
-        for cid in lat.generations[k]:
-            cube = lat.cubes[cid]
-            parent = int(lat.point_to_cube[k - 1, cube.members[0]])
-            if not np.all(lat.point_to_cube[k - 1, cube.members] == parent):
+        for cid in generations[k]:
+            cube = cubes[cid]
+            parent = int(point_to_cube[k - 1, cube.members[0]])
+            if not np.all(point_to_cube[k - 1, cube.members] == parent):
                 raise LatticeError(f"cube {cid} at generation {k} is not nested")
             cube.parent = parent
-            lat.cubes[parent].children.append(cid)
+            cubes[parent].children.append(cid)
+    return SimpleNamespace(point_to_cube=point_to_cube,
+                           cube_masses=cube_masses,
+                           generations=generations, cubes=cubes)
+
+
+def reference_json(lat, want):
+    """The per-cube lattice_to_json, read from reference records."""
+    cubes = [{"id": c.cube_id, "system": c.system, "gen": c.gen,
+              "index": c.index, "center": c.center,
+              "members": c.members.tolist(), "parent": c.parent,
+              "mass": c.mass} for c in want.cubes]
+    return json.dumps({"system": lat.system, "delta": lat.delta,
+                       "a1": lat.a1, "A1": lat.big_a1,
+                       "depth": len(want.generations) - 1, "cubes": cubes},
+                      sort_keys=True)
 
 
 def reference_standard_lattice(space, shift=0):
@@ -166,12 +188,12 @@ def reference_standard_lattice(space, shift=0):
                     f"shift {shift} produced a non-interval cube")
         gen_members.append(blocks)
         centers.append([int(b[(len(b) - 1) // 2]) for b in blocks])
-    reference_finish(lat, gen_members, centers)
-    return lat
+    return reference_finish(lat, gen_members, centers)
 
 
 def assert_same_lattice(got, want):
-    assert got.generations == want.generations
+    """A lattice's arrays and cube views against reference records."""
+    assert [list(ids) for ids in got.generations] == want.generations
     for name in ("point_to_cube", "cube_masses"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -180,9 +202,12 @@ def assert_same_lattice(got, want):
         assert a.members.dtype == b.members.dtype
         assert np.array_equal(a.members, b.members)
         assert type(a.center) is int and a.center == b.center
-        assert repr(a.mass) == repr(b.mass)
+        assert type(a.mass) is float and repr(a.mass) == repr(b.mass)
         assert (a.system, a.gen, a.index, a.cube_id, a.parent, a.children) \
             == (b.system, b.gen, b.index, b.cube_id, b.parent, b.children)
+        assert all(type(v) is int for v in (a.system, a.gen, a.index,
+                                             a.cube_id, *a.children))
+        assert a.lat is got
 
 
 def _lattice_masses(n, kind):
@@ -257,10 +282,13 @@ class TestStandardLatticeReference:
         metric = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         sp = build_explicit_space(metric, rng.lognormal(0.0, 1.0, size=24))
         got = build_hk_lattice(sp, 0.5)
-        monkeypatch.setattr(DyadicLattice, "_finish", reference_finish)
-        want = build_hk_lattice(sp, 0.5)
+        calls = []
+        monkeypatch.setattr(DyadicLattice, "_finish",
+                            lambda lat, *args: calls.append((lat, *args)))
+        build_hk_lattice(sp, 0.5)
+        want = reference_finish(*calls[0])
         assert_same_lattice(got, want)
-        assert lattice_to_json(got) == lattice_to_json(want)
+        assert lattice_to_json(got) == reference_json(got, want)
 
 
 class TestStandardLattice:
@@ -373,11 +401,21 @@ class TestShiftedAdjacent:
         systems = build_shifted_adjacent(sp, 3)
         assert oracle_c_adj(sp, systems.lattices) == systems.c_adj
 
+    @pytest.mark.parametrize("n,shifts", [(64, 3), (128, 3), (128, 4)])
+    def test_c_adj_matches_oracle_larger(self, n, shifts):
+        sp = build_grid_space(n)
+        systems = build_shifted_adjacent(sp, shifts)
+        assert oracle_c_adj(sp, systems.lattices) == systems.c_adj
+
     def test_c_adj_names_first_uncovered_ball(self):
         sp = build_grid_space(8)
         lat = build_standard_lattice(sp)
         # without the root, the balls around 0 past index 3 stay uncovered
-        no_root = SimpleNamespace(cubes=lat.cubes[1:])
+        no_root = DyadicLattice(sp, 0, STANDARD_DELTA, STANDARD_A1,
+                                STANDARD_BIG_A1)
+        no_root._finish(
+            [[c.members for c in lat.cubes_at(k)] for k in range(1, 4)],
+            [[c.center for c in lat.cubes_at(k)] for k in range(1, 4)])
         with pytest.raises(CoverError, match=r"B\(0, 0.5\)") as err:
             _compute_c_adj(sp, [no_root])
         assert err.value.ball.radius == 0.5
@@ -424,6 +462,20 @@ class TestShiftedAdjacent:
                 ball = sp.ball(x, float(r))
                 sys_idx, cube = adjacent_cover(systems, ball)
                 want_idx, want = parent_adjacent_cover(systems, ball)
+                assert (sys_idx, cube.cube_id) == (want_idx, want.cube_id)
+
+    @pytest.mark.parametrize("shifts", [3, 4])
+    def test_cover_matches_parent_on_every_ball_n64(self, shifts):
+        masses = np.random.default_rng(6).integers(1, 5, 64).astype(float)
+        sp = build_grid_space(64, masses=masses)
+        systems = build_shifted_adjacent(sp, shifts)
+        cubes = cube_sets(systems)
+        for x in range(sp.n):
+            _, radii, _ = sp.balls(x)
+            for r in radii:
+                ball = sp.ball(x, float(r))
+                sys_idx, cube = adjacent_cover(systems, ball)
+                want_idx, want = parent_adjacent_cover(systems, ball, cubes)
                 assert (sys_idx, cube.cube_id) == (want_idx, want.cube_id)
 
     def test_cover_error_within_dilation(self):
