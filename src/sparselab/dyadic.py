@@ -140,19 +140,38 @@ class DyadicLattice:
     # table, and per-cube values return to points by the gather
     # values[point_to_cube], reduced over axis 0.  Inputs have shape (n,)
     # or (generations, n); row k of the latter is read on generation-k
-    # cubes, for integrands that depend on the cube (b - <b>_Q).
+    # cubes, for integrands that depend on the cube (b - <b>_Q).  A block
+    # of B columns has the explicit 3-D shape (generations or 1, n, B).
 
     def cube_sums(self, values) -> np.ndarray:
-        """Integral of values against mu over every cube, by cube id."""
-        weighted = np.broadcast_to(
-            np.asarray(values, dtype=np.float64) * self.space.masses,
-            self.point_to_cube.shape)
+        """Integral of values against mu over every cube, by cube id.
+
+        A 3-D block (generations or 1, n, B) gives (cubes, B): one
+        bincount with column b of cube c at bin c * B + b, so each column
+        is summed in the same point order as a single (n,) call and
+        equals it bit for bit.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim == 3:
+            width = values.shape[2]
+            weighted = np.broadcast_to(
+                values * self.space.masses[:, None],
+                self.point_to_cube.shape + (width,))
+            bins = self.point_to_cube[..., None] * width + np.arange(width)
+            return np.bincount(
+                bins.ravel(), weighted.ravel(),
+                minlength=len(self.gen) * width).reshape(len(self.gen), width)
+        weighted = np.broadcast_to(values * self.space.masses,
+                                   self.point_to_cube.shape)
         return np.bincount(self.point_to_cube.ravel(), weighted.ravel(),
                            minlength=len(self.gen))
 
     def cube_means(self, values) -> np.ndarray:
-        """Normalized (signed) average of values over every cube."""
-        return self.cube_sums(values) / self.cube_masses
+        """Normalized (signed) average of values over every cube; a 3-D
+        block gives one column per block column."""
+        sums = self.cube_sums(values)
+        return sums / (self.cube_masses[:, None] if sums.ndim == 2
+                       else self.cube_masses)
 
     def cube_max(self, values) -> np.ndarray:
         """Largest member value of every cube, by cube id; NaN if a
@@ -316,11 +335,10 @@ def build_standard_lattice(space: DiscreteSpace, system: int = 0,
         width = n >> k
         cuts = np.unique((shift + np.arange(1 << k) * width) % n)
         # a block straddling the index boundary splits there into two
-        # cubes; one cyclic block wrapping the whole range stays whole
+        # cubes; one cyclic block wrapping the whole range stays whole.
+        # union1d sorts and dedupes, so every block is a nonempty interval
         bounds = np.union1d(cuts if cuts.size > 1 else 0, [0, n])
         sizes = np.diff(bounds)
-        if np.any(sizes <= 0):
-            raise LatticeError(f"shift {shift} produced a non-interval cube")
         gen_members.append(np.split(points, bounds[1:-1]))
         centers.append(bounds[:-1] + (sizes - 1) // 2)
     lat._finish(gen_members, centers)
@@ -335,7 +353,6 @@ class AdjacentSystems:
     lattices: list[DyadicLattice]
     c_adj: float
     shifts: list[int]
-    skipped_shifts: list[int] = field(default_factory=list)
 
     @property
     def count(self) -> int:
@@ -392,18 +409,10 @@ def build_shifted_adjacent(space: DiscreteSpace, shifts: int) -> AdjacentSystems
         raise LatticeError("shift count must be positive")
     n = space.n
     values = list(dict.fromkeys((n * t) // shifts % n for t in range(shifts)))
-    lattices = []
-    skipped = []
-    for idx, s in enumerate(values):
-        try:
-            lattices.append(build_standard_lattice(space, system=idx, shift=s))
-        except LatticeError:
-            skipped.append(s)
-    if not lattices:
-        raise LatticeError("no shift produced a valid lattice")
-    c_adj = _compute_c_adj(space, lattices)
-    return AdjacentSystems(space, lattices, c_adj,
-                           [s for s in values if s not in skipped], skipped)
+    lattices = [build_standard_lattice(space, system=idx, shift=s)
+                for idx, s in enumerate(values)]
+    return AdjacentSystems(space, lattices, _compute_c_adj(space, lattices),
+                           values)
 
 
 def adjacent_cover(systems: AdjacentSystems, ball: Ball) -> tuple[int, Cube]:
@@ -537,14 +546,21 @@ class SparseFamily:
     def pointwise(self, coeffs, factor=1.0) -> np.ndarray:
         """sum over the listed cubes Q of coeffs[Q] * factor on Q.
 
-        coeffs is indexed by cube id; unlisted cubes are ignored and a
+        coeffs is indexed by cube id, shaped (cubes,) for an (n,) result
+        or (cubes, B) for an (n, B) one; unlisted cubes are ignored and a
         cube listed twice counts twice.  factor is a scalar or a
-        (generations, n) array read like a cube_sums input.
+        (generations, n) array read like a cube_sums input.  The sum over
+        generations runs in generation order, column by column alike.
         """
         lat = self.lattice
         count = np.bincount(np.asarray(self.cube_ids, dtype=np.intp),
                             minlength=len(lat.cubes))[lat.point_to_cube]
-        terms = count * np.asarray(coeffs)[lat.point_to_cube] * factor
+        vals = np.asarray(coeffs)[lat.point_to_cube]
+        if vals.ndim == 3:
+            count = count[..., None]
+            if np.ndim(factor):
+                factor = np.asarray(factor)[..., None]
+        terms = count * vals * factor
         return np.where(count > 0, terms, 0.0).sum(axis=0)
 
 
@@ -700,16 +716,20 @@ def max_feasible_delta(lattice: DyadicLattice, cube_ids: list[int],
 def lattice_to_descriptor(lattice: DyadicLattice,
                           family: SparseFamily | None = None) -> dict:
     witnesses = family.witnesses if family is not None else {}
+    table = lattice.member_table.tolist()
+    columns = zip(*(a.tolist() for a in (
+        lattice.gen, lattice.index, lattice.center, lattice.parent,
+        lattice.start, lattice.stop, lattice.mass)))
     cubes = []
-    for cube in lattice.cubes:
+    for cid, (k, index, center, parent, start, stop, mass) in \
+            enumerate(columns):
         entry = {
-            "id": cube.cube_id, "system": cube.system, "gen": cube.gen,
-            "index": cube.index, "center": cube.center,
-            "members": cube.members.tolist(), "parent": cube.parent,
-            "mass": cube.mass,
+            "id": cid, "system": lattice.system, "gen": k, "index": index,
+            "center": center, "members": table[k][start:stop],
+            "parent": None if parent < 0 else parent, "mass": mass,
         }
-        if cube.cube_id in witnesses:
-            entry["witness"] = np.asarray(witnesses[cube.cube_id]).tolist()
+        if cid in witnesses:
+            entry["witness"] = np.asarray(witnesses[cid]).tolist()
         cubes.append(entry)
     return {
         "system": lattice.system, "delta": lattice.delta, "a1": lattice.a1,
@@ -727,9 +747,10 @@ def lattice_to_csv(lattice: DyadicLattice,
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "gen", "mass", "witness_mass"])
-    for cube in lattice.cubes:
+    for cid, (k, mass) in enumerate(zip(lattice.gen.tolist(),
+                                        lattice.mass.tolist())):
         wmass = ""
-        if family is not None and cube.cube_id in family.witnesses:
-            wmass = repr(family.witness_mass(cube.cube_id))
-        writer.writerow([cube.cube_id, cube.gen, repr(cube.mass), wmass])
+        if family is not None and cid in family.witnesses:
+            wmass = repr(family.witness_mass(cid))
+        writer.writerow([cid, k, repr(mass), wmass])
     return buf.getvalue()

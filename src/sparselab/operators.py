@@ -1,8 +1,10 @@
 """Sparse forms, maximal functions, and fractional integrals.
 
 Every operator evaluates pointwise on the whole space and returns a
-length-n array; the fractional integral can also take blocks of
-argument columns and evaluate only the rows a caller reads.  Sparse
+length-n array.  The basic and oscillation sparse forms can also take
+one argument slot as an (n, B) block of B input columns and return one
+result column per input column; the fractional integral takes blocks of
+argument columns and evaluates only the rows a caller reads.  Sparse
 forms run over the cubes of a sparse family; maximal functions run over
 lattice cubes or metric balls; the fractional integral sums the
 multilinear ball-mass kernel.
@@ -78,25 +80,59 @@ def _as_arrays(fs, n):
 # -- sparse forms ------------------------------------------------------------
 # Coefficients are computed for every cube of the family's lattice at
 # once and indexed by cube id; SparseFamily.pointwise keeps the listed
-# cubes and spreads them back onto points.
+# cubes and spreads them back onto points.  A slot given as an (n, B)
+# block rides through the cube statistics as a trailing column axis, so
+# the coefficients are (cubes, B) and the result (n, B); column b equals
+# the call with column b in that slot bit for bit.
+
+def _as_slots(fs, n):
+    """Arguments as (n,) arrays, except at most one slot given as an
+    (n, B) block, returned as the (1, n, B) cube_sums block."""
+    out = []
+    for f in fs:
+        a = np.asarray(f, dtype=np.float64)
+        if a.ndim == 2 and a.shape[0] == n:
+            a = a[None]
+        elif a.shape != (n,):
+            raise ValueError("argument must assign one value per point, "
+                             "or be one (n, B) block of columns")
+        out.append(a)
+    if sum(a.ndim == 3 for a in out) > 1:
+        raise ValueError("at most one slot may be an (n, B) block")
+    return out
+
+
+def _cube_times(a, b):
+    """a * b for per-cube values shaped (cubes,) or (cubes, B); a
+    (cubes,) operand is read as one column against a block."""
+    if a.ndim < b.ndim:
+        a = a[:, None]
+    elif b.ndim < a.ndim:
+        b = b[:, None]
+    return a * b
+
 
 def _r_averages(lattice: DyadicLattice, g, r: float) -> np.ndarray:
-    """<|g|^r>_Q^(1/r) for every cube; g shaped as a cube_sums input."""
+    """<|g|^r>_Q^(1/r) for every cube; g shaped as a cube_sums input,
+    so a 3-D block gives (cubes, B)."""
     return lattice.cube_means(np.abs(g) ** r) ** (1.0 / r)
 
 
 def sparse_coefficients(lattice: DyadicLattice, fs, eta: float = 0.0,
                         p0: float = 1.0, gamma: float = 1.0) -> np.ndarray:
-    """[mu(Q)^eta prod_i <f_i>_{Q,p0}]^gamma for every cube, by cube id."""
+    """[mu(Q)^eta prod_i <f_i>_{Q,p0}]^gamma for every cube, by cube id;
+    (cubes, B) when one slot is an (n, B) block."""
     prod = lattice.cube_masses ** eta
-    for f in _as_arrays(fs, lattice.space.n):
-        prod = prod * _r_averages(lattice, f, p0)
+    for f in _as_slots(fs, lattice.space.n):
+        prod = _cube_times(prod, _r_averages(lattice, f, p0))
     return prod ** gamma
 
 
 def sparse_operator(family: SparseFamily, fs, eta: float = 0.0,
                     p0: float = 1.0, gamma: float = 1.0) -> np.ndarray:
-    """Basic form: (sum_Q [mu(Q)^eta prod_i <f_i>_{Q,p0}]^gamma 1_Q)^(1/gamma)."""
+    """Basic form: (sum_Q [mu(Q)^eta prod_i <f_i>_{Q,p0}]^gamma 1_Q)^(1/gamma).
+
+    One slot may be an (n, B) block; the result is then (n, B)."""
     coeffs = sparse_coefficients(family.lattice, fs, eta, p0, gamma)
     return family.pointwise(coeffs) ** (1.0 / gamma)
 
@@ -109,6 +145,7 @@ def sparse_first_order(family: SparseFamily, fs, symbols, tau, tau_ell,
     tau_ell minus tau carry the oscillation inside the average, the
     rest enter through plain r-averages: the higher-order form with
     k_i = 1 on tau_ell, t_i = 0 on tau and t_i = 1 on the rest of tau_ell.
+    One argument slot may be an (n, B) block, as there.
     """
     tau, tau_ell = set(tau), set(tau_ell)
     if not tau <= tau_ell:
@@ -127,18 +164,19 @@ def sparse_higher_order(family: SparseFamily, fs, symbols,
 
     Slots in pair.tau contribute |b_i(x) - <b_i>_Q|^(k_i - t_i) times
     the r-average of |f_i (b_i - <b_i>_Q)^t_i|; every other slot enters
-    through a plain r-average.
+    through a plain r-average.  One argument slot may be an (n, B)
+    block; the result is then (n, B).  Symbols stay (n,).
     """
     lat = family.lattice
-    fs = _as_arrays(fs, lat.space.n)
+    fs = _as_slots(fs, lat.space.n)
     symbols = _as_arrays(symbols, lat.space.n)
     devs = {i: lat.deviations(symbols[i]) for i in pair.tau}
     coeffs = lat.cube_masses ** (eta / r)
     for i, f in enumerate(fs):
         if i in pair.tau:
-            coeffs = coeffs * _r_averages(lat, f * devs[i] ** pair.t[i], r)
-        else:
-            coeffs = coeffs * _r_averages(lat, f, r)
+            osc = devs[i] ** pair.t[i]
+            f = f * (osc[..., None] if f.ndim == 3 else osc)
+        coeffs = _cube_times(coeffs, _r_averages(lat, f, r))
     factor = 1.0
     for i in pair.tau:
         factor = factor * np.abs(devs[i]) ** (pair.k[i] - pair.t[i])

@@ -370,15 +370,18 @@ def _operator_norm_lower(space, apply_fn, m, in_weights, p, out_weight, q,
                          rng, starts: int = 2, rounds: int = 3) -> float:
     """Best Rayleigh quotient found by slot-wise coordinate ascent.
 
-    The operator must be separately linear in each nonnegative input
-    slot (true at inner exponent r = 1): one column per basis vector
-    recovers the slot kernel, and the constrained maximizer on the
-    weighted unit sphere has the dual-exponent closed form.  Lower
-    bound only.
+    apply_fn takes a list of m slot arguments, each (n,), and returns the
+    (n,) output; slot i may instead be an (n, B) block of B inputs, and
+    the result is then (n, B) with column b the output on column b.  The
+    operator must be separately linear in each nonnegative input slot
+    (true at inner exponent r = 1), so one call with the identity block
+    in slot i recovers that slot's kernel, and the constrained maximizer
+    on the weighted unit sphere has the dual-exponent closed form.
+    Lower bound only.
     """
     n = space.n
     mass = space.masses
-    basis = np.eye(n)
+    basis = np.eye(n)  # column y is the probe 1_{y}
     best = 0.0
     for _ in range(starts):
         fs = []
@@ -389,12 +392,7 @@ def _operator_norm_lower(space, apply_fn, m, in_weights, p, out_weight, q,
         best = max(best, val)
         for _ in range(rounds):
             for i in range(m):
-                cols = []
-                for y in range(n):
-                    probe = list(fs)
-                    probe[i] = basis[y]
-                    cols.append(apply_fn(probe))
-                kernel = np.stack(cols, axis=1)
+                kernel = apply_fn(fs[:i] + [basis] + fs[i + 1:])
                 out = kernel @ fs[i]
                 lifted = np.where(out > 0, out, 0.0) ** (q - 1.0)
                 grad = kernel.T @ (lifted * out_weight * mass)

@@ -79,6 +79,21 @@ def test_cube_sums_per_generation_input(lattice):
                                atol=1e-12)
 
 
+def test_cube_statistics_take_a_column_block(lattice):
+    # column b of a 3-D block equals the 1-D or (generations, n) call on
+    # column b bit for bit
+    rng = np.random.default_rng(18)
+    gens, n = lattice.point_to_cube.shape
+    flat = np.concatenate([np.eye(n), rng.standard_normal((n, 3))], axis=1)
+    table = rng.standard_normal((gens, n, 4))
+    for block, cols in ((flat[None], flat.T), (table, table.transpose(2, 0, 1))):
+        for stat in (lattice.cube_sums, lattice.cube_means):
+            got = stat(block)
+            assert got.shape == (len(lattice.gen), block.shape[2])
+            assert np.array_equal(got, np.stack([stat(c) for c in cols],
+                                                axis=1))
+
+
 def test_cube_max_both_shapes(lattice):
     rng = np.random.default_rng(3)
     f = rng.standard_normal(lattice.space.n)

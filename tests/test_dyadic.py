@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparselab import dyadic
 from sparselab.dyadic import (
     AdjacentSystems,
     STANDARD_A1,
@@ -25,6 +26,7 @@ from sparselab.dyadic import (
     build_shifted_adjacent,
     build_standard_lattice,
     lattice_to_csv,
+    lattice_to_descriptor,
     lattice_to_json,
     max_feasible_delta,
     random_sparse_family,
@@ -511,6 +513,15 @@ class TestShiftedAdjacent:
         systems = build_shifted_adjacent(build_grid_space(2), 3)
         assert systems.shifts == [0, 1]
 
+    def test_lattice_error_propagates(self, monkeypatch):
+        # a shift that fails to build would change c_adj, so it is an error
+        def broken(space, system=0, shift=0):
+            raise LatticeError(f"shift {shift} failed")
+
+        monkeypatch.setattr(dyadic, "build_standard_lattice", broken)
+        with pytest.raises(LatticeError, match="shift 0 failed"):
+            build_shifted_adjacent(build_grid_space(8), 3)
+
     @pytest.mark.parametrize("n,shifts", [(4, 4), (16, 3), (32, 5)])
     def test_shifted_axioms(self, n, shifts):
         systems = build_shifted_adjacent(build_grid_space(n), shifts)
@@ -733,6 +744,38 @@ class TestSerialization:
         lines = text.strip().split("\n")
         assert lines[0] == "id,gen,mass,witness_mass"
         assert len(lines) == 1 + len(lat.cubes)
+
+    @pytest.mark.parametrize("build", [
+        lambda sp: build_standard_lattice(sp),
+        lambda sp: build_shifted_adjacent(sp, 3).lattices[2],
+        lambda sp: build_hk_lattice(sp, 0.5),
+    ])
+    def test_dumps_match_cube_views(self, build):
+        masses = np.random.default_rng(4).uniform(0.5, 2.0, 32)
+        lat = build(build_grid_space(32, masses))
+        fam = random_sparse_family(lat, np.random.default_rng(5))
+        cubes = []
+        rows = [["id", "gen", "mass", "witness_mass"]]
+        for c in lat.cubes:
+            entry = {"id": c.cube_id, "system": c.system, "gen": c.gen,
+                     "index": c.index, "center": c.center,
+                     "members": c.members.tolist(), "parent": c.parent,
+                     "mass": c.mass}
+            wmass = ""
+            if c.cube_id in fam.witnesses:
+                entry["witness"] = fam.witnesses[c.cube_id].tolist()
+                wmass = repr(fam.witness_mass(c.cube_id))
+            cubes.append(entry)
+            rows.append([str(c.cube_id), str(c.gen), repr(c.mass), wmass])
+        doc = lattice_to_descriptor(lat, fam)
+        assert doc["cubes"] == cubes
+        # the same Python types, so the JSON bytes match too
+        assert [{k: type(v) for k, v in e.items()} for e in doc["cubes"]] \
+            == [{k: type(v) for k, v in e.items()} for e in cubes]
+        assert lattice_to_json(lat, fam) == json.dumps(
+            dict(doc, cubes=cubes), sort_keys=True)
+        assert lattice_to_csv(lat, fam) == \
+            "".join(",".join(r) + "\n" for r in rows)
 
 
 @settings(max_examples=20, deadline=None)

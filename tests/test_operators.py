@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselab.dyadic import SparseFamily, build_standard_lattice, \
-    select_witnesses
+from sparselab.dyadic import SparseFamily, build_hk_lattice, \
+    build_standard_lattice, random_sparse_family, select_witnesses
 from sparselab.operators import (
     MultiIndexPair,
     ball_mass_kernel,
@@ -30,6 +30,7 @@ from sparselab.operators import (
     truncated_grand_maximal_local,
 )
 from sparselab.space import build_explicit_space, build_grid_space
+from sparselab.verify import _BLOOM_ITER_PRESETS, _BLOOM_MAX_PRESETS
 from sparselab.weights import avg, luxemburg_norm, young_identity, young_llogl
 
 
@@ -227,6 +228,112 @@ class TestSparseReductions:
         const_bs = [np.full(8, 4.0), np.full(8, -1.0)]
         got = sparse_higher_order(self.fam, self.fs, const_bs, pair)
         assert np.max(np.abs(got)) < 1e-14
+
+
+def _twice_listed_family(lattice, seed):
+    fam = random_sparse_family(lattice, np.random.default_rng(seed))
+    fam.cube_ids = list(fam.cube_ids) + [fam.cube_ids[0]]
+    return fam
+
+
+def _every_cube_family(lattice, seed):
+    # every generation adds a term at every point, so the order of the
+    # sum over generations shows in the last bits
+    ids = list(range(len(lattice.gen)))
+    return SparseFamily(lattice, ids + [ids[-1]], {}, 1.0)
+
+
+def _hk20():
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(size=(20, 2))
+    metric = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    return build_hk_lattice(build_explicit_space(
+        metric, rng.uniform(0.5, 2.0, 20)), 0.5)
+
+
+def _standard16():
+    masses = np.random.default_rng(12).uniform(0.5, 2.0, 16)
+    return build_standard_lattice(build_grid_space(16, masses))
+
+
+def _forms():
+    """(name, slot count, apply) for every sparse form that takes a block."""
+    forms = [
+        ("basic", 2, lambda fam, fs, bs: sparse_operator(fam, fs, eta=0.25)),
+        ("basic p0=2 gamma=0.5", 3, lambda fam, fs, bs: sparse_operator(
+            fam, fs, eta=0.5, p0=2.0, gamma=0.5)),
+    ]
+    for tau in ((0,), (0, 1)):
+        forms.append((f"first tau={tau}", 2, lambda fam, fs, bs, tau=tau:
+                      sparse_first_order(fam, fs, bs, tau, tau, eta=0.5)))
+    forms.append(("first inner", 3, lambda fam, fs, bs: sparse_first_order(
+        fam, fs, bs, (0,), (0, 2), eta=0.5, r=1.5)))
+    for k, t, tau in _BLOOM_MAX_PRESETS + _BLOOM_ITER_PRESETS:
+        pair = MultiIndexPair(k, t, tau, tau)
+        forms.append((f"higher {k} {t}", len(k),
+                      lambda fam, fs, bs, pair=pair:
+                      sparse_higher_order(fam, fs, bs, pair, eta=0.5)))
+    return forms
+
+
+_FORMS = _forms()
+
+
+class TestSlotBlocks:
+    """An (n, B) block in one slot equals the per-column calls bit for
+    bit; the columns of the identity are the slot kernel's probes."""
+
+    @pytest.mark.parametrize("family", [_twice_listed_family,
+                                        _every_cube_family],
+                             ids=["random", "every"])
+    @pytest.mark.parametrize("build", [_standard16, _hk20],
+                             ids=["standard", "hk"])
+    @pytest.mark.parametrize("name,m,form", _FORMS,
+                             ids=[f[0] for f in _FORMS])
+    def test_identity_block_matches_probes(self, build, family, name, m,
+                                           form):
+        lat = build()
+        n = lat.space.n
+        fam = family(lat, 3)
+        rng = np.random.default_rng(9)
+        fs = [np.abs(rng.standard_normal(n)) + 1e-3 for _ in range(m)]
+        bs = [rng.standard_normal(n) for _ in range(m)]
+        basis = np.eye(n)
+        for i in range(m):
+            got = form(fam, fs[:i] + [basis] + fs[i + 1:], bs)
+            want = np.stack([form(fam, fs[:i] + [basis[y]] + fs[i + 1:], bs)
+                             for y in range(n)], axis=1)
+            assert got.shape == (n, n)
+            assert np.array_equal(got, want)
+
+    def test_block_in_two_slots_rejected(self):
+        fam = _twice_listed_family(_standard16(), 3)
+        block, f = np.eye(16), np.ones(16)
+        pair = MultiIndexPair((1, 1), (0, 0), (0,), (0,))
+        with pytest.raises(ValueError, match="at most one slot"):
+            sparse_operator(fam, [block, block])
+        with pytest.raises(ValueError, match="at most one slot"):
+            sparse_higher_order(fam, [block, block], [f, f], pair)
+        with pytest.raises(ValueError, match="at most one slot"):
+            sparse_first_order(fam, [f, block, block], [f, f, f], (0,), (0,))
+
+    def test_block_rejected_where_not_taken(self):
+        lat = _standard16()
+        fam = _twice_listed_family(lat, 3)
+        block, f = np.eye(16), np.ones(16)
+        pair = MultiIndexPair((1, 1), (0, 0), (0,), (0,))
+        with pytest.raises(ValueError, match="one value per point"):
+            sparse_endpoint(fam, [block, f], tau=[0])
+        with pytest.raises(ValueError, match="one value per point"):
+            sparse_endpoint(fam, [f, block], tau=[0])
+        with pytest.raises(ValueError, match="one value per point"):
+            endpoint_maximal(lat, [block, f], tau=[0])
+        with pytest.raises(ValueError, match="one value per point"):
+            orlicz_maximal(lat, [block], [young_identity()])
+        with pytest.raises(ValueError, match="one value per point"):
+            sparse_higher_order(fam, [f, f], [block, f], pair)
+        with pytest.raises(ValueError, match="one value per point"):
+            sparse_operator(fam, [np.eye(16)[:, :, None]])
 
 
 class TestDyadicMaximal:

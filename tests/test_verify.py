@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from sparselab import verify
 from sparselab.dyadic import (build_standard_lattice, random_sparse_family,
                               select_witnesses, verify_sparse)
-from sparselab.operators import fractional_integral, fractional_maximal
+from sparselab.operators import (MultiIndexPair, fractional_integral,
+                                 fractional_maximal, sparse_first_order,
+                                 sparse_higher_order)
 from sparselab.space import build_grid_space
 from sparselab.verify import (CAOPRO_RATIO_BASELINE, CheckReport, CheckSpec,
                               REGISTRY, _fold, _operator_norm_lower,
@@ -451,6 +453,91 @@ class TestNormEstimator:
             np.random.default_rng(0), starts=2, rounds=4)
         assert est <= exact * (1.0 + 1e-9)
         assert est >= 0.95 * exact
+
+
+def _per_probe_norm_lower(space, apply_fn, m, in_weights, p, out_weight, q,
+                          rng, starts=2, rounds=3):
+    """Reference: _operator_norm_lower with each slot kernel stacked from n
+    single-column probes."""
+    n = space.n
+    mass = space.masses
+    basis = np.eye(n)
+    best = 0.0
+    for _ in range(starts):
+        fs = []
+        for i in range(m):
+            f = np.abs(rng.standard_normal(n)) + 1e-3
+            fs.append(f / verify._lp_norm(space, f, in_weights[i], p[i]))
+        best = max(best, verify._lp_norm(space, apply_fn(fs), out_weight, q))
+        for _ in range(rounds):
+            for i in range(m):
+                cols = []
+                for y in range(n):
+                    probe = list(fs)
+                    probe[i] = basis[y]
+                    cols.append(apply_fn(probe))
+                kernel = np.stack(cols, axis=1)
+                out = kernel @ fs[i]
+                lifted = np.where(out > 0, out, 0.0) ** (q - 1.0)
+                grad = kernel.T @ (lifted * out_weight * mass)
+                dens = np.maximum(grad, 0.0) / (in_weights[i] * mass)
+                if p[i] == 1.0:
+                    f_new = np.zeros(n)
+                    f_new[int(np.argmax(dens))] = 1.0
+                else:
+                    f_new = dens ** (1.0 / (p[i] - 1.0))
+                nrm = verify._lp_norm(space, f_new, in_weights[i], p[i])
+                if nrm > 0:
+                    fs[i] = f_new / nrm
+            best = max(best, verify._lp_norm(space, apply_fn(fs),
+                                             out_weight, q))
+    return best
+
+
+class TestBatchedNormEstimator:
+    """One identity-block call per slot kernel gives the same estimate,
+    bit for bit, as n single-column probes."""
+
+    def _setup(self, m):
+        rng = np.random.default_rng(21)
+        masses = rng.uniform(0.5, 2.0, 16)
+        lattice = build_standard_lattice(build_grid_space(16, masses))
+        family = random_sparse_family(lattice, rng)
+        weights = [rng.uniform(0.5, 2.0, 16) for _ in range(m + 1)]
+        bs = [rng.standard_normal(16) for _ in range(m)]
+        return lattice.space, family, weights[:m], weights[m], bs
+
+    def _assert_same(self, space, fn, cfg, ins, out, **probe):
+        new = _operator_norm_lower(space, fn, cfg.m, ins, cfg.p, out, cfg.q,
+                                   np.random.default_rng(5), **probe)
+        ref = _per_probe_norm_lower(space, fn, cfg.m, ins, cfg.p, out, cfg.q,
+                                    np.random.default_rng(5), **probe)
+        assert new > 0
+        assert new == ref
+
+    @pytest.mark.parametrize("tau", [(0,), (0, 1)])
+    def test_caopro_commutator(self, tau):
+        cfg = ExponentConfig(2, (2.0, 2.0), 2.0)
+        space, family, ins, out, bs = self._setup(cfg.m)
+
+        def commutator(fs):
+            return sparse_first_order(family, fs, bs, tau, tau, eta=cfg.eta,
+                                      r=1.0)
+
+        self._assert_same(space, commutator, cfg, ins, out)
+
+    @pytest.mark.parametrize("preset", verify._BLOOM_ITER_PRESETS)
+    def test_bloom_iterated_oscillated(self, preset):
+        cfg = ExponentConfig(4, (2.0,) * 4, 2.0)
+        space, family, ins, out, bs = self._setup(cfg.m)
+        pair = MultiIndexPair(*preset, preset[2])
+
+        def oscillated(fs):
+            return sparse_higher_order(family, fs, bs, pair, eta=cfg.eta,
+                                       r=1.0)
+
+        self._assert_same(space, oscillated, cfg, ins, out, starts=1,
+                          rounds=2)
 
 
 class TestRandomFamilies:
