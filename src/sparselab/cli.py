@@ -34,7 +34,7 @@ from .space import doubling_constant as space_doubling_constant
 from .verify import CheckSpec, registry_ids, run_check
 from .weights import (ExponentConfig, dual_weight,
                       fractional_apq_constant, fujii_wilson_constant,
-                      fujii_wilson_single, hruscev_constant, hruscev_single,
+                      fujii_wilson_single, hruscev_constant,
                       joint_astar_constant, component_hruscev_constant,
                       component_wilson_constant, make_weight, muckenhoupt_ap)
 
@@ -600,8 +600,7 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
     if audit_csv is None and ctx.obj["audit"] and ctx.obj["out"]:
         audit_csv = str(ctx.obj["out"]) + ".audit.csv"
     if audit_csv is not None:
-        ratio = np.where(rhs > 0.0, lhs / np.where(rhs > 0.0, rhs, 1.0),
-                         0.0)
+        ratio = cert.per_point["ratio"]
         rows = [(x, repr(float(lhs[x])), repr(float(rhs[x])),
                  repr(float(ratio[x]))) for x in range(space.n)]
         _write_text(audit_csv,

@@ -172,20 +172,15 @@ def certificate_rhs(space: DiscreteSpace, families, fs, symbols,
     """Sum of higher-order sparse forms over all symbol subsets and all
     componentwise splits t <= k, weighted by binomial coefficients."""
     orders = _normalized_orders(pair)
+    subsets = [tau for size in range(len(pair.tau_ell) + 1)
+               for tau in itertools.combinations(pair.tau_ell, size)]
+    splits = itertools.product(*[range(k + 1) for k in orders])
     out = np.zeros(space.n)
-    subsets = []
-    for size in range(len(pair.tau_ell) + 1):
-        subsets.extend(itertools.combinations(pair.tau_ell, size))
-    for fam in families:
-        for tau in subsets:
-            for tvec in itertools.product(*[range(k + 1) for k in orders]):
-                weight = 1.0
-                for ki, ti in zip(orders, tvec):
-                    weight *= math.comb(ki, ti)
-                sub = MultiIndexPair(k=tuple(orders), t=tvec, tau=tau,
-                                     tau_ell=pair.tau_ell)
-                out += weight * sparse_higher_order(fam, fs, symbols, sub,
-                                                    eta=eta, r=r)
+    for fam, tau, tvec in itertools.product(families, subsets, splits):
+        weight = float(math.prod(map(math.comb, orders, tvec)))
+        sub = MultiIndexPair(tuple(orders), tvec, tau, pair.tau_ell)
+        out += weight * sparse_higher_order(fam, fs, symbols, sub, eta=eta,
+                                            r=r)
     return out
 
 
@@ -193,48 +188,34 @@ def certificate_rhs(space: DiscreteSpace, families, fs, symbols,
 
 def _node_profiles(space, fs, symbols, pair, eta, r, region, base_center,
                    base_radius, cfg, systems):
-    """Per t-vector data the alpha loop compares against thresholds.
+    """The alpha loop's data, one row per split t <= k of the orders.
 
-    Returns (profiles, big_mass) where each profile is a tuple
-    (pointwise values on the region, grand-maximal values on the
-    region, reference product over the enlarged ball).
+    Returns (values, scales, refs): values[0] the pointwise products and
+    values[1] the local grand maximal, each (T, |region|), and refs the T
+    reference products over the enlarged ball; row t of values[j] is bad
+    where it exceeds (alpha * scales[j]) * refs[t].
     """
     big = space.ball(base_center, cfg.c_jtilde0 * base_radius)
     _, ref_cube = adjacent_cover(systems, big)
     cut = np.zeros(space.n)
     cut[big.members] = 1.0
-    mu_big = space.mass_of(big.members)
     means = {i: ref_cube.lat.cube_means(symbols[i])[ref_cube.cube_id]
              for i in pair.tau_ell}
-    orders = _normalized_orders(pair)
-    profiles = []
-    for tvec in itertools.product(*[range(k + 1) for k in orders]):
-        mods = []
-        for i in range(pair.m):
-            if tvec[i]:
-                mods.append((symbols[i] - means[i]) ** tvec[i] * fs[i])
-            else:
-                mods.append(fs[i])
-        ref = 1.0
-        for g in mods:
-            ref *= avg(space, big.members, g, r)
-        point = np.ones(len(region))
-        for g in mods:
-            point *= np.abs(g[region])
-        grand = truncated_grand_maximal_local(
-            space, [g * cut for g in mods], eta, cfg.c_jtilde0,
-            base_center, base_radius)
-        profiles.append((point, grand[region], ref))
-    return profiles, mu_big
-
-
-def _bad_set(profiles, mu_big, eta, r, alpha, region, n):
-    mask = np.zeros(n, dtype=bool)
-    mu_pow = mu_big ** (eta / r)
-    for point, grand, ref in profiles:
-        hit = (point > alpha * ref) | (grand > alpha * mu_pow * ref)
-        mask[region[hit]] = True
-    return mask
+    tvecs = list(itertools.product(
+        *[range(k + 1) for k in _normalized_orders(pair)]))
+    # slot i's (T, n) block: row t is f_i (b_i - <b_i>)^t_i
+    mods = [np.array([(symbols[i] - means[i]) ** t[i] * fs[i] if t[i]
+                      else fs[i] for t in tvecs]) for i in range(pair.m)]
+    refs = np.ones(len(tvecs))
+    point = np.ones((len(tvecs), len(region)))
+    for g in mods:
+        refs *= [avg(space, big.members, row, r) for row in g]
+        point *= np.abs(g[:, region])
+    grand = truncated_grand_maximal_local(
+        space, [g * cut for g in mods], eta, cfg.c_jtilde0,
+        base_center, base_radius)
+    mu_pow = space.mass_of(big.members) ** (eta / r)
+    return np.stack([point, grand[:, region]]), np.array([1.0, mu_pow]), refs
 
 
 # -- the construction --------------------------------------------------------
@@ -296,11 +277,13 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
             truncated = True
             continue
         region = cube.members
-        profiles, mu_big = _node_profiles(
+        values, scales, refs = _node_profiles(
             space, fs, symbols, pair, eta, r, region, bc, br, cfg, systems)
         target = cube.mass / (4.0 * cmu0)
         while True:
-            bad = _bad_set(profiles, mu_big, eta, r, alpha, region, space.n)
+            hit = values > (alpha * scales)[:, None, None] * refs[:, None]
+            bad = np.zeros(space.n, dtype=bool)
+            bad[region[hit.any(axis=(0, 1))]] = True
             if float(space.masses[bad].sum()) <= target:
                 break
             if alpha * 2.0 > cfg.alpha * ALPHA_FACTOR_CAP:

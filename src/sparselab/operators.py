@@ -4,10 +4,11 @@ Every operator evaluates pointwise on the whole space and returns a
 length-n array.  The basic and oscillation sparse forms can also take
 one argument slot as an (n, B) block of B input columns and return one
 result column per input column; the fractional integral takes blocks of
-argument columns and evaluates only the rows a caller reads.  Sparse
-forms run over the cubes of a sparse family; maximal functions run over
-lattice cubes or metric balls; the fractional integral sums the
-multilinear ball-mass kernel.
+argument columns and evaluates only the rows a caller reads, and the
+truncated grand maximal functions take (T, n) argument blocks, walking
+their balls once for all T rows.  Sparse forms run over the cubes of a
+sparse family; maximal functions run over lattice cubes or metric balls;
+the fractional integral sums the multilinear ball-mass kernel.
 """
 
 from __future__ import annotations
@@ -75,6 +76,15 @@ def _as_arrays(fs, n):
             raise ValueError("argument must assign one value per point")
         out.append(a)
     return out
+
+
+def _as_blocks(fs, n):
+    """Arguments as float arrays of one shared shape, (n,) or (B, n)."""
+    fs = [np.asarray(f, dtype=np.float64) for f in fs]
+    if not fs or fs[0].ndim not in (1, 2) or fs[0].shape[-1] != n or \
+            any(f.shape != fs[0].shape for f in fs):
+        raise ValueError("arguments must share one shape, (n,) or (B, n)")
+    return fs
 
 
 # -- sparse forms ------------------------------------------------------------
@@ -336,15 +346,11 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
     column as w_1 @ G @ w_2, and m = 3 sums such contractions over y_3.
     """
     n = space.n
-    fs = [np.asarray(f, dtype=np.float64) for f in fs]
     m = len(fs)
     if not 1 <= m <= 3:
         raise ValueError("fractional integral supports 1 to 3 arguments")
-    first = fs[0]
-    if first.ndim not in (1, 2) or first.shape[-1] != n or \
-            any(f.shape != first.shape for f in fs):
-        raise ValueError("arguments must share one shape, (n,) or (B, n)")
-    batched = first.ndim == 2
+    fs = _as_blocks(fs, n)
+    batched = fs[0].ndim == 2
     ws = [np.atleast_2d(f * space.masses) for f in fs]
     width = ws[0].shape[0]
     shape = (n, width) if batched else (n,)
@@ -434,10 +440,12 @@ def _grand_maximal(space, fs, eta, dilation, base, outer):
     """sup over balls B inside base containing x of the max over B of the
     fractional integral of the arguments cut to outer minus dilation*B.
 
-    A ball leaves base, and its cut-off set empties, for good once the
-    radius grows past some value, so the balls that count around each
-    center are a prefix of its positive radii."""
-    fs = _as_arrays(fs, space.n)
+    The arguments are all (n,) columns, giving an (n,) result, or all
+    (T, n) blocks, giving a (T, n) result whose row t is the call on row
+    t of every block.  A ball leaves base, and its cut-off set empties,
+    for good once the radius grows past some value, so the balls that
+    count around each center are a prefix of its positive radii."""
+    fs = _as_blocks(fs, space.n)
     keeps, balls = [], []
     for y in np.flatnonzero(base):
         order, radii, ends = space.balls(y)
@@ -449,23 +457,27 @@ def _grand_maximal(space, fs, eta, dilation, base, outer):
         for j in range(1, 1 + int(np.count_nonzero(live))):
             balls.append(order[:ends[j]])
             keeps.append(outer & (d > dilation * radii[j]))
-    if not balls:
-        return np.zeros(space.n)
-    # column b is one (center, radius) ball: its cut-off arguments, read
-    # on its own members only, all in one pass over the rows
-    held = np.zeros((space.n, len(balls)), dtype=bool)
-    for b, ball in enumerate(balls):
-        held[ball, b] = True
-    keep = np.array(keeps)
-    vals = fractional_integral(space, [f * keep for f in fs], eta, rows=held)
-    peaks = np.abs(vals).max(axis=0)
-    return np.where(held, peaks, 0.0).max(axis=1)
+    out = np.zeros(np.atleast_2d(fs[0]).shape)
+    if balls:
+        # column b is one (center, radius) ball: its cut-off arguments,
+        # read on its own members only; one kernel call per block row
+        held = np.zeros((space.n, len(balls)), dtype=bool)
+        for b, ball in enumerate(balls):
+            held[ball, b] = True
+        keep = np.array(keeps)
+        del keeps, balls  # freed, so they do not raise the calls' peak
+        for t, row in enumerate(zip(*map(np.atleast_2d, fs))):
+            peaks = np.abs(fractional_integral(
+                space, [f * keep for f in row], eta, rows=held)).max(axis=0)
+            out[t] = np.where(held, peaks, 0.0).max(axis=1)
+    return out if fs[0].ndim == 2 else out[0]
 
 
 def truncated_grand_maximal(space: DiscreteSpace, fs, eta: float,
                             dilation: float) -> np.ndarray:
     """sup over balls B containing x of the max over B of the
-    fractional integral of the arguments cut off outside dilation*B."""
+    fractional integral of the arguments cut off outside dilation*B;
+    (T, n) argument blocks give (T, n) results, as in _grand_maximal."""
     everywhere = np.ones(space.n, dtype=bool)
     return _grand_maximal(space, fs, eta, dilation, everywhere, everywhere)
 
@@ -474,7 +486,7 @@ def truncated_grand_maximal_local(space: DiscreteSpace, fs, eta: float,
                                   dilation: float, base_center: int,
                                   base_radius: float) -> np.ndarray:
     """Local variant: balls B inside the base ball, integrand restricted
-    to dilation*B0 minus dilation*B."""
+    to dilation*B0 minus dilation*B; blocks as in _grand_maximal."""
     base = np.zeros(space.n, dtype=bool)
     base[space.ball(base_center, base_radius).members] = True
     big0 = space.distances(base_center) <= dilation * base_radius

@@ -366,6 +366,9 @@ def oscillation_endpoint_form(family, fs, symbols, tau, osc_slots,
 
 # -- operator-norm lower bound ------------------------------------------------
 
+_PROBE_COLUMNS = 256  # identity columns per slot-kernel probe call
+
+
 def _operator_norm_lower(space, apply_fn, m, in_weights, p, out_weight, q,
                          rng, starts: int = 2, rounds: int = 3) -> float:
     """Best Rayleigh quotient found by slot-wise coordinate ascent.
@@ -374,14 +377,16 @@ def _operator_norm_lower(space, apply_fn, m, in_weights, p, out_weight, q,
     (n,) output; slot i may instead be an (n, B) block of B inputs, and
     the result is then (n, B) with column b the output on column b.  The
     operator must be separately linear in each nonnegative input slot
-    (true at inner exponent r = 1), so one call with the identity block
-    in slot i recovers that slot's kernel, and the constrained maximizer
-    on the weighted unit sphere has the dual-exponent closed form.
-    Lower bound only.
+    (true at inner exponent r = 1), so calls with the identity block in
+    slot i recover that slot's kernel, and the constrained maximizer on
+    the weighted unit sphere has the dual-exponent closed form.  The
+    identity goes in _PROBE_COLUMNS columns at a time, which bounds each
+    call's temporaries.  Lower bound only.
     """
     n = space.n
     mass = space.masses
-    basis = np.eye(n)  # column y is the probe 1_{y}
+    # column y of the identity is the probe 1_{y}
+    probes = np.hsplit(np.eye(n), range(_PROBE_COLUMNS, n, _PROBE_COLUMNS))
     best = 0.0
     for _ in range(starts):
         fs = []
@@ -392,7 +397,8 @@ def _operator_norm_lower(space, apply_fn, m, in_weights, p, out_weight, q,
         best = max(best, val)
         for _ in range(rounds):
             for i in range(m):
-                kernel = apply_fn(fs[:i] + [basis] + fs[i + 1:])
+                kernel = np.hstack([apply_fn(fs[:i] + [probe] + fs[i + 1:])
+                                    for probe in probes])
                 out = kernel @ fs[i]
                 lifted = np.where(out > 0, out, 0.0) ** (q - 1.0)
                 grad = kernel.T @ (lifted * out_weight * mass)

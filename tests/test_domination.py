@@ -372,6 +372,28 @@ def test_alpha_cap_names_the_cube(grid16, monkeypatch):
                      eta=0.5)
 
 
+def test_one_grand_maximal_call_per_node(monkeypatch):
+    # every t-split of a node shares the node's balls, so the four splits
+    # of k = (1, 1) are the rows of one block call
+    sp = build_grid_space(64)
+    systems = build_shifted_adjacent(sp, 3)
+    fs = list(np.abs(np.random.default_rng((1, 5)).standard_normal((2, 64))))
+    symbols = list(np.random.default_rng((1, 6)).standard_normal((2, 64)))
+    shapes = []
+    original = dom.truncated_grand_maximal_local
+
+    def counted(space, args, *rest):
+        shapes.append(np.shape(args[0]))
+        return original(space, args, *rest)
+
+    monkeypatch.setattr(dom, "truncated_grand_maximal_local", counted)
+    pair = MultiIndexPair(k=(1, 1), t=(0, 0), tau=(0, 1), tau_ell=(0, 1))
+    cert = cz_construct(sp, systems, fs, symbols, pair, eta=0.0)
+    nodes = len(cert.families[0].cube_ids)
+    assert nodes > 1
+    assert shapes == [(4, 64)] * nodes
+
+
 # -- verify_domination report shapes -----------------------------------------
 
 def dummy_cert(constant):

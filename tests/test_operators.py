@@ -725,6 +725,37 @@ class TestBallLayerOperators:
         assert np.array_equal(got, want)
         assert not np.any(got)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_block_rows_match_per_row_calls(self, m):
+        # a (T, n) block walks the balls once; row t must equal the call
+        # on row t of every block, bit for bit
+        for sp in ball_layer_spaces():
+            rng = np.random.default_rng(36 + m)
+            blocks = [rng.normal(size=(3, sp.n)) for _ in range(m)]
+            for call in (
+                    lambda fs: truncated_grand_maximal(sp, fs, 0.5, 2.0),
+                    lambda fs: truncated_grand_maximal_local(
+                        sp, fs, 0.25, 2.0, 16, 0.25)):
+                got = call(blocks)
+                want = [call([b[t] for b in blocks]) for t in range(3)]
+                assert got.shape == (3, sp.n)
+                assert np.array_equal(got, np.array(want))
+                assert np.all(np.any(got, axis=1))
+
+    def test_malformed_block_rejected_without_balls(self):
+        # the all-zero setting above keeps no ball, so the shape check
+        # must not wait for the fractional integral
+        sp = ball_layer_spaces()[0]
+        n = sp.n
+        out = truncated_grand_maximal_local(sp, [np.ones((2, n))], 0.0,
+                                            32.0, 8, 1 / 32)
+        assert out.shape == (2, n) and not np.any(out)
+        for fs in ([np.ones((2, n)), np.ones((3, n))],
+                   [np.ones(n), np.ones((1, n))], [np.ones((2, n - 1))],
+                   [np.ones((2, 2, n))], []):
+            with pytest.raises(ValueError):
+                truncated_grand_maximal_local(sp, fs, 0.0, 32.0, 8, 1 / 32)
+
 
 class TestTruncatedGrandMaximal:
     def test_zero_arguments(self):

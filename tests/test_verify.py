@@ -498,6 +498,14 @@ class TestBatchedNormEstimator:
     """One identity-block call per slot kernel gives the same estimate,
     bit for bit, as n single-column probes."""
 
+    def test_probe_chunks_keep_the_report(self, monkeypatch):
+        # the identity goes in fixed column chunks; columns are
+        # independent, so the chunk width cannot move any number
+        spec = CheckSpec("caopro_norm_transfer", n=16, trials=2)
+        want = run_check(spec).to_descriptor()
+        monkeypatch.setattr(verify, "_PROBE_COLUMNS", 5)
+        assert run_check(spec).to_descriptor() == want
+
     def _setup(self, m):
         rng = np.random.default_rng(21)
         masses = rng.uniform(0.5, 2.0, 16)
