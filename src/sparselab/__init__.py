@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .domination import (
     DominationCertificate,
-    DominationConfig,
     augment_sparse,
     cz_construct,
-    derive_config,
     verify_domination,
 )
 from .dyadic import (
@@ -45,7 +43,6 @@ __all__ = [
     "Cube",
     "DiscreteSpace",
     "DominationCertificate",
-    "DominationConfig",
     "DyadicLattice",
     "MultiIndexPair",
     "SparseFamily",
@@ -57,7 +54,6 @@ __all__ = [
     "build_shifted_adjacent",
     "build_standard_lattice",
     "cz_construct",
-    "derive_config",
     "doubling_constant",
     "registry_ids",
     "run_check",

@@ -24,7 +24,7 @@ import tempfile
 import click
 import numpy as np
 
-from .domination import cz_construct, derive_config, verify_domination
+from .domination import cz_construct, verify_domination
 from .dyadic import (WitnessSelectionError, build_shifted_adjacent,
                      build_standard_lattice, lattice_to_descriptor,
                      random_sparse_family, select_witnesses)
@@ -384,8 +384,11 @@ def _constant_rows(kind, lattice, ws, ecfg):
     m = len(ws)
     if kind == "A_p":
         p = ecfg.q if ecfg is not None else 2.0
-        return [(f"A_p:{i}", *muckenhoupt_ap(lattice, w, p, detail=True))
-                for i, w in enumerate(ws)]
+        try:
+            return [(f"A_p:{i}", *muckenhoupt_ap(lattice, w, p, detail=True))
+                    for i, w in enumerate(ws)]
+        except ValueError as exc:
+            raise ConfigError(f"{kind} at p = {p!r}: {exc}") from None
     if kind == "A_inf_fujii":
         return [(f"A_inf_fujii:{i}",
                  *fujii_wilson_single(lattice, w, detail=True))
@@ -586,8 +589,7 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
     symbols = _functions_from_config(space, cfg, m, seed, 6, key="symbols",
                                      signed=True)
     systems = build_shifted_adjacent(space, shifts)
-    dom_cfg = derive_config(space, systems, alpha=alpha)
-    cert = cz_construct(space, systems, fs, symbols, pair, eta, dom_cfg)
+    cert = cz_construct(space, systems, fs, symbols, pair, eta, alpha)
     lhs, rhs = cert.per_point["lhs"], cert.per_point["rhs"]
     verdict = verify_domination(cert, lhs, rhs)
     payload = {

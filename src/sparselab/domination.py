@@ -39,6 +39,7 @@ from .space import DiscreteSpace
 from .weights import avg
 
 ALPHA_FACTOR_CAP = 2.0 ** 20
+SPARSENESS = 0.5
 
 
 class DominationError(RuntimeError):
@@ -47,44 +48,13 @@ class DominationError(RuntimeError):
         self.cube_id = cube_id
 
 
-# -- configuration -----------------------------------------------------------
+# -- stopping-time constants ------------------------------------------------
 
-@dataclass(frozen=True)
-class DominationConfig:
-    """Construction constants; every field must satisfy its defining
-    inequality exactly, with the two exponents minimal."""
-
-    j0: int
-    jtilde0: int
-    c_jtilde0: float
-    alpha: float = 1.0
-    target_delta: float = 0.5
-    a0: float = 1.0
-    c_adj: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not 0 < self.target_delta <= 1:
-            raise ValueError("target_delta must lie in (0, 1]")
-        need = max(3.0 * self.a0, 2.0 * self.a0 * self.c_adj)
-        if not 2.0 ** self.jtilde0 > need:
-            raise ValueError("2^jtilde0 must exceed max(3 a0, 2 a0 c_adj)")
-        if self.jtilde0 > 0 and 2.0 ** (self.jtilde0 - 1) > need:
-            raise ValueError("jtilde0 is not minimal")
-        if self.c_jtilde0 != 2.0 ** (self.jtilde0 + 2) * self.a0:
-            raise ValueError("c_jtilde0 must equal 2^(jtilde0+2) a0")
-        if self.j0 <= self.jtilde0:
-            raise ValueError("j0 must exceed jtilde0")
-        if not 2.0 ** self.j0 > 4.0 * self.a0:
-            raise ValueError("2^j0 must exceed 4 a0")
-        if self.j0 > self.jtilde0 + 1 and 2.0 ** (self.j0 - 1) > 4.0 * self.a0:
-            raise ValueError("j0 is not minimal")
-
-
-def derive_config(space: DiscreteSpace, systems: AdjacentSystems,
-                  alpha: float = 1.0,
-                  target_delta: float = 0.5) -> DominationConfig:
+def _stopping_exponents(space: DiscreteSpace,
+                        systems: AdjacentSystems) -> tuple[int, int]:
+    """(jtilde0, j0): the least jtilde0 with 2^jtilde0 > max(3 a0,
+    2 a0 c_adj), then the least j0 > jtilde0 with 2^j0 > 4 a0.  The
+    construction dilates by C_jtilde0 = 2^(jtilde0+2) a0."""
     a0 = space.a0
     need = max(3.0 * a0, 2.0 * a0 * systems.c_adj)
     jt = 0
@@ -93,10 +63,7 @@ def derive_config(space: DiscreteSpace, systems: AdjacentSystems,
     j0 = jt + 1
     while 2.0 ** j0 <= 4.0 * a0:
         j0 += 1
-    return DominationConfig(j0=j0, jtilde0=jt,
-                            c_jtilde0=2.0 ** (jt + 2) * a0,
-                            alpha=alpha, target_delta=target_delta,
-                            a0=a0, c_adj=systems.c_adj)
+    return jt, j0
 
 
 # -- certificate -------------------------------------------------------------
@@ -167,8 +134,7 @@ def certificate_lhs(space: DiscreteSpace, fs, symbols,
 
 
 def certificate_rhs(space: DiscreteSpace, families, fs, symbols,
-                    pair: MultiIndexPair, eta: float,
-                    r: float = 1.0) -> np.ndarray:
+                    pair: MultiIndexPair, eta: float) -> np.ndarray:
     """Sum of higher-order sparse forms over all symbol subsets and all
     componentwise splits t <= k, weighted by binomial coefficients."""
     orders = _normalized_orders(pair)
@@ -179,15 +145,14 @@ def certificate_rhs(space: DiscreteSpace, families, fs, symbols,
     for fam, tau, tvec in itertools.product(families, subsets, splits):
         weight = float(math.prod(map(math.comb, orders, tvec)))
         sub = MultiIndexPair(tuple(orders), tvec, tau, pair.tau_ell)
-        out += weight * sparse_higher_order(fam, fs, symbols, sub, eta=eta,
-                                            r=r)
+        out += weight * sparse_higher_order(fam, fs, symbols, sub, eta=eta)
     return out
 
 
 # -- level sets --------------------------------------------------------------
 
-def _node_profiles(space, fs, symbols, pair, eta, r, region, base_center,
-                   base_radius, cfg, systems):
+def _node_profiles(space, fs, symbols, pair, eta, region, base_center,
+                   base_radius, dilation, systems):
     """The alpha loop's data, one row per split t <= k of the orders.
 
     Returns (values, scales, refs): values[0] the pointwise products and
@@ -195,7 +160,7 @@ def _node_profiles(space, fs, symbols, pair, eta, r, region, base_center,
     reference products over the enlarged ball; row t of values[j] is bad
     where it exceeds (alpha * scales[j]) * refs[t].
     """
-    big = space.ball(base_center, cfg.c_jtilde0 * base_radius)
+    big = space.ball(base_center, dilation * base_radius)
     _, ref_cube = adjacent_cover(systems, big)
     cut = np.zeros(space.n)
     cut[big.members] = 1.0
@@ -209,12 +174,12 @@ def _node_profiles(space, fs, symbols, pair, eta, r, region, base_center,
     refs = np.ones(len(tvecs))
     point = np.ones((len(tvecs), len(region)))
     for g in mods:
-        refs *= [avg(space, big.members, row, r) for row in g]
+        refs *= [avg(space, big.members, row) for row in g]
         point *= np.abs(g[:, region])
     grand = truncated_grand_maximal_local(
-        space, [g * cut for g in mods], eta, cfg.c_jtilde0,
-        base_center, base_radius)
-    mu_pow = space.mass_of(big.members) ** (eta / r)
+        space, [g * cut for g in mods], eta, dilation, base_center,
+        base_radius)
+    mu_pow = space.mass_of(big.members) ** eta
     return np.stack([point, grand[:, region]]), np.array([1.0, mu_pow]), refs
 
 
@@ -222,26 +187,28 @@ def _node_profiles(space, fs, symbols, pair, eta, r, region, base_center,
 
 def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
                  symbols, pair: MultiIndexPair, eta: float,
-                 cfg: DominationConfig | None = None
-                 ) -> DominationCertificate:
+                 alpha: float = 1.0) -> DominationCertificate:
     """Build and self-verify a sparse domination certificate.
 
     fs and symbols hold one array per slot; pair.k and pair.tau_ell
     drive the construction (pair.t and pair.tau are enumerated
-    internally).  The oscillation split is evaluated at r = 1.
+    internally).  The oscillation split is evaluated at r = 1.  alpha
+    (finite, positive) is the root's first threshold multiplier.
     """
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be a finite positive number, "
+                         f"got {alpha!r}")
     fs = _as_arrays(fs, space.n)
     symbols = _as_arrays(symbols, space.n)
     if len(fs) != pair.m or len(symbols) != pair.m:
         raise ValueError("one argument and one symbol per slot required")
-    if cfg is None:
-        cfg = derive_config(space, systems)
-    r = 1.0
-    coverage = coverage_audit(space, systems, cfg)
+    jtilde0, _ = _stopping_exponents(space, systems)
+    dilation = 2.0 ** (jtilde0 + 2) * space.a0
+    coverage = coverage_audit(space, systems)
     if any(not np.any(f) for f in fs):
         zero = np.zeros(space.n)
         return DominationCertificate(
-            families=[], constant=0.0, max_ratio=0.0, alpha=cfg.alpha,
+            families=[], constant=0.0, max_ratio=0.0, alpha=alpha,
             truncated=False, residual_bound=0.0, pair=pair, eta=eta,
             per_point={"lhs": zero, "rhs": zero.copy(),
                        "ratio": zero.copy()},
@@ -255,50 +222,42 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
     lam = 1.0 / (2.0 * cmu0)
     needed = sum(pair.k[i] for i in pair.tau_ell)
     truncated = needed > lattice.depth
-    residual = 0.0
 
     cube_ids: list[int] = []
     witnesses: dict[int, np.ndarray] = {}
-    final_alpha = cfg.alpha
+    final_alpha = alpha
 
-    # depth-first, children in (gen, index) order for determinism
-    stack: list[tuple[Cube, int, float, float, int]] = [
-        (root_cube, root_ball.center, root_ball.radius, cfg.alpha, 0)]
+    # depth-first, children in (gen, index) order for determinism; a
+    # stopping cube is a proper subcube, so the walk ends by the leaves
+    stack: list[tuple[Cube, int, float, float]] = [
+        (root_cube, root_ball.center, root_ball.radius, alpha)]
     while stack:
-        cube, bc, br, alpha, depth = stack.pop()
-        if depth > lattice.depth:
-            # unreachable for faithful inputs; bound the abandoned term
-            big = space.ball(bc, cfg.c_jtilde0 * br)
-            cut = np.zeros(space.n)
-            cut[big.members] = 1.0
-            tail = certificate_lhs(space, [f * cut for f in fs], symbols,
-                                   pair, eta)
-            residual += float(tail[cube.members].max())
-            truncated = True
-            continue
+        cube, bc, br, node_alpha = stack.pop()
         region = cube.members
         values, scales, refs = _node_profiles(
-            space, fs, symbols, pair, eta, r, region, bc, br, cfg, systems)
+            space, fs, symbols, pair, eta, region, bc, br, dilation,
+            systems)
         target = cube.mass / (4.0 * cmu0)
         while True:
-            hit = values > (alpha * scales)[:, None, None] * refs[:, None]
+            hit = (values > (node_alpha * scales)[:, None, None]
+                   * refs[:, None])
             bad = np.zeros(space.n, dtype=bool)
             bad[region[hit.any(axis=(0, 1))]] = True
             if float(space.masses[bad].sum()) <= target:
                 break
-            if alpha * 2.0 > cfg.alpha * ALPHA_FACTOR_CAP:
+            if node_alpha * 2.0 > alpha * ALPHA_FACTOR_CAP:
                 raise DominationError(
                     f"alpha escalation exceeded 2^20 at cube "
                     f"{cube.cube_id} (generation {cube.gen}, "
                     f"index {cube.index})", cube_id=cube.cube_id)
-            alpha *= 2.0
-        final_alpha = max(final_alpha, alpha)
+            node_alpha *= 2.0
+        final_alpha = max(final_alpha, node_alpha)
         # maximal proper subcubes charged above the lambda fraction
         charged = lattice.cube_sums(bad) > lam * lattice.cube_masses
         picks = [lattice.cube(cid)
                  for cid in lattice.maximal_subcubes(cube, charged)]
         budget = math.fsum(p.mass for p in picks)
-        if budget > 0.5 * cube.mass * (1 + 1e-12):
+        if budget > SPARSENESS * cube.mass * (1 + 1e-12):
             raise DominationError(
                 f"stopping cubes exceed half the mass of cube "
                 f"{cube.cube_id}", cube_id=cube.cube_id)
@@ -314,10 +273,9 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
         nominal = lattice.big_a1 * lattice.delta ** np.arange(
             lattice.depth + 1)
         for p in reversed(picks):
-            stack.append((p, p.center, float(nominal[p.gen]),
-                          alpha, depth + 1))
+            stack.append((p, p.center, float(nominal[p.gen]), node_alpha))
 
-    family = SparseFamily(lattice, cube_ids, witnesses, cfg.target_delta)
+    family = SparseFamily(lattice, cube_ids, witnesses, SPARSENESS)
     report = verify_sparse(family)
     if not report.ok:
         raise DominationError(
@@ -325,7 +283,7 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
             f"{report.violations[:3]}")
 
     lhs = certificate_lhs(space, fs, symbols, pair, eta)
-    rhs = certificate_rhs(space, [family], fs, symbols, pair, eta, r)
+    rhs = certificate_rhs(space, [family], fs, symbols, pair, eta)
     pos = rhs > 0.0
     ratio = np.where(pos, lhs / np.where(pos, rhs, 1.0), 0.0)
     stray = lhs[~pos]
@@ -335,7 +293,7 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
     max_ratio = float(ratio.max()) if ratio.size else 0.0
     return DominationCertificate(
         families=[family], constant=max_ratio, max_ratio=max_ratio,
-        alpha=final_alpha, truncated=truncated, residual_bound=residual,
+        alpha=final_alpha, truncated=truncated, residual_bound=0.0,
         pair=pair, eta=eta,
         per_point={"lhs": lhs, "rhs": rhs, "ratio": ratio},
         coverage=coverage)
@@ -372,18 +330,19 @@ def verify_domination(cert: DominationCertificate, lhs, rhs) -> dict:
 
 # -- step-1 coverage audit ---------------------------------------------------
 
-def coverage_audit(space: DiscreteSpace, systems: AdjacentSystems,
-                   cfg: DominationConfig) -> dict:
+def coverage_audit(space: DiscreteSpace, systems: AdjacentSystems) -> dict:
     """Dilated-ball coverage of the space plus annulus cube covers.
 
     Checks that the doubled balls 2^j B0 exhaust the space and that the
     greedy adjacent-cube cover of each annulus keeps its overlap below
-    the declared bound; reports the realized overlap.
+    the declared bound 2 (2 j0 + 1); reports the realized overlap.
     """
+    _, j0 = _stopping_exponents(space, systems)
+    declared = 2 * (2 * j0 + 1)
     dists = space.realized_distances(0)
     if dists.size == 0:
         return {"union_ok": True, "levels": 0, "overlap": 0,
-                "declared_bound": 2 * (2 * cfg.j0 + 1), "ok": True}
+                "declared_bound": declared, "ok": True}
     r0 = float(dists.min())
     rmax = float(dists.max())
     levels = 0
@@ -401,13 +360,12 @@ def coverage_audit(space: DiscreteSpace, systems: AdjacentSystems,
         for x in ann:
             if done[x]:
                 continue
-            small = space.ball(int(x), r0 * 2.0 ** (j + 1 - cfg.j0))
+            small = space.ball(int(x), r0 * 2.0 ** (j + 1 - j0))
             _, cube = adjacent_cover(systems, small)
             chosen.append(cube)
             done[cube.members] = True
             counts[cube.members] += 1
     overlap = int(counts.max(initial=0))
-    declared = 2 * (2 * cfg.j0 + 1)
     return {"union_ok": union_ok, "levels": levels, "overlap": overlap,
             "declared_bound": declared,
             "ok": union_ok and overlap <= declared}

@@ -653,9 +653,9 @@ def select_witnesses(lattice: DyadicLattice, cube_ids: list[int],
     return SparseFamily(lattice, list(cube_ids), witnesses, delta)
 
 
-def random_sparse_family(lattice: DyadicLattice, rng,
-                         delta: float = 0.5) -> SparseFamily:
-    """Random cube set thinned until the witness selector succeeds.
+def random_sparse_family(lattice: DyadicLattice, rng) -> SparseFamily:
+    """Random 0.5-sparse cube set thinned until the witness selector
+    succeeds.
 
     Top-down walk: an internal cube is either kept with its subtree
     left alone, kept with the walk continuing below it, or skipped;
@@ -682,11 +682,11 @@ def random_sparse_family(lattice: DyadicLattice, rng,
     if not ids:
         ids = [root]
     ids = sorted(set(ids))
-    witnesses, _ = _witness_walk(lattice, ids, delta)
+    witnesses, _ = _witness_walk(lattice, ids, 0.5)
     kept = [cid for cid in ids if cid in witnesses]
     if not kept:
-        return select_witnesses(lattice, [root], delta)
-    return SparseFamily(lattice, kept, witnesses, delta)
+        return select_witnesses(lattice, [root], 0.5)
+    return SparseFamily(lattice, kept, witnesses, 0.5)
 
 
 def max_feasible_delta(lattice: DyadicLattice, cube_ids: list[int],

@@ -335,10 +335,9 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
     Signed arguments are allowed; supports m in {1, 2, 3}.  The
     arguments are all single (n,) columns or all (B, n) blocks of B
     columns, and the result then carries one column per block row.
-    rows picks what is evaluated: None for every point; integer indices
-    for those rows only, shaped (len(rows),) or (len(rows), B); or a
-    boolean mask of the full result's shape, which evaluates the masked
-    entries and leaves the rest 0.
+    rows picks what is evaluated: None for every entry, or a boolean
+    mask of the result's shape, which evaluates the masked entries and
+    leaves the rest 0.
 
     Every value is summed in one fixed order, whatever the rows and
     columns asked for: m = 1 takes the full product of the kernel power
@@ -355,15 +354,12 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
     width = ws[0].shape[0]
     shape = (n, width) if batched else (n,)
     if rows is None:
-        want, pick = np.ones((n, width), dtype=bool), slice(None)
-    elif np.asarray(rows).dtype == bool:
-        if np.shape(rows) != shape:
-            raise ValueError("a row mask must have the result's shape")
-        want, pick = np.asarray(rows).reshape(n, width), slice(None)
+        want = np.ones((n, width), dtype=bool)
+    elif np.asarray(rows).dtype == bool and np.shape(rows) == shape:
+        want = np.asarray(rows).reshape(n, width)
     else:
-        pick = np.asarray(rows, dtype=np.intp)
-        want = np.zeros((n, width), dtype=bool)
-        want[pick] = True
+        raise ValueError("rows must be None or a boolean mask of the "
+                         "result's shape")
     K = ball_mass_kernel(space)
     expo = eta - m
     out = np.zeros((n, width))
@@ -395,7 +391,6 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
                 for y3 in range(n):
                     acc += w[y3] * (u @ ((pair + kx[y3]) ** expo) @ v)
                 out[x, b] = acc
-    out = out[pick]
     return out if batched else out[..., 0]
 
 

@@ -31,9 +31,8 @@ from time import perf_counter
 import numpy as np
 
 from .domination import augment_sparse
-from .dyadic import (SparseFamily, build_shifted_adjacent,
-                     build_standard_lattice, random_sparse_family,
-                     select_witnesses)
+from .dyadic import (SparseFamily, build_standard_lattice,
+                     random_sparse_family, select_witnesses)
 from .operators import (MultiIndexPair, dyadic_maximal, fractional_integral,
                         fractional_maximal, orlicz_maximal,
                         power_maximal_dyadic, sharp_maximal_dyadic,
@@ -65,22 +64,15 @@ _WEIGHT_SPREADS = (0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """What to run: a check id plus sizing, seeding, and exponents.
-
-    trials = 0 means the registry default for that check, and negative
-    trials are rejected.  mode may be left None; when given it must
-    agree with the registry entry.
-    """
+    """What to run: a check id, its exponents (None: the check's
+    default), the grid size n, the trial count (0: the registry default;
+    negative is rejected) and the seed."""
 
     check_id: str
     config: ExponentConfig | None = None
     n: int = 16
-    space_seed: int = 0
-    lattice_seed: int = 0
-    sparse_seed: int = 0
     trials: int = 0
     seed: int = 1
-    mode: str | None = None
 
 
 @dataclass
@@ -145,8 +137,8 @@ class _Trial:
 
     Stream ``salt`` is keyed by (seed, salt, trial), so a report does not
     depend on execution order.  Salt 0 (``rng``) draws the trial's data,
-    1 + sparse_seed its sparse family, 2 and 3 the two operator-norm
-    probes of a norm transfer.
+    1 its sparse family, 2 and 3 the two operator-norm probes of a norm
+    transfer.
     """
 
     def __init__(self, spec: CheckSpec, report: CheckReport, index: int):
@@ -158,8 +150,7 @@ class _Trial:
             (int(self.spec.seed), int(salt), int(self.index)))
 
     def family(self, lattice) -> SparseFamily:
-        return random_sparse_family(
-            lattice, self.stream(1 + self.spec.sparse_seed))
+        return random_sparse_family(lattice, self.stream(1))
 
     def fail(self, **fields) -> None:
         self.report.failures.append({"trial": self.index,
@@ -196,24 +187,9 @@ def _random_masked(rng, n: int, zero_prob: float = 0.3) -> np.ndarray:
 
 # -- shared numerics ----------------------------------------------------------
 
-def _space_for(spec: CheckSpec):
-    if spec.space_seed:
-        rng = np.random.default_rng((int(spec.space_seed), 823))
-        masses = rng.integers(1, 5, size=spec.n).astype(np.float64)
-        return build_grid_space(spec.n, masses=masses)
-    return build_grid_space(spec.n)
-
-
-def _lattice_for(space, spec: CheckSpec):
-    if spec.lattice_seed:
-        systems = build_shifted_adjacent(space, 3)
-        return systems.lattices[int(spec.lattice_seed) % systems.count]
-    return build_standard_lattice(space)
-
-
 def _setup(spec: CheckSpec):
-    space = _space_for(spec)
-    return space, _lattice_for(space, spec)
+    space = build_grid_space(spec.n)
+    return space, build_standard_lattice(space)
 
 
 def _lp_norm(space, f, weight, p: float) -> float:
@@ -432,11 +408,11 @@ def _norm_transfer(trial: _Trial, space, cfg: ExponentConfig, left, right,
     return est_l, est_r, ratio
 
 
-def _augment_joint(family, symbols, max_rounds: int = 8) -> SparseFamily:
+def _augment_joint(family, symbols) -> SparseFamily:
     """Stopping-time augmentation alternated over several symbols until
-    the cube set stabilizes (or the round budget runs out)."""
+    the cube set stabilizes (or eight rounds run out)."""
     fam = family
-    for _ in range(max_rounds):
+    for _ in range(8):
         before = tuple(fam.cube_ids)
         for b in symbols:
             fam, _ = augment_sparse(fam, b)
@@ -903,7 +879,7 @@ def _run_endpoint_weak(spec: CheckSpec, report: CheckReport) -> None:
 # -- check: m_vs_i ------------------------------------------------------------
 
 def _run_m_vs_i(spec: CheckSpec, report: CheckReport) -> None:
-    space = _space_for(spec)
+    space = build_grid_space(spec.n)
     worst = 0.0
     constant = 0.0
     for trial, rng in _trials(spec, report):
@@ -1039,8 +1015,20 @@ def _bloom_exponent(x: float) -> float:
     return max(1.0, 1.0 / (x - 1.0))
 
 
+def _require_bloom_slots(cfg: ExponentConfig, presets) -> None:
+    """Every slot the presets oscillate must exist, and the Bloom
+    exponent needs p_i > 1 on it and q > 1."""
+    slots = sorted({i for *_, tau in presets for i in tau})
+    if cfg.m <= slots[-1] or cfg.q <= 1 or \
+            min(cfg.p[i] for i in slots) <= 1:
+        raise ValueError(f"the presets oscillate slots {slots}, which "
+                         f"need p_i > 1 and q > 1; got p={list(cfg.p)}, "
+                         f"q={cfg.q}")
+
+
 def _run_bloom_maximal(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(3, (2.0, 2.0, 2.0), 2.0)
+    _require_bloom_slots(cfg, _BLOOM_MAX_PRESETS)
     space, lattice = _setup(spec)
     m, p, q, eta = cfg.m, cfg.p, cfg.q, cfg.eta
     per_trial = []
@@ -1097,6 +1085,7 @@ _BLOOM_ITER_PRESETS = (
 
 def _run_bloom_iterated(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(4, (2.0,) * 4, 2.0)
+    _require_bloom_slots(cfg, _BLOOM_ITER_PRESETS)
     space, lattice = _setup(spec)
     m, p, q, eta = cfg.m, cfg.p, cfg.q, cfg.eta
     qx = _bloom_exponent(q)
@@ -1250,10 +1239,6 @@ def run_check(spec: CheckSpec) -> CheckReport:
         raise ValueError(
             f"unknown check id {spec.check_id!r}; valid ids: "
             + ", ".join(registry_ids()))
-    if spec.mode is not None and spec.mode != entry.mode:
-        raise ValueError(
-            f"check {spec.check_id!r} runs in mode {entry.mode!r}, "
-            f"not {spec.mode!r}")
     if spec.trials < 0:
         raise ValueError(f"trials must be >= 0, got {spec.trials}")
     trials = spec.trials if spec.trials > 0 else entry.default_trials

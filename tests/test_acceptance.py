@@ -10,7 +10,7 @@ import pytest
 
 from sparselab.domination import (augment_sparse, certificate_lhs,
                                   certificate_rhs, cz_construct,
-                                  derive_config, verify_domination)
+                                  verify_domination)
 from sparselab.dyadic import (build_shifted_adjacent, build_standard_lattice,
                               random_sparse_family, verify_sparse)
 from sparselab.operators import (MultiIndexPair, commutator_integral,
@@ -57,7 +57,6 @@ def test_criterion_2_sparseness_of_emitted_families():
     t0 = time.perf_counter()
     space = build_grid_space(32)
     systems = build_shifted_adjacent(space, 1)
-    cfg = derive_config(space, systems)
     pair = MultiIndexPair(k=(1,), t=(0,), tau=(), tau_ell=(0,))
     lattice = systems.lattices[0]
     runs = 0
@@ -65,7 +64,7 @@ def test_criterion_2_sparseness_of_emitted_families():
         rng = np.random.default_rng((seed, 5))
         fs = [np.abs(rng.standard_normal(32))]
         bs = [rng.standard_normal(32)]
-        cert = cz_construct(space, systems, fs, bs, pair, 0.0, cfg)
+        cert = cz_construct(space, systems, fs, bs, pair, 0.0)
         assert cert.families
         for fam in cert.families:
             assert verify_sparse(fam).ok
@@ -137,7 +136,6 @@ def test_criterion_6_pointwise_domination_certificates():
     t0 = time.perf_counter()
     space = build_grid_space(16)
     systems = build_shifted_adjacent(space, 1)
-    cfg = derive_config(space, systems)
     combos = [
         (1, (0,), 0.0),
         (1, (1,), 0.0),
@@ -152,7 +150,7 @@ def test_criterion_6_pointwise_domination_certificates():
             rng = np.random.default_rng((seed, 5, m, *k))
             fs = [np.abs(rng.standard_normal(16)) for _ in range(m)]
             bs = [rng.standard_normal(16) for _ in range(m)]
-            cert = cz_construct(space, systems, fs, bs, pair, eta, cfg)
+            cert = cz_construct(space, systems, fs, bs, pair, eta)
             lhs = certificate_lhs(space, fs, bs, pair, eta)
             rhs = certificate_rhs(space, cert.families, fs, bs, pair, eta)
             verdict = verify_domination(cert, lhs, rhs)

@@ -158,6 +158,23 @@ class TestConstantsCommand:
         assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("exponents,args", [
+    *[(exps, ["verify", cid])
+      for exps in ({"p": [2.0], "q": 2.0},
+                   {"p": [2.0, 2.0, 2.0], "q": 1.0},
+                   {"p": [1.0, 2.0], "q": 2.0})
+      for cid in ("bloom_maximal", "bloom_iterated")],
+    ({"p": [1.0, 1.0], "q": 0.5},
+     ["constants", "--kind", "A_p", "--weight", "const"])])
+def test_exponents_out_of_range_exit_2(runner, tmp_path, exponents, args):
+    cfg = _write_config(tmp_path, {"exponents": exponents})
+    result = runner.invoke(cli, ["--config", cfg, *args, "--n", "8"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert len([line for line in result.output.splitlines()
+                if line.startswith("Error:")]) == 1
+
+
 @pytest.mark.parametrize("args", [
     ["lattice"], ["constants", "--kind", "A_p", "--weight", "const"],
     ["sparse"], ["dominate"]])
@@ -253,8 +270,12 @@ class TestDominateCommand:
         (["dominate", "--n", "8", "--eta", "-1"],
          "Error: eta must lie in [0, 1) (m = slot count)"),
         (["sparse", "--n", "8", "--eta", "-3"], "Error: eta must be >= 0"),
+        (["dominate", "--n", "8", "--alpha", "0"],
+         "Error: alpha must be positive"),
+        (["dominate", "--n", "8", "--alpha", "-1"],
+         "Error: alpha must be positive"),
     ])
-    def test_negative_eta_exits_2(self, runner, args, message):
+    def test_out_of_range_number_exits_2(self, runner, args, message):
         result = runner.invoke(cli, args)
         assert result.exit_code == 2
         assert "Traceback" not in result.output
@@ -401,3 +422,10 @@ class TestCommandSurface:
         result = runner.invoke(cli, ["--config", cfg, "space", "--n", "8"])
         assert result.exit_code == 2
         assert "bench" in result.output
+
+    def test_every_exported_name_resolves(self):
+        import sparselab
+
+        missing = [name for name in sparselab.__all__
+                   if not hasattr(sparselab, name)]
+        assert missing == []

@@ -26,7 +26,7 @@ def _standard():
 
 
 def _shifted():
-    # the lattice a check picks with lattice_seed = 1
+    # the second of three shifted systems, on non-uniform masses
     sp = build_grid_space(32, masses=np.random.default_rng(12).uniform(
         0.5, 2.0, 32))
     return build_shifted_adjacent(sp, 3).lattices[1]

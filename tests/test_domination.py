@@ -18,14 +18,12 @@ from sparselab.dyadic import (
 )
 from sparselab.domination import (
     DominationCertificate,
-    DominationConfig,
     DominationError,
     augment_sparse,
     certificate_lhs,
     certificate_rhs,
     coverage_audit,
     cz_construct,
-    derive_config,
     verify_domination,
 )
 from sparselab.operators import MultiIndexPair
@@ -146,34 +144,24 @@ def plain_pair(m=1):
 
 # -- configuration -----------------------------------------------------------
 
-def test_derive_config_frozen_n8():
+def test_stopping_exponents_frozen_n8():
     sp = build_grid_space(8)
     systems = build_shifted_adjacent(sp, 3)
     assert systems.c_adj == 2.5
-    cfg = derive_config(sp, systems)
+    assert sp.a0 == 1.0
+    jtilde0, j0 = dom._stopping_exponents(sp, systems)
     # need = max(3, 5) = 5: smallest power of two above is 8
-    assert cfg.jtilde0 == 3
-    assert cfg.c_jtilde0 == 32.0
-    assert cfg.j0 == 4
-    assert cfg.a0 == 1.0
-    assert cfg.target_delta == 0.5
+    assert jtilde0 == 3
+    assert 2.0 ** (jtilde0 + 2) * sp.a0 == 32.0
+    assert j0 == 4
 
 
-def test_config_validation():
-    good = dict(j0=4, jtilde0=3, c_jtilde0=32.0, a0=1.0, c_adj=2.5)
-    DominationConfig(**good)
-    with pytest.raises(ValueError, match="c_jtilde0"):
-        DominationConfig(**{**good, "c_jtilde0": 16.0})
-    with pytest.raises(ValueError, match="minimal"):
-        DominationConfig(**{**good, "jtilde0": 4, "c_jtilde0": 64.0})
-    with pytest.raises(ValueError, match="exceed jtilde0"):
-        DominationConfig(j0=3, jtilde0=3, c_jtilde0=32.0, a0=1.0, c_adj=2.5)
-    with pytest.raises(ValueError, match="exceed max"):
-        DominationConfig(j0=4, jtilde0=1, c_jtilde0=8.0, a0=1.0, c_adj=2.5)
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_config_validation(grid16, alpha):
+    sp, systems = grid16
+    f = np.ones(16)
     with pytest.raises(ValueError, match="alpha"):
-        DominationConfig(**good, alpha=0.0)
-    with pytest.raises(ValueError, match="target_delta"):
-        DominationConfig(**good, target_delta=1.5)
+        cz_construct(sp, systems, [f], [f], plain_pair(1), 0.0, alpha)
 
 
 # -- trivial certificates ----------------------------------------------------
@@ -466,21 +454,19 @@ def test_verify_infinite_entry_keeps_finite_violations():
 
 def test_coverage_audit_n16(grid16):
     sp, systems = grid16
-    cfg = derive_config(sp, systems)
-    audit = coverage_audit(sp, systems, cfg)
+    audit = coverage_audit(sp, systems)
     assert audit["union_ok"]
     assert audit["ok"]
     assert audit["levels"] == 4
     assert audit["overlap"] <= audit["declared_bound"]
-    again = coverage_audit(sp, systems, cfg)
+    again = coverage_audit(sp, systems)
     assert again == audit
 
 
 def test_coverage_single_point():
     sp = build_grid_space(1)
     systems = build_shifted_adjacent(sp, 1)
-    cfg = derive_config(sp, systems)
-    audit = coverage_audit(sp, systems, cfg)
+    audit = coverage_audit(sp, systems)
     assert audit["ok"]
     assert audit["levels"] == 0
 

@@ -564,17 +564,20 @@ class TestBatchedFractionalIntegral:
                                                  eta)
                              for b in range(width)], axis=1)
             rows = rng.choice(sp.n, size=sp.n // 3, replace=False)
-            got = fractional_integral(sp, blocks, eta, rows=rows)
-            assert got.shape == (len(rows), width)
-            assert np.array_equal(got, full[rows])
+            picked = np.zeros(sp.n, dtype=bool)
+            picked[rows] = True
+            whole_rows = np.repeat(picked[:, None], width, axis=1)
+            got = fractional_integral(sp, blocks, eta, rows=whole_rows)
+            assert np.array_equal(got, np.where(whole_rows, full, 0.0))
             assert np.array_equal(fractional_integral(sp, blocks, eta), full)
             mask = rng.random((sp.n, width)) < 0.3
             got = fractional_integral(sp, blocks, eta, rows=mask)
             assert np.array_equal(got, np.where(mask, full, 0.0))
             single = fractional_integral(sp, [a[0] for a in blocks], eta,
-                                         rows=rows)
-            assert single.shape == (len(rows),)
-            assert np.array_equal(single, full[rows, 0])
+                                         rows=picked)
+            assert np.array_equal(single, np.where(picked, full[:, 0], 0.0))
+            with pytest.raises(ValueError, match="boolean mask"):
+                fractional_integral(sp, blocks, eta, rows=rows)
 
     @pytest.mark.parametrize("powers", [(1,), (2,), (1, 1), (2, 1)])
     def test_commutator_matches_term_loop(self, powers):

@@ -70,14 +70,6 @@ class TestRegistry:
         assert "holder_eq" in message
         assert "bloom_iterated" in message
 
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_check(CheckSpec("holder_eq", mode="ratio-monitor"))
-
-    def test_matching_mode_accepted(self):
-        report = run_check(CheckSpec("holder_eq", mode="exact", trials=5))
-        assert report.passed
-
     def test_zero_trials_takes_registry_default(self):
         report = run_check(CheckSpec("holder_eq", trials=0))
         assert report.trials == REGISTRY["holder_eq"].default_trials
