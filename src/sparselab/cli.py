@@ -24,12 +24,12 @@ import tempfile
 import click
 import numpy as np
 
-from .domination import cz_construct, verify_domination
+from .domination import DominationError, cz_construct, verify_domination
 from .dyadic import (WitnessSelectionError, build_shifted_adjacent,
                      build_standard_lattice, lattice_to_descriptor,
                      random_sparse_family, select_witnesses)
 from .operators import MultiIndexPair, sparse_coefficients
-from .space import build_grid_space, space_from_descriptor, space_to_descriptor
+from .space import space_from_descriptor, space_to_descriptor
 from .space import doubling_constant as space_doubling_constant
 from .verify import CheckSpec, registry_ids, run_check
 from .weights import (ExponentConfig, dual_weight,
@@ -105,14 +105,23 @@ def _require_finite(val, name):
         raise ConfigError(f"{name} must be a finite number")
 
 
+def _section(cfg, name, fields, default=None):
+    """The config object under name, every key one of fields; a missing
+    or null section reads as default."""
+    sec = cfg.get(name)
+    if sec is None:
+        return default
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{name} must be an object")
+    for key in sec:
+        if key not in fields:
+            raise ConfigError(f"{name}.{key} is not a recognized field")
+    return sec
+
+
 def _space_from_config(cfg, n_flag, grid_for=None):
-    desc = cfg.get("space", {})
-    if not isinstance(desc, dict):
-        raise ConfigError("space must be an object")
-    for key in desc:
-        if key not in ("kind", "n", "masses", "metric", "a0"):
-            raise ConfigError(f"space.{key} is not a recognized field")
-    desc = dict(desc)
+    desc = dict(_section(cfg, "space",
+                         ("kind", "n", "masses", "metric", "a0"), default={}))
     desc.setdefault("kind", "grid")
     if desc["kind"] not in ("grid", "explicit"):
         raise ConfigError(f"space.kind must be 'grid' or 'explicit', "
@@ -144,14 +153,10 @@ def _space_from_config(cfg, n_flag, grid_for=None):
 
 
 def _exponents_from_config(cfg):
-    exp = cfg.get("exponents")
+    exp = _section(cfg, "exponents",
+                   ("m", "p", "q", "eta", "p0", "gamma", "r"))
     if exp is None:
         return None
-    if not isinstance(exp, dict):
-        raise ConfigError("exponents must be an object")
-    for key in exp:
-        if key not in ("m", "p", "q", "eta", "p0", "gamma", "r"):
-            raise ConfigError(f"exponents.{key} is not a recognized field")
     p = exp.get("p")
     if not isinstance(p, list) or not p or not all(_is_num(v) for v in p):
         raise ConfigError("exponents.p must be a non-empty number array")
@@ -174,24 +179,28 @@ def _exponents_from_config(cfg):
 
 
 def _array_spec(space, spec, where, allow_negative=False, positive=False):
+    """A preset string or an inline array, checked alike: finite, and
+    nonnegative or strictly positive as asked."""
     if isinstance(spec, str):
         try:
-            return make_weight(space, spec)
+            with np.errstate(over="ignore"):  # an overflow fails below
+                arr = make_weight(space, spec)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    if isinstance(spec, list):
+    elif isinstance(spec, list):
         if len(spec) != space.n or not all(_is_num(v) for v in spec):
             raise ConfigError(f"{where} must be a length-{space.n} "
                               "number array")
         arr = np.array([float(v) for v in spec])
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"{where} must hold finite numbers")
-        if not allow_negative and np.any(arr < 0.0):
-            raise ConfigError(f"{where} must be nonnegative")
-        if positive and np.any(arr <= 0.0):
-            raise ConfigError(f"{where} must be strictly positive")
-        return arr
-    raise ConfigError(f"{where} must be a preset string or an array")
+    else:
+        raise ConfigError(f"{where} must be a preset string or an array")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{where} must hold finite numbers")
+    if not allow_negative and np.any(arr < 0.0):
+        raise ConfigError(f"{where} must be nonnegative")
+    if positive and np.any(arr <= 0.0):
+        raise ConfigError(f"{where} must be strictly positive")
+    return arr
 
 
 def _weights_from_config(space, cfg, flags):
@@ -291,7 +300,9 @@ def cli(ctx, config_path, seed, out_path, audit):
     """Sparse-operator laboratory on finite spaces of homogeneous type."""
     cfg = _load_config(config_path)
     if seed is None:
-        seed = _int_field(cfg, "seed", "config", default=1)
+        seed = _int_field(cfg, "seed", "config", default=1, minimum=0)
+    elif seed < 0:
+        raise ConfigError("seed must be >= 0")
     if out_path is None:
         out = cfg.get("out")
         if out is not None and not isinstance(out, str):
@@ -333,12 +344,7 @@ def cmd_space(ctx, n):
 def cmd_lattice(ctx, n, shifts, csv_path):
     """Build dyadic lattices and emit their cube dumps."""
     cfg = ctx.obj["cfg"]
-    lat_cfg = cfg.get("lattice", {})
-    if not isinstance(lat_cfg, dict):
-        raise ConfigError("lattice must be an object")
-    for key in lat_cfg:
-        if key != "shifts":
-            raise ConfigError(f"lattice.{key} is not a recognized field")
+    lat_cfg = _section(cfg, "lattice", ("shifts",), default={})
     if shifts is None:
         shifts = _int_field(lat_cfg, "shifts", "lattice", default=1,
                             minimum=1)
@@ -384,11 +390,8 @@ def _constant_rows(kind, lattice, ws, ecfg):
     m = len(ws)
     if kind == "A_p":
         p = ecfg.q if ecfg is not None else 2.0
-        try:
-            return [(f"A_p:{i}", *muckenhoupt_ap(lattice, w, p, detail=True))
-                    for i, w in enumerate(ws)]
-        except ValueError as exc:
-            raise ConfigError(f"{kind} at p = {p!r}: {exc}") from None
+        return [(f"A_p:{i}", *muckenhoupt_ap(lattice, w, p, detail=True))
+                for i, w in enumerate(ws)]
     if kind == "A_inf_fujii":
         return [(f"A_inf_fujii:{i}",
                  *fujii_wilson_single(lattice, w, detail=True))
@@ -399,23 +402,14 @@ def _constant_rows(kind, lattice, ws, ecfg):
             lattice, ws, ecfg.p, ecfg.q, detail=True))]
     if kind in ("W_inf_i", "H_inf_i"):
         _require_exponents(ecfg, kind, m)
-        try:
-            sigmas = [dual_weight(w, pi) for w, pi in zip(ws, ecfg.p)]
-        except ValueError as exc:
-            raise ConfigError(f"{kind}: {exc}") from None
+        sigmas = [dual_weight(w, pi) for w, pi in zip(ws, ecfg.p)]
         u = np.prod(np.stack([w ** (ecfg.q / pi)
                               for w, pi in zip(ws, ecfg.p)]), axis=0)
         fn = (component_wilson_constant if kind == "W_inf_i"
               else component_hruscev_constant)
-        rows = []
-        for i in range(m):
-            try:
-                val = fn(lattice, u, sigmas, ecfg.p, ecfg.q, ecfg.gamma, i,
-                         detail=True)
-            except ValueError as exc:
-                raise ConfigError(f"{kind}: {exc}") from None
-            rows.append((f"{kind}:{i}", *val))
-        return rows
+        return [(f"{kind}:{i}", *fn(lattice, u, sigmas, ecfg.p, ecfg.q,
+                                    ecfg.gamma, i, detail=True))
+                for i in range(m)]
     raise ConfigError(f"unknown constant kind {kind!r}; valid kinds: "
                       + ", ".join(CONSTANT_KINDS))
 
@@ -445,7 +439,11 @@ def cmd_constants(ctx, n, kinds, weight_flags):
     ecfg = _exponents_from_config(cfg)
     rows = []
     for kind in kinds:
-        for label, value, cube_id in _constant_rows(kind, lattice, ws, ecfg):
+        try:
+            kind_rows = _constant_rows(kind, lattice, ws, ecfg)
+        except ValueError as exc:
+            raise ConfigError(f"{kind}: {exc}") from None
+        for label, value, cube_id in kind_rows:
             rows.append((label, repr(float(value)),
                          "" if cube_id is None else cube_id))
     _emit(_csv_text(("kind", "value", "argmax_cube"), rows),
@@ -455,25 +453,21 @@ def cmd_constants(ctx, n, kinds, weight_flags):
 # -- sparse ------------------------------------------------------------------
 
 def _family_from_config(cfg, lattice, seed):
-    fam_cfg = cfg.get("family")
+    fam_cfg = _section(cfg, "family", ("cube_ids", "delta"))
     if fam_cfg is None:
         return random_sparse_family(
             lattice, np.random.default_rng((seed, 101)))
-    if not isinstance(fam_cfg, dict):
-        raise ConfigError("family must be an object")
-    for key in fam_cfg:
-        if key not in ("cube_ids", "delta"):
-            raise ConfigError(f"family.{key} is not a recognized field")
     ids = fam_cfg.get("cube_ids")
     if not isinstance(ids, list) or not all(_is_int(v) for v in ids):
         raise ConfigError("family.cube_ids must be an integer array")
+    cubes = len(lattice.cubes)
+    if not all(0 <= v < cubes for v in ids):
+        raise ConfigError(f"family.cube_ids must lie in [0, {cubes})")
     delta = _num_field(fam_cfg, "delta", "family", default=0.5)
     try:
         return select_witnesses(lattice, ids, delta)
     except WitnessSelectionError as exc:
         raise ConfigError(f"family: {exc}") from None
-    except (ValueError, KeyError, IndexError) as exc:
-        raise ConfigError(f"family.cube_ids: {exc}") from None
 
 
 @cli.command("sparse")
@@ -520,12 +514,7 @@ def cmd_sparse(ctx, n, eta, dump_path):
 # -- dominate ----------------------------------------------------------------
 
 def _pair_from_config(cfg, k_flag):
-    pair_cfg = cfg.get("pair", {})
-    if not isinstance(pair_cfg, dict):
-        raise ConfigError("pair must be an object")
-    for key in pair_cfg:
-        if key not in ("k", "tau_ell"):
-            raise ConfigError(f"pair.{key} is not a recognized field")
+    pair_cfg = _section(cfg, "pair", ("k", "tau_ell"), default={})
     if k_flag is not None:
         try:
             k = tuple(int(v) for v in k_flag.split(","))
@@ -589,7 +578,11 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
     symbols = _functions_from_config(space, cfg, m, seed, 6, key="symbols",
                                      signed=True)
     systems = build_shifted_adjacent(space, shifts)
-    cert = cz_construct(space, systems, fs, symbols, pair, eta, alpha)
+    try:
+        cert = cz_construct(space, systems, fs, symbols, pair, eta, alpha)
+    except DominationError as exc:
+        # a construction that cannot finish is a failed certificate
+        raise click.ClickException(str(exc)) from None
     lhs, rhs = cert.per_point["lhs"], cert.per_point["rhs"]
     verdict = verify_domination(cert, lhs, rhs)
     payload = {

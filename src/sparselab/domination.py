@@ -162,8 +162,6 @@ def _node_profiles(space, fs, symbols, pair, eta, region, base_center,
     """
     big = space.ball(base_center, dilation * base_radius)
     _, ref_cube = adjacent_cover(systems, big)
-    cut = np.zeros(space.n)
-    cut[big.members] = 1.0
     means = {i: ref_cube.lat.cube_means(symbols[i])[ref_cube.cube_id]
              for i in pair.tau_ell}
     tvecs = list(itertools.product(
@@ -176,9 +174,9 @@ def _node_profiles(space, fs, symbols, pair, eta, region, base_center,
     for g in mods:
         refs *= [avg(space, big.members, row) for row in g]
         point *= np.abs(g[:, region])
+    # the local grand maximal reads the arguments on big only
     grand = truncated_grand_maximal_local(
-        space, [g * cut for g in mods], eta, dilation, base_center,
-        base_radius)
+        space, mods, eta, dilation, base_center, base_radius)
     mu_pow = space.mass_of(big.members) ** eta
     return np.stack([point, grand[:, region]]), np.array([1.0, mu_pow]), refs
 

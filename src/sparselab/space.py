@@ -6,9 +6,9 @@ closed convention B(x, r) = {y : d(x, y) <= r}, so every ball owns its
 center and the mass of a ball is a right-continuous step function of
 the radius with finitely many breakpoints.
 
-Explicit spaces keep their dense (n, n) distance, order and prefix-mass
-tables.  Grid spaces keep only masses and positions and build each
-center's row on demand, in O(n) memory.
+Explicit spaces keep their dense (n, n) metric; grid spaces keep only
+masses and positions.  Both build each center's sorted row on demand,
+in O(n) memory per row.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class Ball:
 
 
 class DiscreteSpace:
-    """Finite quasi-metric measure space with dense tables.
+    """Finite quasi-metric measure space with a dense metric.
 
     Attributes
     ----------
@@ -78,7 +78,9 @@ class DiscreteSpace:
     a0 : quasi-triangle constant, minimal when computed
     """
 
-    def __init__(self, kind: str, masses, metric, a0: float | None = None):
+    kind = "explicit"
+
+    def __init__(self, masses, metric, a0: float | None = None):
         masses = _checked_masses(masses)
         metric = np.asarray(metric, dtype=np.float64)
         n = masses.shape[0]
@@ -95,15 +97,10 @@ class DiscreteSpace:
         # the n diagonal zeros must be the only ones
         if np.count_nonzero(metric == 0) != n:
             raise ValueError("d(x,y)=0 requires x=y")
-        self.kind = kind
         self.n = n
         self.masses = masses
         self.metric = metric
         self.total_mass = float(masses.sum())
-        # per-center sorted distance tables for fast ball-mass lookups
-        self._order = np.argsort(metric, axis=1, kind="stable")
-        self._sorted_d = np.take_along_axis(metric, self._order, axis=1)
-        self._prefix_mass = np.cumsum(masses[self._order], axis=1)
         if a0 is None:
             if n > _EXACT_A0_LIMIT:
                 raise ValueError(
@@ -115,27 +112,15 @@ class DiscreteSpace:
             if a0 < 1:
                 raise ValueError("a0 must be at least 1")
             self.a0 = float(a0)
-            self._spot_check_a0()
-
-    def _pair_distances(self, x, y) -> np.ndarray:
-        return self.metric[x, y]
-
-    def _spot_check_a0(self, samples: int = 20000) -> None:
-        if self.n < 3:
-            return
-        rng = np.random.default_rng(0)
-        idx = rng.integers(0, self.n, size=(samples, 3))
-        x, y, z = idx[:, 0], idx[:, 1], idx[:, 2]
-        d = self._pair_distances
-        lhs = d(x, y)
-        rhs = self.a0 * (d(x, z) + d(z, y))
-        bad = lhs > rhs * (1 + 1e-12)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                "declared a0 violated on triple "
-                f"({x[i]}, {y[i]}, {z[i]})"
-            )
+            # a declared a0 comes from outside: test it on 20,000 seeded
+            # random triples
+            x, y, z = np.random.default_rng(0).integers(0, n, (20000, 3)).T
+            bad = metric[x, y] > self.a0 * (metric[x, z] + metric[z, y]) \
+                * (1 + 1e-12)
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise ValueError("declared a0 violated on triple "
+                                 f"({x[i]}, {y[i]}, {z[i]})")
 
     # -- rows --------------------------------------------------------------
 
@@ -143,11 +128,16 @@ class DiscreteSpace:
         """d(center, y) for every point y."""
         return self.metric[center]
 
+    def _row_order(self, center: int) -> np.ndarray:
+        """The points by distance from center; stable, so ties go by index."""
+        return np.argsort(self.distances(center), kind="stable")
+
     def _sorted_row(self, center: int):
-        """The points by distance from center (stable, so ties go by
-        index), their distances and the running masses of that order."""
-        return (self._order[center], self._sorted_d[center],
-                self._prefix_mass[center])
+        """The points by distance from center, their distances and the
+        running masses of that order."""
+        order = self._row_order(center)
+        return (order, self.distances(center)[order],
+                np.cumsum(self.masses[order]))
 
     # -- balls -------------------------------------------------------------
 
@@ -192,25 +182,20 @@ class DiscreteSpace:
 class GridSpace(DiscreteSpace):
     """Grid model in O(n) memory: points k/n on [0, 1), d(x, y) = |x - y|.
 
-    For power-of-two n every distance is an exact multiple of 1/n, so the
-    rows built here equal those of the dense tables bit for bit: the
-    order is the stable argsort of the distance row (x, x-1, x+1, x-2,
-    x+2, ..., then the rest of the longer side) and the prefix masses
-    are the same sequential sum.
+    For power-of-two n every position k/n and every distance is exact, so
+    |x - y| is a metric (a0 = 1) and the closed-form row order below is
+    the stable argsort of the distance row: x, x-1, x+1, x-2, x+2, ...,
+    then the rest of the longer side.
     """
+
+    kind = "grid"
 
     def __init__(self, masses):
         masses = _checked_masses(masses)
         n = masses.shape[0]
-        pos = np.arange(n, dtype=np.float64) / n
-        # strictly increasing finite positions make |pos[x] - pos[y]| a
-        # metric: symmetric, nonnegative, zero exactly on the diagonal
-        if not np.all(np.isfinite(pos)) or np.any(np.diff(pos) <= 0):
-            raise ValueError("grid positions must be finite and increasing")
-        self.kind = "grid"
         self.n = n
         self.masses = masses
-        self.positions = pos
+        self.positions = np.arange(n, dtype=np.float64) / n
         # |k|/n for k = 1-n, ..., n-1: each distance row is a window of it
         self._reach = np.abs(np.arange(1 - n, n)) / n
         self._reach.flags.writeable = False
@@ -219,16 +204,12 @@ class GridSpace(DiscreteSpace):
         self._zigzag = (k + 1) // 2 * np.where(k % 2, -1, 1)
         self.total_mass = float(masses.sum())
         self.a0 = 1.0
-        self._spot_check_a0()
 
     @property
     def metric(self) -> np.ndarray:
         """The dense (n, n) distance matrix, built anew on each access."""
         pos = self.positions
         return np.abs(pos[:, None] - pos[None, :])
-
-    def _pair_distances(self, x, y) -> np.ndarray:
-        return np.abs(self.positions[x] - self.positions[y])
 
     def distances(self, center: int) -> np.ndarray:
         return self._reach[self.n - 1 - center:2 * self.n - 1 - center]
@@ -246,11 +227,6 @@ class GridSpace(DiscreteSpace):
         else:
             np.subtract(x, rest, out=order[both:])
         return order
-
-    def _sorted_row(self, center: int):
-        order = self._row_order(center)
-        return (order, self.distances(center)[order],
-                np.cumsum(self.masses[order]))
 
     def balls(self, center: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # ball j has radius j/n and holds both sides out to j, clipped at
@@ -275,7 +251,7 @@ def build_grid_space(n: int, masses=None) -> DiscreteSpace:
 
 
 def build_explicit_space(metric, masses, a0: float | None = None) -> DiscreteSpace:
-    return DiscreteSpace("explicit", masses, metric, a0=a0)
+    return DiscreteSpace(masses, metric, a0=a0)
 
 
 def doubling_constant(space: DiscreteSpace) -> float:

@@ -36,7 +36,7 @@ from .dyadic import (SparseFamily, build_standard_lattice,
 from .operators import (MultiIndexPair, dyadic_maximal, fractional_integral,
                         fractional_maximal, orlicz_maximal,
                         power_maximal_dyadic, sharp_maximal_dyadic,
-                        sparse_endpoint, sparse_first_order,
+                        sparse_coefficients, sparse_endpoint,
                         sparse_higher_order, sparse_operator)
 from .space import build_grid_space
 from .weights import (ExponentConfig, astar_from_duals, avg, bmo_norm,
@@ -270,10 +270,10 @@ def holder_sides(space, members, weights, p, q):
     return float(np.sum(mass)), rhs
 
 
-def young_composition_margin(r: float, grid=None) -> dict:
+def young_composition_margin(r: float) -> dict:
     """Composition of the log-bump gauge against its doubled-order
     majorant with constant (r+1)^r, evaluated on a wide grid."""
-    t = np.geomspace(1e-3, 1e6, 10000) if grid is None else np.asarray(grid)
+    t = np.geomspace(1e-3, 1e6, 10000)
     phi = young_llogl(float(r))
     lhs = phi.value(phi.value(t))
     bound = (float(r) + 1.0) ** float(r)
@@ -392,16 +392,26 @@ def _operator_norm_lower(space, apply_fn, m, in_weights, p, out_weight, q,
     return best
 
 
-def _norm_transfer(trial: _Trial, space, cfg: ExponentConfig, left, right,
+def _norm_transfer(trial: _Trial, space, cfg: ExponentConfig, family,
+                   symbols, pair: MultiIndexPair, plain_family, weights,
                    transfer: float, per_trial: list, **probe):
-    """Operator-norm lower bounds est_l and est_r of two forms, each given
-    as (apply_fn, in_weights, out_weight) and probed on streams 2 and 3,
-    and the quotient est_l / (transfer * est_r), inf when est_r or the
+    """Operator-norm lower bounds est_l of the higher-order form of pair
+    on family and est_r of the basic form on plain_family, under weights
+    ((in_l, out_l), (in_r, out_r)) and probed on streams 2 and 3, and
+    the quotient est_l / (transfer * est_r), inf when est_r or the
     transfer constant vanishes.  The quotient is appended to per_trial."""
+    def oscillated(fs):
+        return sparse_higher_order(family, fs, symbols, pair, eta=cfg.eta,
+                                   r=1.0)
+
+    def plain(fs):
+        return sparse_operator(plain_family, fs, eta=cfg.eta)
+
     est_l, est_r = (
         _operator_norm_lower(space, fn, cfg.m, ins, cfg.p, out, cfg.q,
                              trial.stream(salt), **probe)
-        for salt, (fn, ins, out) in ((2, left), (3, right)))
+        for salt, fn, (ins, out) in zip((2, 3), (oscillated, plain),
+                                        weights))
     ratio = est_l / (transfer * est_r) if est_r > 0 and transfer > 0 \
         else math.inf
     per_trial.append(ratio)
@@ -506,9 +516,7 @@ def _astar_sides(lattice, family, cfg: ExponentConfig, ws, fs) -> dict:
     int_gu = lattice.cube_sums(g * u)[ids]
     u_wit = family.witness_sums(u)
     g_avg = int_gu / lattice.cube_sums(u)[ids]
-    coeff = lattice.cube_masses[ids] ** eta
-    for fsig_i in fsig:
-        coeff = coeff * lattice.cube_means(np.abs(fsig_i))[ids]
+    coeff = sparse_coefficients(lattice, fsig, eta=eta)[ids]
     lhs_b = int_gu * coeff ** theta
     rhs_b = cb * g_avg * u_wit ** (1.0 - theta / q)
     slot_sums = []
@@ -966,7 +974,7 @@ def _run_bmo(spec: CheckSpec, report: CheckReport) -> None:
 def _run_caopro(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(2, (2.0, 2.0), 2.0)
     space, lattice = _setup(spec)
-    m, p, eta = cfg.m, cfg.p, cfg.eta
+    m, p = cfg.m, cfg.p
     per_trial = []
     for trial, rng in _trials(spec, report):
         tau = (0,) if trial.index % 2 == 0 else tuple(range(m))
@@ -982,16 +990,12 @@ def _run_caopro(spec: CheckSpec, report: CheckReport) -> None:
         for val in bmos:
             c0 *= val
         family = trial.family(lattice)
-
-        def commutator(fs, fam=family, sym=bs, t=tau):
-            return sparse_first_order(fam, fs, sym, t, t, eta=eta, r=1.0)
-
-        def plain(fs, fam=family):
-            return sparse_operator(fam, fs, eta=eta)
-
+        # the first-order form: |b_i - <b_i>_Q| outside the average on tau
+        pair = MultiIndexPair([int(i in tau) for i in range(m)], (0,) * m,
+                              tau, tau)
         est_l, est_r, ratio = _norm_transfer(
-            trial, space, cfg, (commutator, omegas, u), (plain, omegas, u),
-            c0, per_trial)
+            trial, space, cfg, family, bs, pair, family,
+            ((omegas, u), (omegas, u)), c0, per_trial)
         if not math.isfinite(ratio) or ratio > CAOPRO_RATIO_BASELINE:
             trial.fail(tau=list(tau), ratio=ratio,
                        baseline=CAOPRO_RATIO_BASELINE, lhs_norm=est_l,
@@ -1030,7 +1034,7 @@ def _run_bloom_maximal(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(3, (2.0, 2.0, 2.0), 2.0)
     _require_bloom_slots(cfg, _BLOOM_MAX_PRESETS)
     space, lattice = _setup(spec)
-    m, p, q, eta = cfg.m, cfg.p, cfg.q, cfg.eta
+    m, p, q = cfg.m, cfg.p, cfg.q
     per_trial = []
     for trial, rng in _trials(spec, report):
         k, t, tau = _BLOOM_MAX_PRESETS[trial.index % len(_BLOOM_MAX_PRESETS)]
@@ -1059,17 +1063,10 @@ def _run_bloom_maximal(spec: CheckSpec, report: CheckReport) -> None:
                 w0 *= bmo_norm(lattice, bs[i], weight=etas[i]) ** t[i]
         family = trial.family(lattice)
         augmented = _augment_joint(family, [bs[i] for i in tau])
-        pair = MultiIndexPair(k, t, tau, tau)
-
-        def oscillated(fs, fam=family, sym=bs, mip=pair):
-            return sparse_higher_order(fam, fs, sym, mip, eta=eta, r=1.0)
-
-        def plain(fs, fam=augmented):
-            return sparse_operator(fam, fs, eta=eta)
-
         est_l, est_r, ratio = _norm_transfer(
-            trial, space, cfg, (oscillated, mus, lam), (plain, carriers, mu0),
-            w0, per_trial, starts=1, rounds=2)
+            trial, space, cfg, family, bs, MultiIndexPair(k, t, tau, tau),
+            augmented, ((mus, lam), (carriers, mu0)), w0, per_trial,
+            starts=1, rounds=2)
         if not math.isfinite(ratio):
             trial.fail(k=list(k), t=list(t), tau=list(tau), lhs_norm=est_l,
                        rhs_norm=est_r, transfer=w0)
@@ -1087,7 +1084,7 @@ def _run_bloom_iterated(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(4, (2.0,) * 4, 2.0)
     _require_bloom_slots(cfg, _BLOOM_ITER_PRESETS)
     space, lattice = _setup(spec)
-    m, p, q, eta = cfg.m, cfg.p, cfg.q, cfg.eta
+    m, p, q = cfg.m, cfg.p, cfg.q
     qx = _bloom_exponent(q)
     per_trial = []
     for trial, rng in _trials(spec, report):
@@ -1145,17 +1142,10 @@ def _run_bloom_iterated(spec: CheckSpec, report: CheckReport) -> None:
         carriers = [thetas[i] if i in tau else zetas[i] for i in range(m)]
         family = trial.family(lattice)
         augmented = _augment_joint(family, [bs[i] for i in tau])
-        pair = MultiIndexPair(k, t, tau, tau)
-
-        def oscillated(fs, fam=family, sym=bs, mip=pair):
-            return sparse_higher_order(fam, fs, sym, mip, eta=eta, r=1.0)
-
-        def plain(fs, fam=augmented):
-            return sparse_operator(fam, fs, eta=eta)
-
         est_l, est_r, ratio = _norm_transfer(
-            trial, space, cfg, (oscillated, zetas, lam),
-            (plain, carriers, zeta), transfer, per_trial, starts=1, rounds=2)
+            trial, space, cfg, family, bs, MultiIndexPair(k, t, tau, tau),
+            augmented, ((zetas, lam), (carriers, zeta)), transfer,
+            per_trial, starts=1, rounds=2)
         if not math.isfinite(ratio):
             trial.fail(k=list(k), t=list(t), tau=list(tau), lhs_norm=est_l,
                        rhs_norm=est_r, transfer=transfer)

@@ -429,3 +429,43 @@ class TestCommandSurface:
         missing = [name for name in sparselab.__all__
                    if not hasattr(sparselab, name)]
         assert missing == []
+
+
+@pytest.mark.parametrize("config,args,code", [
+    (None, ["--seed", "-1", "dominate", "--n", "16", "--k", "1"], 2),
+    (None, ["--seed", "-1", "sparse", "--n", "16"], 2),
+    ({"seed": -1}, ["sparse", "--n", "16"], 2),
+    ({"family": {"cube_ids": [-1]}}, ["sparse", "--n", "16"], 2),
+    (None, ["constants", "--n", "16", "--kind", "A_inf_fujii",
+            "--weight", "power:-400"], 2),
+    *[({"exponents": {"p": [2.0], "q": 2.0}},
+       ["constants", "--n", "16", "--kind", kind, "--weight", "power:nan"],
+       2) for kind in ("A_pq_star", "A_pq", "W_inf", "H_inf")],
+    ({"functions": ["power:-400"]}, ["sparse", "--n", "16"], 2),
+    ({"symbols": ["power:nan"]}, ["dominate", "--n", "16", "--k", "1"], 2),
+    # a construction that cannot finish is a failed certificate
+    (None, ["dominate", "--n", "16", "--k", "1", "--alpha", "1e-300"], 1),
+])
+def test_bad_input_gives_one_error_line(runner, tmp_path, config, args,
+                                        code):
+    if config is not None:
+        args = ["--config", _write_config(tmp_path, config), *args]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == code
+    assert "Traceback" not in result.output
+    assert len([line for line in result.output.splitlines()
+                if line.startswith("Error:")]) == 1
+
+
+@pytest.mark.parametrize("section,args", [
+    ("space", ["space", "--n", "16"]),
+    ("pair", ["dominate", "--n", "16"]),
+    ("lattice", ["lattice", "--n", "16"]),
+    ("exponents", ["sparse", "--n", "16"]),
+    ("family", ["sparse", "--n", "16"]),
+])
+def test_null_section_reads_as_absent(runner, tmp_path, section, args):
+    cfg = _write_config(tmp_path, {section: None})
+    result = runner.invoke(cli, ["--config", cfg, *args])
+    assert result.exit_code == 0, result.output
+    assert result.output == runner.invoke(cli, args).output

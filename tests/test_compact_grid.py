@@ -67,7 +67,7 @@ def test_grid_build_and_rows_stay_below_n_squared_bytes():
 
 def test_doubling_scan_and_lattice_stay_below_n_squared_bytes():
     # an n-by-n table of even one byte per entry would reach n^2 bytes;
-    # the space is built first, as its a0 spot check has its own transient
+    # the space is built first, so only the scan and the lattice count
     n = 2048
     sp = build_grid_space(n)
     tracemalloc.start()

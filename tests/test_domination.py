@@ -20,7 +20,6 @@ from sparselab.domination import (
     DominationCertificate,
     DominationError,
     augment_sparse,
-    certificate_lhs,
     certificate_rhs,
     coverage_audit,
     cz_construct,

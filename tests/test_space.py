@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselab.space import (
+    _quasi_triangle_constant,
     build_explicit_space,
     build_grid_space,
     doubling_constant,
@@ -206,6 +207,14 @@ class TestQuasiTriangle:
         sp = build_grid_space(16)
         assert sp.a0 == 1.0
 
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    def test_grid_metric_scans_to_one(self, n):
+        # grid spaces take a0 = 1 without a runtime check; the exact
+        # triple scan confirms it
+        sp = build_grid_space(n)
+        assert np.all(np.diff(sp.positions) > 0)
+        assert _quasi_triangle_constant(sp.metric) == 1.0
+
     def test_snowflake_square(self):
         # d = euclidean^2 on three collinear points violates the plain
         # triangle inequality; its minimal a0 is 2 on {0, 1, 2} in R
@@ -320,6 +329,28 @@ def assert_balls_match_brute_force(sp):
             assert np.array_equal(np.sort(order[:end]), members)
             assert sp.ball_mass(x, r) == pytest.approx(
                 sp.mass_of(members), rel=1e-12)
+
+
+def test_explicit_rows_equal_the_dense_tables():
+    # the order, sorted-distance and prefix-mass tables explicit spaces
+    # once kept, rebuilt whole; coarse rounding makes many ties
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 30):
+        pts = rng.uniform(size=(n, 2))
+        metric = np.round(np.linalg.norm(pts[:, None] - pts[None, :],
+                                         axis=-1) * 4) / 4
+        metric += 0.25 * (1.0 - np.eye(n))
+        masses = rng.lognormal(0.0, 1.0, size=n)
+        sp = build_explicit_space(metric, masses)
+        order = np.argsort(metric, axis=1, kind="stable")
+        dists = np.take_along_axis(metric, order, axis=1)
+        prefix = np.cumsum(masses[order], axis=1)
+        assert n < 7 or len(np.unique(metric)) < n * (n - 1) // 2
+        for x in range(n):
+            row = sp._sorted_row(x)
+            assert np.array_equal(row[0], order[x])
+            assert np.array_equal(row[1], dists[x])
+            assert np.array_equal(row[2], prefix[x])
 
 
 def test_balls_on_weighted_grid():
