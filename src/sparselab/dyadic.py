@@ -13,9 +13,6 @@ net-based lattice for explicit quasi-metric spaces.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -532,9 +529,6 @@ class SparseFamily:
     witnesses: dict[int, np.ndarray]
     delta: float
 
-    def witness_mass(self, cube_id: int) -> float:
-        return self.lattice.space.mass_of(self.witnesses[cube_id])
-
     def witness_sums(self, values) -> np.ndarray:
         """Integral of values against mu over each listed cube's witness
         set, in cube_ids order."""
@@ -640,8 +634,11 @@ def select_witnesses(lattice: DyadicLattice, cube_ids: list[int],
     Cubes are processed finest generation first; E_Q is Q minus all
     previously assigned witnesses (these belong to descendants inside Q
     or to cubes disjoint from Q, never to ancestors).  Raises naming the
-    first cube that cannot reach delta of its own mass.
+    first cube that cannot reach delta of its own mass, or for a delta
+    outside (0, 1].
     """
+    if not 0 < delta <= 1:
+        raise WitnessSelectionError(f"delta must lie in (0, 1], got {delta}")
     witnesses, starved = _witness_walk(lattice, cube_ids, delta)
     if starved:
         cid, free_mass = starved[0]
@@ -689,28 +686,6 @@ def random_sparse_family(lattice: DyadicLattice, rng) -> SparseFamily:
     return SparseFamily(lattice, kept, witnesses, 0.5)
 
 
-def max_feasible_delta(lattice: DyadicLattice, cube_ids: list[int],
-                       tol: float = 1e-6) -> float:
-    """Bisection for the largest delta select_witnesses can satisfy."""
-    def feasible(d: float) -> bool:
-        try:
-            select_witnesses(lattice, cube_ids, d)
-            return True
-        except WitnessSelectionError:
-            return False
-
-    lo, hi = 0.0, 1.0
-    if feasible(1.0):
-        return 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 # -- serialization -----------------------------------------------------------
 
 def lattice_to_descriptor(lattice: DyadicLattice,
@@ -735,22 +710,3 @@ def lattice_to_descriptor(lattice: DyadicLattice,
         "system": lattice.system, "delta": lattice.delta, "a1": lattice.a1,
         "A1": lattice.big_a1, "depth": lattice.depth, "cubes": cubes,
     }
-
-
-def lattice_to_json(lattice: DyadicLattice,
-                    family: SparseFamily | None = None) -> str:
-    return json.dumps(lattice_to_descriptor(lattice, family), sort_keys=True)
-
-
-def lattice_to_csv(lattice: DyadicLattice,
-                   family: SparseFamily | None = None) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "gen", "mass", "witness_mass"])
-    for cid, (k, mass) in enumerate(zip(lattice.gen.tolist(),
-                                        lattice.mass.tolist())):
-        wmass = ""
-        if family is not None and cid in family.witnesses:
-            wmass = repr(family.witness_mass(cid))
-        writer.writerow([cid, k, repr(mass), wmass])
-    return buf.getvalue()

@@ -5,8 +5,8 @@ length-n array.  The basic and oscillation sparse forms can also take
 one argument slot as an (n, B) block of B input columns and return one
 result column per input column; the fractional integral takes blocks of
 argument columns and evaluates only the rows a caller reads, and the
-truncated grand maximal functions take (T, n) argument blocks, walking
-their balls once for all T rows.  Sparse forms run over the cubes of a
+local truncated grand maximal takes (T, n) argument blocks, walking its
+balls once for all T rows.  Sparse forms run over the cubes of a
 sparse family; maximal functions run over lattice cubes or metric balls;
 the fractional integral sums the multilinear ball-mass kernel.
 """
@@ -226,22 +226,6 @@ def dyadic_maximal(lattice: DyadicLattice, f, weight=None) -> np.ndarray:
     return means[lattice.point_to_cube].max(axis=0)
 
 
-def endpoint_maximal(lattice: DyadicLattice, fs, tau, eta: float = 0.0,
-                     r: float = 1.0) -> np.ndarray:
-    """sup over cubes of mu(Q)^(eta/r) prod_tau <f_i>_Q prod_rest of the
-    L(logL)^r gauge norm."""
-    fs = _as_arrays(fs, lattice.space.n)
-    tau = set(tau)
-    phi = young_llogl(r)
-    vals = lattice.cube_masses ** (eta / r)
-    for i, f in enumerate(fs):
-        if i in tau:
-            vals = vals * lattice.cube_means(np.abs(f))
-        else:
-            vals = vals * luxemburg_norm(lattice, f, phi)
-    return vals[lattice.point_to_cube].max(axis=0)
-
-
 def orlicz_maximal(lattice: DyadicLattice, fs, phis,
                    eta: float = 0.0) -> np.ndarray:
     """sup over cubes of mu(Q)^eta prod_i of gauge norms of f_i."""
@@ -298,17 +282,6 @@ def fractional_maximal(space: DiscreteSpace, fs, eta: float = 0.0,
             best = np.repeat(best, np.diff(ends, prepend=0))
             out[order] = np.maximum(out[order], best)
     return out
-
-
-def ball_maximal(space: DiscreteSpace, f,
-                 centered: bool = True) -> np.ndarray:
-    return fractional_maximal(space, [f], 0.0, centered)
-
-
-def power_maximal(space: DiscreteSpace, f, delta: float,
-                  centered: bool = True) -> np.ndarray:
-    return ball_maximal(space, np.abs(np.asarray(f)) ** delta,
-                        centered) ** (1.0 / delta)
 
 
 # -- fractional integral and commutators -------------------------------------
@@ -431,16 +404,22 @@ def commutator_integral(space: DiscreteSpace, fs, symbols, powers,
 
 # -- truncated grand maximal -------------------------------------------------
 
-def _grand_maximal(space, fs, eta, dilation, base, outer):
-    """sup over balls B inside base containing x of the max over B of the
-    fractional integral of the arguments cut to outer minus dilation*B.
+def truncated_grand_maximal_local(space: DiscreteSpace, fs, eta: float,
+                                  dilation: float, base_center: int,
+                                  base_radius: float) -> np.ndarray:
+    """sup over balls B inside the base ball B0 containing x of the max
+    over B of the fractional integral of the arguments cut to
+    dilation*B0 minus dilation*B.
 
     The arguments are all (n,) columns, giving an (n,) result, or all
     (T, n) blocks, giving a (T, n) result whose row t is the call on row
-    t of every block.  A ball leaves base, and its cut-off set empties,
+    t of every block.  A ball leaves B0, and its cut-off set empties,
     for good once the radius grows past some value, so the balls that
     count around each center are a prefix of its positive radii."""
     fs = _as_blocks(fs, space.n)
+    base = np.zeros(space.n, dtype=bool)
+    base[space.ball(base_center, base_radius).members] = True
+    outer = space.distances(base_center) <= dilation * base_radius
     keeps, balls = [], []
     for y in np.flatnonzero(base):
         order, radii, ends = space.balls(y)
@@ -466,23 +445,3 @@ def _grand_maximal(space, fs, eta, dilation, base, outer):
                 space, [f * keep for f in row], eta, rows=held)).max(axis=0)
             out[t] = np.where(held, peaks, 0.0).max(axis=1)
     return out if fs[0].ndim == 2 else out[0]
-
-
-def truncated_grand_maximal(space: DiscreteSpace, fs, eta: float,
-                            dilation: float) -> np.ndarray:
-    """sup over balls B containing x of the max over B of the
-    fractional integral of the arguments cut off outside dilation*B;
-    (T, n) argument blocks give (T, n) results, as in _grand_maximal."""
-    everywhere = np.ones(space.n, dtype=bool)
-    return _grand_maximal(space, fs, eta, dilation, everywhere, everywhere)
-
-
-def truncated_grand_maximal_local(space: DiscreteSpace, fs, eta: float,
-                                  dilation: float, base_center: int,
-                                  base_radius: float) -> np.ndarray:
-    """Local variant: balls B inside the base ball, integrand restricted
-    to dilation*B0 minus dilation*B; blocks as in _grand_maximal."""
-    base = np.zeros(space.n, dtype=bool)
-    base[space.ball(base_center, base_radius).members] = True
-    big0 = space.distances(base_center) <= dilation * base_radius
-    return _grand_maximal(space, fs, eta, dilation, base, big0)

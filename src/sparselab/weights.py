@@ -81,11 +81,6 @@ class ExponentConfig:
         return max(1.0 / self.theta,
                    max(conjugate_exponent(v) / self.q for v in self.p))
 
-    def scaled(self, s: float) -> "ExponentConfig":
-        """Exponents divided by s (slotwise p, q, gamma); eta recomputed."""
-        return ExponentConfig(self.m, tuple(v / s for v in self.p),
-                              self.q / s, gamma=self.gamma / s)
-
 
 # -- averages ----------------------------------------------------------------
 
@@ -96,13 +91,6 @@ def avg(space: DiscreteSpace, members, f, p: float = 1.0) -> float:
     vals = np.abs(np.asarray(f, dtype=np.float64)[members])
     mean = float(np.dot(vals**p, mass) / mass.sum())
     return mean ** (1.0 / p)
-
-
-def geometric_mean(space: DiscreteSpace, members, w) -> float:
-    members = np.asarray(members, dtype=np.intp)
-    mass = space.masses[members]
-    logs = np.log(np.asarray(w, dtype=np.float64)[members])
-    return float(np.exp(np.dot(logs, mass) / mass.sum()))
 
 
 def _check_weight(space: DiscreteSpace, w) -> np.ndarray:
@@ -267,10 +255,6 @@ def hruscev_constant(lattice: DyadicLattice, weights, p, q,
     return _sup(val, detail)
 
 
-def hruscev_single(lattice: DyadicLattice, w, detail: bool = False):
-    return hruscev_constant(lattice, [w], (1.0,), 1.0, detail=detail)
-
-
 def component_wilson_constant(lattice: DyadicLattice, u, sigmas, p, q,
                               gamma: float, i: int,
                               detail: bool = False):
@@ -363,10 +347,6 @@ class YoungFunction:
             if self.kind == "power_log":
                 logplus = np.log(np.maximum(t, 1.0))
                 return t ** self.r * (1.0 + logplus ** (self.r * self.ell))
-            if self.kind == "llogl_conjugate":
-                return np.where(t <= 1.0, 0.0,
-                                np.where(t <= 2.0, t - 1.0,
-                                         np.exp(np.minimum(t, 700.0) - 2.0)))
         raise ValueError(f"unknown Young function kind: {self.kind}")
 
 
@@ -384,12 +364,6 @@ def young_expl(s: float) -> YoungFunction:
 
 def young_power_log(r: float, ell: float) -> YoungFunction:
     return YoungFunction("power_log", r=r, ell=ell)
-
-
-def young_llogl_conjugate() -> YoungFunction:
-    """Convex conjugate of t(1 + log+ t): flat to 1, linear to 2, then
-    exponential."""
-    return YoungFunction("llogl_conjugate")
 
 
 def luxemburg_norm(lattice: DyadicLattice, f,

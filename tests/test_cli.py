@@ -445,6 +445,9 @@ class TestCommandSurface:
     ({"symbols": ["power:nan"]}, ["dominate", "--n", "16", "--k", "1"], 2),
     # a construction that cannot finish is a failed certificate
     (None, ["dominate", "--n", "16", "--k", "1", "--alpha", "1e-300"], 1),
+    # a family's sparseness must lie in (0, 1]
+    *[({"family": {"cube_ids": [0], "delta": delta}},
+       ["sparse", "--n", "16"], 2) for delta in (-1, 0, math.nan, 1.5)],
 ])
 def test_bad_input_gives_one_error_line(runner, tmp_path, config, args,
                                         code):

@@ -16,7 +16,7 @@ from sparselab.operators import (MultiIndexPair, dyadic_maximal,
 from sparselab.space import build_explicit_space, build_grid_space
 from sparselab.weights import (avg, bmo_norm, luxemburg_norm, muckenhoupt_ap,
                                young_expl, young_identity, young_llogl,
-                               young_llogl_conjugate, young_power_log)
+                               young_power_log)
 
 
 def _standard():
@@ -395,9 +395,24 @@ def test_augment_sparse_adds_in_depth_first_order():
 
 # -- Luxemburg gauges --------------------------------------------------------
 
+class LLogLConjugate:
+    """Convex conjugate of t(1 + log+ t): flat to 1, linear to 2, then
+    exponential.  A test-local gauge: luxemburg_norm reads only .value,
+    and kind names the test case."""
+
+    kind = "llogl_conjugate"
+
+    @staticmethod
+    def value(t):
+        t = np.asarray(t, dtype=np.float64)
+        return np.where(t <= 1.0, 0.0,
+                        np.where(t <= 2.0, t - 1.0,
+                                 np.exp(np.minimum(t, 700.0) - 2.0)))
+
+
 YOUNG = [young_identity(), young_llogl(1.0), young_llogl(2.0),
          young_expl(1.0), young_expl(0.5), young_power_log(2.0, 0.5),
-         young_llogl_conjugate()]
+         LLogLConjugate()]
 
 
 def _parent_luxemburg(space, members, f, phi, tol=1e-10):

@@ -25,10 +25,7 @@ from sparselab.dyadic import (
     build_hk_lattice,
     build_shifted_adjacent,
     build_standard_lattice,
-    lattice_to_csv,
     lattice_to_descriptor,
-    lattice_to_json,
-    max_feasible_delta,
     random_sparse_family,
     select_witnesses,
     verify_sparse,
@@ -156,7 +153,7 @@ def reference_finish(lat, gen_members, centers):
 
 
 def reference_json(lat, want):
-    """The per-cube lattice_to_json, read from reference records."""
+    """The per-cube lattice JSON dump, read from reference records."""
     cubes = [{"id": c.cube_id, "system": c.system, "gen": c.gen,
               "index": c.index, "center": c.center,
               "members": c.members.tolist(), "parent": c.parent,
@@ -290,7 +287,8 @@ class TestStandardLatticeReference:
         build_hk_lattice(sp, 0.5)
         want = reference_finish(*calls[0])
         assert_same_lattice(got, want)
-        assert lattice_to_json(got) == reference_json(got, want)
+        assert json.dumps(lattice_to_descriptor(got), sort_keys=True) == \
+            reference_json(got, want)
 
 
 class TestStandardLattice:
@@ -613,7 +611,8 @@ class TestWitnessSelection:
         assert report.ok, report.violations
         root = lat.cubes_at(0)[0]
         assert sorted(fam.witnesses[root.cube_id].tolist()) == [4, 5, 6, 7]
-        assert fam.witness_mass(root.cube_id) == 0.5 * root.mass
+        assert lat.space.mass_of(fam.witnesses[root.cube_id]) == \
+            0.5 * root.mass
 
     def test_chain_fails_above_half(self):
         lat = build_standard_lattice(build_grid_space(8))
@@ -623,11 +622,6 @@ class TestWitnessSelection:
         starved = lat.cube(err.value.cube_id)
         assert starved.members.tolist() == [0, 1]
 
-    def test_chain_max_delta_bisection(self):
-        lat = build_standard_lattice(build_grid_space(8))
-        assert max_feasible_delta(lat, self._chain(lat)) == pytest.approx(
-            0.5, abs=1e-5)
-
     def test_antichain_full_delta(self):
         lat = build_standard_lattice(build_grid_space(8))
         ids = [c.cube_id for c in lat.cubes_at(2)]
@@ -636,14 +630,18 @@ class TestWitnessSelection:
         for cid in ids:
             assert fam.witnesses[cid].tolist() == \
                 lat.cube(cid).members.tolist()
-        assert max_feasible_delta(lat, ids) == 1.0
 
     def test_full_lattice_infeasible(self):
         lat = build_standard_lattice(build_grid_space(8))
         ids = [c.cube_id for c in lat.cubes]
         with pytest.raises(WitnessSelectionError):
             select_witnesses(lat, ids, 0.25)
-        assert max_feasible_delta(lat, ids) < 1e-5
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan"), 1.5])
+    def test_delta_outside_unit_interval(self, delta):
+        lat = build_standard_lattice(build_grid_space(8))
+        with pytest.raises(WitnessSelectionError, match=r"\(0, 1\]"):
+            select_witnesses(lat, [lat.cubes_at(2)[0].cube_id], delta)
 
     def test_verify_catches_overlap(self):
         lat = build_standard_lattice(build_grid_space(8))
@@ -730,20 +728,13 @@ class TestSerialization:
         lat = build_standard_lattice(build_grid_space(4))
         ids = [c.cube_id for c in lat.cubes_at(1)]
         fam = select_witnesses(lat, ids, 1.0)
-        blob = lattice_to_json(lat, fam)
+        blob = json.dumps(lattice_to_descriptor(lat, fam), sort_keys=True)
         assert blob == blob.encode("ascii").decode("ascii")
         doc = json.loads(blob)
         assert doc["depth"] == 2
         assert len(doc["cubes"]) == 7
         with_wit = [c for c in doc["cubes"] if "witness" in c]
         assert len(with_wit) == 2
-
-    def test_csv_shape(self):
-        lat = build_standard_lattice(build_grid_space(4))
-        text = lattice_to_csv(lat)
-        lines = text.strip().split("\n")
-        assert lines[0] == "id,gen,mass,witness_mass"
-        assert len(lines) == 1 + len(lat.cubes)
 
     @pytest.mark.parametrize("build", [
         lambda sp: build_standard_lattice(sp),
@@ -755,27 +746,19 @@ class TestSerialization:
         lat = build(build_grid_space(32, masses))
         fam = random_sparse_family(lat, np.random.default_rng(5))
         cubes = []
-        rows = [["id", "gen", "mass", "witness_mass"]]
         for c in lat.cubes:
             entry = {"id": c.cube_id, "system": c.system, "gen": c.gen,
                      "index": c.index, "center": c.center,
                      "members": c.members.tolist(), "parent": c.parent,
                      "mass": c.mass}
-            wmass = ""
             if c.cube_id in fam.witnesses:
                 entry["witness"] = fam.witnesses[c.cube_id].tolist()
-                wmass = repr(fam.witness_mass(c.cube_id))
             cubes.append(entry)
-            rows.append([str(c.cube_id), str(c.gen), repr(c.mass), wmass])
         doc = lattice_to_descriptor(lat, fam)
         assert doc["cubes"] == cubes
         # the same Python types, so the JSON bytes match too
         assert [{k: type(v) for k, v in e.items()} for e in doc["cubes"]] \
             == [{k: type(v) for k, v in e.items()} for e in cubes]
-        assert lattice_to_json(lat, fam) == json.dumps(
-            dict(doc, cubes=cubes), sort_keys=True)
-        assert lattice_to_csv(lat, fam) == \
-            "".join(",".join(r) + "\n" for r in rows)
 
 
 @settings(max_examples=20, deadline=None)

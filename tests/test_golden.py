@@ -16,7 +16,8 @@ them make every check record failures, so it pins the failure-record
 format.  It is compared under the same rules, with NaN equal to NaN.
 
 `lattice_n16_s3.json` holds the stdout of `lattice --n 16 --shifts 3`, and
-`hk_lattice_n24.json` the `lattice_to_json` dump of a net lattice on a
+`hk_lattice_n24.json` the sorted-key JSON of `lattice_to_descriptor` for
+a net lattice on a
 seeded 24-point plane space with a random witness family.  Both are
 compared byte for byte: member order, parents, mass reprs and witness
 lists must not move.
@@ -36,7 +37,7 @@ from click.testing import CliRunner
 
 from sparselab import verify
 from sparselab.cli import cli
-from sparselab.dyadic import (build_hk_lattice, lattice_to_json,
+from sparselab.dyadic import (build_hk_lattice, lattice_to_descriptor,
                               random_sparse_family)
 from sparselab.space import build_explicit_space
 
@@ -122,7 +123,9 @@ def _hk_dump():
     metric = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     space = build_explicit_space(metric, rng.lognormal(0.0, 1.0, size=24))
     lattice = build_hk_lattice(space, 0.7)
-    return lattice_to_json(lattice, random_sparse_family(lattice, rng)) + "\n"
+    family = random_sparse_family(lattice, rng)
+    return json.dumps(lattice_to_descriptor(lattice, family),
+                      sort_keys=True) + "\n"
 
 
 def _assert_close(got, want, path):

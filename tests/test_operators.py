@@ -15,18 +15,15 @@ from sparselab.operators import (
     ball_mass_kernel,
     commutator_integral,
     dyadic_maximal,
-    endpoint_maximal,
     fractional_integral,
     fractional_maximal,
     orlicz_maximal,
-    power_maximal,
     power_maximal_dyadic,
     sharp_maximal_dyadic,
     sparse_endpoint,
     sparse_first_order,
     sparse_higher_order,
     sparse_operator,
-    truncated_grand_maximal,
     truncated_grand_maximal_local,
 )
 from sparselab.space import build_explicit_space, build_grid_space
@@ -327,8 +324,6 @@ class TestSlotBlocks:
         with pytest.raises(ValueError, match="one value per point"):
             sparse_endpoint(fam, [f, block], tau=[0])
         with pytest.raises(ValueError, match="one value per point"):
-            endpoint_maximal(lat, [block, f], tau=[0])
-        with pytest.raises(ValueError, match="one value per point"):
             orlicz_maximal(lat, [block], [young_identity()])
         with pytest.raises(ValueError, match="one value per point"):
             sparse_higher_order(fam, [f, f], [block, f], pair)
@@ -426,13 +421,6 @@ class TestBallMaximal:
         cen = fractional_maximal(sp, [f], eta=0.0, centered=True)
         ival = fractional_integral(sp, [f], eta=0.0)
         assert cen[4] == pytest.approx(ival[4], rel=1e-14)
-
-    def test_power_maximal_monotone(self):
-        sp = build_grid_space(8)
-        rng = np.random.default_rng(12)
-        f = np.abs(rng.normal(size=8)) + 0.1
-        assert np.all(power_maximal(sp, f, 0.5) <=
-                      power_maximal(sp, f, 1.0) * (1 + 1e-12))
 
 
 class TestFractionalIntegral:
@@ -604,15 +592,7 @@ class TestBatchedFractionalIntegral:
                                 rows=np.ones(8, dtype=bool))
 
 
-class TestEndpointMaximal:
-    def test_full_tau_matches_identity_gauges(self):
-        lat = build_standard_lattice(build_grid_space(8))
-        rng = np.random.default_rng(25)
-        fs = [np.abs(rng.normal(size=8)) + 0.1 for _ in range(2)]
-        a = endpoint_maximal(lat, fs, tau=[0, 1], eta=0.5, r=2.0)
-        b = orlicz_maximal(lat, fs, [young_identity()] * 2, eta=0.25)
-        assert a == pytest.approx(b, rel=1e-9)
-
+class TestOrliczMaximal:
     def test_orlicz_maximal_majorizes_plain(self):
         lat = build_standard_lattice(build_grid_space(8))
         rng = np.random.default_rng(26)
@@ -627,18 +607,14 @@ class TestEndpointMaximal:
             orlicz_maximal(lat, [np.ones(8)], [])
 
 
-def loop_grand_maximal(space, fs, eta, dilation, base_center=None,
-                       base_radius=None):
+def loop_grand_maximal(space, fs, eta, dilation, base_center, base_radius):
     """Per-radius ball loop the operators used before the ball layer:
     every realized radius of every center, members by flatnonzero."""
     n = space.n
-    if base_center is None:
-        centers, base_set, big0 = range(n), np.ones(n, bool), np.ones(n, bool)
-    else:
-        centers = space.ball(base_center, base_radius).members
-        base_set = np.zeros(n, dtype=bool)
-        base_set[centers] = True
-        big0 = space.metric[base_center] <= dilation * base_radius
+    centers = space.ball(base_center, base_radius).members
+    base_set = np.zeros(n, dtype=bool)
+    base_set[centers] = True
+    big0 = space.metric[base_center] <= dilation * base_radius
     out = np.zeros(n)
     for y in centers:
         d = space.metric[y]
@@ -653,6 +629,13 @@ def loop_grand_maximal(space, fs, eta, dilation, base_center=None,
             peak = float(np.abs(vals[ball]).max())
             out[ball] = np.maximum(out[ball], peak)
     return out
+
+
+def whole_space_grand_maximal(space, fs, eta, dilation):
+    """The local form on a base ball around point 0 that holds the whole
+    space; for dilation >= 1 the cut-off region is the whole space too."""
+    radius = float(space.distances(0).max())
+    return truncated_grand_maximal_local(space, fs, eta, dilation, 0, radius)
 
 
 def loop_fractional_maximal(space, fs, eta, centered):
@@ -698,13 +681,14 @@ class TestBallLayerOperators:
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dilation", [0.5, 2.0, 6.0])
-    def test_global_matches_loop(self, dilation):
+    def test_whole_space_base_matches_loop(self, dilation):
         for sp in ball_layer_spaces():
             rng = np.random.default_rng(33)
             fs = [rng.normal(size=sp.n) for _ in range(2)]
-            got = truncated_grand_maximal(sp, fs, 0.5, dilation)
+            radius = float(sp.distances(0).max())
+            got = whole_space_grand_maximal(sp, fs, 0.5, dilation)
             assert np.array_equal(
-                got, loop_grand_maximal(sp, fs, 0.5, dilation))
+                got, loop_grand_maximal(sp, fs, 0.5, dilation, 0, radius))
 
     @pytest.mark.parametrize("center,radius,dilation", [
         (16, 0.25, 2.0), (3, 0.5, 4.0), (20, 0.125, 1.0), (0, 1.0, 3.0)])
@@ -736,7 +720,7 @@ class TestBallLayerOperators:
             rng = np.random.default_rng(36 + m)
             blocks = [rng.normal(size=(3, sp.n)) for _ in range(m)]
             for call in (
-                    lambda fs: truncated_grand_maximal(sp, fs, 0.5, 2.0),
+                    lambda fs: whole_space_grand_maximal(sp, fs, 0.5, 2.0),
                     lambda fs: truncated_grand_maximal_local(
                         sp, fs, 0.25, 2.0, 16, 0.25)):
                 got = call(blocks)
@@ -763,14 +747,14 @@ class TestBallLayerOperators:
 class TestTruncatedGrandMaximal:
     def test_zero_arguments(self):
         sp = build_grid_space(8)
-        out = truncated_grand_maximal(sp, [np.zeros(8)], 0.5, 4.0)
+        out = whole_space_grand_maximal(sp, [np.zeros(8)], 0.5, 4.0)
         assert np.array_equal(out, np.zeros(8))
 
     def test_finite_nonnegative(self):
         sp = build_grid_space(8)
         rng = np.random.default_rng(27)
         fs = [np.abs(rng.normal(size=8)) for _ in range(2)]
-        out = truncated_grand_maximal(sp, fs, 0.5, 4.0)
+        out = whole_space_grand_maximal(sp, fs, 0.5, 4.0)
         assert np.all(np.isfinite(out))
         assert np.all(out >= 0)
 
@@ -778,8 +762,8 @@ class TestTruncatedGrandMaximal:
         sp = build_grid_space(16)
         rng = np.random.default_rng(28)
         f = np.abs(rng.normal(size=16))
-        small = truncated_grand_maximal(sp, [f], 0.25, 2.0)
-        large = truncated_grand_maximal(sp, [f], 0.25, 6.0)
+        small = whole_space_grand_maximal(sp, [f], 0.25, 2.0)
+        large = whole_space_grand_maximal(sp, [f], 0.25, 6.0)
         assert np.all(large <= small * (1 + 1e-12))
 
     def test_local_variant_runs(self):
