@@ -315,7 +315,11 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
     Every value is summed in one fixed order, whatever the rows and
     columns asked for: m = 1 takes the full product of the kernel power
     with the column, m = 2 contracts each row's power grid G with the
-    column as w_1 @ G @ w_2, and m = 3 sums such contractions over y_3.
+    column as w_1 @ G @ w_2.  m = 3 folds row x onto the distinct values
+    k_d of K[x], as points of one value are interchangeable in every
+    slot: each slot's column is summed per value, slots 1 and 2 per
+    distinct pair sum s_p, and the row's columns share the powers
+    (s_p + k_d)^(eta-3), built a bounded block of values d at a time.
     """
     n = space.n
     m = len(fs)
@@ -350,20 +354,26 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
         for lo, hi in zip(cuts, cuts[1:]):
             x = xs[lo]
             kx = K[x]
-            pair = kx[:, None] + kx[None, :]
             cols = bs[lo:hi]
             if m == 2:
+                pair = kx[:, None] + kx[None, :]
                 pair **= expo  # the power grid, built in place
                 for b in cols:
                     u, v = columns[b]
                     out[x, b] = u @ pair @ v
                 continue
-            for b in cols:
-                u, v, w = columns[b]
-                acc = 0.0
-                for y3 in range(n):
-                    acc += w[y3] * (u @ ((pair + kx[y3]) ** expo) @ v)
-                out[x, b] = acc
+            vals, cls = np.unique(kx, return_inverse=True)
+            sums, pcls = np.unique(vals[:, None] + vals, return_inverse=True)
+            folded = [[np.bincount(cls, a, len(vals)) for a in columns[b]]
+                      for b in cols]
+            pairs = [np.bincount(pcls.ravel(), np.outer(u, v).ravel(),
+                                 len(sums)) for u, v, _ in folded]
+            step = max(1, (1 << 16) // len(sums))  # 512 KiB power blocks
+            for lo3 in range(0, len(vals), step):
+                grid = sums[:, None] + vals[lo3:lo3 + step]
+                grid **= expo
+                for b, pw, (_, _, w) in zip(cols, pairs, folded):
+                    out[x, b] += pw @ grid @ w[lo3:lo3 + step]
     return out if batched else out[..., 0]
 
 

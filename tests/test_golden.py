@@ -44,9 +44,12 @@ from sparselab.space import build_explicit_space
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # n = 128 with k = 1,1 and three shifts: the bilinear grand-maximal
 # setting the benchmark's workloads do not run; n = 64 with k = 2,1:
-# six t-splits per node, so each node's grand-maximal block has six rows
+# six t-splits per node, so each node's grand-maximal block has six rows;
+# n = 32 with k = 1,1,1 and three shifts: the trilinear kernel on every
+# kept ball
 SETTINGS = [(n, k, shifts) for n in (16, 64) for k in ("1", "1,1")
-            for shifts in (1, 3)] + [(128, "1,1", 3), (64, "2,1", 3)]
+            for shifts in (1, 3)] + [(128, "1,1", 3), (64, "2,1", 3),
+                                     (32, "1,1,1", 3)]
 VERIFY_SIZES = (16, 64)
 FAILURE_GOLDEN = GOLDEN / "verify_failures_n16.json"
 LATTICE_GOLDEN = GOLDEN / "lattice_n16_s3.json"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,10 +68,10 @@ def oracle_frac_integral(space, fs, eta):
     m = len(fs)
     out = []
     for x in range(n):
+        ball = [space.ball_mass(x, space.metric[x, y]) for y in range(n)]
         terms = []
         for ys in itertools.product(range(n), repeat=m):
-            kern = math.fsum(
-                space.ball_mass(x, space.metric[x, y]) for y in ys)
+            kern = math.fsum(ball[y] for y in ys)
             prod = kern ** (eta - m)
             for f, y in zip(fs, ys):
                 prod *= f[y] * space.masses[y]
@@ -441,6 +442,45 @@ class TestFractionalIntegral:
         want = oracle_frac_integral(sp, fs, 1.5)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["unit", "generic", "plane"])
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 0.75, 1.5])
+    def test_class_fold_matches_oracle_m3(self, kind, eta):
+        # unit masses tie many pair sums; a 4 x 4 plane lattice ties its
+        # distances, so a kernel class can hold 4 or 8 points
+        rng = np.random.default_rng(60)
+        if kind == "plane":
+            pts = np.array(list(itertools.product(range(4), repeat=2)), float)
+            metric = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+            sp = build_explicit_space(metric, np.ones(16))
+        else:
+            sp = build_grid_space(16, None if kind == "unit"
+                                  else rng.uniform(0.5, 2.0, size=16))
+        signed = [rng.normal(size=16) for _ in range(3)]
+        absolute = [np.abs(f) for f in signed]
+        scale = oracle_frac_integral(sp, absolute, eta)
+        assert fractional_integral(sp, absolute, eta) == \
+            pytest.approx(scale, rel=1e-12)
+        got = fractional_integral(sp, signed, eta)
+        want = oracle_frac_integral(sp, signed, eta)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_m3_memory_stays_per_row(self):
+        # generic masses make the pair sums nearly all distinct, so a
+        # row's full (pair sum, class) power grid would be about 8 MiB;
+        # the slot-3 classes are taken in bounded blocks
+        n = 128
+        rng = np.random.default_rng(61)
+        sp = build_grid_space(n, rng.uniform(0.5, 2.0, size=n))
+        ball_mass_kernel(sp)
+        fs = [rng.normal(size=n) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            fractional_integral(sp, fs, 0.75)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_rejects_high_arity(self):
         sp = build_grid_space(4)
         with pytest.raises(ValueError):
@@ -567,7 +607,8 @@ class TestBatchedFractionalIntegral:
             with pytest.raises(ValueError, match="boolean mask"):
                 fractional_integral(sp, blocks, eta, rows=rows)
 
-    @pytest.mark.parametrize("powers", [(1,), (2,), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("powers", [(1,), (2,), (1, 1), (2, 1),
+                                        (1, 1, 1)])
     def test_commutator_matches_term_loop(self, powers):
         for sp in ball_layer_spaces():
             rng = np.random.default_rng(46 + sum(powers) + len(powers))
