@@ -36,7 +36,8 @@ from .weights import (ExponentConfig, dual_weight,
                       fractional_apq_constant, fujii_wilson_constant,
                       fujii_wilson_single, hruscev_constant,
                       joint_astar_constant, component_hruscev_constant,
-                      component_wilson_constant, make_weight, muckenhoupt_ap)
+                      component_wilson_constant, make_weight, muckenhoupt_ap,
+                      target_weight)
 
 SCHEMA = "sparselab-report/1"
 
@@ -403,8 +404,7 @@ def _constant_rows(kind, lattice, ws, ecfg):
     if kind in ("W_inf_i", "H_inf_i"):
         _require_exponents(ecfg, kind, m)
         sigmas = [dual_weight(w, pi) for w, pi in zip(ws, ecfg.p)]
-        u = np.prod(np.stack([w ** (ecfg.q / pi)
-                              for w, pi in zip(ws, ecfg.p)]), axis=0)
+        u = target_weight(ws, ecfg.p, ecfg.q)
         fn = (component_wilson_constant if kind == "W_inf_i"
               else component_hruscev_constant)
         return [(f"{kind}:{i}", *fn(lattice, u, sigmas, ecfg.p, ecfg.q,

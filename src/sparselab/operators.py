@@ -194,21 +194,33 @@ def sparse_higher_order(family: SparseFamily, fs, symbols,
 
 
 def sparse_endpoint(family: SparseFamily, fs, tau, eta: float = 0.0,
-                    r: float = 1.0) -> np.ndarray:
-    """Endpoint form: slots outside tau enter through the L(logL)^r
-    gauge norm of |f|^r, taken to the power 1/r."""
+                    r: float = 1.0, symbols=None, osc_slots=(),
+                    scales=None) -> np.ndarray:
+    """Endpoint form: slots in tau enter through plain r-averages, the
+    rest through the L(logL)^r gauge norm of |f|^r, taken to the power
+    1/r and times scales[i] (default 1).  Each slot in osc_slots, a
+    subset of tau, multiplies the sum's terms by the oscillation
+    |b_i(x) - <b_i>_Q| of its symbol."""
     lat = family.lattice
     fs = _as_arrays(fs, lat.space.n)
     tau = set(tau)
+    osc_slots = sorted(set(osc_slots))
+    if not tau.issuperset(osc_slots):
+        raise ValueError("oscillation slots must lie inside tau")
+    if scales is None:
+        scales = [1.0] * len(fs)
     phi = young_llogl(r)
     coeffs = lat.cube_masses ** (eta / r)
     for i, f in enumerate(fs):
         if i in tau:
             coeffs = coeffs * _r_averages(lat, f, r)
         else:
-            coeffs = coeffs * luxemburg_norm(lat, np.abs(f) ** r,
-                                             phi) ** (1.0 / r)
-    return family.pointwise(coeffs)
+            gauge = luxemburg_norm(lat, np.abs(f) ** r, phi)
+            coeffs = coeffs * (scales[i] * gauge ** (1.0 / r))
+    factor = 1.0
+    for i in osc_slots:
+        factor = factor * np.abs(lat.deviations(symbols[i]))
+    return family.pointwise(coeffs, factor)
 
 
 # -- lattice maximal functions -----------------------------------------------
@@ -257,13 +269,10 @@ def power_maximal_dyadic(lattice: DyadicLattice, f,
 
 # -- ball maximal functions --------------------------------------------------
 
-def fractional_maximal(space: DiscreteSpace, fs, eta: float = 0.0,
-                       centered: bool = True) -> np.ndarray:
-    """sup over balls of mu(B)^(eta - m) prod_i int_B |f_i| dmu.
-
-    Centered mode takes balls around x only (all realized radii,
-    including zero); non-centered mode takes every ball containing x.
-    """
+def fractional_maximal(space: DiscreteSpace, fs,
+                       eta: float = 0.0) -> np.ndarray:
+    """sup over the balls B centered at x, every realized radius
+    including zero, of mu(B)^(eta - m) prod_i int_B |f_i| dmu."""
     fs = _as_arrays(fs, space.n)
     m = len(fs)
     fm = [np.abs(f) * space.masses for f in fs]
@@ -273,14 +282,7 @@ def fractional_maximal(space: DiscreteSpace, fs, eta: float = 0.0,
         vals = space.ball_mass(y, radii) ** (eta - m)
         for f in fm:
             vals = vals * np.cumsum(f[order])[ends - 1]
-        if centered:
-            out[y] = float(vals.max())
-        else:
-            # the point at position p of order joins every ball j with
-            # ends[j] > p, so it takes the suffix max of vals from there
-            best = np.maximum.accumulate(vals[::-1])[::-1]
-            best = np.repeat(best, np.diff(ends, prepend=0))
-            out[order] = np.maximum(out[order], best)
+        out[y] = float(vals.max())
     return out
 
 

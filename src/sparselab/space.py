@@ -13,7 +13,6 @@ in O(n) memory per row.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -166,13 +165,9 @@ class DiscreteSpace:
         ends = np.append(np.flatnonzero(np.diff(d) > 0) + 1, self.n)
         return order, d[ends - 1], ends
 
-    def realized_distances(self, center: int | None = None) -> np.ndarray:
-        """Sorted positive distances, from one center or from all pairs."""
-        if center is None:
-            vals = functools.reduce(
-                np.union1d, (self.distances(x) for x in range(self.n)))
-        else:
-            vals = np.unique(self.distances(center))
+    def realized_distances(self, center: int) -> np.ndarray:
+        """Sorted positive distances from center."""
+        vals = np.unique(self.distances(center))
         return vals[vals > 0]
 
     def mass_of(self, members) -> float:

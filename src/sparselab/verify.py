@@ -40,10 +40,10 @@ from .operators import (MultiIndexPair, dyadic_maximal, fractional_integral,
                         sparse_higher_order, sparse_operator)
 from .space import build_grid_space
 from .weights import (ExponentConfig, astar_from_duals, avg, bmo_norm,
-                      conjugate_exponent, fujii_wilson_single,
-                      joint_astar_constant, luxemburg_norm, muckenhoupt_ap,
-                      young_expl, young_identity, young_llogl,
-                      young_power_log)
+                      conjugate_exponent, dual_weight, fujii_wilson_single,
+                      holder_sides, joint_astar_constant, luxemburg_norm,
+                      muckenhoupt_ap, target_weight, young_expl,
+                      young_identity, young_llogl, young_power_log)
 
 RELATIVE_TOL = 1e-10
 GATE_TOL = 1e-12
@@ -245,31 +245,6 @@ def _violates(lhs: float, rhs: float) -> bool:
 
 # -- oracle-facing helpers ----------------------------------------------------
 
-def holder_sides(space, members, weights, p, q):
-    """Both sides of the witness-set splitting inequality.
-
-    The left side is the plain measure of the set; the right side is
-    the product of weighted measures raised to exponents that sum to
-    one.  With all-ones weights the two sides agree exactly.
-    """
-    m = len(weights)
-    p = tuple(float(v) for v in p)
-    eta = math.fsum(1.0 / v for v in p) - 1.0 / float(q)
-    gap = m - eta
-    if gap <= 0:
-        raise ValueError("exponents leave no room: sum 1/p_i' + 1/q <= 0")
-    mass = space.masses[members]
-    u = np.ones(len(members))
-    for w, pi in zip(weights, p):
-        u = u * w[members] ** (q / pi)
-    rhs = float(np.sum(u * mass)) ** (1.0 / (gap * q))
-    for w, pi in zip(weights, p):
-        pc = conjugate_exponent(pi)
-        sig = w[members] ** (1.0 - pc)
-        rhs *= float(np.sum(sig * mass)) ** (1.0 / (gap * pc))
-    return float(np.sum(mass)), rhs
-
-
 def young_composition_margin(r: float) -> dict:
     """Composition of the log-bump gauge against its doubled-order
     majorant with constant (r+1)^r, evaluated on a wide grid."""
@@ -314,30 +289,6 @@ def kolmogorov_chain_values(n: int = 16, s1: float = 0.25,
         "proof_bound": 1.0 / (family.delta * (1.0 - s1 - s2)),
         "cubes": len(ids),
     }
-
-
-def oscillation_endpoint_form(family, fs, symbols, tau, osc_slots,
-                              eta: float, r: float, bmo_norms) -> np.ndarray:
-    """Sparse sum with oscillation factors on osc_slots, plain
-    r-averages on the rest of tau, and log-bump gauge norms carrying
-    the symbol norms on the complement of tau."""
-    lattice = family.lattice
-    tau = set(tau)
-    osc_slots = set(osc_slots)
-    if not osc_slots <= tau:
-        raise ValueError("oscillation slots must lie inside tau")
-    phi = young_llogl(float(r))
-    coeffs = lattice.cube_masses ** (eta / r)
-    for i, f in enumerate(fs):
-        if i in tau:
-            coeffs = coeffs * lattice.cube_means(np.abs(f) ** r) ** (1.0 / r)
-        else:
-            gauge = luxemburg_norm(lattice, np.abs(f) ** r, phi)
-            coeffs = coeffs * (bmo_norms[i] * gauge ** (1.0 / r))
-    factor = 1.0
-    for i in osc_slots:
-        factor = factor * np.abs(lattice.deviations(symbols[i]))
-    return family.pointwise(coeffs, factor)
 
 
 # -- operator-norm lower bound ------------------------------------------------
@@ -492,10 +443,8 @@ def _astar_sides(lattice, family, cfg: ExponentConfig, ws, fs) -> dict:
     theta, beta = cfg.theta, cfg.beta
     delta = family.delta
     pcs = [conjugate_exponent(v) for v in p]
-    sigmas = [w ** (1.0 - pc) for w, pc in zip(ws, pcs)]
-    u = np.ones(sp.n)
-    for w, pi in zip(ws, p):
-        u = u * w ** (q / pi)
+    sigmas = [dual_weight(w, pi) for w, pi in zip(ws, p)]
+    u = target_weight(ws, p, q)
     fsig = [f * s for f, s in zip(fs, sigmas)]
     lhs = _lp_norm(sp, sparse_operator(family, fsig, eta=eta, gamma=gamma),
                    u, q) ** theta
@@ -836,9 +785,7 @@ def _run_endpoint_weak(spec: CheckSpec, report: CheckReport) -> None:
     per_trial = []
     for trial, rng in _trials(spec, report):
         omegas = [_random_weight(rng, space.n) for _ in range(m)]
-        omega = np.ones(space.n)
-        for w in omegas:
-            omega = omega * w ** q0
+        omega = target_weight(omegas, (1.0,) * m, q0)
         w1 = joint_astar_constant(lattice, omegas, (1.0,) * m, q0)
         fs = [_random_function(rng, space.n) for _ in range(m)]
         bs = [rng.standard_normal(space.n) for _ in range(m)]
@@ -846,8 +793,8 @@ def _run_endpoint_weak(spec: CheckSpec, report: CheckReport) -> None:
         family = trial.family(lattice)
         plain = sparse_endpoint(family, fs, tau=tuple(range(m)),
                                 eta=eta, r=r)
-        comm = oscillation_endpoint_form(family, fs, bs, tau_ell, tau_ell,
-                                         eta, r, bmos)
+        comm = sparse_endpoint(family, fs, tau_ell, eta=eta, r=r,
+                               symbols=bs, osc_slots=tau_ell, scales=bmos)
         trial_worst = 0.0
         for vals, bump in ((plain, False), (comm, True)):
             pos = vals[vals > 0]
@@ -897,7 +844,7 @@ def _run_m_vs_i(spec: CheckSpec, report: CheckReport) -> None:
             m = trial.index % 3 + 1
             eta = float(rng.choice((0.0, 0.25, 0.5, 0.75))) * m
         fs = [_random_function(rng, space.n) for _ in range(m)]
-        lhs = fractional_maximal(space, fs, eta=eta, centered=True)
+        lhs = fractional_maximal(space, fs, eta=eta)
         scale = float(m) ** (m - eta)
         rhs = scale * fractional_integral(space, fs, eta)
         constant = max(constant, scale)
@@ -1171,8 +1118,8 @@ def _run_sharp_maximal(spec: CheckSpec, report: CheckReport) -> None:
         bs = [rng.standard_normal(space.n) for _ in range(m)]
         bmos = [bmo_norm(lattice, b) for b in bs]
         family = trial.family(lattice)
-        full = oscillation_endpoint_form(family, fs, bs, tau, tau,
-                                         eta, r, bmos)
+        full = sparse_endpoint(family, fs, tau, eta=eta, r=r, symbols=bs,
+                               osc_slots=tau, scales=bmos)
         lhs = sharp_maximal_dyadic(lattice, full, delta=delta)
         orlicz = orlicz_maximal(lattice, [np.abs(f) ** r for f in fs],
                                 phis, eta=eta) ** (1.0 / r)
@@ -1182,8 +1129,9 @@ def _run_sharp_maximal(spec: CheckSpec, report: CheckReport) -> None:
         for size in range(len(tau)):
             for sub in combinations(tau, size):
                 rest = tuple(i for i in tau if i not in sub)
-                lower = oscillation_endpoint_form(family, fs, bs, tau,
-                                                  rest, eta, r, bmos)
+                lower = sparse_endpoint(family, fs, tau, eta=eta, r=r,
+                                        symbols=bs, osc_slots=rest,
+                                        scales=bmos)
                 scale = math.prod(bmos[i] for i in sub)
                 rhs = rhs + scale * power_maximal_dyadic(lattice, lower,
                                                          eps)

@@ -53,10 +53,10 @@ class ExponentConfig:
             raise ValueError("p must list one exponent per slot")
         if any(v < 1 for v in p):
             raise ValueError("every p_i must be >= 1")
-        if not self.q > 0:
-            raise ValueError("q must be positive")
-        if not (self.p0 > 0 and self.gamma > 0 and self.r > 0):
-            raise ValueError("p0, gamma, r must be positive")
+        # p_i = inf is legal (its conjugate is 1); these four are not
+        for name in ("q", "p0", "gamma", "r"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         derived = math.fsum(1.0 / v for v in p) - 1.0 / self.q
         if self.eta is None:
             object.__setattr__(self, "eta", derived)
@@ -80,6 +80,42 @@ class ExponentConfig:
     def beta(self) -> float:
         return max(1.0 / self.theta,
                    max(conjugate_exponent(v) / self.q for v in self.p))
+
+
+def target_weight(ws, p, q) -> np.ndarray:
+    """u = prod_i w_i^(q/p_i), the target weight of the weight vector."""
+    return np.prod(np.stack([np.asarray(w, dtype=np.float64) ** (q / pi)
+                             for w, pi in zip(ws, p)]), axis=0)
+
+
+def dual_weight(w, p: float) -> np.ndarray:
+    """sigma = w^(1 - p'), the dual weight of slot exponent p > 1."""
+    if p <= 1:
+        raise ValueError("dual weight needs p > 1")
+    w = np.asarray(w, dtype=np.float64)
+    return w ** (1.0 - conjugate_exponent(p))
+
+
+def holder_sides(space: DiscreteSpace, members, weights, p, q):
+    """Both sides of the witness-set splitting inequality.
+
+    The left side is the plain measure of the set; the right side is
+    the product of the target and dual weights' measures raised to
+    exponents that sum to one.  With all-ones weights the two sides
+    agree exactly.
+    """
+    eta = math.fsum(1.0 / v for v in p) - 1.0 / float(q)
+    gap = len(weights) - eta
+    if gap <= 0:
+        raise ValueError("exponents leave no room: sum 1/p_i' + 1/q <= 0")
+    mass = space.masses[members]
+    ws = [w[members] for w in weights]
+    u = target_weight(ws, p, q)
+    rhs = float(np.sum(u * mass)) ** (1.0 / (gap * q))
+    for w, pi in zip(ws, p):
+        pc = conjugate_exponent(pi)
+        rhs *= float(np.sum(dual_weight(w, pi) * mass)) ** (1.0 / (gap * pc))
+    return float(np.sum(mass)), rhs
 
 
 # -- averages ----------------------------------------------------------------
@@ -159,17 +195,14 @@ def joint_astar_constant(lattice: DyadicLattice, weights, p, q,
     sp = lattice.space
     ws = [_check_weight(sp, w) for w in weights]
     p = [float(v) for v in p]
-    if u is None:
-        u = np.prod(np.stack([w ** (q / pi) for w, pi in zip(ws, p)]), axis=0)
-    else:
-        u = _check_weight(sp, u)
+    u = target_weight(ws, p, q) if u is None else _check_weight(sp, u)
     val = lattice.cube_means(u)
     for w, pi in zip(ws, p):
         pc = conjugate_exponent(pi)
         if math.isinf(pc):
             val = val * _cube_min(lattice, w) ** (-q)
         else:
-            val = val * lattice.cube_means(w ** (1.0 - pc)) ** (q / pc)
+            val = val * lattice.cube_means(dual_weight(w, pi)) ** (q / pc)
     return _sup(val, detail)
 
 
@@ -199,16 +232,8 @@ def muckenhoupt_ap(lattice: DyadicLattice, w, p: float,
     mean = lattice.cube_means(w)
     if p == 1:
         return _sup(mean / _cube_min(lattice, w), detail)
-    pc = conjugate_exponent(p)
-    dual_avg = lattice.cube_means(w ** (1.0 - pc))
+    dual_avg = lattice.cube_means(dual_weight(w, p))
     return _sup(mean * dual_avg ** (p - 1.0), detail)
-
-
-def dual_weight(w, p: float) -> np.ndarray:
-    if p <= 1:
-        raise ValueError("dual weight needs p > 1")
-    w = np.asarray(w, dtype=np.float64)
-    return w ** (1.0 - conjugate_exponent(p))
 
 
 # -- Fujii-Wilson and Hruscev style constants --------------------------------
@@ -221,6 +246,26 @@ def _local_maximal(lattice: DyadicLattice, g) -> np.ndarray:
     return np.maximum.accumulate(means[::-1], axis=0)[::-1]
 
 
+def _restricted_maximal_ratio(lattice: DyadicLattice, gs, es,
+                              detail: bool):
+    """sup over cubes Q of int_Q prod_j M_Q(g_j)^(e_j) over
+    int_Q prod_j g_j^(e_j), with M_Q the maximal function restricted to
+    the sub-cubes of Q."""
+    num = den = 1.0
+    for g, e in zip(gs, es):
+        num = num * _local_maximal(lattice, g) ** e
+        den = den * g ** e
+    return _sup(lattice.cube_sums(num) / lattice.cube_sums(den), detail)
+
+
+def _exp_mean_product(lattice: DyadicLattice, gs, es) -> np.ndarray:
+    """prod_j (<g_j>_Q exp<log 1/g_j>_Q)^(e_j) for every cube Q."""
+    val = np.ones(len(lattice.cubes))
+    for g, e in zip(gs, es):
+        val = val * (lattice.cube_means(g) / _geometric_means(lattice, g)) ** e
+    return val
+
+
 def fujii_wilson_constant(lattice: DyadicLattice, weights, p, q,
                           detail: bool = False):
     """Maximal-function form of the joint limiting characteristic.
@@ -230,13 +275,8 @@ def fujii_wilson_constant(lattice: DyadicLattice, weights, p, q,
     """
     sp = lattice.space
     ws = [_check_weight(sp, w) for w in weights]
-    expo = [q / float(v) for v in p]
-    num = 1.0
-    den = 1.0
-    for w, e in zip(ws, expo):
-        num = num * _local_maximal(lattice, w) ** e
-        den = den * w ** e
-    return _sup(lattice.cube_sums(num) / lattice.cube_sums(den), detail)
+    return _restricted_maximal_ratio(lattice, ws, [q / float(v) for v in p],
+                                     detail)
 
 
 def fujii_wilson_single(lattice: DyadicLattice, w, detail: bool = False):
@@ -248,11 +288,8 @@ def hruscev_constant(lattice: DyadicLattice, weights, p, q,
     """Exponential-mean form: prod_i (<w_i> exp<log 1/w_i>)^(q/p_i)."""
     sp = lattice.space
     ws = [_check_weight(sp, w) for w in weights]
-    expo = [q / float(v) for v in p]
-    val = np.ones(len(lattice.cubes))
-    for w, e in zip(ws, expo):
-        val = val * (lattice.cube_means(w) / _geometric_means(lattice, w)) ** e
-    return _sup(val, detail)
+    return _sup(_exp_mean_product(lattice, ws, [q / float(v) for v in p]),
+                detail)
 
 
 def component_wilson_constant(lattice: DyadicLattice, u, sigmas, p, q,
@@ -272,18 +309,12 @@ def component_wilson_constant(lattice: DyadicLattice, u, sigmas, p, q,
     p = [float(v) for v in p]
     if p[i] <= gamma:
         raise ValueError("slot constant needs p_i > gamma when q > gamma")
-    t = q / gamma
     pc = conjugate_exponent(p[i] / gamma)
-    e_u = pc / conjugate_exponent(t)
-    num = _local_maximal(lattice, u) ** e_u
-    den = u ** e_u
-    for j, s in enumerate(sg):
-        if j == i:
-            continue
-        e_j = pc / (p[j] / gamma)
-        num = num * _local_maximal(lattice, s) ** e_j
-        den = den * s ** e_j
-    return _sup(lattice.cube_sums(num) / lattice.cube_sums(den), detail)
+    others = [j for j in range(len(sg)) if j != i]
+    return _restricted_maximal_ratio(
+        lattice, [u] + [sg[j] for j in others],
+        [pc / conjugate_exponent(q / gamma)]
+        + [pc / (p[j] / gamma) for j in others], detail)
 
 
 def component_hruscev_constant(lattice: DyadicLattice, u, sigmas, p, q,
@@ -297,13 +328,11 @@ def component_hruscev_constant(lattice: DyadicLattice, u, sigmas, p, q,
     if p[i] <= 1:
         raise ValueError("slot constant needs p_i > 1")
     pic = conjugate_exponent(p[i])
-    e_u = pic * max(1.0 / gamma - 1.0 / q, 0.0)
-    val = (lattice.cube_means(u) / _geometric_means(lattice, u)) ** e_u
-    ratio_i = lattice.cube_means(sg[i]) / _geometric_means(lattice, sg[i])
-    for j in range(len(sg)):
-        if j != i:
-            val = val * ratio_i ** (pic / p[j])
-    return _sup(val, detail)
+    others = [j for j in range(len(sg)) if j != i]
+    return _sup(_exp_mean_product(
+        lattice, [u] + [sg[i]] * len(others),
+        [pic * max(1.0 / gamma - 1.0 / q, 0.0)]
+        + [pic / p[j] for j in others]), detail)
 
 
 # -- oscillation norms -------------------------------------------------------

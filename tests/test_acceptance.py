@@ -18,10 +18,10 @@ from sparselab.operators import (MultiIndexPair, commutator_integral,
                                  sparse_operator)
 from sparselab.space import build_grid_space
 from sparselab.verify import (CheckSpec, _P_CHOICES, _gate_mismatches,
-                              astar_gate_values, holder_sides, run_check,
+                              astar_gate_values, run_check,
                               young_composition_margin)
 from sparselab.weights import (ExponentConfig, conjugate_exponent,
-                               fractional_apq_constant,
+                               fractional_apq_constant, holder_sides,
                                joint_astar_constant)
 
 TOL = 1e-10

@@ -448,6 +448,13 @@ class TestCommandSurface:
     # a family's sparseness must lie in (0, 1]
     *[({"family": {"cube_ids": [0], "delta": delta}},
        ["sparse", "--n", "16"], 2) for delta in (-1, 0, math.nan, 1.5)],
+    # p_i = inf is legal; an infinite q, gamma, r or p0 is not
+    *[({"exponents": {"p": [2.0, 2.0], "q": 2.0, key: math.inf}},
+       ["verify", "endpoint_weak", "--trials", "1"], 2)
+      for key in ("q", "gamma", "r", "p0")],
+    # the dual weight w^(1 - p') needs p > 1
+    ({"exponents": {"p": [1.0, 2.0], "q": 1.0}},
+     ["verify", "thm_astar_chain", "--trials", "1"], 2),
 ])
 def test_bad_input_gives_one_error_line(runner, tmp_path, config, args,
                                         code):

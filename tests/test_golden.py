@@ -15,6 +15,13 @@ at n = 16, trials = 2, seed 1 under three injected faults that between
 them make every check record failures, so it pins the failure-record
 format.  It is compared under the same rules, with NaN equal to NaN.
 
+`constants_n64_gamma05.csv` and `constants_n64_p1.csv` hold the stdout of
+`constants --n 64` with every constant kind under two configs: one with
+q > gamma, so the slot constants W_inf_i are nontrivial, and one with
+p_1 = 1, which runs the p = 1 branches.  The slot kinds need every
+p_i > 1, so under the second config they exit 2 and its file holds the
+other six kinds.  Both are compared byte for byte.
+
 `lattice_n16_s3.json` holds the stdout of `lattice --n 16 --shifts 3`, and
 `hk_lattice_n24.json` the sorted-key JSON of `lattice_to_descriptor` for
 a net lattice on a
@@ -36,7 +43,7 @@ import pytest
 from click.testing import CliRunner
 
 from sparselab import verify
-from sparselab.cli import cli
+from sparselab.cli import CONSTANT_KINDS, cli
 from sparselab.dyadic import (build_hk_lattice, lattice_to_descriptor,
                               random_sparse_family)
 from sparselab.space import build_explicit_space
@@ -55,6 +62,12 @@ FAILURE_GOLDEN = GOLDEN / "verify_failures_n16.json"
 LATTICE_GOLDEN = GOLDEN / "lattice_n16_s3.json"
 HK_GOLDEN = GOLDEN / "hk_lattice_n24.json"
 REL = 1e-9
+CONSTANTS_CONFIGS = {
+    "gamma05": ({"exponents": {"p": [2.0, 3.0], "q": 1.5, "gamma": 0.5},
+                 "weights": ["random:3", "power:0.4"]}, CONSTANT_KINDS),
+    "p1": ({"exponents": {"p": [1.0, 2.0], "q": 1.0},
+            "weights": ["random:5", "step"]}, CONSTANT_KINDS[:6]),
+}
 
 
 def _name(n, k, shifts):
@@ -116,6 +129,26 @@ def _failure_reports():
 def _lattice_report():
     result = CliRunner().invoke(cli, ["--seed", "1", "lattice", "--n", "16",
                                       "--shifts", "3"])
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+def _constants_golden(name):
+    return GOLDEN / f"constants_n64_{name}.csv"
+
+
+def _constants_run(name, kinds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "config.json"
+        path.write_text(json.dumps(CONSTANTS_CONFIGS[name][0]))
+        args = ["--config", str(path), "constants", "--n", "64"]
+        for kind in kinds:
+            args += ["--kind", kind]
+        return CliRunner().invoke(cli, args)
+
+
+def _constants_report(name):
+    result = _constants_run(name, CONSTANTS_CONFIGS[name][1])
     assert result.exit_code == 0, result.output
     return result.output
 
@@ -198,6 +231,18 @@ def test_lattice_report_matches_golden_bytes():
     assert _lattice_report() == LATTICE_GOLDEN.read_text()
 
 
+@pytest.mark.parametrize("name", sorted(CONSTANTS_CONFIGS))
+def test_constants_match_golden_bytes(name):
+    assert _constants_report(name) == _constants_golden(name).read_text()
+
+
+@pytest.mark.parametrize("kind", ["W_inf_i", "H_inf_i"])
+def test_slot_constants_need_p_above_one(kind):
+    result = _constants_run("p1", [kind])
+    assert result.exit_code == 2
+    assert f"Error: {kind}: dual weight needs p > 1" in result.output
+
+
 def test_hk_lattice_dump_matches_golden_bytes():
     assert _hk_dump() == HK_GOLDEN.read_text()
 
@@ -217,6 +262,8 @@ if __name__ == "__main__":
     FAILURE_GOLDEN.write_text(json.dumps(_failure_reports(), sort_keys=True,
                                          indent=2) + "\n")
     print(FAILURE_GOLDEN)
+    for name in CONSTANTS_CONFIGS:
+        _constants_golden(name).write_text(_constants_report(name))
     LATTICE_GOLDEN.write_text(_lattice_report())
     HK_GOLDEN.write_text(_hk_dump())
     print(LATTICE_GOLDEN, HK_GOLDEN)

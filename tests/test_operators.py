@@ -392,7 +392,7 @@ class TestBallMaximal:
         sp = build_grid_space(8)
         rng = np.random.default_rng(10)
         f = np.abs(rng.normal(size=8))
-        mval = fractional_maximal(sp, [f], eta=0.5, centered=True)
+        mval = fractional_maximal(sp, [f], eta=0.5)
         ival = fractional_integral(sp, [f], eta=0.5)
         assert np.all(mval <= ival * (1 + 1e-12))
 
@@ -401,25 +401,15 @@ class TestBallMaximal:
         rng = np.random.default_rng(11)
         fs = [np.abs(rng.normal(size=8)) for _ in range(2)]
         eta = 0.5
-        mval = fractional_maximal(sp, fs, eta=eta, centered=True)
+        mval = fractional_maximal(sp, fs, eta=eta)
         ival = fractional_integral(sp, fs, eta=eta)
         assert np.all(mval <= 2 ** (2 - eta) * ival * (1 + 1e-12))
-
-    def test_noncentered_breaks_bound(self):
-        sp = build_grid_space(8)
-        f = np.zeros(8)
-        f[0] = 1.0
-        non = fractional_maximal(sp, [f], eta=0.0, centered=False)
-        ival = fractional_integral(sp, [f], eta=0.0)
-        assert non[4] == pytest.approx(0.2, abs=1e-15)
-        assert ival[4] == pytest.approx(0.125, abs=1e-15)
-        assert non[4] > ival[4]
 
     def test_centered_equals_integral_on_point_mass(self):
         sp = build_grid_space(8)
         f = np.zeros(8)
         f[0] = 1.0
-        cen = fractional_maximal(sp, [f], eta=0.0, centered=True)
+        cen = fractional_maximal(sp, [f], eta=0.0)
         ival = fractional_integral(sp, [f], eta=0.0)
         assert cen[4] == pytest.approx(ival[4], rel=1e-14)
 
@@ -679,7 +669,7 @@ def whole_space_grand_maximal(space, fs, eta, dilation):
     return truncated_grand_maximal_local(space, fs, eta, dilation, 0, radius)
 
 
-def loop_fractional_maximal(space, fs, eta, centered):
+def loop_fractional_maximal(space, fs, eta):
     """Per-center argsort and cumsum, as before the ball layer."""
     n = space.n
     fm = [np.abs(f) * space.masses for f in fs]
@@ -692,11 +682,7 @@ def loop_fractional_maximal(space, fs, eta, centered):
         vals = pmass[ends] ** (eta - len(fs))
         for f in fm:
             vals = vals * np.cumsum(f[order])[ends]
-        if centered:
-            out[y] = float(vals.max())
-        else:
-            for e, v in zip(ends, vals):
-                out[order[:e + 1]] = np.maximum(out[order[:e + 1]], v)
+        out[y] = float(vals.max())
     return out
 
 
@@ -711,14 +697,13 @@ def ball_layer_spaces():
 class TestBallLayerOperators:
     """The ball-layer operators reproduce the per-radius loops exactly."""
 
-    @pytest.mark.parametrize("centered", [True, False])
-    def test_fractional_maximal_matches_loop(self, centered):
+    def test_fractional_maximal_matches_loop(self):
         for sp in ball_layer_spaces():
             rng = np.random.default_rng(32)
             fs = [rng.normal(size=sp.n) for _ in range(2)]
             for eta in (0.0, 0.75):
-                got = fractional_maximal(sp, fs, eta, centered)
-                want = loop_fractional_maximal(sp, fs, eta, centered)
+                got = fractional_maximal(sp, fs, eta)
+                want = loop_fractional_maximal(sp, fs, eta)
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dilation", [0.5, 2.0, 6.0])

@@ -12,16 +12,16 @@ from sparselab import verify
 from sparselab.dyadic import (build_standard_lattice, random_sparse_family,
                               select_witnesses, verify_sparse)
 from sparselab.operators import (MultiIndexPair, fractional_integral,
-                                 fractional_maximal, sparse_first_order,
-                                 sparse_higher_order)
+                                 fractional_maximal, sparse_endpoint,
+                                 sparse_first_order, sparse_higher_order)
 from sparselab.space import build_grid_space
 from sparselab.verify import (CAOPRO_RATIO_BASELINE, CheckReport, CheckSpec,
                               REGISTRY, _fold, _operator_norm_lower,
                               _ratio, _violates, astar_gate_values,
-                              holder_sides, kolmogorov_chain_values,
-                              oscillation_endpoint_form, registry_ids,
+                              kolmogorov_chain_values, registry_ids,
                               run_check, young_composition_margin)
-from sparselab.weights import ExponentConfig, astar_from_duals, young_llogl
+from sparselab.weights import (ExponentConfig, astar_from_duals,
+                               holder_sides, young_llogl)
 
 ALL_IDS = [
     "bloom_iterated",
@@ -102,8 +102,8 @@ class TestReports:
         # trial's ratio NaN; it must fail the check and set worst_ratio
         calls = []
 
-        def poisoned(space, fs, eta=0.0, centered=True):
-            out = fractional_maximal(space, fs, eta=eta, centered=centered)
+        def poisoned(space, fs, eta=0.0):
+            out = fractional_maximal(space, fs, eta=eta)
             calls.append(None)
             if len(calls) == 2:
                 out[3] = math.nan
@@ -380,7 +380,7 @@ class TestMaximalVsIntegral:
         spike = np.zeros(4)
         spike[0] = 1.0
         fs = [spike, spike]
-        maximal = fractional_maximal(space, fs, eta=1.0, centered=True)
+        maximal = fractional_maximal(space, fs, eta=1.0)
         integral = fractional_integral(space, fs, 1.0)
         np.testing.assert_allclose(
             maximal, [1.0, 1.0 / 3.0, 0.25, 0.25], rtol=1e-12)
@@ -413,9 +413,9 @@ class TestOscillationForm:
         family = select_witnesses(lattice, [lattice.generations[0][0]], 0.5)
         ones = np.ones(4)
         symbol = np.array([1.0, -1.0, 1.0, -1.0])
-        out = oscillation_endpoint_form(
-            family, [ones, ones], [symbol, ones], tau=(0,), osc_slots=(0,),
-            eta=0.0, r=1.0, bmo_norms=[3.0, 5.0])
+        out = sparse_endpoint(
+            family, [ones, ones], tau=(0,), eta=0.0, r=1.0,
+            symbols=[symbol, ones], osc_slots=(0,), scales=[3.0, 5.0])
         np.testing.assert_allclose(out, np.full(4, 5.0), rtol=1e-8)
 
     def test_oscillation_outside_tau_rejected(self):
@@ -424,9 +424,8 @@ class TestOscillationForm:
         family = select_witnesses(lattice, [lattice.generations[0][0]], 0.5)
         ones = np.ones(4)
         with pytest.raises(ValueError, match="inside tau"):
-            oscillation_endpoint_form(family, [ones, ones], [ones, ones],
-                                      tau=(0,), osc_slots=(1,), eta=0.0,
-                                      r=1.0, bmo_norms=[1.0, 1.0])
+            sparse_endpoint(family, [ones, ones], tau=(0,),
+                            symbols=[ones, ones], osc_slots=(1,))
 
 
 class TestNormEstimator:
