@@ -8,6 +8,14 @@ output file.  Report content is bit-identical for identical (config,
 seed); only ``--audit`` extras carry wall-clock timings and are
 exempt.
 
+Every numeric setting has one reader, ``_setting``: the flag if given,
+else its config field, else its default, checked alike whatever its
+source.  setting: flag, config field (default; commands):
+seed: --seed, seed (1; all); n: --n, space.n (16; all);
+shifts: --shifts, lattice.shifts (1; lattice, dominate);
+eta: --eta, eta (sparse: exponents.eta, else 0; dominate: 0);
+alpha: --alpha, alpha (1; dominate); trials: --trials, trials (0; verify).
+
 Exit codes: 0 success, 1 a check or certificate failed, 2 configuration
 error.
 """
@@ -46,7 +54,7 @@ CONSTANT_KINDS = ("A_p", "A_inf_fujii", "A_pq_star", "A_pq",
 
 _TOP_FIELDS = {"schema", "space", "lattice", "exponents", "weights",
                "functions", "symbols", "family", "pair", "checks", "kinds",
-               "seed", "trials", "n", "out", "eta", "alpha"}
+               "seed", "trials", "out", "eta", "alpha"}
 
 
 class ConfigError(click.UsageError):
@@ -81,29 +89,30 @@ def _is_num(v) -> bool:
     return _is_int(v) or isinstance(v, float)
 
 
-def _int_field(obj, key, where, default=None, minimum=None):
-    val = obj.get(key, default)
+def _setting(flag, obj, key, where, default, integer=False, minimum=None,
+             positive=False):
+    """The flag if given, else obj[key] (null reads as absent), else
+    default, None if all three are; checked alike whatever its source:
+    an integer, or a number returned as float; finite; then >= minimum,
+    or > 0 when positive.  An error names a flag by its bare name and a
+    config field by its dotted path."""
+    name = key if flag is not None else f"{where}.{key}"
+    val = flag if flag is not None else obj.get(key)
+    if val is None:
+        val = default
     if val is None:
         return None
-    if not _is_int(val):
-        raise ConfigError(f"{where}.{key} must be an integer")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}")
-    return val
-
-
-def _num_field(obj, key, where, default=None):
-    val = obj.get(key, default)
-    if val is None:
-        return None
-    if not _is_num(val):
-        raise ConfigError(f"{where}.{key} must be a number")
-    return float(val)
-
-
-def _require_finite(val, name):
+    if not (_is_int if integer else _is_num)(val):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {kind}")
+    val = val if integer else float(val)
     if not math.isfinite(val):
         raise ConfigError(f"{name} must be a finite number")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+    if positive and val <= 0:
+        raise ConfigError(f"{name} must be positive")
+    return val
 
 
 def _section(cfg, name, fields, default=None):
@@ -130,22 +139,22 @@ def _space_from_config(cfg, n_flag, grid_for=None):
     if grid_for is not None and desc["kind"] != "grid":
         raise ConfigError(f"{grid_for} needs a grid space, not space.kind "
                           f"{desc['kind']!r}")
-    if n_flag is not None:
-        desc["n"] = n_flag
-        masses = desc.get("masses")
-        if isinstance(masses, list) and len(masses) != n_flag:
-            # flag overrides the whole space shape, not just the label
-            desc.pop("masses")
-    if "n" in desc and not _is_int(desc["n"]):
-        raise ConfigError("space.n must be an integer")
-    if "masses" in desc and desc["masses"] is not None:
+    # a check compares points, so verify needs two of them
+    desc["n"] = _setting(n_flag, desc, "n", "space", None, integer=True,
+                         minimum=2 if grid_for == "verify" else None)
+    masses = desc.get("masses")
+    if n_flag is not None and isinstance(masses, list) and \
+            len(masses) != n_flag:
+        # flag overrides the whole space shape, not just the label
+        desc.pop("masses")
+    if desc.get("masses") is not None:
         if not isinstance(desc["masses"], list):
             raise ConfigError("space.masses must be an array")
         for i, v in enumerate(desc["masses"]):
             if not (_is_num(v) or isinstance(v, str)):
                 raise ConfigError(f"space.masses[{i}] must be a number "
                                   "or a decimal string")
-    if "n" not in desc and "masses" not in desc:
+    if desc["n"] is None and desc.get("masses") is None:
         desc["n"] = 16
     try:
         return space_from_descriptor(desc)
@@ -161,20 +170,19 @@ def _exponents_from_config(cfg):
     p = exp.get("p")
     if not isinstance(p, list) or not p or not all(_is_num(v) for v in p):
         raise ConfigError("exponents.p must be a non-empty number array")
-    m = _int_field(exp, "m", "exponents", default=len(p), minimum=1)
+    m = _setting(None, exp, "m", "exponents", len(p), integer=True,
+                 minimum=1)
     if m != len(p):
         raise ConfigError("exponents.m disagrees with the length of "
                           "exponents.p")
-    q = _num_field(exp, "q", "exponents")
+    q = _setting(None, exp, "q", "exponents", None)
     if q is None:
         raise ConfigError("exponents.q is required")
+    rest = {key: _setting(None, exp, key, "exponents", default)
+            for key, default in (("eta", None), ("p0", 1.0), ("gamma", 1.0),
+                                 ("r", 1.0))}
     try:
-        return ExponentConfig(
-            m, tuple(float(v) for v in p), q,
-            eta=_num_field(exp, "eta", "exponents"),
-            p0=_num_field(exp, "p0", "exponents", default=1.0),
-            gamma=_num_field(exp, "gamma", "exponents", default=1.0),
-            r=_num_field(exp, "r", "exponents", default=1.0))
+        return ExponentConfig(m, tuple(float(v) for v in p), q, **rest)
     except ValueError as exc:
         raise ConfigError(f"exponents: {exc}") from None
 
@@ -300,10 +308,7 @@ def _csv_text(header, rows) -> str:
 def cli(ctx, config_path, seed, out_path, audit):
     """Sparse-operator laboratory on finite spaces of homogeneous type."""
     cfg = _load_config(config_path)
-    if seed is None:
-        seed = _int_field(cfg, "seed", "config", default=1, minimum=0)
-    elif seed < 0:
-        raise ConfigError("seed must be >= 0")
+    seed = _setting(seed, cfg, "seed", "config", 1, integer=True, minimum=0)
     if out_path is None:
         out = cfg.get("out")
         if out is not None and not isinstance(out, str):
@@ -335,6 +340,12 @@ def cmd_space(ctx, n):
 
 # -- lattice -----------------------------------------------------------------
 
+def _shifts(cfg, flag):
+    """The number of shifted systems, for lattice and dominate alike."""
+    return _setting(flag, _section(cfg, "lattice", ("shifts",), default={}),
+                    "shifts", "lattice", 1, integer=True, minimum=1)
+
+
 @cli.command("lattice")
 @click.option("--n", type=int, default=None)
 @click.option("--shifts", type=int, default=None,
@@ -345,12 +356,7 @@ def cmd_space(ctx, n):
 def cmd_lattice(ctx, n, shifts, csv_path):
     """Build dyadic lattices and emit their cube dumps."""
     cfg = ctx.obj["cfg"]
-    lat_cfg = _section(cfg, "lattice", ("shifts",), default={})
-    if shifts is None:
-        shifts = _int_field(lat_cfg, "shifts", "lattice", default=1,
-                            minimum=1)
-    elif shifts < 1:
-        raise ConfigError("shifts must be >= 1")
+    shifts = _shifts(cfg, shifts)
     space = _space_from_config(cfg, n, grid_for="lattice")
     payload = {"schema": SCHEMA, "report": "lattice"}
     if shifts == 1:
@@ -463,7 +469,7 @@ def _family_from_config(cfg, lattice, seed):
     cubes = len(lattice.cubes)
     if not all(0 <= v < cubes for v in ids):
         raise ConfigError(f"family.cube_ids must lie in [0, {cubes})")
-    delta = _num_field(fam_cfg, "delta", "family", default=0.5)
+    delta = _setting(None, fam_cfg, "delta", "family", 0.5)
     try:
         return select_witnesses(lattice, ids, delta)
     except WitnessSelectionError as exc:
@@ -473,7 +479,8 @@ def _family_from_config(cfg, lattice, seed):
 @cli.command("sparse")
 @click.option("--n", type=int, default=None)
 @click.option("--eta", type=float, default=None,
-              help="Mass exponent (default from exponents config, else 0).")
+              help="Mass exponent (default: config eta, else the "
+                   "exponents' eta, else 0).")
 @click.option("--dump-per-cube", "dump_path", type=click.Path(),
               default=None, help="CSV of each cube's coefficient.")
 @click.pass_context
@@ -483,22 +490,16 @@ def cmd_sparse(ctx, n, eta, dump_path):
     space = _space_from_config(cfg, n, grid_for="sparse")
     lattice = build_standard_lattice(space)
     family = _family_from_config(cfg, lattice, seed)
-    ecfg = _exponents_from_config(cfg)
-    m = ecfg.m if ecfg is not None else 1
-    p0 = ecfg.p0 if ecfg is not None else 1.0
-    gamma = ecfg.gamma if ecfg is not None else 1.0
-    if eta is None:
-        eta = ecfg.eta if ecfg is not None else 0.0
-    _require_finite(eta, "eta")
-    if eta < 0:
-        raise ConfigError("eta must be >= 0")
-    fs = _functions_from_config(space, cfg, m, seed, 7)
-    coeffs = sparse_coefficients(lattice, fs, eta=eta, p0=p0, gamma=gamma)
-    out_arr = family.pointwise(coeffs) ** (1.0 / gamma)
+    ecfg = _exponents_from_config(cfg) or ExponentConfig(1, (1.0,), 1.0)
+    eta = _setting(eta, cfg, "eta", "config", ecfg.eta, minimum=0)
+    fs = _functions_from_config(space, cfg, ecfg.m, seed, 7)
+    coeffs = sparse_coefficients(lattice, fs, eta=eta, p0=ecfg.p0,
+                                 gamma=ecfg.gamma)
+    out_arr = family.pointwise(coeffs) ** (1.0 / ecfg.gamma)
     payload = {
         "schema": SCHEMA,
         "report": "sparse",
-        "eta": eta, "p0": p0, "gamma": gamma, "slots": m,
+        "eta": eta, "p0": ecfg.p0, "gamma": ecfg.gamma, "slots": ecfg.m,
         "family": {"delta": family.delta,
                    "cube_ids": list(family.cube_ids)},
         "output": out_arr.tolist(),
@@ -556,24 +557,15 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
     """Run the stopping-time construction and emit its certificate."""
     cfg, seed = ctx.obj["cfg"], ctx.obj["seed"]
     space = _space_from_config(cfg, n, grid_for="dominate")
-    if shifts is None:
-        shifts = 1
-    elif shifts < 1:
-        raise ConfigError("shifts must be >= 1")
+    shifts = _shifts(cfg, shifts)
     pair = _pair_from_config(cfg, k_flag)
     m = pair.m
     if m > 3:
         raise ConfigError(f"pair has {m} slots; dominate supports at most 3")
-    if eta is None:
-        eta = _num_field(cfg, "eta", "config", default=0.0)
-    _require_finite(eta, "eta")
+    eta = _setting(eta, cfg, "eta", "config", 0.0)
     if not 0 <= eta < m:
         raise ConfigError(f"eta must lie in [0, {m}) (m = slot count)")
-    if alpha is None:
-        alpha = _num_field(cfg, "alpha", "config", default=1.0)
-    _require_finite(alpha, "alpha")
-    if alpha <= 0.0:
-        raise ConfigError("alpha must be positive")
+    alpha = _setting(alpha, cfg, "alpha", "config", 1.0, positive=True)
     fs = _functions_from_config(space, cfg, m, seed, 5)
     symbols = _functions_from_config(space, cfg, m, seed, 6, key="symbols",
                                      signed=True)
@@ -612,7 +604,8 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
 @click.option("--trials", type=int, default=None,
               help="Trials per check (0 keeps each check's default).")
 @click.option("--n", type=int, default=None,
-              help="Grid size for the checks (default 16).")
+              help="Grid size for the checks; overrides space.n "
+                   "(default 16).")
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Report JSON path (overrides --out).")
 @click.pass_context
@@ -638,14 +631,13 @@ def cmd_verify(ctx, check_ids, trials, n, report_path):
         if cid not in valid:
             raise ConfigError(f"unknown check id {cid!r}; valid ids: "
                               + ", ".join(valid))
-    if trials is None:
-        trials = _int_field(cfg, "trials", "config", default=0, minimum=0)
-    elif trials < 0:
-        raise ConfigError("trials must be >= 0")
-    if n is None:
-        n = _int_field(cfg, "n", "config", default=16, minimum=2)
-    elif n < 2:
-        raise ConfigError("n must be >= 2")
+    trials = _setting(trials, cfg, "trials", "config", 0, integer=True,
+                      minimum=0)
+    space = _space_from_config(cfg, n, grid_for="verify")
+    # each check builds its own build_grid_space(n)
+    if space.n < 2 or np.any(space.masses != 1.0):
+        raise ConfigError("verify needs at least 2 points, each of mass 1")
+    n = space.n
     ecfg = _exponents_from_config(cfg)
     reports = []
     for cid in ids:

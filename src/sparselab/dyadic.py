@@ -634,11 +634,17 @@ def select_witnesses(lattice: DyadicLattice, cube_ids: list[int],
     Cubes are processed finest generation first; E_Q is Q minus all
     previously assigned witnesses (these belong to descendants inside Q
     or to cubes disjoint from Q, never to ancestors).  Raises naming the
-    first cube that cannot reach delta of its own mass, or for a delta
-    outside (0, 1].
+    first cube that cannot reach delta of its own mass, the first cube
+    id listed twice, or for a delta outside (0, 1].
     """
     if not 0 < delta <= 1:
         raise WitnessSelectionError(f"delta must lie in (0, 1], got {delta}")
+    seen = set()
+    for cid in cube_ids:
+        if cid in seen:
+            raise WitnessSelectionError(f"cube {cid} is listed twice",
+                                        cube_id=cid)
+        seen.add(cid)
     witnesses, starved = _witness_walk(lattice, cube_ids, delta)
     if starved:
         cid, free_mass = starved[0]

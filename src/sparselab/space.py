@@ -108,8 +108,8 @@ class DiscreteSpace:
                 )
             self.a0 = _quasi_triangle_constant(metric)
         else:
-            if a0 < 1:
-                raise ValueError("a0 must be at least 1")
+            if not 1 <= a0 < np.inf:
+                raise ValueError(f"a0 must be a finite number >= 1, got {a0}")
             self.a0 = float(a0)
             # a declared a0 comes from outside: test it on 20,000 seeded
             # random triples

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -177,7 +179,7 @@ def test_exponents_out_of_range_exit_2(runner, tmp_path, exponents, args):
 
 @pytest.mark.parametrize("args", [
     ["lattice"], ["constants", "--kind", "A_p", "--weight", "const"],
-    ["sparse"], ["dominate"]])
+    ["sparse"], ["dominate"], ["verify", "holder_eq"]])
 def test_explicit_space_exits_2(runner, tmp_path, args):
     cfg = _write_config(tmp_path, {"space": {
         "kind": "explicit", "masses": [1, 1, 1],
@@ -455,6 +457,18 @@ class TestCommandSurface:
     # the dual weight w^(1 - p') needs p > 1
     ({"exponents": {"p": [1.0, 2.0], "q": 1.0}},
      ["verify", "thm_astar_chain", "--trials", "1"], 2),
+    # a declared a0 must be a finite number >= 1
+    *[({"space": {"kind": "explicit", "masses": [1, 1, 1],
+                  "metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "a0": a0}},
+       ["space"], 2) for a0 in (math.nan, math.inf)],
+    ({"family": {"cube_ids": [1, 1]}}, ["sparse", "--n", "8"], 2),
+    # every setting is checked by one reader, whatever its source
+    ({"seed": True}, ["sparse", "--n", "16"], 2),
+    ({"lattice": {"shifts": 1.5}}, ["lattice", "--n", "16"], 2),
+    ({"alpha": "1"}, ["dominate", "--n", "16", "--k", "1"], 2),
+    ({"alpha": math.nan}, ["dominate", "--n", "16", "--k", "1"], 2),
+    ({"eta": math.nan}, ["dominate", "--n", "16", "--k", "1"], 2),
+    ({"eta": math.nan}, ["sparse", "--n", "16"], 2),
 ])
 def test_bad_input_gives_one_error_line(runner, tmp_path, config, args,
                                         code):
@@ -479,3 +493,82 @@ def test_null_section_reads_as_absent(runner, tmp_path, section, args):
     result = runner.invoke(cli, ["--config", cfg, *args])
     assert result.exit_code == 0, result.output
     assert result.output == runner.invoke(cli, args).output
+
+
+def test_repeated_cube_id_names_the_id(runner, tmp_path):
+    cfg = _write_config(tmp_path, {"family": {"cube_ids": [1, 1]}})
+    result = runner.invoke(cli, ["--config", cfg, "sparse", "--n", "8"])
+    assert result.exit_code == 2
+    assert "Error: family: cube 1 is listed twice" in result.output
+
+
+@pytest.mark.parametrize("config,config_args,flag_args", [
+    ({"lattice": {"shifts": 3}}, ["dominate", "--n", "16"],
+     ["dominate", "--n", "16", "--shifts", "3"]),
+    ({"eta": 0.5}, ["sparse", "--n", "8"], ["sparse", "--n", "8",
+                                            "--eta", "0.5"]),
+    ({"space": {"n": 64}}, ["verify", "dyadicsum_equiv", "--trials", "2"],
+     ["verify", "dyadicsum_equiv", "--trials", "2", "--n", "64"]),
+])
+def test_config_field_reads_like_its_flag(runner, tmp_path, config,
+                                          config_args, flag_args):
+    cfg = _write_config(tmp_path, config)
+    from_config = runner.invoke(cli, ["--config", cfg, *config_args])
+    from_flag = runner.invoke(cli, flag_args)
+    assert from_config.exit_code == 0, from_config.output
+    assert from_config.stdout_bytes == from_flag.stdout_bytes
+    # the setting moves the output, so neither source is ignored
+    assert from_flag.stdout_bytes != \
+        runner.invoke(cli, config_args).stdout_bytes
+
+
+@pytest.mark.parametrize("config,args,message", [
+    (None, ["lattice", "--n", "8", "--shifts", "0"],
+     "Error: shifts must be >= 1"),
+    ({"lattice": {"shifts": 0}}, ["lattice", "--n", "8"],
+     "Error: lattice.shifts must be >= 1"),
+    ({"alpha": 0}, ["dominate", "--n", "8"],
+     "Error: config.alpha must be positive"),
+    ({"eta": -1}, ["sparse", "--n", "8"], "Error: config.eta must be >= 0"),
+    ({"space": {"n": 1}}, ["verify", "holder_eq"],
+     "Error: space.n must be >= 2"),
+])
+def test_error_names_flag_bare_and_field_dotted(runner, tmp_path, config,
+                                                args, message):
+    if config is not None:
+        args = ["--config", _write_config(tmp_path, config), *args]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert [line for line in result.output.splitlines()
+            if line.startswith("Error:")] == [message]
+
+
+def test_top_level_n_is_unknown(runner, tmp_path):
+    cfg = _write_config(tmp_path, {"n": 64})
+    result = runner.invoke(cli, ["--config", cfg, "verify", "holder_eq"])
+    assert result.exit_code == 2
+    assert "unknown field 'n'" in result.output
+
+
+@pytest.mark.parametrize("masses", [[1, 2] * 8, [1]])
+def test_verify_rejects_space_it_cannot_build(runner, tmp_path, masses):
+    cfg = _write_config(tmp_path, {"space": {"masses": masses}})
+    result = runner.invoke(cli, ["--config", cfg, "verify", "holder_eq"])
+    assert result.exit_code == 2
+    assert "verify needs at least 2 points, each of mass 1" in result.output
+    assert "Traceback" not in result.output
+
+
+def _readme_config():
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"Config file example:\s*```json\n(.*?)```", text,
+                      re.DOTALL)
+    return json.loads(block.group(1))
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--trials", "1"], ["constants", "--kind", "A_pq_star"]])
+def test_readme_config_example_runs(runner, tmp_path, args):
+    cfg = _write_config(tmp_path, _readme_config())
+    result = runner.invoke(cli, ["--config", cfg, *args])
+    assert result.exit_code == 0, result.output

@@ -643,6 +643,14 @@ class TestWitnessSelection:
         with pytest.raises(WitnessSelectionError, match=r"\(0, 1\]"):
             select_witnesses(lat, [lat.cubes_at(2)[0].cube_id], delta)
 
+    def test_repeated_cube_id_is_named(self):
+        lat = build_standard_lattice(build_grid_space(8))
+        ids = [c.cube_id for c in lat.cubes_at(2)]
+        with pytest.raises(WitnessSelectionError,
+                           match=f"cube {ids[1]} is listed twice") as err:
+            select_witnesses(lat, [ids[0], ids[1], ids[2], ids[1]], 0.5)
+        assert err.value.cube_id == ids[1]
+
     def test_verify_catches_overlap(self):
         lat = build_standard_lattice(build_grid_space(8))
         ids = [c.cube_id for c in lat.cubes_at(2)]

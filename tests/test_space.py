@@ -245,6 +245,13 @@ class TestQuasiTriangle:
         sp = build_explicit_space(metric, [1, 1, 1], a0=2.0)
         assert sp.a0 == 2.0
 
+    @pytest.mark.parametrize("a0", [float("nan"), float("inf"), 0.5])
+    def test_declared_a0_must_be_finite_and_at_least_one(self, a0):
+        pts = np.array([0.0, 1.0, 2.0])
+        metric = np.abs(pts[:, None] - pts[None, :])
+        with pytest.raises(ValueError, match="a0 must be a finite number"):
+            build_explicit_space(metric, [1, 1, 1], a0=a0)
+
     def test_rejects_asymmetric(self):
         metric = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
