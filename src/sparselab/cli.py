@@ -8,13 +8,17 @@ output file.  Report content is bit-identical for identical (config,
 seed); only ``--audit`` extras carry wall-clock timings and are
 exempt.
 
-Every numeric setting has one reader, ``_setting``: the flag if given,
-else its config field, else its default, checked alike whatever its
-source.  setting: flag, config field (default; commands):
-seed: --seed, seed (1; all); n: --n, space.n (16; all);
+A number setting has one reader, ``_setting``, and an array one,
+``_entries``: the flag (an array flag's entries, if any) if given, else
+the config field, else the default, checked alike whatever its source;
+a field set to null reads as absent.  setting: flag, field (default;
+commands): seed: --seed, seed (1; all); n: --n, space.n (16; all);
 shifts: --shifts, lattice.shifts (1; lattice, dominate);
 eta: --eta, eta (sparse: exponents.eta, else 0; dominate: 0);
-alpha: --alpha, alpha (1; dominate); trials: --trials, trials (0; verify).
+alpha: --alpha, alpha (1; dominate); trials: --trials, trials (0; verify);
+integers k: --k, pair.k ([1]; dominate); constant kinds: --kind, kinds
+(constants); presets or number arrays: --weight, weights (constants);
+check ids: arguments, checks (verify).  --n and space.masses must agree.
 
 Exit codes: 0 success, 1 a check or certificate failed, 2 configuration
 error.
@@ -67,11 +71,11 @@ def _load_config(path):
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
         raise ConfigError(f"config: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
@@ -115,6 +119,19 @@ def _setting(flag, obj, key, where, default, integer=False, minimum=None,
     return val
 
 
+def _entries(flag, obj, key, where, default, ok, what):
+    """The flag's entries if it has any, else obj[key] (null reads as
+    absent), else default; None, or a list whose every entry passes ok.
+    An error names the setting as _setting does and the first bad entry."""
+    name = key if flag else f"{where}.{key}"
+    val = list(flag) if flag else obj.get(key)
+    val = default if val is None else val
+    if val is None or (isinstance(val, list) and all(map(ok, val))):
+        return val
+    bad = next(v for v in val if not ok(v)) if isinstance(val, list) else val
+    raise ConfigError(f"{name} must be {what}, got {bad!r}")
+
+
 def _section(cfg, name, fields, default=None):
     """The config object under name, every key one of fields; a missing
     or null section reads as default."""
@@ -132,7 +149,8 @@ def _section(cfg, name, fields, default=None):
 def _space_from_config(cfg, n_flag, grid_for=None):
     desc = dict(_section(cfg, "space",
                          ("kind", "n", "masses", "metric", "a0"), default={}))
-    desc.setdefault("kind", "grid")
+    if desc.get("kind") is None:
+        desc["kind"] = "grid"
     if desc["kind"] not in ("grid", "explicit"):
         raise ConfigError(f"space.kind must be 'grid' or 'explicit', "
                           f"got {desc['kind']!r}")
@@ -142,19 +160,11 @@ def _space_from_config(cfg, n_flag, grid_for=None):
     # a check compares points, so verify needs two of them
     desc["n"] = _setting(n_flag, desc, "n", "space", None, integer=True,
                          minimum=2 if grid_for == "verify" else None)
-    masses = desc.get("masses")
-    if n_flag is not None and isinstance(masses, list) and \
-            len(masses) != n_flag:
-        # flag overrides the whole space shape, not just the label
-        desc.pop("masses")
-    if desc.get("masses") is not None:
-        if not isinstance(desc["masses"], list):
-            raise ConfigError("space.masses must be an array")
-        for i, v in enumerate(desc["masses"]):
-            if not (_is_num(v) or isinstance(v, str)):
-                raise ConfigError(f"space.masses[{i}] must be a number "
-                                  "or a decimal string")
-    if desc["n"] is None and desc.get("masses") is None:
+    # an n that disagrees with the masses' length fails in the library
+    desc["masses"] = _entries(None, desc, "masses", "space", None,
+                              lambda v: _is_num(v) or isinstance(v, str),
+                              "an array of numbers or decimal strings")
+    if desc["n"] is None and desc["masses"] is None:
         desc["n"] = 16
     try:
         return space_from_descriptor(desc)
@@ -167,9 +177,12 @@ def _exponents_from_config(cfg):
                    ("m", "p", "q", "eta", "p0", "gamma", "r"))
     if exp is None:
         return None
-    p = exp.get("p")
-    if not isinstance(p, list) or not p or not all(_is_num(v) for v in p):
-        raise ConfigError("exponents.p must be a non-empty number array")
+    # p_i = inf is legal, NaN is not
+    p = _entries(None, exp, "p", "exponents", [],
+                 lambda v: _is_num(v) and not math.isnan(v),
+                 "an array of numbers other than NaN")
+    if not p:
+        raise ConfigError("exponents.p needs at least one entry")
     m = _setting(None, exp, "m", "exponents", len(p), integer=True,
                  minimum=1)
     if m != len(p):
@@ -187,22 +200,24 @@ def _exponents_from_config(cfg):
         raise ConfigError(f"exponents: {exc}") from None
 
 
+def _is_spec(v) -> bool:
+    return isinstance(v, (str, list))
+
+
 def _array_spec(space, spec, where, allow_negative=False, positive=False):
-    """A preset string or an inline array, checked alike: finite, and
-    nonnegative or strictly positive as asked."""
+    """A preset string or an inline array (see _is_spec), checked alike:
+    finite, and nonnegative or strictly positive as asked."""
     if isinstance(spec, str):
         try:
             with np.errstate(over="ignore"):  # an overflow fails below
                 arr = make_weight(space, spec)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    elif isinstance(spec, list):
+    else:
         if len(spec) != space.n or not all(_is_num(v) for v in spec):
             raise ConfigError(f"{where} must be a length-{space.n} "
                               "number array")
         arr = np.array([float(v) for v in spec])
-    else:
-        raise ConfigError(f"{where} must be a preset string or an array")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{where} must hold finite numbers")
     if not allow_negative and np.any(arr < 0.0):
@@ -213,8 +228,9 @@ def _array_spec(space, spec, where, allow_negative=False, positive=False):
 
 
 def _weights_from_config(space, cfg, flags):
-    specs = list(flags) if flags else cfg.get("weights")
-    if specs is None or not isinstance(specs, list) or not specs:
+    specs = _entries(flags, cfg, "weights", "config", [], _is_spec,
+                     "an array of presets or number arrays")
+    if not specs:
         raise ConfigError("weights: at least one weight is required "
                           "(--weight flag or config array)")
     return [_array_spec(space, s, f"weights[{i}]", positive=True)
@@ -223,13 +239,12 @@ def _weights_from_config(space, cfg, flags):
 
 def _functions_from_config(space, cfg, count, seed, salt, key="functions",
                            signed=False):
-    specs = cfg.get(key)
+    specs = _entries(None, cfg, key, "config", None, _is_spec,
+                     "an array of presets or number arrays")
     if specs is None:
         rng = np.random.default_rng((seed, salt))
         draws = rng.standard_normal((count, space.n))
         return [d if signed else np.abs(d) for d in draws]
-    if not isinstance(specs, list):
-        raise ConfigError(f"{key} must be an array")
     if len(specs) != count:
         raise ConfigError(f"{key} must provide {count} entries "
                           f"(one per slot), got {len(specs)}")
@@ -240,17 +255,20 @@ def _functions_from_config(space, cfg, count, seed, salt, key="functions",
 # -- output plumbing ---------------------------------------------------------
 
 def _write_text(path, text):
+    """Write atomically; a path that cannot be written is a ConfigError."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sparselab-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sparselab-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(text, out):
@@ -309,19 +327,17 @@ def cli(ctx, config_path, seed, out_path, audit):
     """Sparse-operator laboratory on finite spaces of homogeneous type."""
     cfg = _load_config(config_path)
     seed = _setting(seed, cfg, "seed", "config", 1, integer=True, minimum=0)
-    if out_path is None:
-        out = cfg.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError("config.out must be a string path")
-        out_path = out
-    ctx.obj = {"cfg": cfg, "seed": seed, "out": out_path, "audit": audit}
+    out = out_path if out_path is not None else cfg.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("config.out must be a string path")
+    ctx.obj = {"cfg": cfg, "seed": seed, "out": out, "audit": audit}
 
 
 # -- space -------------------------------------------------------------------
 
 @cli.command("space")
 @click.option("--n", type=int, default=None,
-              help="Grid size (power of two); overrides the config.")
+              help="Grid size (power of two); overrides space.n.")
 @click.pass_context
 def cmd_space(ctx, n):
     """Build the point space and emit its descriptor plus doubling data."""
@@ -407,17 +423,14 @@ def _constant_rows(kind, lattice, ws, ecfg):
         _require_exponents(ecfg, kind, m)
         return [(kind, *_JOINT_CONSTANTS[kind](
             lattice, ws, ecfg.p, ecfg.q, detail=True))]
-    if kind in ("W_inf_i", "H_inf_i"):
-        _require_exponents(ecfg, kind, m)
-        sigmas = [dual_weight(w, pi) for w, pi in zip(ws, ecfg.p)]
-        u = target_weight(ws, ecfg.p, ecfg.q)
-        fn = (component_wilson_constant if kind == "W_inf_i"
-              else component_hruscev_constant)
-        return [(f"{kind}:{i}", *fn(lattice, u, sigmas, ecfg.p, ecfg.q,
-                                    ecfg.gamma, i, detail=True))
-                for i in range(m)]
-    raise ConfigError(f"unknown constant kind {kind!r}; valid kinds: "
-                      + ", ".join(CONSTANT_KINDS))
+    _require_exponents(ecfg, kind, m)  # W_inf_i or H_inf_i
+    sigmas = [dual_weight(w, pi) for w, pi in zip(ws, ecfg.p)]
+    u = target_weight(ws, ecfg.p, ecfg.q)
+    fn = (component_wilson_constant if kind == "W_inf_i"
+          else component_hruscev_constant)
+    return [(f"{kind}:{i}", *fn(lattice, u, sigmas, ecfg.p, ecfg.q,
+                                ecfg.gamma, i, detail=True))
+            for i in range(m)]
 
 
 @cli.command("constants")
@@ -434,10 +447,9 @@ def cmd_constants(ctx, n, kinds, weight_flags):
     cfg = ctx.obj["cfg"]
     space = _space_from_config(cfg, n, grid_for="constants")
     lattice = build_standard_lattice(space)
-    kinds = list(kinds) or cfg.get("kinds") or []
-    if not isinstance(kinds, list) or not all(isinstance(k, str)
-                                              for k in kinds):
-        raise ConfigError("kinds must be an array of strings")
+    kinds = _entries(kinds, cfg, "kinds", "config", [],
+                     lambda v: v in CONSTANT_KINDS, "an array of constant "
+                     "kinds (" + ", ".join(CONSTANT_KINDS) + ")")
     if not kinds:
         raise ConfigError("kinds: at least one constant kind is required "
                           "(--kind flag or config array)")
@@ -463,12 +475,12 @@ def _family_from_config(cfg, lattice, seed):
     if fam_cfg is None:
         return random_sparse_family(
             lattice, np.random.default_rng((seed, 101)))
-    ids = fam_cfg.get("cube_ids")
-    if not isinstance(ids, list) or not all(_is_int(v) for v in ids):
-        raise ConfigError("family.cube_ids must be an integer array")
     cubes = len(lattice.cubes)
-    if not all(0 <= v < cubes for v in ids):
-        raise ConfigError(f"family.cube_ids must lie in [0, {cubes})")
+    ids = _entries(None, fam_cfg, "cube_ids", "family", None,
+                   lambda v: _is_int(v) and 0 <= v < cubes,
+                   f"an array of integers in [0, {cubes})")
+    if ids is None:
+        raise ConfigError("family.cube_ids is required")
     delta = _setting(None, fam_cfg, "delta", "family", 0.5)
     try:
         return select_witnesses(lattice, ids, delta)
@@ -518,23 +530,17 @@ def _pair_from_config(cfg, k_flag):
     pair_cfg = _section(cfg, "pair", ("k", "tau_ell"), default={})
     if k_flag is not None:
         try:
-            k = tuple(int(v) for v in k_flag.split(","))
+            k_flag = [int(v) for v in k_flag.split(",")]
         except ValueError:
             raise ConfigError("--k must be comma-separated integers, "
                               "e.g. 1,0") from None
-    else:
-        k = pair_cfg.get("k", [1])
-        if not isinstance(k, list) or not all(_is_int(v) for v in k):
-            raise ConfigError("pair.k must be an integer array")
-        k = tuple(k)
-    tau_ell = pair_cfg.get("tau_ell")
-    if tau_ell is None:
-        tau_ell = tuple(i for i, ki in enumerate(k) if ki > 0)
-    elif not isinstance(tau_ell, list) or \
-            not all(_is_int(v) for v in tau_ell):
-        raise ConfigError("pair.tau_ell must be an integer array")
+    k = _entries(k_flag, pair_cfg, "k", "pair", [1], _is_int,
+                 "an integer array")
+    tau_ell = _entries(None, pair_cfg, "tau_ell", "pair",
+                       [i for i, ki in enumerate(k) if ki > 0], _is_int,
+                       "an integer array")
     try:
-        return MultiIndexPair(k=k, t=(0,) * len(k), tau=(),
+        return MultiIndexPair(k=tuple(k), t=(0,) * len(k), tau=(),
                               tau_ell=tuple(tau_ell))
     except ValueError as exc:
         raise ConfigError(f"pair: {exc}") from None
@@ -615,18 +621,13 @@ def cmd_verify(ctx, check_ids, trials, n, report_path):
     CHECK_IDS are registry ids, or the single word 'all'.
     """
     cfg, seed = ctx.obj["cfg"], ctx.obj["seed"]
-    ids = list(check_ids)
-    if not ids:
-        ids = cfg.get("checks") or []
-        if not isinstance(ids, list) or not all(isinstance(v, str)
-                                                for v in ids):
-            raise ConfigError("checks must be an array of check ids")
-    if ids == ["all"]:
-        ids = registry_ids()
+    valid = registry_ids()
+    ids = _entries(check_ids, cfg, "checks", "config", [],
+                   lambda v: isinstance(v, str), "an array of check ids")
+    ids = valid if ids == ["all"] else ids
     if not ids:
         raise ConfigError("checks: empty check list; pass check ids "
                           "or 'all'")
-    valid = registry_ids()
     for cid in ids:
         if cid not in valid:
             raise ConfigError(f"unknown check id {cid!r}; valid ids: "

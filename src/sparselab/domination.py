@@ -349,7 +349,6 @@ def coverage_audit(space: DiscreteSpace, systems: AdjacentSystems) -> dict:
     union_ok = bool(space.ball(0, r0 * 2.0 ** levels).members.size == space.n)
     counts = np.zeros(space.n, dtype=np.intp)
     prev = space.ball(0, r0).members
-    chosen = []
     for j in range(levels):
         nxt = space.ball(0, r0 * 2.0 ** (j + 1)).members
         ann = np.setdiff1d(nxt, prev, assume_unique=True)
@@ -360,7 +359,6 @@ def coverage_audit(space: DiscreteSpace, systems: AdjacentSystems) -> dict:
                 continue
             small = space.ball(int(x), r0 * 2.0 ** (j + 1 - j0))
             _, cube = adjacent_cover(systems, small)
-            chosen.append(cube)
             done[cube.members] = True
             counts[cube.members] += 1
     overlap = int(counts.max(initial=0))

@@ -469,6 +469,18 @@ class TestCommandSurface:
     ({"alpha": math.nan}, ["dominate", "--n", "16", "--k", "1"], 2),
     ({"eta": math.nan}, ["dominate", "--n", "16", "--k", "1"], 2),
     ({"eta": math.nan}, ["sparse", "--n", "16"], 2),
+    # every array setting is checked by one reader too
+    ({"exponents": {"p": [math.nan, 2.0], "q": 2.0}},
+     ["verify", "holder_eq"], 2),
+    # the config is read, never rewritten: --n must match space.masses
+    *[({"space": {"masses": [1] * 8}}, [command, "--n", "4", *rest], 2)
+      for command, rest in (("space", []), ("sparse", []),
+                            ("verify", ["holder_eq"]))],
+    ({"kinds": [3]}, ["constants", "--n", "16", "--weight", "step"], 2),
+    ({"checks": "holder_eq"}, ["verify"], 2),
+    ({"pair": {"tau_ell": ["0"]}}, ["dominate", "--n", "16"], 2),
+    ({"family": {"cube_ids": None}}, ["sparse", "--n", "16"], 2),
+    ({"space": {"masses": [True]}}, ["space"], 2),
 ])
 def test_bad_input_gives_one_error_line(runner, tmp_path, config, args,
                                         code):
@@ -481,18 +493,46 @@ def test_bad_input_gives_one_error_line(runner, tmp_path, config, args,
                 if line.startswith("Error:")]) == 1
 
 
+# a field that cannot be null alone keeps the rest of its config
+_NULL_FIELD_BASE = {"family.delta": {"family": {"cube_ids": [0]}}}
+
+
 @pytest.mark.parametrize("section,args", [
     ("space", ["space", "--n", "16"]),
     ("pair", ["dominate", "--n", "16"]),
     ("lattice", ["lattice", "--n", "16"]),
     ("exponents", ["sparse", "--n", "16"]),
     ("family", ["sparse", "--n", "16"]),
+    ("pair.k", ["dominate", "--n", "16"]),
+    ("pair.tau_ell", ["dominate", "--n", "16"]),
+    ("space.kind", ["space", "--n", "16"]),
+    ("space.n", ["space"]),
+    ("family.delta", ["sparse", "--n", "16"]),
+    ("functions", ["sparse", "--n", "16"]),
+    ("symbols", ["dominate", "--n", "16"]),
+    ("seed", ["sparse", "--n", "16"]),
+    ("out", ["space", "--n", "8"]),
+    ("eta", ["sparse", "--n", "16"]),
+    ("alpha", ["dominate", "--n", "16"]),
+    ("lattice.shifts", ["dominate", "--n", "16"]),
+    ("trials", ["verify", "holder_eq"]),
 ])
 def test_null_section_reads_as_absent(runner, tmp_path, section, args):
-    cfg = _write_config(tmp_path, {section: None})
-    result = runner.invoke(cli, ["--config", cfg, *args])
+    """A section or field set to null prints what omitting it prints."""
+    base = _NULL_FIELD_BASE.get(section, {})
+    nulled = json.loads(json.dumps(base))  # a deep copy
+    *parents, field = section.split(".")
+    node = nulled
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[field] = None
+    result = runner.invoke(
+        cli, ["--config", _write_config(tmp_path, nulled), *args])
     assert result.exit_code == 0, result.output
-    assert result.output == runner.invoke(cli, args).output
+    expected = runner.invoke(
+        cli, ["--config", _write_config(tmp_path, base, "base.json"), *args])
+    assert expected.exit_code == 0, expected.output
+    assert result.output == expected.output
 
 
 def test_repeated_cube_id_names_the_id(runner, tmp_path):
@@ -532,6 +572,9 @@ def test_config_field_reads_like_its_flag(runner, tmp_path, config,
     ({"eta": -1}, ["sparse", "--n", "8"], "Error: config.eta must be >= 0"),
     ({"space": {"n": 1}}, ["verify", "holder_eq"],
      "Error: space.n must be >= 2"),
+    ({"exponents": {"p": [math.nan, 2.0], "q": 2.0}}, ["verify", "holder_eq"],
+     "Error: exponents.p must be an array of numbers other than NaN, "
+     "got nan"),
 ])
 def test_error_names_flag_bare_and_field_dotted(runner, tmp_path, config,
                                                 args, message):
@@ -541,6 +584,40 @@ def test_error_names_flag_bare_and_field_dotted(runner, tmp_path, config,
     assert result.exit_code == 2
     assert [line for line in result.output.splitlines()
             if line.startswith("Error:")] == [message]
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", "a_directory"])
+@pytest.mark.parametrize("args", [
+    ["--out", "{}", "space", "--n", "4"],
+    ["verify", "holder_eq", "--trials", "1", "--report", "{}"],
+    ["lattice", "--n", "4", "--csv", "{}"],
+    ["sparse", "--n", "4", "--dump-per-cube", "{}"],
+    ["dominate", "--n", "4", "--audit-csv", "{}"],
+])
+def test_unwritable_output_exits_2(runner, tmp_path, target, args):
+    (tmp_path / "a_directory").mkdir()
+    path = str(tmp_path / target)
+    result = runner.invoke(cli, [a.replace("{}", path) for a in args])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert [line for line in result.output.splitlines()
+            if line.startswith("Error:")] == \
+        [f"Error: cannot write {path}: "
+         + ("Is a directory" if target == "a_directory"
+            else "No such file or directory")]
+    assert list(tmp_path.rglob(".sparselab-*")) == []
+
+
+def test_config_that_is_not_utf8_exits_2(runner, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"seed": "\xff"}')
+    result = runner.invoke(cli, ["--config", str(cfg), "space", "--n", "4"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("Error: config: invalid JSON")
 
 
 def test_top_level_n_is_unknown(runner, tmp_path):
