@@ -1,24 +1,21 @@
 """Command-line front end.
 
 One self-describing JSON config drives every subcommand; command-line
-flags override the matching config fields.  All reports carry the schema
-tag "sparselab-report/1" and are written atomically (write to a
-temporary file, then rename), so a failed run never leaves a partial
-output file.  Report content is bit-identical for identical (config,
-seed); only ``--audit`` extras carry wall-clock timings and are
-exempt.
+flags override the matching config fields.  Every command runs on the
+space the config declares, grid or explicit, with the lattice
+``dyadic.build_lattice`` gives it; a lattice dyadic cannot build
+(``LatticeError``, e.g. shifted systems off a grid) is a configuration
+error.  All reports carry the schema tag "sparselab-report/1".  Every
+output path is checked before the work starts, and each file is written
+atomically (a temporary file, then a rename), so no partial file
+survives a failure.  Report content is bit-identical for identical (config,
+seed); only ``--audit`` extras carry wall-clock timings and are exempt.
 
 A number setting has one reader, ``_setting``, and an array one,
 ``_entries``: the flag (an array flag's entries, if any) if given, else
 the config field, else the default, checked alike whatever its source;
-a field set to null reads as absent.  setting: flag, field (default;
-commands): seed: --seed, seed (1; all); n: --n, space.n (16; all);
-shifts: --shifts, lattice.shifts (1; lattice, dominate);
-eta: --eta, eta (sparse: exponents.eta, else 0; dominate: 0);
-alpha: --alpha, alpha (1; dominate); trials: --trials, trials (0; verify);
-integers k: --k, pair.k ([1]; dominate); constant kinds: --kind, kinds
-(constants); presets or number arrays: --weight, weights (constants);
-check ids: arguments, checks (verify).  --n and space.masses must agree.
+a field set to null reads as absent.  The README's CLI section tables
+every setting with its flag, config field, default and commands.
 
 Exit codes: 0 success, 1 a check or certificate failed, 2 configuration
 error.
@@ -27,18 +24,19 @@ error.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
 import os
-import tempfile
+import uuid
 
 import click
 import numpy as np
 
 from .domination import DominationError, cz_construct, verify_domination
-from .dyadic import (WitnessSelectionError, build_shifted_adjacent,
-                     build_standard_lattice, lattice_to_descriptor,
+from .dyadic import (LatticeError, WitnessSelectionError, build_lattice,
+                     build_shifted_adjacent, lattice_to_descriptor,
                      random_sparse_family, select_witnesses)
 from .operators import MultiIndexPair, sparse_coefficients
 from .space import space_from_descriptor, space_to_descriptor
@@ -146,26 +144,20 @@ def _section(cfg, name, fields, default=None):
     return sec
 
 
-def _space_from_config(cfg, n_flag, grid_for=None):
+def _space_from_config(cfg, n_flag, min_n=None):
+    """The space the config declares, its point count n >= min_n."""
     desc = dict(_section(cfg, "space",
                          ("kind", "n", "masses", "metric", "a0"), default={}))
     if desc.get("kind") is None:
         desc["kind"] = "grid"
-    if desc["kind"] not in ("grid", "explicit"):
-        raise ConfigError(f"space.kind must be 'grid' or 'explicit', "
-                          f"got {desc['kind']!r}")
-    if grid_for is not None and desc["kind"] != "grid":
-        raise ConfigError(f"{grid_for} needs a grid space, not space.kind "
-                          f"{desc['kind']!r}")
-    # a check compares points, so verify needs two of them
-    desc["n"] = _setting(n_flag, desc, "n", "space", None, integer=True,
-                         minimum=2 if grid_for == "verify" else None)
-    # an n that disagrees with the masses' length fails in the library
     desc["masses"] = _entries(None, desc, "masses", "space", None,
                               lambda v: _is_num(v) or isinstance(v, str),
                               "an array of numbers or decimal strings")
-    if desc["n"] is None and desc["masses"] is None:
-        desc["n"] = 16
+    # n defaults to the masses' length; one that disagrees with it fails
+    # in the library
+    desc["n"] = _setting(n_flag, desc, "n", "space",
+                         16 if desc["masses"] is None else len(desc["masses"]),
+                         integer=True, minimum=min_n)
     try:
         return space_from_descriptor(desc)
     except (ValueError, TypeError) as exc:
@@ -254,21 +246,32 @@ def _functions_from_config(space, cfg, count, seed, salt, key="functions",
 
 # -- output plumbing ---------------------------------------------------------
 
-def _write_text(path, text):
-    """Write atomically; a path that cannot be written is a ConfigError."""
+def _write_text(path, text=None):
+    """Write atomically: a new file, mode 0o666 less the umask, renamed
+    onto path; with text None, only check that path can be written.  A
+    path that cannot be written is a ConfigError."""
     path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".sparselab-{uuid.uuid4().hex}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sparselab-")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        if os.path.isdir(path):  # os.replace would fail on it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        with open(tmp, "x") as fh:
+            fh.write(text or "")
+        if text is not None:
+            os.replace(tmp, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _check_writable(*paths):
+    """A ConfigError, before the work starts, for an output path that
+    cannot be written."""
+    for path in filter(None, paths):
+        _write_text(path)
 
 
 def _emit(text, out):
@@ -341,6 +344,7 @@ def cli(ctx, config_path, seed, out_path, audit):
 @click.pass_context
 def cmd_space(ctx, n):
     """Build the point space and emit its descriptor plus doubling data."""
+    _check_writable(ctx.obj["out"])
     space = _space_from_config(ctx.obj["cfg"], n)
     payload = {
         "schema": SCHEMA,
@@ -355,6 +359,15 @@ def cmd_space(ctx, n):
 
 
 # -- lattice -----------------------------------------------------------------
+
+def _lattice_call(fn, *args):
+    """fn(*args), where a LatticeError, dyadic's word that the space
+    cannot have the lattice fn builds, is a ConfigError."""
+    try:
+        return fn(*args)
+    except LatticeError as exc:
+        raise ConfigError(f"lattice: {exc}") from None
+
 
 def _shifts(cfg, flag):
     """The number of shifted systems, for lattice and dominate alike."""
@@ -371,14 +384,15 @@ def _shifts(cfg, flag):
 @click.pass_context
 def cmd_lattice(ctx, n, shifts, csv_path):
     """Build dyadic lattices and emit their cube dumps."""
+    _check_writable(ctx.obj["out"], csv_path)
     cfg = ctx.obj["cfg"]
     shifts = _shifts(cfg, shifts)
-    space = _space_from_config(cfg, n, grid_for="lattice")
+    space = _space_from_config(cfg, n)
     payload = {"schema": SCHEMA, "report": "lattice"}
     if shifts == 1:
-        lattices = [build_standard_lattice(space)]
+        lattices = [_lattice_call(build_lattice, space)]
     else:
-        systems = build_shifted_adjacent(space, shifts)
+        systems = _lattice_call(build_shifted_adjacent, space, shifts)
         lattices = systems.lattices
         payload["c_adj"] = systems.c_adj
         # every shift yields a lattice; the report keeps the field empty
@@ -444,9 +458,10 @@ def _constant_rows(kind, lattice, ws, ecfg):
 @click.pass_context
 def cmd_constants(ctx, n, kinds, weight_flags):
     """Compute weight characteristics as CSV rows kind,value,argmax."""
+    _check_writable(ctx.obj["out"])
     cfg = ctx.obj["cfg"]
-    space = _space_from_config(cfg, n, grid_for="constants")
-    lattice = build_standard_lattice(space)
+    space = _space_from_config(cfg, n)
+    lattice = _lattice_call(build_lattice, space)
     kinds = _entries(kinds, cfg, "kinds", "config", [],
                      lambda v: v in CONSTANT_KINDS, "an array of constant "
                      "kinds (" + ", ".join(CONSTANT_KINDS) + ")")
@@ -498,9 +513,10 @@ def _family_from_config(cfg, lattice, seed):
 @click.pass_context
 def cmd_sparse(ctx, n, eta, dump_path):
     """Apply the basic sparse form to the configured arguments."""
+    _check_writable(ctx.obj["out"], dump_path)
     cfg, seed = ctx.obj["cfg"], ctx.obj["seed"]
-    space = _space_from_config(cfg, n, grid_for="sparse")
-    lattice = build_standard_lattice(space)
+    space = _space_from_config(cfg, n)
+    lattice = _lattice_call(build_lattice, space)
     family = _family_from_config(cfg, lattice, seed)
     ecfg = _exponents_from_config(cfg) or ExponentConfig(1, (1.0,), 1.0)
     eta = _setting(eta, cfg, "eta", "config", ecfg.eta, minimum=0)
@@ -561,8 +577,11 @@ def _pair_from_config(cfg, k_flag):
 @click.pass_context
 def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
     """Run the stopping-time construction and emit its certificate."""
-    cfg, seed = ctx.obj["cfg"], ctx.obj["seed"]
-    space = _space_from_config(cfg, n, grid_for="dominate")
+    cfg, seed, out = ctx.obj["cfg"], ctx.obj["seed"], ctx.obj["out"]
+    if audit_csv is None and ctx.obj["audit"] and out:
+        audit_csv = str(out) + ".audit.csv"
+    _check_writable(out, audit_csv)
+    space = _space_from_config(cfg, n)
     shifts = _shifts(cfg, shifts)
     pair = _pair_from_config(cfg, k_flag)
     m = pair.m
@@ -575,7 +594,7 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
     fs = _functions_from_config(space, cfg, m, seed, 5)
     symbols = _functions_from_config(space, cfg, m, seed, 6, key="symbols",
                                      signed=True)
-    systems = build_shifted_adjacent(space, shifts)
+    systems = _lattice_call(build_shifted_adjacent, space, shifts)
     try:
         cert = cz_construct(space, systems, fs, symbols, pair, eta, alpha)
     except DominationError as exc:
@@ -589,9 +608,7 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
         "certificate": cert.to_descriptor(audit=ctx.obj["audit"]),
         "verification": verdict,
     }
-    _emit(_json_payload(payload), ctx.obj["out"])
-    if audit_csv is None and ctx.obj["audit"] and ctx.obj["out"]:
-        audit_csv = str(ctx.obj["out"]) + ".audit.csv"
+    _emit(_json_payload(payload), out)
     if audit_csv is not None:
         ratio = cert.per_point["ratio"]
         rows = [(x, repr(float(lhs[x])), repr(float(rhs[x])),
@@ -610,8 +627,8 @@ def cmd_dominate(ctx, n, shifts, eta, k_flag, alpha, audit_csv):
 @click.option("--trials", type=int, default=None,
               help="Trials per check (0 keeps each check's default).")
 @click.option("--n", type=int, default=None,
-              help="Grid size for the checks; overrides space.n "
-                   "(default 16).")
+              help="Point count of the checks' space, at least 2; "
+                   "overrides space.n (default 16).")
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Report JSON path (overrides --out).")
 @click.pass_context
@@ -620,6 +637,8 @@ def cmd_verify(ctx, check_ids, trials, n, report_path):
 
     CHECK_IDS are registry ids, or the single word 'all'.
     """
+    target = report_path or ctx.obj["out"]
+    _check_writable(target)
     cfg, seed = ctx.obj["cfg"], ctx.obj["seed"]
     valid = registry_ids()
     ids = _entries(check_ids, cfg, "checks", "config", [],
@@ -634,18 +653,15 @@ def cmd_verify(ctx, check_ids, trials, n, report_path):
                               + ", ".join(valid))
     trials = _setting(trials, cfg, "trials", "config", 0, integer=True,
                       minimum=0)
-    space = _space_from_config(cfg, n, grid_for="verify")
-    # each check builds its own build_grid_space(n)
-    if space.n < 2 or np.any(space.masses != 1.0):
-        raise ConfigError("verify needs at least 2 points, each of mass 1")
-    n = space.n
+    # a check compares points, so verify needs two of them
+    space = _space_from_config(cfg, n, min_n=2)
     ecfg = _exponents_from_config(cfg)
     reports = []
     for cid in ids:
-        spec = CheckSpec(check_id=cid, config=ecfg, n=n, trials=trials,
-                         seed=seed)
+        spec = CheckSpec(check_id=cid, config=ecfg, space=space,
+                         trials=trials, seed=seed)
         try:
-            reports.append(run_check(spec))
+            reports.append(_lattice_call(run_check, spec))
         except ValueError as exc:
             raise ConfigError(f"{cid}: {exc}") from None
     for rep in reports:
@@ -656,12 +672,11 @@ def cmd_verify(ctx, check_ids, trials, n, report_path):
         "schema": SCHEMA,
         "report": "verify",
         "seed": seed,
-        "n": n,
+        "n": space.n,
         "passed": all(rep.passed for rep in reports),
         "checks": [rep.to_descriptor(include_runtime=ctx.obj["audit"])
                    for rep in reports],
     }
-    target = report_path or ctx.obj["out"]
     if target is not None:
         _write_text(target, _json_payload(payload) + "\n")
     if not payload["passed"]:

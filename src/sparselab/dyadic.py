@@ -8,7 +8,9 @@ cube and the smallest ball containing it.
 
 Three constructions are provided: the standard binary lattice on grids,
 cyclically shifted copies of it forming adjacent systems, and a general
-net-based lattice for explicit quasi-metric spaces.
+net-based lattice for explicit quasi-metric spaces.  `build_lattice`
+picks the lattice a space gets: the standard one on a grid, the net one
+otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import numpy as np
 from .space import Ball, DiscreteSpace
 
 STANDARD_DELTA = 0.5
+# the net lattice's delta on a space that is not a grid
+HK_DELTA = 0.5
 STANDARD_A1 = 1.0 / 3.0
 STANDARD_BIG_A1 = 2.0
 
@@ -518,6 +522,14 @@ def build_hk_lattice(space: DiscreteSpace, delta: float,
                         2.0 * space.a0)
     lat._finish(gen_members, centers)
     return lat
+
+
+def build_lattice(space: DiscreteSpace) -> DyadicLattice:
+    """The standard lattice on a grid, the net lattice with delta
+    HK_DELTA on any other space."""
+    if space.kind == "grid":
+        return build_standard_lattice(space)
+    return build_hk_lattice(space, HK_DELTA)
 
 
 # -- sparse families ---------------------------------------------------------

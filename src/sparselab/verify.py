@@ -31,14 +31,14 @@ from time import perf_counter
 import numpy as np
 
 from .domination import augment_sparse
-from .dyadic import (SparseFamily, build_standard_lattice,
+from .dyadic import (SparseFamily, build_lattice, build_standard_lattice,
                      random_sparse_family, select_witnesses)
 from .operators import (MultiIndexPair, dyadic_maximal, fractional_integral,
                         fractional_maximal, orlicz_maximal,
                         power_maximal_dyadic, sharp_maximal_dyadic,
                         sparse_coefficients, sparse_endpoint,
                         sparse_higher_order, sparse_operator)
-from .space import build_grid_space
+from .space import DiscreteSpace, build_grid_space
 from .weights import (ExponentConfig, astar_from_duals, avg, bmo_norm,
                       conjugate_exponent, dual_weight, fujii_wilson_single,
                       holder_sides, joint_astar_constant, luxemburg_norm,
@@ -65,12 +65,13 @@ _WEIGHT_SPREADS = (0.5, 1.0, 2.0)
 @dataclass(frozen=True)
 class CheckSpec:
     """What to run: a check id, its exponents (None: the check's
-    default), the grid size n, the trial count (0: the registry default;
-    negative is rejected) and the seed."""
+    default), the space its trials draw on (default: the 16-point unit
+    grid), the trial count (0: the registry default; negative is
+    rejected) and the seed."""
 
     check_id: str
     config: ExponentConfig | None = None
-    n: int = 16
+    space: DiscreteSpace = field(default_factory=lambda: build_grid_space(16))
     trials: int = 0
     seed: int = 1
 
@@ -155,7 +156,7 @@ class _Trial:
     def fail(self, **fields) -> None:
         self.report.failures.append({"trial": self.index,
                                      "seed": self.spec.seed,
-                                     "n": self.spec.n, **fields})
+                                     "n": self.spec.space.n, **fields})
 
 
 def _trials(spec: CheckSpec, report: CheckReport):
@@ -188,8 +189,7 @@ def _random_masked(rng, n: int, zero_prob: float = 0.3) -> np.ndarray:
 # -- shared numerics ----------------------------------------------------------
 
 def _setup(spec: CheckSpec):
-    space = build_grid_space(spec.n)
-    return space, build_standard_lattice(space)
+    return spec.space, build_lattice(spec.space)
 
 
 def _lp_norm(space, f, weight, p: float) -> float:
@@ -651,7 +651,9 @@ def _run_dyadicsum(spec: CheckSpec, report: CheckReport) -> None:
 # -- check: kolmogorov_sum ----------------------------------------------------
 
 def _run_kolmogorov(spec: CheckSpec, report: CheckReport) -> None:
-    chain = kolmogorov_chain_values(max(spec.n, 8))
+    # the chain gate's unit grid: the least power of two >= max(n, 8)
+    size = 1 << (max(spec.space.n, 8) - 1).bit_length()
+    chain = kolmogorov_chain_values(size)
     if abs(chain["ratio"] - chain["partial_sum"]) > GATE_TOL * \
             chain["partial_sum"]:
         report.failures.append({"trial": "chain-gate",
@@ -834,7 +836,7 @@ def _run_endpoint_weak(spec: CheckSpec, report: CheckReport) -> None:
 # -- check: m_vs_i ------------------------------------------------------------
 
 def _run_m_vs_i(spec: CheckSpec, report: CheckReport) -> None:
-    space = build_grid_space(spec.n)
+    space = spec.space
     worst = 0.0
     constant = 0.0
     for trial, rng in _trials(spec, report):

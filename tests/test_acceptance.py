@@ -83,7 +83,8 @@ def test_criterion_2_sparseness_of_emitted_families():
 def test_criterion_3_dyadic_maximal_bound():
     t0 = time.perf_counter()
     assert set(_P_CHOICES) == {1.5, 2.0, 4.0}
-    report = run_check(CheckSpec("dyadic_maximal", n=32, trials=500,
+    report = run_check(CheckSpec("dyadic_maximal",
+                                 space=build_grid_space(32), trials=500,
                                  seed=1))
     assert report.trials == 500
     assert report.failures == []
@@ -225,12 +226,15 @@ def test_criterion_8_endpoint_young_chain():
         assert margin["violations"] == 0
         assert margin["bound"] == (r + 1.0) ** r
         assert margin["max_ratio"] <= 1.0 + TOL
-    first = run_check(CheckSpec("endpoint_weak", n=32, seed=1))
+    first = run_check(CheckSpec("endpoint_weak",
+                                space=build_grid_space(32), seed=1))
     assert first.passed
     assert math.isfinite(first.worst_ratio) and first.worst_ratio > 0.0
-    again = run_check(CheckSpec("endpoint_weak", n=32, seed=1))
+    again = run_check(CheckSpec("endpoint_weak",
+                                space=build_grid_space(32), seed=1))
     assert again.to_descriptor() == first.to_descriptor()
-    other = run_check(CheckSpec("endpoint_weak", n=32, seed=2))
+    other = run_check(CheckSpec("endpoint_weak",
+                                space=build_grid_space(32), seed=2))
     assert math.isfinite(other.worst_ratio)
     _budget(t0, 30.0, "criterion 8")
 
@@ -240,14 +244,17 @@ def test_criterion_9_ratio_monitor_regressions():
     monitors = ("dyadicsum_equiv", "kolmogorov_sum", "bloom_maximal",
                 "bloom_iterated", "sharp_maximal_commutator")
     for cid in monitors:
-        coarse = run_check(CheckSpec(cid, n=16, seed=1))
+        coarse = run_check(CheckSpec(cid, space=build_grid_space(16),
+                                     seed=1))
         assert coarse.passed, cid
         assert math.isfinite(coarse.worst_ratio) and \
             coarse.worst_ratio > 0.0, cid
-        rerun = run_check(CheckSpec(cid, n=16, seed=1))
+        rerun = run_check(CheckSpec(cid, space=build_grid_space(16),
+                                    seed=1))
         assert json.dumps(rerun.to_descriptor(), sort_keys=True) == \
             json.dumps(coarse.to_descriptor(), sort_keys=True), cid
-        fine = run_check(CheckSpec(cid, n=64, seed=1))
+        fine = run_check(CheckSpec(cid, space=build_grid_space(64),
+                                   seed=1))
         assert fine.passed, cid
         drift = fine.worst_ratio / coarse.worst_ratio
         assert drift <= 2.0, (cid, drift)

@@ -4,17 +4,20 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import stat
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sparselab import cli as cli_module
 from sparselab.cli import _json_payload, cli
 from sparselab.dyadic import build_standard_lattice
 from sparselab.space import build_grid_space
-from sparselab.verify import CheckReport
+from sparselab.verify import CheckReport, registry_ids
 
 
 @pytest.fixture
@@ -177,17 +180,26 @@ def test_exponents_out_of_range_exit_2(runner, tmp_path, exponents, args):
                 if line.startswith("Error:")]) == 1
 
 
+_THREE_POINTS = {"kind": "explicit", "masses": [1, 1, 1],
+                 "metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+
+
 @pytest.mark.parametrize("args", [
     ["lattice"], ["constants", "--kind", "A_p", "--weight", "const"],
     ["sparse"], ["dominate"], ["verify", "holder_eq"]])
 def test_explicit_space_exits_2(runner, tmp_path, args):
-    cfg = _write_config(tmp_path, {"space": {
-        "kind": "explicit", "masses": [1, 1, 1],
-        "metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}})
+    """Every command but dominate runs on an explicit space; dominate
+    exits 2 with dyadic's reason: shifted systems exist only on grids."""
+    cfg = _write_config(tmp_path, {"space": _THREE_POINTS})
     result = runner.invoke(cli, ["--config", cfg, *args])
-    assert result.exit_code == 2
-    assert f"{args[0]} needs a grid space" in result.output
     assert "Traceback" not in result.output
+    if args[0] != "dominate":
+        assert result.exit_code == 0, result.output
+        return
+    assert result.exit_code == 2
+    assert [line for line in result.output.splitlines()
+            if line.startswith("Error:")] == \
+        ["Error: lattice: shifted systems require a grid space"]
 
 
 class TestSparseCommand:
@@ -481,6 +493,13 @@ class TestCommandSurface:
     ({"pair": {"tau_ell": ["0"]}}, ["dominate", "--n", "16"], 2),
     ({"family": {"cube_ids": None}}, ["sparse", "--n", "16"], 2),
     ({"space": {"masses": [True]}}, ["space"], 2),
+    # dyadic decides which lattices a space can have: a net lattice that
+    # does not finish, or shifted systems off a grid, exit 2
+    *[({"space": {"kind": "explicit", "masses": [1, 1],
+                  "metric": [[0, 1e-300], [1e-300, 0]]}}, args, 2)
+      for args in (["lattice"], ["constants", "--kind", "A_p", "--weight",
+                                 "const"], ["sparse"], ["verify", "all"])],
+    ({"space": _THREE_POINTS}, ["lattice", "--shifts", "3"], 2),
 ])
 def test_bad_input_gives_one_error_line(runner, tmp_path, config, args,
                                         code):
@@ -575,6 +594,13 @@ def test_config_field_reads_like_its_flag(runner, tmp_path, config,
     ({"exponents": {"p": [math.nan, 2.0], "q": 2.0}}, ["verify", "holder_eq"],
      "Error: exponents.p must be an array of numbers other than NaN, "
      "got nan"),
+    # a lattice the space cannot have is named as such, also by verify,
+    # whose checks build it
+    *[({"space": {"kind": "explicit", "masses": [1, 1],
+                  "metric": [[0, 1e-300], [1e-300, 0]]}}, args,
+       "Error: lattice: net construction exceeded 512 generations "
+       "(stalled at generation 512)")
+      for args in (["sparse"], ["verify", "all"])],
 ])
 def test_error_names_flag_bare_and_field_dotted(runner, tmp_path, config,
                                                 args, message):
@@ -593,12 +619,27 @@ def test_error_names_flag_bare_and_field_dotted(runner, tmp_path, config,
     ["lattice", "--n", "4", "--csv", "{}"],
     ["sparse", "--n", "4", "--dump-per-cube", "{}"],
     ["dominate", "--n", "4", "--audit-csv", "{}"],
+    # every output path is checked before the work starts, so a good
+    # --out is not written when another path is bad
+    ["--out", "{ok}", "verify", "all", "--report", "{}"],
+    ["--out", "{ok}", "lattice", "--n", "4", "--csv", "{}"],
+    ["--out", "{ok}", "sparse", "--n", "4", "--dump-per-cube", "{}"],
+    ["--out", "{ok}", "--audit", "dominate", "--n", "4", "--audit-csv",
+     "{}"],
+    ["--out", "{}", "constants", "--n", "4", "--kind", "A_p", "--weight",
+     "const"],
 ])
-def test_unwritable_output_exits_2(runner, tmp_path, target, args):
+def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, target,
+                                   args):
     (tmp_path / "a_directory").mkdir()
     path = str(tmp_path / target)
-    result = runner.invoke(cli, [a.replace("{}", path) for a in args])
+    ok = tmp_path / "report.json"
+    checks = []
+    monkeypatch.setattr(cli_module, "run_check", checks.append)
+    result = runner.invoke(cli, [a.replace("{}", path)
+                                 .replace("{ok}", str(ok)) for a in args])
     assert result.exit_code == 2
+    assert checks == [] and not ok.exists()
     assert "Traceback" not in result.output
     assert [line for line in result.output.splitlines()
             if line.startswith("Error:")] == \
@@ -629,23 +670,81 @@ def test_top_level_n_is_unknown(runner, tmp_path):
 
 @pytest.mark.parametrize("masses", [[1, 2] * 8, [1]])
 def test_verify_rejects_space_it_cannot_build(runner, tmp_path, masses):
+    """Masses other than all ones run; a check compares points, so one
+    point exits 2."""
     cfg = _write_config(tmp_path, {"space": {"masses": masses}})
     result = runner.invoke(cli, ["--config", cfg, "verify", "holder_eq"])
-    assert result.exit_code == 2
-    assert "verify needs at least 2 points, each of mass 1" in result.output
     assert "Traceback" not in result.output
+    if len(masses) > 1:
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("holder_eq: pass")
+        return
+    assert result.exit_code == 2
+    assert "Error: space.n must be >= 2" in result.output
 
 
-def _readme_config():
+def _plane_space(n, seed):
+    """n seeded points of the unit square, Euclidean, with masses drawn
+    from [0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(size=(n, 2))
+    metric = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))
+    return {"kind": "explicit", "metric": metric.tolist(),
+            "masses": rng.uniform(0.5, 2.0, n).tolist()}
+
+
+@pytest.mark.parametrize("space", [
+    {"masses": np.random.default_rng(0).uniform(0.5, 2.0, 16).tolist()},
+    _plane_space(16, 0)], ids=["weighted-grid", "explicit"])
+def test_verify_all_runs_on_the_configured_space(runner, tmp_path, space):
+    cfg = _write_config(tmp_path, {"space": space})
+    report = tmp_path / "report.json"
+    result = runner.invoke(cli, ["--config", cfg, "verify", "all",
+                                 "--trials", "1", "--report", str(report)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(report.read_text())
+    assert payload["n"] == 16
+    assert [c["check_id"] for c in payload["checks"]] == registry_ids()
+    assert all(c["passed"] for c in payload["checks"])
+
+
+def test_output_file_mode_follows_umask(runner, tmp_path):
+    out, table = tmp_path / "lattice.json", tmp_path / "cubes.csv"
+    old = os.umask(0o022)
+    try:
+        result = runner.invoke(cli, ["--out", str(out), "lattice", "--n",
+                                     "4", "--csv", str(table)])
+    finally:
+        os.umask(old)
+    assert result.exit_code == 0, result.output
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (out, table)] == \
+        [0o644, 0o644]
+
+
+def test_implied_audit_path_is_checked_first(runner, tmp_path):
+    out = tmp_path / "cert.json"
+    (tmp_path / "cert.json.audit.csv").mkdir()
+    result = runner.invoke(cli, ["--out", str(out), "--audit", "dominate",
+                                 "--n", "4"])
+    assert result.exit_code == 2
+    assert f"Error: cannot write {out}.audit.csv: Is a directory" in \
+        result.output
+    assert not out.exists()
+
+
+def _readme_configs():
+    """Every JSON config block of the README."""
     text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
-    block = re.search(r"Config file example:\s*```json\n(.*?)```", text,
-                      re.DOTALL)
-    return json.loads(block.group(1))
+    blocks = re.findall(r"```json\n(.*?)```", text, re.DOTALL)
+    assert len(blocks) >= 2
+    return [json.loads(block) for block in blocks]
 
 
 @pytest.mark.parametrize("args", [
-    ["verify", "--trials", "1"], ["constants", "--kind", "A_pq_star"]])
+    ["verify", "--trials", "1"], ["constants", "--kind", "A_pq_star"],
+    ["lattice"], ["constants", "--kind", "A_p"], ["sparse"]])
 def test_readme_config_example_runs(runner, tmp_path, args):
-    cfg = _write_config(tmp_path, _readme_config())
-    result = runner.invoke(cli, ["--config", cfg, *args])
-    assert result.exit_code == 0, result.output
+    for config in _readme_configs():
+        cfg = _write_config(tmp_path, config)
+        result = runner.invoke(cli, ["--config", cfg, *args])
+        assert result.exit_code == 0, (config, result.output)

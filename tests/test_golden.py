@@ -120,7 +120,7 @@ def _failure_reports():
                 mp.setattr(verify, attr, value)
             out[name] = {
                 cid: verify.run_check(verify.CheckSpec(
-                    cid, n=16, trials=2, seed=1)).to_descriptor()
+                    cid, trials=2, seed=1)).to_descriptor()
                 for cid in verify.registry_ids()}
     # through JSON, as the golden file is read
     return json.loads(json.dumps(out))

@@ -219,7 +219,8 @@ class TestHolderCheck:
 
 class TestDyadicMaximalCheck:
     def test_n32_battery_clean(self):
-        report = run_check(CheckSpec("dyadic_maximal", n=32, seed=1))
+        report = run_check(CheckSpec("dyadic_maximal",
+                                     space=build_grid_space(32), seed=1))
         assert report.trials == 500
         assert report.passed
         assert report.worst_ratio <= 1.0
@@ -273,8 +274,10 @@ class TestDyadicsumEquiv:
         assert report.worst_ratio == pytest.approx(max(sup, 1.0 / inf))
 
     def test_refinement_drift_within_factor_two(self):
-        coarse = run_check(CheckSpec("dyadicsum_equiv", n=16))
-        fine = run_check(CheckSpec("dyadicsum_equiv", n=64))
+        coarse = run_check(CheckSpec("dyadicsum_equiv",
+                                     space=build_grid_space(16)))
+        fine = run_check(CheckSpec("dyadicsum_equiv",
+                                   space=build_grid_space(64)))
         drift = fine.worst_ratio / coarse.worst_ratio
         assert 0.5 <= drift <= 2.0
 
@@ -492,7 +495,8 @@ class TestBatchedNormEstimator:
     def test_probe_chunks_keep_the_report(self, monkeypatch):
         # the identity goes in fixed column chunks; columns are
         # independent, so the chunk width cannot move any number
-        spec = CheckSpec("caopro_norm_transfer", n=16, trials=2)
+        spec = CheckSpec("caopro_norm_transfer", space=build_grid_space(16),
+                         trials=2)
         want = run_check(spec).to_descriptor()
         monkeypatch.setattr(verify, "_PROBE_COLUMNS", 5)
         assert run_check(spec).to_descriptor() == want
