@@ -26,6 +26,11 @@ from .weights import luxemburg_norm, young_llogl
 
 # ball_mass_kernel's per-space cache; an entry is freed with its space
 _KERNELS = weakref.WeakKeyDictionary()
+# the sorted distinct kernel values of each space the m = 2 fractional
+# integral has run on, or None where there are more than n of them
+_KERNEL_VALUES = weakref.WeakKeyDictionary()
+# rows per aligned block of the m = 2 class table
+_TABLE_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -303,6 +308,45 @@ def ball_mass_kernel(space: DiscreteSpace) -> np.ndarray:
     return K
 
 
+def _kernel_values(space: DiscreteSpace):
+    """The sorted distinct values of K, kept until the space is freed;
+    None when there are more than n of them."""
+    if space not in _KERNEL_VALUES:
+        vals = np.unique(ball_mass_kernel(space))
+        vals.flags.writeable = False
+        _KERNEL_VALUES[space] = vals if len(vals) <= space.n else None
+    return _KERNEL_VALUES[space]
+
+
+def _class_table_integral(K, vals, u, v, want, expo, out):
+    """m = 2 on the class table (see fractional_integral): u and v are
+    (width, n) weighted columns; fills out on every row block that holds
+    a wanted entry of a column."""
+    n, size = len(K), len(vals)
+    table = vals[:, None] + vals
+    table **= expo
+    rows = _TABLE_ROWS
+    chunk = max(1, (1 << 14) // (rows * n))  # 128 KiB arrays
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        cols = np.flatnonzero(want[lo:hi].any(axis=0))
+        if not cols.size:
+            continue
+        cls = np.searchsorted(vals, K[lo:hi])
+        for c0 in range(0, len(cols), chunk):
+            cc = cols[c0:c0 + chunk]
+            # bin (c, r, d): column c, row lo + r, class d; a short
+            # last block keeps zero rows, so every product has one shape
+            bins = (cls + (np.arange(len(cc))[:, None, None] * rows
+                           + np.arange(hi - lo)[:, None]) * size).ravel()
+            U, V = (np.bincount(bins, np.repeat(a[cc], hi - lo, axis=0)
+                                .ravel(), len(cc) * rows * size)
+                    .reshape(len(cc), rows, size) for a in (u, v))
+            UH = U @ table  # one fixed-shape product per column
+            UH *= V
+            out[lo:hi, cc] = UH.sum(axis=2)[:, :hi - lo].T
+
+
 def fractional_integral(space: DiscreteSpace, fs, eta: float,
                         rows=None) -> np.ndarray:
     """Multilinear sum of (sum_i mu B(x, d(x,y_i)))^(eta-m) prod f_i(y_i).
@@ -315,13 +359,20 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
     leaves the rest 0.
 
     Every value is summed in one fixed order, whatever the rows and
-    columns asked for: m = 1 takes the full product of the kernel power
-    with the column, m = 2 contracts each row's power grid G with the
-    column as w_1 @ G @ w_2.  m = 3 folds row x onto the distinct values
-    k_d of K[x], as points of one value are interchangeable in every
-    slot: each slot's column is summed per value, slots 1 and 2 per
-    distinct pair sum s_p, and the row's columns share the powers
-    (s_p + k_d)^(eta-3), built a bounded block of values d at a time.
+    columns asked for.  m = 1 takes the full product of the kernel power
+    with the column.  m = 2 runs on a class table when K has at most n
+    distinct values v_d, as on every grid: the rows share the powers
+    H = (v_d + v_e)^(eta-2), and row x of column (w_1, w_2) is
+    U_x @ H @ V_x, where U_x[d] sums w_1 over the points y with
+    K[x, y] = v_d.  A value is computed with its whole aligned block of
+    _TABLE_ROWS rows, one fixed-shape (_TABLE_ROWS, D) @ H product per
+    block and column.  On other spaces m = 2 contracts each row's power
+    grid G with the column as w_1 @ G @ w_2.  m = 3 folds row x onto the
+    distinct values k_d of K[x], as points of one value are
+    interchangeable in every slot: each slot's column is summed per
+    value, slots 1 and 2 per distinct pair sum s_p, and the row's
+    columns share the powers (s_p + k_d)^(eta-3), built a bounded block
+    of values d at a time.
     """
     n = space.n
     m = len(fs)
@@ -347,7 +398,8 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
         power = K ** expo
         for b, (w,) in enumerate(columns):
             out[:, b] = power @ w
-        out[~want] = 0.0
+    elif m == 2 and (kvals := _kernel_values(space)) is not None:
+        _class_table_integral(K, kvals, *ws, want, expo, out)
     else:
         # the wanted (row, column) entries, row by row
         xs, bs = np.nonzero(want)
@@ -376,6 +428,7 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
                 grid **= expo
                 for b, pw, (_, _, w) in zip(cols, pairs, folded):
                     out[x, b] += pw @ grid @ w[lo3:lo3 + step]
+    out[~want] = 0.0
     return out if batched else out[..., 0]
 
 

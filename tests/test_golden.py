@@ -29,6 +29,11 @@ seeded 24-point plane space with a random witness family.  Both are
 compared byte for byte: member order, parents, mass reprs and witness
 lists must not move.
 
+On the same `dominate` settings, `test_dominate_profiles_clear_thresholds`
+checks that no stopping-time profile value lies within a relative 1e-9
+of a threshold it is compared with, so float drift below that cannot
+move a cube id.
+
 Re-record (only when a behaviour change is intended and recorded in
 CHANGES.md) with `python tests/test_golden.py`.
 """
@@ -42,7 +47,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sparselab import verify
+from sparselab import domination, verify
 from sparselab.cli import CONSTANT_KINDS, cli
 from sparselab.dyadic import (build_hk_lattice, lattice_to_descriptor,
                               random_sparse_family)
@@ -197,6 +202,33 @@ def test_dominate_matches_golden(n, k, shifts):
     assert got["verification"]["violations"] == \
         want["verification"]["violations"]
     _assert_close(got, want, "report")
+
+
+@pytest.mark.parametrize("n,k,shifts", SETTINGS)
+def test_dominate_profiles_clear_thresholds(n, k, shifts, monkeypatch):
+    """Every node profile value sits at a relative distance above 1e-9
+    from each threshold it can meet: (alpha * scale) * ref for every
+    alpha from the start alpha 1 to the certificate's final alpha.  A
+    last-bit change in the profiles then cannot flip a bad point, so the
+    cube ids stand."""
+    profiles = []
+    original = domination._node_profiles
+
+    def spy(*args):
+        profiles.append(original(*args))
+        return profiles[-1]
+
+    monkeypatch.setattr(domination, "_node_profiles", spy)
+    final = _report(n, k, shifts)["certificate"]["alpha"]
+    alphas = 2.0 ** np.arange(int(math.log2(final)) + 1)
+    assert alphas[-1] == final and profiles
+    gap = math.inf
+    for values, scales, refs in profiles:
+        assert np.all(scales > 0) and np.all(refs > 0)
+        for alpha in alphas:
+            limit = (alpha * scales)[:, None, None] * refs[:, None]
+            gap = min(gap, float((np.abs(values - limit) / limit).min()))
+    assert gap > 1e-9
 
 
 def _check_verify(n):

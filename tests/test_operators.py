@@ -13,6 +13,7 @@ from sparselab.dyadic import SparseFamily, build_hk_lattice, \
     build_standard_lattice, random_sparse_family, select_witnesses
 from sparselab.operators import (
     MultiIndexPair,
+    _kernel_values,
     ball_mass_kernel,
     commutator_integral,
     dyadic_maximal,
@@ -471,6 +472,43 @@ class TestFractionalIntegral:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
+    @pytest.mark.parametrize("kind", ["unit", "twos", "generic"])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0, 1.5])
+    def test_class_table_matches_oracle_m2(self, kind, eta):
+        # unit masses and masses all 2.0 give n kernel values, so the rows
+        # share one class table; generic masses give more and keep the
+        # per-row power grid
+        rng = np.random.default_rng(62)
+        masses = {"unit": np.ones(16), "twos": np.full(16, 2.0),
+                  "generic": rng.uniform(0.5, 2.0, size=16)}[kind]
+        sp = build_grid_space(16, masses)
+        assert (_kernel_values(sp) is None) == (kind == "generic")
+        signed = [rng.normal(size=16) for _ in range(2)]
+        absolute = [np.abs(f) for f in signed]
+        scale = oracle_frac_integral(sp, absolute, eta)
+        assert fractional_integral(sp, absolute, eta) == \
+            pytest.approx(scale, rel=1e-12)
+        got = fractional_integral(sp, signed, eta)
+        want = oracle_frac_integral(sp, signed, eta)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_m2_table_memory_stays_per_block(self):
+        # the class table of a 512-point grid is 2 MiB; class sums built
+        # over all rows at once would add 4 columns x 512 rows x 512
+        # classes x 8 B = 8 MiB per slot
+        n = 512
+        sp = build_grid_space(n)
+        rng = np.random.default_rng(63)
+        blocks = [rng.normal(size=(4, n)) for _ in range(2)]
+        fractional_integral(sp, [a[0] for a in blocks], 0.5)  # fills caches
+        tracemalloc.start()
+        try:
+            fractional_integral(sp, blocks, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_rejects_high_arity(self):
         sp = build_grid_space(4)
         with pytest.raises(ValueError):
@@ -574,7 +612,7 @@ class TestBatchedFractionalIntegral:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("width", [1, 5])
     def test_matches_per_column_calls(self, m, width):
-        for sp in ball_layer_spaces():
+        for sp in class_table_spaces():
             rng = np.random.default_rng(40 + 3 * m + width)
             blocks = [rng.normal(size=(width, sp.n)) for _ in range(m)]
             eta = 0.5 * m
@@ -694,6 +732,12 @@ def ball_layer_spaces():
     return [grid, build_explicit_space(metric, rng.uniform(0.5, 2, 24))]
 
 
+def class_table_spaces():
+    """ball_layer_spaces plus a 32-point unit grid, whose kernel has n
+    distinct values, so m = 2 runs on the class table there."""
+    return ball_layer_spaces() + [build_grid_space(32)]
+
+
 class TestBallLayerOperators:
     """The ball-layer operators reproduce the per-radius loops exactly."""
 
@@ -719,7 +763,7 @@ class TestBallLayerOperators:
     @pytest.mark.parametrize("center,radius,dilation", [
         (16, 0.25, 2.0), (3, 0.5, 4.0), (20, 0.125, 1.0), (0, 1.0, 3.0)])
     def test_local_matches_loop(self, center, radius, dilation):
-        for sp in ball_layer_spaces():
+        for sp in class_table_spaces():
             rng = np.random.default_rng(34)
             f = np.abs(rng.normal(size=sp.n))
             got = truncated_grand_maximal_local(sp, [f], 0.25, dilation,
@@ -742,7 +786,7 @@ class TestBallLayerOperators:
     def test_block_rows_match_per_row_calls(self, m):
         # a (T, n) block walks the balls once; row t must equal the call
         # on row t of every block, bit for bit
-        for sp in ball_layer_spaces():
+        for sp in class_table_spaces():
             rng = np.random.default_rng(36 + m)
             blocks = [rng.normal(size=(3, sp.n)) for _ in range(m)]
             for call in (
