@@ -21,7 +21,6 @@ import numpy as np
 
 from .dyadic import (
     AdjacentSystems,
-    Cube,
     SparseFamily,
     WitnessSelectionError,
     adjacent_cover,
@@ -227,10 +226,12 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
 
     # depth-first, children in (gen, index) order for determinism; a
     # stopping cube is a proper subcube, so the walk ends by the leaves
-    stack: list[tuple[Cube, int, float, float]] = [
-        (root_cube, root_ball.center, root_ball.radius, alpha)]
+    stack: list[tuple[int, int, float, float]] = [
+        (root_cube.cube_id, root_ball.center, root_ball.radius, alpha)]
+    nominal = lattice.big_a1 * lattice.delta ** np.arange(lattice.depth + 1)
     while stack:
-        cube, bc, br, node_alpha = stack.pop()
+        cid, bc, br, node_alpha = stack.pop()
+        cube = lattice.cube(cid)
         region = cube.members
         values, scales, refs = _node_profiles(
             space, fs, symbols, pair, eta, region, bc, br, dilation,
@@ -252,26 +253,22 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
         final_alpha = max(final_alpha, node_alpha)
         # maximal proper subcubes charged above the lambda fraction
         charged = lattice.cube_sums(bad) > lam * lattice.cube_masses
-        picks = [lattice.cube(cid)
-                 for cid in lattice.maximal_subcubes(cube, charged)]
-        budget = math.fsum(p.mass for p in picks)
-        if budget > SPARSENESS * cube.mass * (1 + 1e-12):
+        picks = lattice.maximal_subcubes(cube, charged)
+        if math.fsum(lattice.mass[picks]) > \
+                SPARSENESS * cube.mass * (1 + 1e-12):
             raise DominationError(
-                f"stopping cubes exceed half the mass of cube "
-                f"{cube.cube_id}", cube_id=cube.cube_id)
-        covered = np.zeros(space.n, dtype=bool)
-        for p in picks:
-            covered[p.members] = True
+                f"stopping cubes exceed half the mass of cube {cid}",
+                cube_id=cid)
+        covered = np.isin(lattice.point_to_cube, picks).any(axis=0)
         if np.any(bad & ~covered):
             raise DominationError(
-                f"bad set escapes the stopping cubes of cube "
-                f"{cube.cube_id}", cube_id=cube.cube_id)
-        cube_ids.append(cube.cube_id)
-        witnesses[cube.cube_id] = region[~covered[region]]
-        nominal = lattice.big_a1 * lattice.delta ** np.arange(
-            lattice.depth + 1)
-        for p in reversed(picks):
-            stack.append((p, p.center, float(nominal[p.gen]), node_alpha))
+                f"bad set escapes the stopping cubes of cube {cid}",
+                cube_id=cid)
+        cube_ids.append(cid)
+        witnesses[cid] = region[~covered[region]]
+        for p in reversed(picks.tolist()):
+            stack.append((p, lattice.center.item(p),
+                          float(nominal[lattice.gen.item(p)]), node_alpha))
 
     family = SparseFamily(lattice, cube_ids, witnesses, SPARSENESS)
     report = verify_sparse(family)

@@ -423,7 +423,9 @@ def adjacent_cover(systems: AdjacentSystems, ball: Ball) -> tuple[int, Cube]:
     the center's home cubes can hold the ball.  Cubes and balls are
     index intervals (shifted systems exist only on grids), so a home
     cube holds the ball when its ends enclose the ball's, and stays
-    inside the dilated ball when both its ends do.
+    inside the dilated ball when both its ends do.  Home cubes come in
+    generation order, so a lattice's first lightest fitting one is its
+    coarsest among equal masses.
     """
     x = ball.center
     dist = systems.space.distances(x)
@@ -434,15 +436,17 @@ def adjacent_cover(systems: AdjacentSystems, ball: Ball) -> tuple[int, Cube]:
         lo, hi = _cube_ends(lat, home)
         fits = (lo <= ball.members[0]) & (hi >= ball.members[-1]) & \
             (np.maximum(dist[lo], dist[hi]) <= bound)
-        for cid in home[fits]:
-            cube = lat.cube(cid)
-            key = (cube.mass, lat.system, cube.gen, cube.index)
+        fit = home[fits]
+        if fit.size:
+            cid = fit[lat.mass[fit].argmin()]
+            key = (lat.mass.item(cid), lat.system)
             if best is None or key < best[0]:
-                best = (key, lat.system, cube)
+                best = (key, lat, cid)
     if best is None:
         raise CoverError(f"no cube covers ball B({x}, {ball.radius}) "
                          "within the dilation bound", ball=ball)
-    return best[1], best[2]
+    _, lat, cid = best
+    return lat.system, lat.cube(cid)
 
 
 # -- net lattice for explicit spaces ----------------------------------------

@@ -8,7 +8,9 @@ argument columns and evaluates only the rows a caller reads, and the
 local truncated grand maximal takes (T, n) argument blocks, walking its
 balls once for all T rows.  Sparse forms run over the cubes of a
 sparse family; maximal functions run over lattice cubes or metric balls;
-the fractional integral sums the multilinear ball-mass kernel.
+the fractional integral sums the multilinear ball-mass kernel in one of
+three bodies: the linear product, the bilinear class table its rows
+share, or a per-row fold onto the row's distinct kernel values.
 """
 
 from __future__ import annotations
@@ -359,20 +361,21 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
     leaves the rest 0.
 
     Every value is summed in one fixed order, whatever the rows and
-    columns asked for.  m = 1 takes the full product of the kernel power
-    with the column.  m = 2 runs on a class table when K has at most n
-    distinct values v_d, as on every grid: the rows share the powers
-    H = (v_d + v_e)^(eta-2), and row x of column (w_1, w_2) is
-    U_x @ H @ V_x, where U_x[d] sums w_1 over the points y with
-    K[x, y] = v_d.  A value is computed with its whole aligned block of
-    _TABLE_ROWS rows, one fixed-shape (_TABLE_ROWS, D) @ H product per
-    block and column.  On other spaces m = 2 contracts each row's power
-    grid G with the column as w_1 @ G @ w_2.  m = 3 folds row x onto the
-    distinct values k_d of K[x], as points of one value are
-    interchangeable in every slot: each slot's column is summed per
-    value, slots 1 and 2 per distinct pair sum s_p, and the row's
-    columns share the powers (s_p + k_d)^(eta-3), built a bounded block
-    of values d at a time.
+    columns asked for, by one of three bodies.  m = 1 takes the full
+    product of the kernel power with the column.  m = 2 runs on a class
+    table when K has at most n distinct values v_d, as on every grid:
+    the rows share the powers H = (v_d + v_e)^(eta-2), and row x of
+    column (w_1, w_2) is U_x @ H @ V_x, where U_x[d] sums w_1 over the
+    points y with K[x, y] = v_d.  A value is computed with its whole
+    aligned block of _TABLE_ROWS rows, one fixed-shape
+    (_TABLE_ROWS, D) @ H product per block and column.  Every other
+    entry, m = 2 on other spaces and m = 3 everywhere, is a per-row class
+    fold, as the kernel sees each y_i only through K[x, y_i]: each slot's
+    column is summed per distinct value k_d of K[x], the leading slots
+    are folded onto their distinct value sums s_p (slot 1's values for
+    m = 2, the pair sums of slots 1 and 2 for m = 3), and the row's
+    columns share the powers (s_p + k_d)^(eta-m) of the last slot, built
+    a bounded block of values d at a time.
     """
     n = space.n
     m = len(fs)
@@ -401,33 +404,25 @@ def fractional_integral(space: DiscreteSpace, fs, eta: float,
     elif m == 2 and (kvals := _kernel_values(space)) is not None:
         _class_table_integral(K, kvals, *ws, want, expo, out)
     else:
-        # the wanted (row, column) entries, row by row
-        xs, bs = np.nonzero(want)
-        cuts = np.flatnonzero(np.diff(xs, prepend=-1, append=n)).tolist()
-        bs = bs.tolist()
-        for lo, hi in zip(cuts, cuts[1:]):
-            x = xs[lo]
-            kx = K[x]
-            cols = bs[lo:hi]
-            if m == 2:
-                pair = kx[:, None] + kx[None, :]
-                pair **= expo  # the power grid, built in place
-                for b in cols:
-                    u, v = columns[b]
-                    out[x, b] = u @ pair @ v
-                continue
-            vals, cls = np.unique(kx, return_inverse=True)
-            sums, pcls = np.unique(vals[:, None] + vals, return_inverse=True)
+        for x in np.flatnonzero(want.any(axis=1)):
+            cols = np.flatnonzero(want[x])
+            vals, cls = np.unique(K[x], return_inverse=True)
             folded = [[np.bincount(cls, a, len(vals)) for a in columns[b]]
                       for b in cols]
-            pairs = [np.bincount(pcls.ravel(), np.outer(u, v).ravel(),
-                                 len(sums)) for u, v, _ in folded]
+            # fold the leading slots onto their distinct value sums s_p
+            sums, heads = vals, [f[0] for f in folded]
+            for i in range(1, m - 1):
+                sums, pcls = np.unique(sums[:, None] + vals,
+                                       return_inverse=True)
+                heads = [np.bincount(pcls.ravel(), np.outer(h, f[i]).ravel(),
+                                     len(sums))
+                         for h, f in zip(heads, folded)]
             step = max(1, (1 << 16) // len(sums))  # 512 KiB power blocks
-            for lo3 in range(0, len(vals), step):
-                grid = sums[:, None] + vals[lo3:lo3 + step]
+            for lo in range(0, len(vals), step):
+                grid = sums[:, None] + vals[lo:lo + step]
                 grid **= expo
-                for b, pw, (_, _, w) in zip(cols, pairs, folded):
-                    out[x, b] += pw @ grid @ w[lo3:lo3 + step]
+                for b, h, f in zip(cols, heads, folded):
+                    out[x, b] += h @ grid @ f[-1][lo:lo + step]
     out[~want] = 0.0
     return out if batched else out[..., 0]
 

@@ -188,10 +188,6 @@ def _random_masked(rng, n: int, zero_prob: float = 0.3) -> np.ndarray:
 
 # -- shared numerics ----------------------------------------------------------
 
-def _setup(spec: CheckSpec):
-    return spec.space, build_lattice(spec.space)
-
-
 def _lp_norm(space, f, weight, p: float) -> float:
     w = np.ones(space.n) if weight is None else weight
     if math.isinf(p):
@@ -385,7 +381,7 @@ def _augment_joint(family, symbols) -> SparseFamily:
 # -- check: holder_eq ---------------------------------------------------------
 
 def _run_holder(spec: CheckSpec, report: CheckReport) -> None:
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     report.explicit_constant = 1.0
     worst = 0.0
     for trial, rng in _trials(spec, report):
@@ -409,7 +405,7 @@ def _run_holder(spec: CheckSpec, report: CheckReport) -> None:
 # -- check: dyadic_maximal ----------------------------------------------------
 
 def _run_dyadic_maximal(spec: CheckSpec, report: CheckReport) -> None:
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     worst = 0.0
     constant = 0.0
     for trial, rng in _trials(spec, report):
@@ -576,7 +572,7 @@ def _run_astar_chain(spec: CheckSpec, report: CheckReport) -> None:
         report.failures.append(miss)
     if report.failures:
         return
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     worst = 0.0
     for trial, rng in _trials(spec, report):
         ws = [_random_weight(rng, space.n) for _ in range(cfg.m)]
@@ -612,7 +608,7 @@ def _run_astar_chain(spec: CheckSpec, report: CheckReport) -> None:
 # -- check: dyadicsum_equiv ---------------------------------------------------
 
 def _run_dyadicsum(spec: CheckSpec, report: CheckReport) -> None:
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     ncubes = len(lattice.cubes)
     per_trial = []
     for trial, rng in _trials(spec, report):
@@ -660,7 +656,7 @@ def _run_kolmogorov(spec: CheckSpec, report: CheckReport) -> None:
                                 "got": chain["ratio"],
                                 "want": chain["partial_sum"]})
         return
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     worst_proof = 0.0
     per_trial = []
     for trial, rng in _trials(spec, report):
@@ -709,7 +705,7 @@ def _run_testing(spec: CheckSpec, report: CheckReport) -> None:
     if cfg.m != 2:
         raise ValueError("testing_lemma runs the two-slot form; got "
                          f"m={cfg.m}")
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     q, gamma, eta = cfg.q, cfg.gamma, cfg.eta
     p = cfg.p
     asserting = q <= gamma * (1.0 + 1e-12)
@@ -769,7 +765,7 @@ def _run_testing(spec: CheckSpec, report: CheckReport) -> None:
 
 def _run_endpoint_weak(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(2, (1.0, 1.0), 2.0 / 3.0)
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     margins = [young_composition_margin(r) for r in (1.0, 2.0, 3.0)]
     for margin in margins:
         if margin["violations"]:
@@ -866,7 +862,7 @@ def _run_m_vs_i(spec: CheckSpec, report: CheckReport) -> None:
 # -- check: bmo_lemmas --------------------------------------------------------
 
 def _run_bmo(spec: CheckSpec, report: CheckReport) -> None:
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     sups = dict.fromkeys(("upper_gauge_constant", "oscillation_constant",
                           "exponential_gauge_constant",
                           "product_split_constant"), 0.0)
@@ -922,7 +918,7 @@ def _run_bmo(spec: CheckSpec, report: CheckReport) -> None:
 
 def _run_caopro(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(2, (2.0, 2.0), 2.0)
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     m, p = cfg.m, cfg.p
     per_trial = []
     for trial, rng in _trials(spec, report):
@@ -982,7 +978,7 @@ def _require_bloom_slots(cfg: ExponentConfig, presets) -> None:
 def _run_bloom_maximal(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(3, (2.0, 2.0, 2.0), 2.0)
     _require_bloom_slots(cfg, _BLOOM_MAX_PRESETS)
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     m, p, q = cfg.m, cfg.p, cfg.q
     per_trial = []
     for trial, rng in _trials(spec, report):
@@ -1032,7 +1028,7 @@ _BLOOM_ITER_PRESETS = (
 def _run_bloom_iterated(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(4, (2.0,) * 4, 2.0)
     _require_bloom_slots(cfg, _BLOOM_ITER_PRESETS)
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     m, p, q = cfg.m, cfg.p, cfg.q
     qx = _bloom_exponent(q)
     per_trial = []
@@ -1106,7 +1102,7 @@ def _run_bloom_iterated(spec: CheckSpec, report: CheckReport) -> None:
 
 def _run_sharp_maximal(spec: CheckSpec, report: CheckReport) -> None:
     cfg = spec.config or ExponentConfig(3, (2.0, 2.0, 2.0), 2.0)
-    space, lattice = _setup(spec)
+    space, lattice = spec.space, build_lattice(spec.space)
     m, eta, r = cfg.m, cfg.eta, cfg.r
     tau = tuple(range(m - 1)) if m > 1 else (0,)
     delta = 0.25

@@ -1,9 +1,11 @@
 """Golden reports: the same inputs give the same report.
 
 Each `dominate_*.json` file under tests/golden/ holds the default
-`dominate` report for one (n, k, shifts) setting at seed 1.  Systems, cube
-ids, witnesses, alpha, coverage and the verdict must match exactly; every
-other float must match to a relative 1e-9.
+`dominate` report for one (n, k, shifts) setting at seed 1, on a unit grid
+or, for a file whose name ends in a MASSES key, on a grid with those
+`space.masses`.  Systems, cube ids, witnesses, alpha, coverage and the
+verdict must match exactly; every other float must match to a relative
+1e-9.
 
 `verify_n16_seed1.json` and `verify_n64_seed1.json` hold the
 `verify all --n 16 --seed 1` and `verify all --n 64 --seed 1` reports.
@@ -59,9 +61,16 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # six t-splits per node, so each node's grand-maximal block has six rows;
 # n = 32 with k = 1,1,1 and three shifts: the trilinear kernel on every
 # kept ball
-SETTINGS = [(n, k, shifts) for n in (16, 64) for k in ("1", "1,1")
-            for shifts in (1, 3)] + [(128, "1,1", 3), (64, "2,1", 3),
-                                     (32, "1,1,1", 3)]
+# n = 64 with k = 1,1, three shifts and "weighted" masses: seeded
+# uniform(0.5, 2) point masses give the kernel more than n distinct
+# values, so the bilinear integral runs off the shared class table
+SETTINGS = [(n, k, shifts, None) for n in (16, 64) for k in ("1", "1,1")
+            for shifts in (1, 3)] + [(128, "1,1", 3, None),
+                                     (64, "2,1", 3, None),
+                                     (32, "1,1,1", 3, None),
+                                     (64, "1,1", 3, "weighted")]
+MASSES = {"weighted": np.round(np.random.default_rng(7).uniform(
+    0.5, 2.0, size=64), 6).tolist()}
 VERIFY_SIZES = (16, 64)
 FAILURE_GOLDEN = GOLDEN / "verify_failures_n16.json"
 LATTICE_GOLDEN = GOLDEN / "lattice_n16_s3.json"
@@ -75,14 +84,27 @@ CONSTANTS_CONFIGS = {
 }
 
 
-def _name(n, k, shifts):
-    return f"dominate_n{n}_k{k.replace(',', '-')}_s{shifts}.json"
+def _setting_id(setting):
+    n, k, shifts, masses = setting
+    return f"{n}-{k}-{shifts}" + (f"-{masses}" if masses else "")
 
 
-def _report(n, k, shifts):
-    result = CliRunner().invoke(cli, ["--seed", "1", "dominate", "--n",
-                                      str(n), "--k", k,
-                                      "--shifts", str(shifts)])
+def _name(n, k, shifts, masses):
+    tail = f"_{masses}" if masses else ""
+    return f"dominate_n{n}_k{k.replace(',', '-')}_s{shifts}{tail}.json"
+
+
+def _report(n, k, shifts, masses):
+    """The dominate report at seed 1; masses names an entry of MASSES,
+    given as the config's space.masses, or None for a unit grid."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["--seed", "1"]
+        if masses:
+            path = pathlib.Path(tmp) / "config.json"
+            path.write_text(json.dumps({"space": {"masses": MASSES[masses]}}))
+            args += ["--config", str(path)]
+        result = CliRunner().invoke(cli, args + [
+            "dominate", "--n", str(n), "--k", k, "--shifts", str(shifts)])
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
 
@@ -187,10 +209,11 @@ def _assert_close(got, want, path):
         assert got == want and type(got) is type(want), path
 
 
-@pytest.mark.parametrize("n,k,shifts", SETTINGS)
-def test_dominate_matches_golden(n, k, shifts):
-    want = json.loads((GOLDEN / _name(n, k, shifts)).read_text())
-    got = _report(n, k, shifts)
+@pytest.mark.parametrize("n,k,shifts,masses", SETTINGS,
+                         ids=map(_setting_id, SETTINGS))
+def test_dominate_matches_golden(n, k, shifts, masses):
+    want = json.loads((GOLDEN / _name(n, k, shifts, masses)).read_text())
+    got = _report(n, k, shifts, masses)
     cert, gold = got["certificate"], want["certificate"]
     for key in ("alpha", "coverage"):
         assert cert[key] == gold[key], key
@@ -204,8 +227,10 @@ def test_dominate_matches_golden(n, k, shifts):
     _assert_close(got, want, "report")
 
 
-@pytest.mark.parametrize("n,k,shifts", SETTINGS)
-def test_dominate_profiles_clear_thresholds(n, k, shifts, monkeypatch):
+@pytest.mark.parametrize("n,k,shifts,masses", SETTINGS,
+                         ids=map(_setting_id, SETTINGS))
+def test_dominate_profiles_clear_thresholds(n, k, shifts, masses,
+                                            monkeypatch):
     """Every node profile value sits at a relative distance above 1e-9
     from each threshold it can meet: (alpha * scale) * ref for every
     alpha from the start alpha 1 to the certificate's final alpha.  A
@@ -219,7 +244,7 @@ def test_dominate_profiles_clear_thresholds(n, k, shifts, monkeypatch):
         return profiles[-1]
 
     monkeypatch.setattr(domination, "_node_profiles", spy)
-    final = _report(n, k, shifts)["certificate"]["alpha"]
+    final = _report(n, k, shifts, masses)["certificate"]["alpha"]
     alphas = 2.0 ** np.arange(int(math.log2(final)) + 1)
     assert alphas[-1] == final and profiles
     gap = math.inf

@@ -433,11 +433,16 @@ class TestFractionalIntegral:
         want = oracle_frac_integral(sp, fs, 1.5)
         assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["unit", "generic", "plane"])
-    @pytest.mark.parametrize("eta", [0.0, 1.0, 0.75, 1.5])
-    def test_class_fold_matches_oracle_m3(self, kind, eta):
+    @pytest.mark.parametrize("m,eta,kind", [
+        pytest.param(m, eta, kind, id=f"m2-{eta}-{kind}" if m == 2
+                     else f"{eta}-{kind}")
+        for m in (3, 2) for eta in (0.0, 1.0, 0.75, 1.5)
+        for kind in ("unit", "generic", "plane")])
+    def test_class_fold_matches_oracle_m3(self, m, eta, kind):
         # unit masses tie many pair sums; a 4 x 4 plane lattice ties its
-        # distances, so a kernel class can hold 4 or 8 points
+        # distances, so a kernel class can hold 4 or 8 points; m = 2 runs
+        # the fold on the generic masses, whose kernel has more than n
+        # values, and the class table on the other two
         rng = np.random.default_rng(60)
         if kind == "plane":
             pts = np.array(list(itertools.product(range(4), repeat=2)), float)
@@ -446,7 +451,9 @@ class TestFractionalIntegral:
         else:
             sp = build_grid_space(16, None if kind == "unit"
                                   else rng.uniform(0.5, 2.0, size=16))
-        signed = [rng.normal(size=16) for _ in range(3)]
+        if m == 2:
+            assert (_kernel_values(sp) is None) == (kind == "generic")
+        signed = [rng.normal(size=16) for _ in range(m)]
         absolute = [np.abs(f) for f in signed]
         scale = oracle_frac_integral(sp, absolute, eta)
         assert fractional_integral(sp, absolute, eta) == \
@@ -476,8 +483,8 @@ class TestFractionalIntegral:
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0, 1.5])
     def test_class_table_matches_oracle_m2(self, kind, eta):
         # unit masses and masses all 2.0 give n kernel values, so the rows
-        # share one class table; generic masses give more and keep the
-        # per-row power grid
+        # share one class table; generic masses give more and run the
+        # per-row class fold
         rng = np.random.default_rng(62)
         masses = {"unit": np.ones(16), "twos": np.full(16, 2.0),
                   "generic": rng.uniform(0.5, 2.0, size=16)}[kind]
@@ -504,6 +511,25 @@ class TestFractionalIntegral:
         tracemalloc.start()
         try:
             fractional_integral(sp, blocks, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_m2_fold_memory_stays_per_block(self):
+        # generic masses give the kernel more than n values, so m = 2 runs
+        # the per-row fold: a 1,024-point row's full power grid would be
+        # 8 MiB, and the fold builds it 512 KiB at a time
+        n = 1024
+        rng = np.random.default_rng(64)
+        sp = build_grid_space(n, rng.uniform(0.5, 2.0, size=n))
+        assert _kernel_values(sp) is None  # also fills the caches
+        fs = [rng.normal(size=n) for _ in range(2)]
+        rows = np.zeros(n, dtype=bool)
+        rows[[0, 300, 600, 1023]] = True
+        tracemalloc.start()
+        try:
+            fractional_integral(sp, fs, 0.5, rows=rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
