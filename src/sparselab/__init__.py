@@ -10,7 +10,6 @@ from .domination import (
 )
 from .dyadic import (
     AdjacentSystems,
-    Cube,
     DyadicLattice,
     SparseFamily,
     adjacent_cover,
@@ -40,7 +39,6 @@ __all__ = [
     "Ball",
     "CheckReport",
     "CheckSpec",
-    "Cube",
     "DiscreteSpace",
     "DominationCertificate",
     "DyadicLattice",

@@ -398,12 +398,13 @@ def cmd_lattice(ctx, n, shifts, csv_path):
         # every shift yields a lattice; the report keeps the field empty
         payload["skipped_shifts"] = []
     payload["systems"] = len(lattices)
-    payload["cube_count"] = sum(len(lat.cubes) for lat in lattices)
+    payload["cube_count"] = sum(len(lat.gen) for lat in lattices)
     payload["lattices"] = [lattice_to_descriptor(lat) for lat in lattices]
     _emit(_json_payload(payload), ctx.obj["out"])
     if csv_path is not None:
-        rows = [(lat.system, c.cube_id, c.gen, repr(c.mass))
-                for lat in lattices for c in lat.cubes]
+        rows = [(lat.system, cid, k, repr(mass))
+                for lat in lattices for cid, (k, mass) in enumerate(
+                    zip(lat.gen.tolist(), lat.mass.tolist()))]
         _write_text(csv_path,
                     _csv_text(("system", "id", "gen", "mass"), rows))
 
@@ -490,7 +491,7 @@ def _family_from_config(cfg, lattice, seed):
     if fam_cfg is None:
         return random_sparse_family(
             lattice, np.random.default_rng((seed, 101)))
-    cubes = len(lattice.cubes)
+    cubes = len(lattice.gen)
     ids = _entries(None, fam_cfg, "cube_ids", "family", None,
                    lambda v: _is_int(v) and 0 <= v < cubes,
                    f"an array of integers in [0, {cubes})")
@@ -534,7 +535,7 @@ def cmd_sparse(ctx, n, eta, dump_path):
     }
     _emit(_json_payload(payload), ctx.obj["out"])
     if dump_path is not None:
-        rows = [(cid, lattice.cube(cid).gen, repr(lattice.cube(cid).mass),
+        rows = [(cid, lattice.gen.item(cid), repr(lattice.mass.item(cid)),
                  repr(float(coeffs[cid]))) for cid in family.cube_ids]
         _write_text(dump_path, _csv_text(
             ("cube_id", "gen", "mass", "coefficient"), rows))

@@ -160,8 +160,8 @@ def _node_profiles(space, fs, symbols, pair, eta, region, base_center,
     where it exceeds (alpha * scales[j]) * refs[t].
     """
     big = space.ball(base_center, dilation * base_radius)
-    _, ref_cube = adjacent_cover(systems, big)
-    means = {i: ref_cube.lat.cube_means(symbols[i])[ref_cube.cube_id]
+    ref_lat, ref_cid = adjacent_cover(systems, big)
+    means = {i: ref_lat.cube_means(symbols[i])[ref_cid]
              for i in pair.tau_ell}
     tvecs = list(itertools.product(
         *[range(k + 1) for k in _normalized_orders(pair)]))
@@ -213,8 +213,7 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
 
     radius0 = float(space.distances(0).max())
     root_ball = space.ball(0, radius0)
-    sys_idx, root_cube = adjacent_cover(systems, root_ball)
-    lattice = systems.lattices[sys_idx]
+    lattice, root_cid = adjacent_cover(systems, root_ball)
     cmu0 = lattice.cmu0()
     lam = 1.0 / (2.0 * cmu0)
     needed = sum(pair.k[i] for i in pair.tau_ell)
@@ -227,16 +226,16 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
     # depth-first, children in (gen, index) order for determinism; a
     # stopping cube is a proper subcube, so the walk ends by the leaves
     stack: list[tuple[int, int, float, float]] = [
-        (root_cube.cube_id, root_ball.center, root_ball.radius, alpha)]
+        (root_cid, root_ball.center, root_ball.radius, alpha)]
     nominal = lattice.big_a1 * lattice.delta ** np.arange(lattice.depth + 1)
     while stack:
         cid, bc, br, node_alpha = stack.pop()
-        cube = lattice.cube(cid)
-        region = cube.members
+        region = lattice.members(cid)
         values, scales, refs = _node_profiles(
             space, fs, symbols, pair, eta, region, bc, br, dilation,
             systems)
-        target = cube.mass / (4.0 * cmu0)
+        mass = lattice.mass.item(cid)
+        target = mass / (4.0 * cmu0)
         while True:
             hit = (values > (node_alpha * scales)[:, None, None]
                    * refs[:, None])
@@ -247,15 +246,15 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
             if node_alpha * 2.0 > alpha * ALPHA_FACTOR_CAP:
                 raise DominationError(
                     f"alpha escalation exceeded 2^20 at cube "
-                    f"{cube.cube_id} (generation {cube.gen}, "
-                    f"index {cube.index})", cube_id=cube.cube_id)
+                    f"{cid} (generation {lattice.gen[cid]}, "
+                    f"index {lattice.index[cid]})", cube_id=cid)
             node_alpha *= 2.0
         final_alpha = max(final_alpha, node_alpha)
         # maximal proper subcubes charged above the lambda fraction
         charged = lattice.cube_sums(bad) > lam * lattice.cube_masses
-        picks = lattice.maximal_subcubes(cube, charged)
+        picks = lattice.maximal_subcubes(cid, charged)
         if math.fsum(lattice.mass[picks]) > \
-                SPARSENESS * cube.mass * (1 + 1e-12):
+                SPARSENESS * mass * (1 + 1e-12):
             raise DominationError(
                 f"stopping cubes exceed half the mass of cube {cid}",
                 cube_id=cid)
@@ -355,9 +354,10 @@ def coverage_audit(space: DiscreteSpace, systems: AdjacentSystems) -> dict:
             if done[x]:
                 continue
             small = space.ball(int(x), r0 * 2.0 ** (j + 1 - j0))
-            _, cube = adjacent_cover(systems, small)
-            done[cube.members] = True
-            counts[cube.members] += 1
+            lat, cid = adjacent_cover(systems, small)
+            members = lat.members(cid)
+            done[members] = True
+            counts[members] += 1
     overlap = int(counts.max(initial=0))
     return {"union_ok": union_ok, "levels": levels, "overlap": overlap,
             "declared_bound": declared,
@@ -397,11 +397,10 @@ def augment_sparse(family: SparseFamily, b) -> tuple[SparseFamily, dict]:
     queue = list(ids)
     while queue:
         cid = queue.pop(0)
-        cube = lat.cube(cid)
         spread = lat.cube_means(np.abs(b - means[cid]))
         osc = float(spread[cid])
         budget = 2.0 * cmu0 * osc
-        picked = lat.maximal_subcubes(cube, spread > budget)
+        picked = lat.maximal_subcubes(cid, spread > budget)
         fresh = [int(c) for c in picked[np.argsort(first_rank[picked])]
                  if c not in present]
         present.update(fresh)
@@ -421,7 +420,7 @@ def augment_sparse(family: SparseFamily, b) -> tuple[SparseFamily, dict]:
     # the family cubes R with x in R <= Q: row gen(Q) of a suffix cumsum
     # over generations
     dev = np.abs(lat.deviations(b))
-    oscs = np.zeros(len(lat.cubes))
+    oscs = np.zeros(len(lat.gen))
     oscs[new_ids] = lat.cube_means(dev)[new_ids]
     denom = np.cumsum(oscs[lat.point_to_cube][::-1], axis=0)[::-1]
     ratio = lat.cube_max(np.divide(dev, denom, out=np.zeros_like(dev),

@@ -2,9 +2,11 @@
 
 A lattice is a list of generations; each generation partitions the point
 set into cubes, and cubes nest across generations.  Cubes live in arrays
-indexed by cube id; a `Cube` view carries a cube's center and the two
-sandwich radii: the largest ball around the center still inside the
-cube and the smallest ball containing it.
+indexed by cube id: a cube is its id, and its generation, index,
+center, parent, mass and members are read from those arrays.  The
+lattice also gives each cube's two sandwich radii: the largest ball
+around the center still inside the cube and the smallest ball
+containing it.
 
 Three constructions are provided: the standard binary lattice on grids,
 cyclically shifted copies of it forming adjacent systems, and a general
@@ -16,8 +18,7 @@ otherwise.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,48 +50,6 @@ class CoverError(ValueError):
         self.ball = ball
 
 
-@dataclass
-class Cube:
-    """One cube of a lattice, read from the lattice's arrays."""
-
-    system: int
-    gen: int
-    index: int
-    members: np.ndarray
-    center: int
-    cube_id: int
-    mass: float
-    parent: int | None = None
-    children: list[int] = field(default_factory=list)
-    lat: "DyadicLattice | None" = field(default=None, repr=False)
-
-    @property
-    def core_radius(self) -> float:
-        """Largest realized radius r with B(center, r) a subset of the cube."""
-        inside = self.lat.point_to_cube[self.gen] == self.cube_id
-        order, radii, ends = self.lat.space.balls(self.center)
-        kept = np.logical_and.accumulate(inside[order])[ends - 1]
-        return float(radii[kept][-1])
-
-    @property
-    def containment_radius(self) -> float:
-        sp = self.lat.space
-        return float(sp.distances(self.center)[self.members].max())
-
-
-class _Cubes(Sequence):
-    """Every cube of a lattice by id, each view built when read."""
-
-    def __init__(self, lat: "DyadicLattice"):
-        self.lat = lat
-
-    def __len__(self) -> int:
-        return len(self.lat.gen)
-
-    def __getitem__(self, cube_id: int) -> Cube:
-        return self.lat.cube(cube_id)
-
-
 class DyadicLattice:
     """Nested partitions as arrays by cube id, in (gen, index) order:
     `gen`, `index`, `center`, `parent` (-1 at generation 0), `mass` (each
@@ -113,27 +72,24 @@ class DyadicLattice:
     def depth(self) -> int:
         return len(self.generations) - 1
 
-    @property
-    def cubes(self) -> _Cubes:
-        return _Cubes(self)
+    def members(self, cube_id: int) -> np.ndarray:
+        """The cube's members, a slice of its generation's member_table
+        row."""
+        return self.member_table[self.gen.item(cube_id),
+                                 self.start.item(cube_id):
+                                 self.stop.item(cube_id)]
 
-    def cube(self, cube_id: int) -> Cube:
-        cid = range(len(self.gen))[cube_id]
-        k, parent = self.gen.item(cid), self.parent.item(cid)
-        lo, hi = self._child_start.item(cid), self._child_start.item(cid + 1)
-        return Cube(
-            system=self.system, gen=k, index=self.index.item(cid),
-            members=self.member_table[
-                k, self.start.item(cid):self.stop.item(cid)],
-            center=self.center.item(cid), cube_id=cid,
-            mass=self.mass.item(cid), parent=None if parent < 0 else parent,
-            children=self._children[lo:hi].tolist(), lat=self)
+    def core_radius(self, cube_id: int) -> float:
+        """Largest realized radius r with B(center, r) inside the cube."""
+        inside = self.point_to_cube[self.gen.item(cube_id)] == cube_id
+        order, radii, ends = self.space.balls(self.center.item(cube_id))
+        kept = np.logical_and.accumulate(inside[order])[ends - 1]
+        return float(radii[kept][-1])
 
-    def cubes_at(self, k: int) -> list[Cube]:
-        return [self.cube(i) for i in self.generations[k]]
-
-    def cube_containing(self, k: int, x: int) -> Cube:
-        return self.cube(self.point_to_cube[k, x])
+    def containment_radius(self, cube_id: int) -> float:
+        """Smallest radius r with B(center, r) holding the cube."""
+        return float(self.space.distances(self.center.item(cube_id))[
+            self.members(cube_id)].max())
 
     # -- cube statistics ---------------------------------------------------
     # Row k of point_to_cube labels every point with its generation-k
@@ -189,14 +145,16 @@ class DyadicLattice:
         b = np.asarray(b, dtype=np.float64)
         return b - self.cube_means(b)[self.point_to_cube]
 
-    def maximal_subcubes(self, cube: Cube, flagged) -> np.ndarray:
-        """Ids of the maximal proper subcubes of cube that are flagged.
+    def maximal_subcubes(self, cube_id: int, flagged) -> np.ndarray:
+        """Ids of the maximal proper subcubes of the cube that are flagged.
 
         flagged holds one bool per cube id.  Each member's column of
-        point_to_cube below cube.gen is read for its first flagged
-        generation; the result is in cube-id, i.e. (gen, index), order.
+        point_to_cube below the cube's generation is read for its first
+        flagged generation; the result is in cube-id, i.e. (gen, index),
+        order.
         """
-        column = self.point_to_cube[cube.gen:, cube.members]
+        column = self.point_to_cube[self.gen.item(cube_id):,
+                                    self.members(cube_id)]
         hit = np.asarray(flagged, dtype=bool)[column]
         hit[0] = False
         keep = np.flatnonzero(hit.any(axis=0))
@@ -276,18 +234,19 @@ class DyadicLattice:
         raised; effective radii always satisfy the sandwich.
         """
         failures = []
-        for cube in self.cubes:
-            scale = self.delta ** cube.gen
-            dist = self.space.distances(cube.center)
+        for cid, k in enumerate(self.gen.tolist()):
+            scale = self.delta ** k
+            dist = self.space.distances(self.center.item(cid))
             core_ok = bool(np.all(self.point_to_cube[
-                cube.gen, dist <= self.a1 * scale] == cube.cube_id))
-            contain_ok = bool(dist[cube.members].max() <= self.big_a1 * scale)
+                k, dist <= self.a1 * scale] == cid))
+            outer = self.containment_radius(cid)
+            contain_ok = outer <= self.big_a1 * scale
             if not (core_ok and contain_ok):
                 failures.append({
-                    "cube_id": cube.cube_id, "gen": cube.gen,
+                    "cube_id": cid, "gen": k,
                     "core_ok": core_ok, "contain_ok": contain_ok,
-                    "core_radius": cube.core_radius,
-                    "containment_radius": cube.containment_radius,
+                    "core_radius": self.core_radius(cid),
+                    "containment_radius": outer,
                 })
         return {"all_pass": not failures, "failures": failures,
                 "params": {"delta": self.delta, "a1": self.a1,
@@ -416,8 +375,10 @@ def build_shifted_adjacent(space: DiscreteSpace, shifts: int) -> AdjacentSystems
                            values)
 
 
-def adjacent_cover(systems: AdjacentSystems, ball: Ball) -> tuple[int, Cube]:
-    """Smallest-mass cube Q with ball <= Q <= c_adj-dilated ball.
+def adjacent_cover(systems: AdjacentSystems,
+                   ball: Ball) -> tuple[DyadicLattice, int]:
+    """Smallest-mass cube Q with ball <= Q <= c_adj-dilated ball, as its
+    lattice and cube id.
 
     Ties broken lexicographically by (system, generation, index).  Only
     the center's home cubes can hold the ball.  Cubes and balls are
@@ -446,7 +407,7 @@ def adjacent_cover(systems: AdjacentSystems, ball: Ball) -> tuple[int, Cube]:
         raise CoverError(f"no cube covers ball B({x}, {ball.radius}) "
                          "within the dilation bound", ball=ball)
     _, lat, cid = best
-    return lat.system, lat.cube(cid)
+    return lat, int(cid)
 
 
 # -- net lattice for explicit spaces ----------------------------------------
@@ -465,7 +426,7 @@ def _greedy_net(metric: np.ndarray, start: list[int], threshold: float) -> list[
 
 
 def build_hk_lattice(space: DiscreteSpace, delta: float,
-                     faithful: bool = False, system: int = 0) -> DyadicLattice:
+                     faithful: bool = False) -> DyadicLattice:
     """Net-based lattice on an arbitrary finite quasi-metric space.
 
     Centers form nested maximal delta^k-separated nets grown
@@ -473,9 +434,9 @@ def build_hk_lattice(space: DiscreteSpace, delta: float,
     every generation.  Each finer center attaches to a nearest coarser
     center (distance ties: smallest index at the finest generation,
     largest above it) and a cube is the union of its attached subtree,
-    so nesting holds by construction.  The nominal two-ball sandwich
-    with a1 = 1/(3 a0^2), A1 = 2 a0 is checked a posteriori via
-    containment_report rather than assumed.
+    so nesting holds by construction.  The lattice is system 0.  The
+    nominal two-ball sandwich with a1 = 1/(3 a0^2), A1 = 2 a0 is checked
+    a posteriori via containment_report rather than assumed.
     """
     if faithful:
         limit = 1.0 / (12.0 * space.a0**3)
@@ -522,7 +483,7 @@ def build_hk_lattice(space: DiscreteSpace, delta: float,
         heads, starts = np.unique(label[order], return_index=True)
         gen_members.insert(0, np.split(order, starts[1:]))
         centers.insert(0, heads)
-    lat = DyadicLattice(space, system, delta, 1.0 / (3.0 * space.a0**2),
+    lat = DyadicLattice(space, 0, delta, 1.0 / (3.0 * space.a0**2),
                         2.0 * space.a0)
     lat._finish(gen_members, centers)
     return lat
@@ -564,7 +525,7 @@ class SparseFamily:
         """
         lat = self.lattice
         count = np.bincount(np.asarray(self.cube_ids, dtype=np.intp),
-                            minlength=len(lat.cubes))[lat.point_to_cube]
+                            minlength=len(lat.gen))[lat.point_to_cube]
         vals = np.asarray(coeffs)[lat.point_to_cube]
         if vals.ndim == 3:
             count = count[..., None]
@@ -591,17 +552,17 @@ def verify_sparse(family: SparseFamily) -> SparseReport:
     violations = []
     counts = np.zeros(sp.n, dtype=np.intp)
     for cid in family.cube_ids:
-        cube = lat.cube(cid)
         if cid not in family.witnesses:
             violations.append({"cube_id": cid, "reason": "missing witness"})
             continue
         wit = np.asarray(family.witnesses[cid], dtype=np.intp)
-        if not set(wit.tolist()) <= set(cube.members.tolist()):
+        # isin, not a point_to_cube lookup, which would wrap a negative id
+        if not np.isin(wit, lat.members(cid)).all():
             violations.append({"cube_id": cid,
                                "reason": "witness not inside cube"})
         counts[wit] += 1
         wit_mass = math.fsum(sp.masses[wit]) if wit.size else 0.0
-        need = family.delta * cube.mass
+        need = family.delta * lat.mass.item(cid)
         if wit_mass < need * (1 - 1e-9):
             violations.append({
                 "cube_id": cid, "reason": "witness mass below delta bound",
@@ -664,11 +625,10 @@ def select_witnesses(lattice: DyadicLattice, cube_ids: list[int],
     witnesses, starved = _witness_walk(lattice, cube_ids, delta)
     if starved:
         cid, free_mass = starved[0]
-        cube = lattice.cube(cid)
         raise WitnessSelectionError(
-            f"cube {cid} (generation {cube.gen}, index {cube.index}) "
-            f"retains mass {free_mass:.6g} < "
-            f"{delta * cube.mass:.6g}", cube_id=cid)
+            f"cube {cid} (generation {lattice.gen[cid]}, "
+            f"index {lattice.index[cid]}) retains mass {free_mass:.6g} < "
+            f"{delta * lattice.mass[cid]:.6g}", cube_id=cid)
     return SparseFamily(lattice, list(cube_ids), witnesses, delta)
 
 

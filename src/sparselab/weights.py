@@ -260,7 +260,7 @@ def _restricted_maximal_ratio(lattice: DyadicLattice, gs, es,
 
 def _exp_mean_product(lattice: DyadicLattice, gs, es) -> np.ndarray:
     """prod_j (<g_j>_Q exp<log 1/g_j>_Q)^(e_j) for every cube Q."""
-    val = np.ones(len(lattice.cubes))
+    val = np.ones(len(lattice.gen))
     for g, e in zip(gs, es):
         val = val * (lattice.cube_means(g) / _geometric_means(lattice, g)) ** e
     return val
@@ -413,7 +413,7 @@ def luxemburg_norm(lattice: DyadicLattice, f,
     def mean_phi(lam):
         return lattice.cube_means(phi.value(vals / lam[lattice.point_to_cube]))
 
-    hi = np.ones(len(lattice.cubes))
+    hi = np.ones(len(lattice.gen))
     grow = live
     for steps in range(2001):
         grow = grow & (mean_phi(hi) > 1.0)

@@ -42,14 +42,15 @@ def test_criterion_1_lattice_axioms():
         lattice.check_invariants()
         total = float(space.masses.sum())
         for gen in lattice.generations:
-            cubes = [lattice.cube(cid) for cid in gen]
-            joined = np.sort(np.concatenate([c.members for c in cubes]))
+            joined = np.sort(np.concatenate([lattice.members(cid)
+                                             for cid in gen]))
             assert np.array_equal(joined, np.arange(n))
-            assert sum(c.mass for c in cubes) == total
-            for cube in cubes:
-                if cube.parent is not None:
-                    parent = lattice.cube(cube.parent)
-                    assert set(cube.members) <= set(parent.members)
+            assert sum(lattice.mass[gen].tolist()) == total
+            for cid in gen:
+                parent = lattice.parent.item(cid)
+                if parent >= 0:
+                    assert set(lattice.members(cid)) <= \
+                        set(lattice.members(parent))
     _budget(t0, 5.0, "criterion 1")
 
 

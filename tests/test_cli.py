@@ -99,6 +99,16 @@ class TestLatticeCommand:
         assert len(rows) == 15
         assert {"system", "id", "gen", "mass"} <= set(rows[0])
 
+    def test_csv_masses_are_plain_floats(self, runner, tmp_path):
+        table = tmp_path / "cubes.csv"
+        result = runner.invoke(cli, ["lattice", "--n", "8", "--shifts", "3",
+                                     "--csv", str(table)])
+        assert result.exit_code == 0
+        masses = [row["mass"] for row in _rows(table.read_text())]
+        assert len(masses) > 15
+        for mass in masses:
+            assert repr(float(mass)) == mass and "np." not in mass
+
     def test_bad_schema_points_at_field(self, runner, tmp_path):
         cfg = _write_config(tmp_path, {"space": {"n": "eight"}})
         result = runner.invoke(cli, ["--config", cfg, "lattice"])
@@ -219,6 +229,20 @@ class TestSparseCommand:
         rows = _rows(dump.read_text())
         assert len(rows) == 1
         assert float(rows[0]["coefficient"]) == 1.0
+
+    def test_dump_masses_are_plain_floats(self, runner, tmp_path):
+        masses = np.random.default_rng(9).uniform(0.5, 2.0, 16)
+        cfg = _write_config(tmp_path, {"space": {"masses": masses.tolist()}})
+        dump = tmp_path / "cubes.csv"
+        result = runner.invoke(cli, ["--config", cfg, "sparse",
+                                     "--dump-per-cube", str(dump)])
+        assert result.exit_code == 0
+        rows = _rows(dump.read_text())
+        assert rows
+        for row in rows:
+            for key in ("mass", "coefficient"):
+                assert repr(float(row[key])) == row[key]
+                assert "np." not in row[key]
 
     def test_seeded_family_deterministic(self, runner):
         first = runner.invoke(cli, ["--seed", "5", "sparse", "--n", "16"])

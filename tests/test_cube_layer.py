@@ -48,13 +48,19 @@ def lattice(request):
 
 def _loop_sums(lat, table):
     masses = lat.space.masses
-    return np.array([float(np.dot(table[c.gen][c.members],
-                                  masses[c.members])) for c in lat.cubes])
+    return np.array([float(np.dot(table[k][lat.members(cid)],
+                                  masses[lat.members(cid)]))
+                     for cid, k in enumerate(lat.gen)])
 
 
 def _loop_max(lat, table):
-    return np.array([float(table[c.gen][c.members].max())
-                     for c in lat.cubes])
+    return np.array([float(table[k][lat.members(cid)].max())
+                     for cid, k in enumerate(lat.gen)])
+
+
+def _children(lat, cid):
+    """The cube's children, in cube-id order."""
+    return np.flatnonzero(lat.parent == cid).tolist()
 
 
 def _table(lat, values):
@@ -108,10 +114,10 @@ def test_deviations_subtract_the_containing_cube_mean(lattice):
     b = np.random.default_rng(4).standard_normal(lattice.space.n)
     dev = lattice.deviations(b)
     masses = lattice.space.masses
-    for cube in lattice.cubes:
-        mem = cube.members
-        mean = float(np.dot(b[mem], masses[mem])) / cube.mass
-        np.testing.assert_allclose(dev[cube.gen][mem], b[mem] - mean,
+    for cid, (k, mass) in enumerate(zip(lattice.gen, lattice.mass)):
+        mem = lattice.members(cid)
+        mean = float(np.dot(b[mem], masses[mem])) / mass
+        np.testing.assert_allclose(dev[k][mem], b[mem] - mean,
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -120,11 +126,11 @@ def test_maximal_functions_match_member_loops(lattice):
     masses = lattice.space.masses
     want_max = np.zeros(lattice.space.n)
     want_sharp = np.zeros(lattice.space.n)
-    for cube in lattice.cubes:
-        mem = cube.members
-        mean = float(np.dot(f[mem], masses[mem])) / cube.mass
-        absmean = float(np.dot(np.abs(f[mem]), masses[mem])) / cube.mass
-        osc = float(np.dot(np.abs(f[mem] - mean), masses[mem])) / cube.mass
+    for cid, mass in enumerate(lattice.mass.tolist()):
+        mem = lattice.members(cid)
+        mean = float(np.dot(f[mem], masses[mem])) / mass
+        absmean = float(np.dot(np.abs(f[mem]), masses[mem])) / mass
+        osc = float(np.dot(np.abs(f[mem] - mean), masses[mem])) / mass
         want_max[mem] = np.maximum(want_max[mem], absmean)
         want_sharp[mem] = np.maximum(want_sharp[mem], osc)
     np.testing.assert_allclose(dyadic_maximal(lattice, f), want_max,
@@ -145,12 +151,12 @@ def test_cube_listed_twice_counts_twice(lattice):
     masses = lattice.space.masses
     want = np.zeros(n)
     for cid in twice_ids:
-        mem = lattice.cube(cid).members
+        mem = lattice.members(cid)
         want[mem] += float(np.dot(f[mem], masses[mem])) / \
-            lattice.cube(cid).mass
+            lattice.mass.item(cid)
     np.testing.assert_allclose(sparse_operator(twice, [f]), want,
                                rtol=1e-12)
-    extra = lattice.cube(family.cube_ids[0]).members
+    extra = lattice.members(family.cube_ids[0])
     assert np.all(sparse_operator(twice, [f])[extra] > once[extra])
 
 
@@ -164,13 +170,13 @@ def test_higher_order_form_matches_member_loop(lattice):
     pair = MultiIndexPair((2, 1), (1, 0), (0, 1), (0, 1))
     want = np.zeros(n)
     for cid in family.cube_ids:
-        cube = lattice.cube(cid)
-        mem = cube.members
-        means = [float(np.dot(b[mem], masses[mem])) / cube.mass for b in bs]
-        coeff = cube.mass ** 0.5
+        mem = lattice.members(cid)
+        mass = lattice.mass.item(cid)
+        means = [float(np.dot(b[mem], masses[mem])) / mass for b in bs]
+        coeff = mass ** 0.5
         for i in range(2):
             g = np.abs(fs[i][mem] * (bs[i][mem] - means[i]) ** pair.t[i])
-            coeff *= float(np.dot(g, masses[mem])) / cube.mass
+            coeff *= float(np.dot(g, masses[mem])) / mass
         point = np.full(len(mem), coeff)
         for i in range(2):
             point *= np.abs(bs[i][mem] - means[i]) ** (pair.k[i] - pair.t[i])
@@ -186,8 +192,8 @@ def test_sup_tie_goes_to_lowest_cube_id():
     # the cubes {2, 3} and {6, 7} both reach 1.5 * 0.75
     value, cube_id = muckenhoupt_ap(lat, w, 2.0, detail=True)
     assert value == 1.125
-    ties = [c.cube_id for c in lat.cubes
-            if set(c.members.tolist()) in ({2, 3}, {6, 7})]
+    ties = [cid for cid in range(len(lat.gen))
+            if set(lat.members(cid).tolist()) in ({2, 3}, {6, 7})]
     assert cube_id == min(ties)
     # the unit weight averages to exactly 1 on every cube, whatever the
     # masses, so every cube ties and the root, cube 0, wins
@@ -203,7 +209,7 @@ def test_bmo_norm_skips_nan_cubes():
     value, cube_id = bmo_norm(lat, b, detail=True)
     # every cube holding point 7 is NaN; {0, 1} has the largest
     # oscillation among the rest
-    assert lat.cube(cube_id).members.tolist() == [0, 1]
+    assert lat.members(cube_id).tolist() == [0, 1]
     assert value == 2.0
     assert bmo_norm(lat, np.full(8, math.nan), detail=True) == \
         (-math.inf, None)
@@ -211,65 +217,65 @@ def test_bmo_norm_skips_nan_cubes():
 
 # -- maximal subcubes and the constructions that read them -------------------
 
-def _parent_walk(lat, cube, flagged):
+def _parent_walk(lat, cid, flagged):
     # the child walk augment_sparse used before maximal_subcubes
     picked = []
-    stack = [lat.cube(c) for c in reversed(cube.children)]
+    stack = list(reversed(_children(lat, cid)))
     while stack:
         cand = stack.pop()
-        if flagged[cand.cube_id]:
-            picked.append(cand.cube_id)
+        if flagged[cand]:
+            picked.append(cand)
         else:
-            stack.extend(lat.cube(c) for c in reversed(cand.children))
+            stack.extend(reversed(_children(lat, cand)))
     return picked
 
 
-def _parent_stopping_cubes(lattice, cube, bad, lam):
-    # the parent's domination._stopping_cubes, verbatim
+def _parent_stopping_cubes(lattice, cid, bad, lam):
+    # the parent's domination._stopping_cubes, on cube ids
     sp = lattice.space
     out = []
-    stack = [lattice.cube(cid) for cid in reversed(cube.children)]
+    stack = list(reversed(_children(lattice, cid)))
     while stack:
         cand = stack.pop()
-        mem = cand.members
+        mem = lattice.members(cand)
         inter = float(sp.masses[mem[bad[mem]]].sum())
-        if inter > lam * cand.mass:
+        if inter > lam * lattice.mass[cand]:
             out.append(cand)
         elif inter > 0.0:
-            stack.extend(lattice.cube(cid) for cid in reversed(cand.children))
-    out.sort(key=lambda c: (c.gen, c.index))
+            stack.extend(reversed(_children(lattice, cand)))
+    out.sort(key=lambda c: (lattice.gen[c], lattice.index[c]))
     return out
 
 
 def test_maximal_subcubes_match_child_walk(lattice):
     rng = np.random.default_rng(21)
-    finest = lattice.cubes[lattice.generations[-1][0]]
-    cubes = [c for c in lattice.cubes if c.gen < 3] + [finest]
-    for cube in cubes:
+    finest = lattice.generations[-1][0]
+    cubes = np.flatnonzero(lattice.gen < 3).tolist() + [finest]
+    count = len(lattice.gen)
+    for cid in cubes:
         for density in (0.0, 0.1, 0.4, 1.0):
-            flagged = rng.uniform(size=len(lattice.cubes)) < density
-            got = lattice.maximal_subcubes(cube, flagged)
-            assert got.tolist() == sorted(_parent_walk(lattice, cube,
+            flagged = rng.uniform(size=count) < density
+            got = lattice.maximal_subcubes(cid, flagged)
+            assert got.tolist() == sorted(_parent_walk(lattice, cid,
                                                        flagged))
-    assert lattice.maximal_subcubes(finest, np.ones(len(lattice.cubes),
+    assert lattice.maximal_subcubes(finest, np.ones(count,
                                                     dtype=bool)).size == 0
-    root = lattice.cubes[0]
-    none = np.zeros(len(lattice.cubes), dtype=bool)
-    assert lattice.maximal_subcubes(root, none).size == 0
+    none = np.zeros(count, dtype=bool)
+    assert lattice.maximal_subcubes(0, none).size == 0
 
 
 def test_stopping_cubes_match_parent(lattice):
     rng = np.random.default_rng(22)
-    for cube in [c for c in lattice.cubes if c.gen < 3]:
+    for cid in np.flatnonzero(lattice.gen < 3).tolist():
+        mem = lattice.members(cid)
         for _ in range(6):
             bad = np.zeros(lattice.space.n, dtype=bool)
-            bad[cube.members] = rng.uniform(size=cube.members.size) < \
-                rng.uniform()
+            bad[mem] = rng.uniform(size=mem.size) < rng.uniform()
             lam = rng.uniform(0.05, 0.95)
             charged = lattice.cube_sums(bad) > lam * lattice.cube_masses
-            got = lattice.maximal_subcubes(cube, charged).tolist()
-            want = _parent_stopping_cubes(lattice, cube, bad, lam)
-            assert got == [c.cube_id for c in want]
+            got = lattice.maximal_subcubes(cid, charged).tolist()
+            want = _parent_stopping_cubes(lattice, cid, bad, lam)
+            assert got == want
 
 
 def _parent_augment(family, b):
@@ -282,26 +288,25 @@ def _parent_augment(family, b):
     cmu0 = lat.cmu0()
     means = lat.cube_means(b)
     ids = sorted(set(family.cube_ids),
-                 key=lambda cid: (lat.cube(cid).gen, lat.cube(cid).index))
+                 key=lambda cid: (lat.gen[cid], lat.index[cid]))
     present = set(ids)
     rows = []
     added_all = []
     queue = list(ids)
     while queue:
         cid = queue.pop(0)
-        cube = lat.cube(cid)
         b_q = means[cid]
-        osc = avg(lat.space, cube.members, b - b_q, 1.0)
+        osc = avg(lat.space, lat.members(cid), b - b_q, 1.0)
         budget = 2.0 * cmu0 * osc
         picked = []
-        stack = [lat.cube(c) for c in reversed(cube.children)]
+        stack = list(reversed(_children(lat, cid)))
         while stack:
             cand = stack.pop()
-            val = avg(sp, cand.members, b - b_q, 1.0)
+            val = avg(sp, lat.members(cand), b - b_q, 1.0)
             if val > budget:
-                picked.append(cand.cube_id)
+                picked.append(cand)
             else:
-                stack.extend(lat.cube(c) for c in reversed(cand.children))
+                stack.extend(reversed(_children(lat, cand)))
         fresh = [c for c in picked if c not in present]
         for c in fresh:
             present.add(c)
@@ -310,25 +315,24 @@ def _parent_augment(family, b):
         rows.append({"cube_id": cid, "osc": osc, "budget": budget,
                      "added": fresh})
     new_ids = sorted(present,
-                     key=lambda cid: (lat.cube(cid).gen,
-                                      lat.cube(cid).index))
+                     key=lambda cid: (lat.gen[cid], lat.index[cid]))
     augmented = select_witnesses(lat, new_ids, new_delta)
     oscs = {}
     for cid in new_ids:
-        oscs[cid] = avg(sp, lat.cube(cid).members, b - means[cid], 1.0)
+        oscs[cid] = avg(sp, lat.members(cid), b - means[cid], 1.0)
     empirical = 0.0
     vacuous = True
     ratio_by_cube = {}
     for cid in new_ids:
-        cube = lat.cube(cid)
-        inside = set(cube.members.tolist())
-        num = np.abs(b[cube.members] - means[cid])
+        mem = lat.members(cid)
+        inside = set(mem.tolist())
+        num = np.abs(b[mem] - means[cid])
         denom = np.zeros(sp.n)
         for other in new_ids:
-            oc = lat.cube(other)
-            if oc.gen >= cube.gen and int(oc.members[0]) in inside:
-                denom[oc.members] += oscs[other]
-        dvals = denom[cube.members]
+            oc = lat.members(other)
+            if lat.gen[other] >= lat.gen[cid] and int(oc[0]) in inside:
+                denom[oc] += oscs[other]
+        dvals = denom[mem]
         live = dvals > 0.0
         if np.any(num > 1e-14 * max(1.0, float(np.abs(b).max()))):
             vacuous = False
@@ -454,7 +458,7 @@ def _parent_luxemburg(space, members, f, phi, tol=1e-10):
 def _gauge_inputs(lattice):
     rng = np.random.default_rng(14)
     n = lattice.space.n
-    zero = lattice.cube(lattice.generations[1][0]).members
+    zero = lattice.members(lattice.generations[1][0])
     f = 3.0 * np.abs(rng.standard_normal(n))
     f[zero] = 0.0
     devs = np.abs(lattice.deviations(rng.standard_normal(n))) ** 2
@@ -466,9 +470,10 @@ def _gauge_inputs(lattice):
 def test_gauge_matches_scalar_bisection(lattice, phi):
     for f in _gauge_inputs(lattice):
         table = _table(lattice, f)
-        want = np.array([_parent_luxemburg(lattice.space, c.members,
-                                           table[c.gen], phi)
-                         for c in lattice.cubes])
+        want = np.array([_parent_luxemburg(lattice.space,
+                                           lattice.members(cid), table[k],
+                                           phi)
+                         for cid, k in enumerate(lattice.gen)])
         got = luxemburg_norm(lattice, f, phi)
         assert np.array_equal(got, want)
         assert np.any(got == 0.0) and np.any(got > 0.0)
@@ -479,13 +484,13 @@ def test_gauge_nan_and_infinite_cubes(lattice):
     f = np.abs(np.random.default_rng(15).standard_normal(n))
     f[0], f[n - 1] = math.nan, math.inf
     got = luxemburg_norm(lattice, f, young_llogl(1.0))
-    holds = np.zeros((2, len(lattice.cubes)), dtype=bool)
+    holds = np.zeros((2, len(lattice.gen)), dtype=bool)
     holds[0, lattice.point_to_cube[:, 0]] = True
     holds[1, lattice.point_to_cube[:, n - 1]] = True
     assert np.array_equal(np.isnan(got), holds[0])
     assert np.array_equal(got == math.inf, holds[1] & ~holds[0])
     clean = ~holds.any(axis=0)
-    want = [_parent_luxemburg(lattice.space, lattice.cube(cid).members, f,
+    want = [_parent_luxemburg(lattice.space, lattice.members(cid), f,
                               young_llogl(1.0))
             for cid in np.flatnonzero(clean)]
     assert np.array_equal(got[clean], want)

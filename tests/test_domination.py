@@ -52,12 +52,13 @@ def oracle_plain_rhs_m1(space, family, f, eta):
     for x in range(space.n):
         terms = []
         for cid in family.cube_ids:
-            cube = family.lattice.cube(cid)
-            if x not in cube.members:
+            mem = family.lattice.members(cid)
+            mass = family.lattice.mass.item(cid)
+            if x not in mem:
                 continue
             mean = math.fsum(abs(f[i]) * space.masses[i]
-                             for i in cube.members) / cube.mass
-            terms.append(cube.mass ** eta * mean)
+                             for i in mem) / mass
+            terms.append(mass ** eta * mean)
         out.append(math.fsum(terms))
     return np.array(out)
 
@@ -75,11 +76,10 @@ def oracle_rhs_m2_k10(space, family, fs, bs, eta):
     for x in range(space.n):
         terms = []
         for cid in family.cube_ids:
-            cube = family.lattice.cube(cid)
-            if x not in cube.members:
+            mem = family.lattice.members(cid)
+            if x not in mem:
                 continue
-            mem = cube.members
-            mass = cube.mass
+            mass = family.lattice.mass.item(cid)
             m1 = math.fsum(abs(f1[i]) * space.masses[i] for i in mem) / mass
             m2 = math.fsum(abs(f2[i]) * space.masses[i] for i in mem) / mass
             bq = math.fsum(b1[i] * space.masses[i] for i in mem) / mass
@@ -99,22 +99,21 @@ def oracle_augment_constant(lat, family_ids, b):
     oscs = {}
     bqs = {}
     for cid in family_ids:
-        mem = lat.cube(cid).members
-        bq = math.fsum(b[i] * sp.masses[i] for i in mem) / lat.cube(cid).mass
+        mem = lat.members(cid)
+        bq = math.fsum(b[i] * sp.masses[i] for i in mem) / lat.mass.item(cid)
         bqs[cid] = bq
         oscs[cid] = math.fsum(abs(b[i] - bq) * sp.masses[i]
-                              for i in mem) / lat.cube(cid).mass
+                              for i in mem) / lat.mass.item(cid)
     best = 0.0
     for cid in family_ids:
-        cube = lat.cube(cid)
-        inside = set(cube.members.tolist())
-        for x in cube.members:
+        inside = set(lat.members(cid).tolist())
+        for x in lat.members(cid):
             num = abs(b[x] - bqs[cid])
             den = math.fsum(
                 oscs[oth] for oth in family_ids
-                if lat.cube(oth).gen >= cube.gen
-                and int(lat.cube(oth).members[0]) in inside
-                and x in lat.cube(oth).members)
+                if lat.gen[oth] >= lat.gen[cid]
+                and int(lat.members(oth)[0]) in inside
+                and x in lat.members(oth))
             if den > 0:
                 best = max(best, num / den)
             else:
@@ -223,9 +222,9 @@ def test_indicator_certificate_frozen_shape(grid16):
     fam = cert.families[0]
     # root cube plus one stopping chain landing on the peak
     assert len(fam.cube_ids) == 2
-    gens = sorted(fam.lattice.cube(c).gen for c in fam.cube_ids)
+    gens = sorted(fam.lattice.gen[fam.cube_ids].tolist())
     assert gens[0] == 0
-    assert 5 in fam.lattice.cube(fam.cube_ids[-1]).members
+    assert 5 in fam.lattice.members(fam.cube_ids[-1])
     assert cert.alpha == 16.0
     assert cert.constant == pytest.approx(2.309401076758503, rel=1e-9)
 
@@ -311,16 +310,15 @@ def test_truncation_is_order_versus_depth(n, k, tau_ell, expect):
 
 def maximal_family_children(fam, cid):
     lat = fam.lattice
-    cube = lat.cube(cid)
-    inside = set(cube.members.tolist())
+    inside = set(lat.members(cid).tolist())
     strict = [c for c in fam.cube_ids
-              if c != cid and lat.cube(c).gen > cube.gen
-              and int(lat.cube(c).members[0]) in inside]
+              if c != cid and lat.gen[c] > lat.gen[cid]
+              and int(lat.members(c)[0]) in inside]
     out = []
     for c in strict:
-        has_mid = any(o != c and lat.cube(o).gen < lat.cube(c).gen
-                      and int(lat.cube(c).members[0])
-                      in set(lat.cube(o).members.tolist())
+        has_mid = any(o != c and lat.gen[o] < lat.gen[c]
+                      and int(lat.members(c)[0])
+                      in set(lat.members(o).tolist())
                       for o in strict)
         if not has_mid:
             out.append(c)
@@ -337,14 +335,14 @@ def test_stopping_budget_every_stage(grid32):
         cert = cz_construct(sp, systems, [f], [np.zeros(32)], pair, eta=0.5)
         fam = cert.families[0]
         assert verify_sparse(fam).ok
+        lat = fam.lattice
         for cid in fam.cube_ids:
-            cube = fam.lattice.cube(cid)
             kids = maximal_family_children(fam, cid)
-            eaten = math.fsum(fam.lattice.cube(c).mass for c in kids)
-            assert eaten <= 0.5 * cube.mass * (1 + 1e-12)
+            eaten = math.fsum(lat.mass[kids].tolist())
+            assert eaten <= 0.5 * lat.mass.item(cid) * (1 + 1e-12)
             expect = np.setdiff1d(
-                cube.members,
-                np.concatenate([fam.lattice.cube(c).members
+                lat.members(cid),
+                np.concatenate([lat.members(c)
                                 for c in kids]) if kids else np.array([], int))
             assert np.array_equal(fam.witnesses[cid], expect)
 
@@ -475,7 +473,7 @@ def test_coverage_single_point():
 def chain_family(n=16, delta=0.5):
     lat = build_standard_lattice(build_grid_space(n))
     from sparselab.dyadic import select_witnesses
-    chain = [lat.cube_containing(k, 0).cube_id for k in range(lat.depth + 1)]
+    chain = lat.point_to_cube[:, 0].tolist()
     return select_witnesses(lat, chain, delta)
 
 
@@ -483,8 +481,8 @@ def test_augment_constant_symbol_vacuous():
     fam = chain_family()
     out, table = augment_sparse(fam, np.full(16, 3.25))
     assert out.cube_ids == sorted(
-        fam.cube_ids, key=lambda c: (fam.lattice.cube(c).gen,
-                                     fam.lattice.cube(c).index))
+        fam.cube_ids, key=lambda c: (fam.lattice.gen[c],
+                                     fam.lattice.index[c]))
     assert table["empirical_c"] == 0.0
     assert table["vacuous"]
     assert table["added"] == []
@@ -494,11 +492,10 @@ def test_augment_constant_symbol_vacuous():
 def test_augment_single_cube_two_point_symmetry():
     sp = build_grid_space(2)
     lat = build_standard_lattice(sp)
-    root = lat.cubes_at(0)[0]
-    fam = SparseFamily(lat, [root.cube_id],
-                       {root.cube_id: root.members}, 1.0)
+    root = lat.generations[0][0]
+    fam = SparseFamily(lat, [root], {root: lat.members(root)}, 1.0)
     out, table = augment_sparse(fam, np.array([3.0, 5.0]))
-    assert out.cube_ids == [root.cube_id]
+    assert out.cube_ids == [root]
     assert abs(table["empirical_c"] - 1.0) < 1e-14
     assert not table["vacuous"]
 
@@ -537,11 +534,11 @@ def test_augment_budget_respected(grid32):
     out, table = augment_sparse(fam, b)
     lat = fam.lattice
     for row in table["rows"]:
-        cube = lat.cube(row["cube_id"])
-        bq = float(np.dot(b[cube.members], sp.masses[cube.members])
-                   / cube.mass)
+        mem = lat.members(row["cube_id"])
+        bq = float(np.dot(b[mem], sp.masses[mem])
+                   / lat.mass.item(row["cube_id"]))
         for added in row["added"]:
-            got = avg(sp, lat.cube(added).members, b - bq, 1.0)
+            got = avg(sp, lat.members(added), b - bq, 1.0)
             assert got > row["budget"]
 
 
@@ -557,27 +554,25 @@ def test_augment_pointwise_oscillation_bound(grid32):
     lat = out.lattice
     c_emp = table["empirical_c"]
     for cid in out.cube_ids:
-        cube = lat.cube(cid)
-        inside = set(cube.members.tolist())
-        bq = float(np.dot(b[cube.members], sp.masses[cube.members])
-                   / cube.mass)
+        mem = lat.members(cid)
+        inside = set(mem.tolist())
+        bq = float(np.dot(b[mem], sp.masses[mem]) / lat.mass.item(cid))
         denom = np.zeros(sp.n)
         for oth in out.cube_ids:
-            oc = lat.cube(oth)
-            if oc.gen >= cube.gen and int(oc.members[0]) in inside:
-                denom[oc.members] += avg(
-                    sp, oc.members,
-                    b - float(np.dot(b[oc.members], sp.masses[oc.members])
-                              / oc.mass), 1.0)
-        for x in cube.members:
+            other = lat.members(oth)
+            if lat.gen[oth] >= lat.gen[cid] and int(other[0]) in inside:
+                denom[other] += avg(
+                    sp, other,
+                    b - float(np.dot(b[other], sp.masses[other])
+                              / lat.mass.item(oth)), 1.0)
+        for x in mem:
             assert abs(b[x] - bq) <= c_emp * denom[x] * (1 + 1e-9)
 
 
 def test_augment_infeasible_reselection_errors():
     lat = build_standard_lattice(build_grid_space(8))
-    every = [c.cube_id for c in lat.cubes]
-    fam = SparseFamily(lat, every, {c: lat.cube(c).members for c in every},
-                       0.5)
+    every = list(range(len(lat.gen)))
+    fam = SparseFamily(lat, every, {c: lat.members(c) for c in every}, 0.5)
     with pytest.raises(WitnessSelectionError):
         augment_sparse(fam, np.arange(8.0))
 

@@ -16,7 +16,6 @@ from sparselab.dyadic import (
     STANDARD_BIG_A1,
     STANDARD_DELTA,
     CoverError,
-    Cube,
     DyadicLattice,
     LatticeError,
     WitnessSelectionError,
@@ -36,8 +35,8 @@ from sparselab.space import build_explicit_space, build_grid_space
 def oracle_c_adj(space, lattices):
     """Brute-force covering scan over every realized ball and every cube,
     with membership as boolean rows."""
-    inside = np.array([np.isin(np.arange(space.n), cube.members)
-                       for lat in lattices for cube in lat.cubes])
+    inside = np.array([np.isin(np.arange(space.n), lat.members(cid))
+                       for lat in lattices for cid in range(len(lat.gen))])
     worst = 1.0
     for x in range(space.n):
         reach = np.where(inside, space.metric[x], -np.inf).max(axis=1)
@@ -49,25 +48,28 @@ def oracle_c_adj(space, lattices):
 
 
 def cube_sets(systems):
-    """(system, cube, member set) of every cube of every lattice."""
-    return [(lat.system, cube, set(cube.members.tolist()))
-            for lat in systems.lattices for cube in lat.cubes]
+    """(system, gen, index, cube id, mass, member set) of every cube of
+    every lattice."""
+    return [(lat.system, lat.gen.item(cid), lat.index.item(cid), cid,
+             lat.mass.item(cid), set(lat.members(cid).tolist()))
+            for lat in systems.lattices for cid in range(len(lat.gen))]
 
 
 def parent_adjacent_cover(systems, ball, cubes=None):
     """The set-based adjacent_cover the cube-layer version replaced;
-    cubes, when given, is cube_sets(systems)."""
+    cubes, when given, is cube_sets(systems).  Returns (system, cube
+    id)."""
     sp = systems.space
     x = ball.center
     want = set(ball.members.tolist())
     dilated = sp.ball(x, systems.c_adj * ball.radius)
     allowed = set(dilated.members.tolist())
     best = None
-    for system, cube, mem in cubes or cube_sets(systems):
+    for system, k, index, cid, mass, mem in cubes or cube_sets(systems):
         if want <= mem and mem <= allowed:
-            key = (cube.mass, system, cube.gen, cube.index)
+            key = (mass, system, k, index)
             if best is None or key < best[0]:
-                best = (key, system, cube)
+                best = (key, system, cid)
     if best is None:
         raise CoverError(f"no cube covers ball B({x}, {ball.radius}) "
                          "within the dilation bound", ball=ball)
@@ -83,8 +85,8 @@ def parent_random_sparse_family(lattice, rng, delta=0.5):
     stack = [root]
     while stack:
         cid = stack.pop()
-        cube = lattice.cube(cid)
-        if not cube.children:
+        children = np.flatnonzero(lattice.parent == cid).tolist()
+        if not children:
             if rng.uniform() < 0.5:
                 ids.append(cid)
             continue
@@ -93,9 +95,9 @@ def parent_random_sparse_family(lattice, rng, delta=0.5):
             ids.append(cid)
         elif roll < 0.55:
             ids.append(cid)
-            stack.extend(reversed(cube.children))
+            stack.extend(reversed(children))
         else:
-            stack.extend(reversed(cube.children))
+            stack.extend(reversed(children))
     if not ids:
         ids = [root]
     ids = sorted(set(ids))
@@ -114,39 +116,41 @@ def parent_random_sparse_family(lattice, rng, delta=0.5):
 def reference_finish(lat, gen_members, centers):
     """The per-cube _finish the generation passes replaced: one mass,
     partition and nesting check per cube.  Returns the reference
-    records: point_to_cube, cube_masses, generations and one Cube each."""
+    records: point_to_cube, cube_masses, generations and one tuple
+    (system, gen, index, members, center, cube id, mass, parent, children)
+    per cube, parent None at generation 0."""
     n = lat.space.n
     point_to_cube = np.full((len(gen_members), n), -1, dtype=np.intp)
-    cubes, generations = [], []
+    fields, generations = [], []
     for k, blocks in enumerate(gen_members):
         ids = []
         for idx, members in enumerate(blocks):
             members = np.asarray(members, dtype=np.intp)
-            cube = Cube(
-                system=lat.system, gen=k, index=idx, members=members,
-                center=int(centers[k][idx]), cube_id=len(cubes),
-                mass=lat.space.mass_of(members), lat=lat,
-            )
-            cubes.append(cube)
-            ids.append(cube.cube_id)
+            cid = len(fields)
+            fields.append((lat.system, k, idx, members, int(centers[k][idx]),
+                           cid, lat.space.mass_of(members)))
+            ids.append(cid)
             if np.any(point_to_cube[k, members] != -1):
                 raise LatticeError(f"generation {k} does not partition")
-            point_to_cube[k, members] = cube.cube_id
+            point_to_cube[k, members] = cid
         if np.any(point_to_cube[k] == -1):
             raise LatticeError(f"generation {k} does not cover the space")
         generations.append(ids)
     cube_masses = np.bincount(
         point_to_cube.ravel(),
         np.broadcast_to(lat.space.masses, point_to_cube.shape).ravel(),
-        minlength=len(cubes))
+        minlength=len(fields))
+    parents = [None] * len(fields)
+    children = [[] for _ in fields]
     for k in range(1, len(gen_members)):
         for cid in generations[k]:
-            cube = cubes[cid]
-            parent = int(point_to_cube[k - 1, cube.members[0]])
-            if not np.all(point_to_cube[k - 1, cube.members] == parent):
+            members = fields[cid][3]
+            parent = int(point_to_cube[k - 1, members[0]])
+            if not np.all(point_to_cube[k - 1, members] == parent):
                 raise LatticeError(f"cube {cid} at generation {k} is not nested")
-            cube.parent = parent
-            cubes[parent].children.append(cid)
+            parents[cid] = parent
+            children[parent].append(cid)
+    cubes = [(*f, p, c) for f, p, c in zip(fields, parents, children)]
     return SimpleNamespace(point_to_cube=point_to_cube,
                            cube_masses=cube_masses,
                            generations=generations, cubes=cubes)
@@ -154,10 +158,11 @@ def reference_finish(lat, gen_members, centers):
 
 def reference_json(lat, want):
     """The per-cube lattice JSON dump, read from reference records."""
-    cubes = [{"id": c.cube_id, "system": c.system, "gen": c.gen,
-              "index": c.index, "center": c.center,
-              "members": c.members.tolist(), "parent": c.parent,
-              "mass": c.mass} for c in want.cubes]
+    cubes = [{"id": cid, "system": system, "gen": k, "index": index,
+              "center": center, "members": members.tolist(),
+              "parent": parent, "mass": mass}
+             for system, k, index, members, center, cid, mass, parent, _
+             in want.cubes]
     return json.dumps({"system": lat.system, "delta": lat.delta,
                        "a1": lat.a1, "A1": lat.big_a1,
                        "depth": len(want.generations) - 1, "cubes": cubes},
@@ -191,22 +196,29 @@ def reference_standard_lattice(space, shift=0):
 
 
 def assert_same_lattice(got, want):
-    """A lattice's arrays and cube views against reference records."""
+    """A lattice's arrays against reference records, cube by cube id."""
     assert [list(ids) for ids in got.generations] == want.generations
     for name in ("point_to_cube", "cube_masses"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert len(got.cubes) == len(want.cubes)
-    for a, b in zip(got.cubes, want.cubes):
-        assert a.members.dtype == b.members.dtype
-        assert np.array_equal(a.members, b.members)
-        assert type(a.center) is int and a.center == b.center
-        assert type(a.mass) is float and repr(a.mass) == repr(b.mass)
-        assert (a.system, a.gen, a.index, a.cube_id, a.parent, a.children) \
-            == (b.system, b.gen, b.index, b.cube_id, b.parent, b.children)
-        assert all(type(v) is int for v in (a.system, a.gen, a.index,
-                                             a.cube_id, *a.children))
-        assert a.lat is got
+    for name in ("gen", "index", "center", "parent"):
+        assert getattr(got, name).dtype == np.intp, name
+    assert got.mass.dtype == np.float64
+    assert type(got.system) is int
+    assert len(got.gen) == len(want.cubes)
+    for cid, (system, k, index, members, center, cube_id, mass, parent,
+              children) in enumerate(want.cubes):
+        got_members = got.members(cid)
+        assert got_members.dtype == members.dtype
+        assert np.array_equal(got_members, members)
+        assert got.center[cid] == center
+        assert repr(got.mass.item(cid)) == repr(mass)
+        got_parent = got.parent.item(cid)
+        got_children = got._children[
+            got._child_start[cid]:got._child_start[cid + 1]].tolist()
+        assert (got.system, got.gen[cid], got.index[cid], cid,
+                None if got_parent < 0 else got_parent, got_children) \
+            == (system, k, index, cube_id, parent, children)
 
 
 def _lattice_masses(n, kind):
@@ -291,15 +303,39 @@ class TestStandardLatticeReference:
             reference_json(got, want)
 
 
+def _plane_space(n, seed):
+    """n seeded points of the unit square, lognormal masses."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(n, 2))
+    metric = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+    return build_explicit_space(metric, rng.lognormal(0.0, 1.0, size=n))
+
+
+def test_members_are_the_points_labelled_with_the_cube():
+    grid = build_grid_space(64)
+    lattices = [build_standard_lattice(grid),
+                *build_shifted_adjacent(grid, 3).lattices,
+                build_hk_lattice(_plane_space(24, 22), 0.5)]
+    assert len(lattices) == 5
+    for lat in lattices:
+        for cid, k in enumerate(lat.gen.tolist()):
+            got = lat.members(cid)
+            assert np.array_equal(
+                got, lat.member_table[k, lat.start[cid]:lat.stop[cid]])
+            assert got.dtype == np.intp
+            assert np.array_equal(
+                got, np.flatnonzero(lat.point_to_cube[k] == cid))
+
+
 class TestStandardLattice:
     def test_n8_cube_count(self):
         lat = build_standard_lattice(build_grid_space(8))
-        assert len(lat.cubes) == 15
+        assert len(lat.gen) == 15
         assert lat.depth == 3
 
     def test_n8_generations(self):
         lat = build_standard_lattice(build_grid_space(8))
-        mems = [[c.members.tolist() for c in lat.cubes_at(k)]
+        mems = [[lat.members(cid).tolist() for cid in lat.generations[k]]
                 for k in range(4)]
         assert mems[0] == [[0, 1, 2, 3, 4, 5, 6, 7]]
         assert mems[1] == [[0, 1, 2, 3], [4, 5, 6, 7]]
@@ -308,19 +344,19 @@ class TestStandardLattice:
 
     def test_n8_centers(self):
         lat = build_standard_lattice(build_grid_space(8))
-        assert lat.cubes_at(0)[0].center == 3
-        assert [c.center for c in lat.cubes_at(1)] == [1, 5]
-        assert [c.center for c in lat.cubes_at(2)] == [0, 2, 4, 6]
+        assert lat.center[lat.generations[0][0]] == 3
+        assert lat.center[lat.generations[1]].tolist() == [1, 5]
+        assert lat.center[lat.generations[2]].tolist() == [0, 2, 4, 6]
 
     def test_parent_child_links(self):
         lat = build_standard_lattice(build_grid_space(8))
-        root = lat.cubes_at(0)[0]
-        assert root.parent is None
-        for c in lat.cubes_at(1):
-            assert c.parent == root.cube_id
-        kid = lat.cubes_at(2)[3]
-        assert kid.members.tolist() == [6, 7]
-        assert lat.cube(kid.parent).members.tolist() == [4, 5, 6, 7]
+        root = lat.generations[0][0]
+        assert lat.parent[root] == -1
+        for cid in lat.generations[1]:
+            assert lat.parent[cid] == root
+        kid = lat.generations[2][3]
+        assert lat.members(kid).tolist() == [6, 7]
+        assert lat.members(lat.parent[kid]).tolist() == [4, 5, 6, 7]
 
     def test_cmu0_uniform_n8(self):
         lat = build_standard_lattice(build_grid_space(8))
@@ -341,15 +377,15 @@ class TestStandardLattice:
         lat = build_standard_lattice(build_grid_space(n))
         lat.check_invariants()
         for k, ids in enumerate(lat.generations):
-            assert sum(lat.cube(cid).mass for cid in ids) == float(n)
+            assert sum(lat.mass.item(cid) for cid in ids) == float(n)
             covered = np.zeros(n, dtype=int)
             for cid in ids:
-                covered[lat.cube(cid).members] += 1
+                covered[lat.members(cid)] += 1
             assert np.all(covered == 1)
-        for cube in lat.cubes:
-            if cube.parent is not None:
-                pm = set(lat.cube(cube.parent).members.tolist())
-                assert set(cube.members.tolist()) <= pm
+        for cid, parent in enumerate(lat.parent.tolist()):
+            if parent >= 0:
+                pm = set(lat.members(parent).tolist())
+                assert set(lat.members(cid).tolist()) <= pm
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_containment_sandwich(self, n):
@@ -360,10 +396,10 @@ class TestStandardLattice:
     def test_effective_radii_sandwich(self):
         lat = build_standard_lattice(build_grid_space(16))
         sp = lat.space
-        for cube in lat.cubes:
-            mem = set(cube.members.tolist())
-            core = sp.ball(cube.center, cube.core_radius)
-            outer = sp.ball(cube.center, cube.containment_radius)
+        for cid, center in enumerate(lat.center.tolist()):
+            mem = set(lat.members(cid).tolist())
+            core = sp.ball(center, lat.core_radius(cid))
+            outer = sp.ball(center, lat.containment_radius(cid))
             assert set(core.members.tolist()) <= mem
             assert mem <= set(outer.members.tolist())
 
@@ -379,15 +415,15 @@ class TestShiftedAdjacent:
     def test_n8_shift2_generation1(self):
         systems = build_shifted_adjacent(build_grid_space(8), 3)
         lat = systems.lattices[1]
-        mems = [c.members.tolist() for c in lat.cubes_at(1)]
+        mems = [lat.members(cid).tolist() for cid in lat.generations[1]]
         assert mems == [[0, 1], [2, 3, 4, 5], [6, 7]]
 
     def test_gen0_always_whole_space(self):
         systems = build_shifted_adjacent(build_grid_space(8), 3)
         for lat in systems.lattices:
-            gen0 = lat.cubes_at(0)
+            gen0 = lat.generations[0]
             assert len(gen0) == 1
-            assert gen0[0].members.tolist() == list(range(8))
+            assert lat.members(gen0[0]).tolist() == list(range(8))
 
     def test_c_adj_frozen_n8(self):
         sp = build_grid_space(8)
@@ -414,8 +450,9 @@ class TestShiftedAdjacent:
         no_root = DyadicLattice(sp, 0, STANDARD_DELTA, STANDARD_A1,
                                 STANDARD_BIG_A1)
         no_root._finish(
-            [[c.members for c in lat.cubes_at(k)] for k in range(1, 4)],
-            [[c.center for c in lat.cubes_at(k)] for k in range(1, 4)])
+            [[lat.members(cid) for cid in lat.generations[k]]
+             for k in range(1, 4)],
+            [lat.center[lat.generations[k]].tolist() for k in range(1, 4)])
         with pytest.raises(CoverError, match=r"B\(0, 0.5\)") as err:
             _compute_c_adj(sp, [no_root])
         assert err.value.ball.radius == 0.5
@@ -426,31 +463,32 @@ class TestShiftedAdjacent:
         systems = build_shifted_adjacent(sp, 3)
         ball = sp.ball(3, 1 / 8)
         assert ball.members.tolist() == [2, 3, 4]
-        sys_idx, cube = adjacent_cover(systems, ball)
-        assert cube.mass <= 4.0
-        assert set(ball.members.tolist()) <= set(cube.members.tolist())
-        assert cube.members.tolist() == [2, 3, 4, 5]
-        assert sys_idx == 1
+        lat, cid = adjacent_cover(systems, ball)
+        assert lat is systems.lattices[1]
+        assert lat.mass[cid] <= 4.0
+        assert set(ball.members.tolist()) <= set(lat.members(cid).tolist())
+        assert lat.members(cid).tolist() == [2, 3, 4, 5]
+        assert lat.system == 1
 
     def test_cover_nonrealized_radius(self):
         sp = build_grid_space(8)
         systems = build_shifted_adjacent(sp, 3)
-        _, cube = adjacent_cover(systems, sp.ball(3, 0.13))
-        assert cube.members.tolist() == [2, 3, 4, 5]
+        lat, cid = adjacent_cover(systems, sp.ball(3, 0.13))
+        assert lat.members(cid).tolist() == [2, 3, 4, 5]
 
     def test_cover_whole_space(self):
         sp = build_grid_space(8)
         systems = build_shifted_adjacent(sp, 3)
-        sys_idx, cube = adjacent_cover(systems, sp.ball(3, 1.0))
-        assert sys_idx == 0
-        assert cube.gen == 0
+        lat, cid = adjacent_cover(systems, sp.ball(3, 1.0))
+        assert lat.system == 0
+        assert lat.gen[cid] == 0
 
     def test_cover_radius_zero(self):
         sp = build_grid_space(8)
         systems = build_shifted_adjacent(sp, 3)
-        sys_idx, cube = adjacent_cover(systems, sp.ball(5, 0.0))
-        assert cube.members.tolist() == [5]
-        assert sys_idx == 0
+        lat, cid = adjacent_cover(systems, sp.ball(5, 0.0))
+        assert lat.members(cid).tolist() == [5]
+        assert lat.system == 0
 
     def test_cover_matches_parent_on_every_ball(self):
         masses = np.random.default_rng(5).integers(1, 5, 32).astype(float)
@@ -460,9 +498,10 @@ class TestShiftedAdjacent:
             _, radii, _ = sp.balls(x)
             for r in radii:
                 ball = sp.ball(x, float(r))
-                sys_idx, cube = adjacent_cover(systems, ball)
-                want_idx, want = parent_adjacent_cover(systems, ball)
-                assert (sys_idx, cube.cube_id) == (want_idx, want.cube_id)
+                lat, cid = adjacent_cover(systems, ball)
+                assert any(lat is other for other in systems.lattices)
+                assert (lat.system, cid) == parent_adjacent_cover(systems,
+                                                                  ball)
 
     @pytest.mark.parametrize("shifts", [3, 4])
     def test_cover_matches_parent_on_every_ball_n64(self, shifts):
@@ -474,9 +513,10 @@ class TestShiftedAdjacent:
             _, radii, _ = sp.balls(x)
             for r in radii:
                 ball = sp.ball(x, float(r))
-                sys_idx, cube = adjacent_cover(systems, ball)
-                want_idx, want = parent_adjacent_cover(systems, ball, cubes)
-                assert (sys_idx, cube.cube_id) == (want_idx, want.cube_id)
+                lat, cid = adjacent_cover(systems, ball)
+                assert lat is systems.lattices[lat.system]
+                assert (lat.system, cid) == parent_adjacent_cover(
+                    systems, ball, cubes)
 
     def test_cover_error_within_dilation(self):
         masses = np.random.default_rng(5).integers(1, 5, 32).astype(float)
@@ -494,10 +534,9 @@ class TestShiftedAdjacent:
         sp = build_grid_space(2)
         systems = build_shifted_adjacent(sp, 2)
         assert systems.count == 2
-        base = [[c.members.tolist() for c in systems.lattices[0].cubes_at(k)]
-                for k in range(2)]
-        other = [[c.members.tolist() for c in systems.lattices[1].cubes_at(k)]
-                 for k in range(2)]
+        base, other = ([[lat.members(cid).tolist()
+                          for cid in lat.generations[k]] for k in range(2)]
+                       for lat in systems.lattices)
         assert base == other
 
     def test_single_point_space(self):
@@ -533,7 +572,7 @@ class TestNetLattice:
     def test_n16_frozen_generations(self):
         lat = build_hk_lattice(build_grid_space(16), 0.5)
         assert lat.depth == 4
-        mems = [[c.members.tolist() for c in lat.cubes_at(k)]
+        mems = [[lat.members(cid).tolist() for cid in lat.generations[k]]
                 for k in range(5)]
         assert mems[0] == [list(range(16))]
         assert mems[1] == [list(range(9)), list(range(9, 16))]
@@ -542,7 +581,7 @@ class TestNetLattice:
         assert mems[3] == [[0, 1], [2, 3, 4], [5, 6], [7, 8],
                            [9, 10], [11, 12], [13, 14], [15]]
         assert mems[4] == [[i] for i in range(16)]
-        assert [c.center for c in lat.cubes_at(2)] == [0, 7, 11, 15]
+        assert lat.center[lat.generations[2]].tolist() == [0, 7, 11, 15]
 
     def test_n16_containment_passes(self):
         lat = build_hk_lattice(build_grid_space(16), 0.5)
@@ -554,7 +593,7 @@ class TestNetLattice:
     def test_base_point_is_center_everywhere(self):
         lat = build_hk_lattice(build_grid_space(16), 0.5)
         for k in range(lat.depth + 1):
-            assert lat.cube_containing(k, 0).center == 0
+            assert lat.center[lat.point_to_cube[k, 0]] == 0
 
     def test_invariants_n16(self):
         lat = build_hk_lattice(build_grid_space(16), 0.5)
@@ -564,8 +603,8 @@ class TestNetLattice:
         sp = build_explicit_space([[0.0]], [2.0])
         lat = build_hk_lattice(sp, 0.5)
         assert lat.depth == 0
-        assert len(lat.cubes) == 1
-        assert lat.cubes[0].mass == 2.0
+        assert len(lat.gen) == 1
+        assert lat.mass[0] == 2.0
 
     def test_faithful_mode_bounds(self):
         sp = build_grid_space(8)
@@ -595,13 +634,12 @@ class TestNetLattice:
         report = lat.containment_report()
         assert isinstance(report["all_pass"], bool)
         for k in range(lat.depth + 1):
-            assert lat.cube_containing(k, 0).center == 0
+            assert lat.center[lat.point_to_cube[k, 0]] == 0
 
 
 class TestWitnessSelection:
     def _chain(self, lat):
-        return [lat.cube_containing(k, 0).cube_id
-                for k in range(lat.depth + 1)]
+        return lat.point_to_cube[:, 0].tolist()
 
     def test_chain_tight_at_half(self):
         lat = build_standard_lattice(build_grid_space(8))
@@ -609,31 +647,30 @@ class TestWitnessSelection:
         fam = select_witnesses(lat, chain, 0.5)
         report = verify_sparse(fam)
         assert report.ok, report.violations
-        root = lat.cubes_at(0)[0]
-        assert sorted(fam.witnesses[root.cube_id].tolist()) == [4, 5, 6, 7]
-        assert lat.space.mass_of(fam.witnesses[root.cube_id]) == \
-            0.5 * root.mass
+        root = lat.generations[0][0]
+        assert sorted(fam.witnesses[root].tolist()) == [4, 5, 6, 7]
+        assert lat.space.mass_of(fam.witnesses[root]) == \
+            0.5 * lat.mass[root]
 
     def test_chain_fails_above_half(self):
         lat = build_standard_lattice(build_grid_space(8))
         chain = self._chain(lat)
         with pytest.raises(WitnessSelectionError) as err:
             select_witnesses(lat, chain, 0.5 + 1e-6)
-        starved = lat.cube(err.value.cube_id)
-        assert starved.members.tolist() == [0, 1]
+        assert lat.members(err.value.cube_id).tolist() == [0, 1]
 
     def test_antichain_full_delta(self):
         lat = build_standard_lattice(build_grid_space(8))
-        ids = [c.cube_id for c in lat.cubes_at(2)]
+        ids = list(lat.generations[2])
         fam = select_witnesses(lat, ids, 1.0)
         assert verify_sparse(fam).ok
         for cid in ids:
             assert fam.witnesses[cid].tolist() == \
-                lat.cube(cid).members.tolist()
+                lat.members(cid).tolist()
 
     def test_full_lattice_infeasible(self):
         lat = build_standard_lattice(build_grid_space(8))
-        ids = [c.cube_id for c in lat.cubes]
+        ids = list(range(len(lat.gen)))
         with pytest.raises(WitnessSelectionError):
             select_witnesses(lat, ids, 0.25)
 
@@ -641,11 +678,11 @@ class TestWitnessSelection:
     def test_delta_outside_unit_interval(self, delta):
         lat = build_standard_lattice(build_grid_space(8))
         with pytest.raises(WitnessSelectionError, match=r"\(0, 1\]"):
-            select_witnesses(lat, [lat.cubes_at(2)[0].cube_id], delta)
+            select_witnesses(lat, [lat.generations[2][0]], delta)
 
     def test_repeated_cube_id_is_named(self):
         lat = build_standard_lattice(build_grid_space(8))
-        ids = [c.cube_id for c in lat.cubes_at(2)]
+        ids = list(lat.generations[2])
         with pytest.raises(WitnessSelectionError,
                            match=f"cube {ids[1]} is listed twice") as err:
             select_witnesses(lat, [ids[0], ids[1], ids[2], ids[1]], 0.5)
@@ -653,7 +690,7 @@ class TestWitnessSelection:
 
     def test_verify_catches_overlap(self):
         lat = build_standard_lattice(build_grid_space(8))
-        ids = [c.cube_id for c in lat.cubes_at(2)]
+        ids = list(lat.generations[2])
         fam = select_witnesses(lat, ids, 0.5)
         fam.witnesses[ids[1]] = np.array([0, 2])  # 0 belongs to cube ids[0]
         report = verify_sparse(fam)
@@ -661,10 +698,21 @@ class TestWitnessSelection:
         reasons = {v["reason"] for v in report.violations}
         assert "witness not inside cube" in reasons
 
+    def test_verify_catches_negative_witness_ids(self):
+        # -1 and -2 must not read as the last points, 7 and 6, which lie
+        # in the cube
+        lat = build_standard_lattice(build_grid_space(8))
+        cid = lat.generations[1][1]
+        fam = select_witnesses(lat, [cid], 0.5)
+        fam.witnesses[cid] = np.array([-1, -2])
+        report = verify_sparse(fam)
+        assert {"cube_id": cid, "reason": "witness not inside cube"} in \
+            report.violations
+
     def test_verify_catches_shared_points(self):
         lat = build_standard_lattice(build_grid_space(8))
-        gen1 = [c.cube_id for c in lat.cubes_at(1)]
-        root = lat.cubes_at(0)[0].cube_id
+        gen1 = list(lat.generations[1])
+        root = lat.generations[0][0]
         fam = select_witnesses(lat, gen1, 1.0)
         fam.cube_ids.append(root)
         fam.witnesses[root] = np.array([0, 1, 2, 3])
@@ -675,7 +723,7 @@ class TestWitnessSelection:
 
     def test_verify_catches_mass_deficit(self):
         lat = build_standard_lattice(build_grid_space(8))
-        ids = [c.cube_id for c in lat.cubes_at(1)]
+        ids = list(lat.generations[1])
         fam = select_witnesses(lat, ids, 0.5)
         fam.witnesses[ids[0]] = np.array([0])  # mass 1 < 0.5 * 4
         report = verify_sparse(fam)
@@ -685,7 +733,7 @@ class TestWitnessSelection:
 
     def test_verify_missing_witness(self):
         lat = build_standard_lattice(build_grid_space(8))
-        ids = [c.cube_id for c in lat.cubes_at(1)]
+        ids = list(lat.generations[1])
         fam = select_witnesses(lat, ids, 0.5)
         del fam.witnesses[ids[0]]
         report = verify_sparse(fam)
@@ -697,7 +745,7 @@ class TestWitnessSelection:
     @given(st.data())
     def test_selection_coherent_with_verify(self, data):
         lat = build_standard_lattice(build_grid_space(16))
-        n_cubes = len(lat.cubes)
+        n_cubes = len(lat.gen)
         ids = data.draw(st.lists(st.integers(0, n_cubes - 1), min_size=1,
                                  max_size=12, unique=True))
         delta = data.draw(st.sampled_from([0.1, 0.3, 0.5]))
@@ -734,7 +782,7 @@ class TestWitnessSelection:
 class TestSerialization:
     def test_json_roundtrip(self):
         lat = build_standard_lattice(build_grid_space(4))
-        ids = [c.cube_id for c in lat.cubes_at(1)]
+        ids = list(lat.generations[1])
         fam = select_witnesses(lat, ids, 1.0)
         blob = json.dumps(lattice_to_descriptor(lat, fam), sort_keys=True)
         assert blob == blob.encode("ascii").decode("ascii")
@@ -754,13 +802,16 @@ class TestSerialization:
         lat = build(build_grid_space(32, masses))
         fam = random_sparse_family(lat, np.random.default_rng(5))
         cubes = []
-        for c in lat.cubes:
-            entry = {"id": c.cube_id, "system": c.system, "gen": c.gen,
-                     "index": c.index, "center": c.center,
-                     "members": c.members.tolist(), "parent": c.parent,
-                     "mass": c.mass}
-            if c.cube_id in fam.witnesses:
-                entry["witness"] = fam.witnesses[c.cube_id].tolist()
+        for cid in range(len(lat.gen)):
+            parent = lat.parent.item(cid)
+            entry = {"id": cid, "system": lat.system,
+                     "gen": lat.gen.item(cid), "index": lat.index.item(cid),
+                     "center": lat.center.item(cid),
+                     "members": lat.members(cid).tolist(),
+                     "parent": None if parent < 0 else parent,
+                     "mass": lat.mass.item(cid)}
+            if cid in fam.witnesses:
+                entry["witness"] = fam.witnesses[cid].tolist()
             cubes.append(entry)
         doc = lattice_to_descriptor(lat, fam)
         assert doc["cubes"] == cubes
@@ -789,5 +840,6 @@ def test_net_lattice_axioms_property(seed, n):
     sp = build_explicit_space(metric, np.exp(rng.uniform(-1, 1, size=n)))
     lat = build_hk_lattice(sp, 0.5)
     lat.check_invariants()
-    finest = lat.cubes_at(lat.depth)
-    assert sorted(c.members.tolist()[0] for c in finest) == list(range(n))
+    finest = lat.generations[lat.depth]
+    assert sorted(lat.members(cid).tolist()[0] for cid in finest) == \
+        list(range(n))

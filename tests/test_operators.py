@@ -35,13 +35,13 @@ from sparselab.weights import avg, luxemburg_norm, young_identity, young_llogl
 
 def family8(delta=0.5):
     lat = build_standard_lattice(build_grid_space(8))
-    chain = [lat.cube_containing(k, 0).cube_id for k in range(4)]
+    chain = lat.point_to_cube[:4, 0].tolist()
     return select_witnesses(lat, chain, delta)
 
 
 def antichain8():
     lat = build_standard_lattice(build_grid_space(8))
-    ids = [c.cube_id for c in lat.cubes_at(2)]
+    ids = list(lat.generations[2])
     return select_witnesses(lat, ids, 1.0)
 
 
@@ -51,14 +51,14 @@ def oracle_sparse_basic(family, fs, eta, p0, gamma):
     for x in range(sp.n):
         terms = []
         for cid in family.cube_ids:
-            cube = family.lattice.cube(cid)
-            if x not in cube.members:
+            mem = family.lattice.members(cid)
+            mass = family.lattice.mass.item(cid)
+            if x not in mem:
                 continue
-            prod = cube.mass ** eta
+            prod = mass ** eta
             for f in fs:
-                s = math.fsum(abs(f[i]) ** p0 * sp.masses[i]
-                              for i in cube.members)
-                prod *= (s / cube.mass) ** (1.0 / p0)
+                s = math.fsum(abs(f[i]) ** p0 * sp.masses[i] for i in mem)
+                prod *= (s / mass) ** (1.0 / p0)
             terms.append(prod ** gamma)
         out.append(math.fsum(terms) ** (1.0 / gamma))
     return np.array(out)
@@ -111,9 +111,8 @@ class TestSparseOperator:
 
     def test_single_cube(self):
         lat = build_standard_lattice(build_grid_space(8))
-        root = lat.cubes_at(0)[0]
-        fam = SparseFamily(lat, [root.cube_id],
-                           {root.cube_id: root.members}, 1.0)
+        root = lat.generations[0][0]
+        fam = SparseFamily(lat, [root], {root: lat.members(root)}, 1.0)
         f = np.arange(8.0)
         got = sparse_operator(fam, [f])
         assert got == pytest.approx(np.full(8, 3.5), rel=1e-14)
@@ -165,11 +164,11 @@ class TestSparseReductions:
                                  tau=[0], tau_ell=[0, 1], eta=0.5, r=1.0)
         out = np.zeros(8)
         for cid in self.fam.cube_ids:
-            cube = self.fam.lattice.cube(cid)
-            mem = cube.members
-            b0 = float(np.dot(self.bs[0][mem], sp.masses[mem])) / cube.mass
-            b1 = float(np.dot(self.bs[1][mem], sp.masses[mem])) / cube.mass
-            coeff = cube.mass ** 0.5
+            mem = self.fam.lattice.members(cid)
+            mass = self.fam.lattice.mass.item(cid)
+            b0 = float(np.dot(self.bs[0][mem], sp.masses[mem])) / mass
+            b1 = float(np.dot(self.bs[1][mem], sp.masses[mem])) / mass
+            coeff = mass ** 0.5
             coeff *= avg(sp, mem, self.fs[0], 1.0)
             coeff *= avg(sp, mem, (self.bs[1] - b1) * self.fs[1], 1.0)
             out[mem] += coeff * np.abs(self.bs[0][mem] - b0)
@@ -215,8 +214,7 @@ class TestSparseReductions:
         gauges = luxemburg_norm(self.fam.lattice, self.fs[1] ** 2, phi)
         out = np.zeros(8)
         for cid in self.fam.cube_ids:
-            cube = self.fam.lattice.cube(cid)
-            mem = cube.members
+            mem = self.fam.lattice.members(cid)
             coeff = avg(sp, mem, self.fs[0], 2.0)
             coeff *= gauges[cid] ** 0.5
             out[mem] += coeff

@@ -181,7 +181,7 @@ class TestZeroDenominators:
     def test_bmo_zero_gauge_fails_the_lower_bound(self, monkeypatch):
         monkeypatch.setattr(verify, "luxemburg_norm",
                             lambda lattice, f, phi: np.zeros(
-                                len(lattice.cubes)))
+                                len(lattice.gen)))
         report = run_check(CheckSpec("bmo_lemmas", trials=1))
         assert report.details["lower_bound_worst"] == math.inf
         assert {f["part"] for f in report.failures} == {"mean below gauge"}
@@ -324,7 +324,7 @@ class TestTestingLemma:
         stacked = np.zeros(16)
         tail = 0.0
         for cid in family.cube_ids:
-            mem = lattice.cube(cid).members
+            mem = lattice.members(cid)
             stacked[mem] += 1.0
             tail += float(np.sum(space.masses[mem]))
         lhs_sq = float(np.sum(stacked ** 2 * space.masses))
@@ -448,6 +448,26 @@ class TestNormEstimator:
         assert est <= exact * (1.0 + 1e-9)
         assert est >= 0.95 * exact
 
+    def test_nan_evaluation_makes_the_estimate_nan(self):
+        # the second full evaluation is all NaN; max(best, nan) would
+        # keep the finite first one
+        kernel = np.random.default_rng(3).uniform(0.1, 1.0, size=(8, 8))
+        full = []
+
+        def apply_fn(fs):
+            out = kernel @ fs[0]
+            if fs[0].ndim == 1:
+                full.append(out)
+                if len(full) == 2:
+                    return np.full(8, math.nan)
+            return out
+
+        est = _operator_norm_lower(
+            build_grid_space(8), apply_fn, 1, [np.ones(8)], (2.0,),
+            np.ones(8), 2.0, np.random.default_rng(0))
+        assert len(full) > 2
+        assert math.isnan(est)
+
 
 def _per_probe_norm_lower(space, apply_fn, m, in_weights, p, out_weight, q,
                           rng, starts=2, rounds=3):
@@ -562,7 +582,7 @@ class TestRandomFamilies:
         for seed in range(30):
             family = random_sparse_family(lattice,
                                            np.random.default_rng(seed))
-            gens = {lattice.cube(cid).gen for cid in family.cube_ids}
+            gens = {lattice.gen.item(cid) for cid in family.cube_ids}
             if len(gens) > 1 and set(family.cube_ids) - leaves:
                 nested += 1
         assert nested > 10
