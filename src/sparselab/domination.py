@@ -251,7 +251,7 @@ def cz_construct(space: DiscreteSpace, systems: AdjacentSystems, fs,
             node_alpha *= 2.0
         final_alpha = max(final_alpha, node_alpha)
         # maximal proper subcubes charged above the lambda fraction
-        charged = lattice.cube_sums(bad) > lam * lattice.cube_masses
+        charged = lattice.cube_sums(bad) > lam * lattice.mass
         picks = lattice.maximal_subcubes(cid, charged)
         if math.fsum(lattice.mass[picks]) > \
                 SPARSENESS * mass * (1 + 1e-12):

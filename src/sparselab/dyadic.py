@@ -52,11 +52,13 @@ class CoverError(ValueError):
 
 class DyadicLattice:
     """Nested partitions as arrays by cube id, in (gen, index) order:
-    `gen`, `index`, `center`, `parent` (-1 at generation 0), `mass` (each
-    cube's own `mass_of` sum), and `start`/`stop`, a cube's members as a
-    slice of row `gen` of `member_table`.  Row k of `member_table` lists
-    the generation-k cubes' members and row k of `point_to_cube` labels
-    every point with its generation-k cube.
+    `gen`, `index`, `center`, `parent` (-1 at generation 0), `mass` (mu of
+    the cube, summed by `cube_sums` like every cube statistic), and
+    `start`/`stop`, a cube's members as a slice of row `gen` of
+    `member_table`.  Row k of `member_table` lists the generation-k
+    cubes' members and row k of `point_to_cube` labels every point with
+    its generation-k cube.  A builder hands `_finish` one label row per
+    generation, each point's cube index within that generation.
     """
 
     def __init__(self, space: DiscreteSpace, system: int, delta: float,
@@ -66,7 +68,6 @@ class DyadicLattice:
         self.delta = float(delta)
         self.a1 = float(a1)
         self.big_a1 = float(big_a1)
-        self.generations: list[range] = []
 
     @property
     def depth(self) -> int:
@@ -127,8 +128,7 @@ class DyadicLattice:
         """Normalized (signed) average of values over every cube; a 3-D
         block gives one column per block column."""
         sums = self.cube_sums(values)
-        return sums / (self.cube_masses[:, None] if sums.ndim == 2
-                       else self.cube_masses)
+        return sums / (self.mass[:, None] if sums.ndim == 2 else self.mass)
 
     def cube_max(self, values) -> np.ndarray:
         """Largest member value of every cube, by cube id; NaN if a
@@ -162,47 +162,41 @@ class DyadicLattice:
 
     # -- construction helpers ---------------------------------------------
 
-    def _finish(self, gen_members: list[list[np.ndarray]],
-                centers: list) -> None:
-        """Fill the cube arrays from per-generation member blocks (finest
-        last).
+    def _finish(self, labels, centers: list) -> None:
+        """Fill the cube arrays from one label row per generation (finest
+        last): labels[k][x] indexes x's generation-k cube in centers[k].
 
-        Each generation is labelled in one pass and checked with one
-        count per point; nesting is one gather of every cube's parent
-        label.  Partition and cover are checked on every generation
-        before nesting on any, and the first offending generation, or
+        A labelling is a partition by construction, so each generation
+        is checked only for an empty cube or a label outside its centers;
+        every generation is checked before nesting, which is one gather of
+        every cube's parent label.  The first offending generation, or
         cube by id, is named.
         """
         n = self.space.n
-        self.point_to_cube = np.empty((len(gen_members), n), dtype=np.intp)
-        self.member_table = np.empty_like(self.point_to_cube)
-        sizes, masses = [], []
-        for k, blocks in enumerate(gen_members):
-            blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
-            sizes.append(np.array([b.size for b in blocks], dtype=np.intp))
-            members = np.concatenate(blocks)
-            counts = np.bincount(members, minlength=n)
-            if np.any(counts > 1) or np.any(sizes[k] == 0):
+        labels = np.asarray(labels, dtype=np.intp)
+        sizes = []
+        for k, (row, heads) in enumerate(zip(labels, centers)):
+            inside = row[(row >= 0) & (row < len(heads))]
+            sizes.append(np.bincount(inside, minlength=len(heads)))
+            if inside.size < n or not sizes[k].all():
                 raise LatticeError(f"generation {k} does not partition")
-            if np.any(counts == 0):
-                raise LatticeError(f"generation {k} does not cover the space")
-            ids = range(len(masses), len(masses) + len(blocks))
-            self.member_table[k] = members
-            self.point_to_cube[k, members] = np.repeat(ids, sizes[k])
-            self.generations.append(ids)
-            masses.extend(self.space.mass_of(b) for b in blocks)
+        first = np.cumsum([0] + [s.size for s in sizes])
+        self.generations = [range(a, b) for a, b in
+                            zip(first[:-1].tolist(), first[1:].tolist())]
+        self.point_to_cube = labels + first[:-1, None]
+        # a cube's members in point order
+        self.member_table = np.argsort(labels, axis=1, kind="stable")
         self.gen = np.repeat(np.arange(len(sizes)), [s.size for s in sizes])
         self.index = np.concatenate([np.arange(s.size) for s in sizes])
         self.stop = np.concatenate([np.cumsum(s) for s in sizes])
         self.start = self.stop - np.concatenate(sizes)
         self.center = np.concatenate(centers).astype(np.intp)
-        self.mass = np.array(masses)
         # summed like every other cube statistic, so a constant averages
         # to itself exactly
-        self.cube_masses = self.cube_sums(np.ones(n))
+        self.mass = self.cube_sums(np.ones(n))
         # a cube's parent holds its first member one generation up
         kids = self.gen > 0
-        self.parent = np.full(len(masses), -1, dtype=np.intp)
+        self.parent = np.full(len(self.gen), -1, dtype=np.intp)
         self.parent[kids] = self.point_to_cube[
             self.gen[kids] - 1, self.member_table[self.gen, self.start][kids]]
         straddles = self.parent[self.point_to_cube[1:]] != \
@@ -213,7 +207,7 @@ class DyadicLattice:
             raise LatticeError(f"cube {cid} at generation {k + 1} is not nested")
         # children by parent, each parent's in id order
         self._child_start = np.concatenate([[0], np.cumsum(
-            np.bincount(self.parent[kids], minlength=len(masses)))])
+            np.bincount(self.parent[kids], minlength=len(self.gen)))])
         self._children = np.argsort(self.parent, kind="stable")[
             len(self.generations[0]):]
 
@@ -289,8 +283,7 @@ def build_standard_lattice(space: DiscreteSpace, system: int = 0,
     lat = DyadicLattice(space, system, STANDARD_DELTA, STANDARD_A1,
                         STANDARD_BIG_A1)
     points = np.arange(n, dtype=np.intp)
-    gen_members: list[list[np.ndarray]] = []
-    centers: list[np.ndarray] = []
+    labels, centers = [], []
     for k in range(n.bit_length()):
         width = n >> k
         cuts = np.unique((shift + np.arange(1 << k) * width) % n)
@@ -299,9 +292,9 @@ def build_standard_lattice(space: DiscreteSpace, system: int = 0,
         # union1d sorts and dedupes, so every block is a nonempty interval
         bounds = np.union1d(cuts if cuts.size > 1 else 0, [0, n])
         sizes = np.diff(bounds)
-        gen_members.append(np.split(points, bounds[1:-1]))
+        labels.append(np.searchsorted(bounds, points, side="right") - 1)
         centers.append(bounds[:-1] + (sizes - 1) // 2)
-    lat._finish(gen_members, centers)
+    lat._finish(labels, centers)
     return lat
 
 
@@ -313,10 +306,6 @@ class AdjacentSystems:
     lattices: list[DyadicLattice]
     c_adj: float
     shifts: list[int]
-
-    @property
-    def count(self) -> int:
-        return len(self.lattices)
 
 
 def _cube_ends(lat: DyadicLattice, cids) -> tuple[np.ndarray, np.ndarray]:
@@ -435,8 +424,8 @@ def build_hk_lattice(space: DiscreteSpace, delta: float,
     center (distance ties: smallest index at the finest generation,
     largest above it) and a cube is the union of its attached subtree,
     so nesting holds by construction.  The lattice is system 0.  The
-    nominal two-ball sandwich with a1 = 1/(3 a0^2), A1 = 2 a0 is checked
-    a posteriori via containment_report rather than assumed.
+    nominal two-ball sandwich with a1 = 1/(3 a0^2), A1 = 2 a0 is not
+    guaranteed; containment_report reports the cubes where it fails.
     """
     if faithful:
         limit = 1.0 / (12.0 * space.a0**3)
@@ -467,7 +456,7 @@ def build_hk_lattice(space: DiscreteSpace, delta: float,
     # attaches to a nearest coarser one (distance ties: smallest index at
     # the finest generation, largest above it), a center to itself
     label = np.arange(n)
-    gen_members, centers = [], []
+    labels, centers = [], []
     for k in range(len(nets) - 1, -1, -1):
         if k < len(nets) - 1:
             fine, coarse = np.array(nets[k + 1]), np.array(nets[k])
@@ -478,14 +467,13 @@ def build_hk_lattice(space: DiscreteSpace, delta: float,
                         if k + 2 == len(nets)
                         else np.where(tied, coarse, -1).max(axis=1))
             label = up[label]
-        # a cube's members in point order, cubes by center
-        order = np.argsort(label, kind="stable")
-        heads, starts = np.unique(label[order], return_index=True)
-        gen_members.insert(0, np.split(order, starts[1:]))
+        # cubes by center
+        heads, local = np.unique(label, return_inverse=True)
+        labels.insert(0, local)
         centers.insert(0, heads)
     lat = DyadicLattice(space, 0, delta, 1.0 / (3.0 * space.a0**2),
                         2.0 * space.a0)
-    lat._finish(gen_members, centers)
+    lat._finish(labels, centers)
     return lat
 
 
@@ -556,12 +544,15 @@ def verify_sparse(family: SparseFamily) -> SparseReport:
             violations.append({"cube_id": cid, "reason": "missing witness"})
             continue
         wit = np.asarray(family.witnesses[cid], dtype=np.intp)
-        # isin, not a point_to_cube lookup, which would wrap a negative id
-        if not np.isin(wit, lat.members(cid)).all():
+        # an id outside 0..n-1 is no point: reported, never counted or
+        # weighed (a negative one would wrap onto the last points)
+        points = wit[(wit >= 0) & (wit < sp.n)]
+        if points.size < wit.size or np.any(
+                lat.point_to_cube[lat.gen.item(cid), points] != cid):
             violations.append({"cube_id": cid,
                                "reason": "witness not inside cube"})
-        counts[wit] += 1
-        wit_mass = math.fsum(sp.masses[wit]) if wit.size else 0.0
+        counts[points] += 1
+        wit_mass = math.fsum(sp.masses[points])
         need = family.delta * lat.mass.item(cid)
         if wit_mass < need * (1 - 1e-9):
             violations.append({

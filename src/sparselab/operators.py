@@ -139,7 +139,7 @@ def sparse_coefficients(lattice: DyadicLattice, fs, eta: float = 0.0,
                         p0: float = 1.0, gamma: float = 1.0) -> np.ndarray:
     """[mu(Q)^eta prod_i <f_i>_{Q,p0}]^gamma for every cube, by cube id;
     (cubes, B) when one slot is an (n, B) block."""
-    prod = lattice.cube_masses ** eta
+    prod = lattice.mass ** eta
     for f in _as_slots(fs, lattice.space.n):
         prod = _cube_times(prod, _r_averages(lattice, f, p0))
     return prod ** gamma
@@ -188,7 +188,7 @@ def sparse_higher_order(family: SparseFamily, fs, symbols,
     fs = _as_slots(fs, lat.space.n)
     symbols = _as_arrays(symbols, lat.space.n)
     devs = {i: lat.deviations(symbols[i]) for i in pair.tau}
-    coeffs = lat.cube_masses ** (eta / r)
+    coeffs = lat.mass ** (eta / r)
     for i, f in enumerate(fs):
         if i in pair.tau:
             osc = devs[i] ** pair.t[i]
@@ -217,7 +217,7 @@ def sparse_endpoint(family: SparseFamily, fs, tau, eta: float = 0.0,
     if scales is None:
         scales = [1.0] * len(fs)
     phi = young_llogl(r)
-    coeffs = lat.cube_masses ** (eta / r)
+    coeffs = lat.mass ** (eta / r)
     for i, f in enumerate(fs):
         if i in tau:
             coeffs = coeffs * _r_averages(lat, f, r)
@@ -251,7 +251,7 @@ def orlicz_maximal(lattice: DyadicLattice, fs, phis,
     fs = _as_arrays(fs, lattice.space.n)
     if len(phis) != len(fs):
         raise ValueError("one gauge per argument required")
-    vals = lattice.cube_masses ** eta
+    vals = lattice.mass ** eta
     for f, phi in zip(fs, phis):
         vals = vals * luxemburg_norm(lattice, f, phi)
     return vals[lattice.point_to_cube].max(axis=0)

@@ -270,7 +270,7 @@ def kolmogorov_chain_values(n: int = 16, s1: float = 0.25,
     u = np.zeros(n)
     u[0] = 1.0
     mean = lattice.cube_means(u)
-    terms = mean ** s1 * mean ** s2 * lattice.cube_masses
+    terms = mean ** s1 * mean ** s2 * lattice.mass
     lhs = math.fsum(terms[ids])
     base = float(terms[ids[0]])
     depth = len(ids) - 1
@@ -670,7 +670,7 @@ def _run_kolmogorov(spec: CheckSpec, report: CheckReport) -> None:
         outside[lattice.members(top)] = 0.0
         inside = lattice.cube_max(outside) == 0.0
         terms = (lattice.cube_means(u) ** s1 * lattice.cube_means(v) ** s2
-                 * lattice.cube_masses)
+                 * lattice.mass)
         ids = np.asarray(family.cube_ids)
         lhs = float(np.sum(terms[ids[inside[ids]]]))
         base = float(terms[top])
@@ -717,7 +717,7 @@ def _run_testing(spec: CheckSpec, report: CheckReport) -> None:
         family = trial.family(lattice)
         astar = astar_from_duals(lattice, u, sig, p, q)
         ids = family.cube_ids
-        mus = lattice.cube_masses
+        mus = lattice.mass
         avgs = [lattice.cube_means(s_i) for s_i in sig]
         uavgs = lattice.cube_means(u)
         a1, a2 = avgs

@@ -173,7 +173,7 @@ def fractional_apq_constant(lattice: DyadicLattice, weights, p, q,
     p = [float(v) for v in p]
     u = np.prod(np.stack(ws), axis=0) if u is None else _check_weight(sp, u)
     eta = math.fsum(1.0 / v for v in p) - 1.0 / q
-    val = lattice.cube_masses ** (eta - m)
+    val = lattice.mass ** (eta - m)
     val = val * lattice.cube_sums(u ** q) ** (1.0 / q)
     for w, pi in zip(ws, p):
         pc = conjugate_exponent(pi)
@@ -346,7 +346,7 @@ def bmo_norm(lattice: DyadicLattice, b, weight=None,
     """
     osc = lattice.cube_sums(np.abs(lattice.deviations(b)))
     if weight is None:
-        denom = lattice.cube_masses
+        denom = lattice.mass
     else:
         denom = lattice.cube_sums(_check_weight(lattice.space, weight))
     return _sup(osc / denom, detail)

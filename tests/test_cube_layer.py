@@ -73,7 +73,7 @@ def test_cube_sums_flat_input(lattice):
     np.testing.assert_allclose(lattice.cube_sums(f), want, rtol=1e-12,
                                atol=1e-12)
     np.testing.assert_allclose(lattice.cube_means(f),
-                               want / lattice.cube_masses, rtol=1e-12,
+                               want / lattice.mass, rtol=1e-12,
                                atol=1e-12)
 
 
@@ -272,7 +272,7 @@ def test_stopping_cubes_match_parent(lattice):
             bad = np.zeros(lattice.space.n, dtype=bool)
             bad[mem] = rng.uniform(size=mem.size) < rng.uniform()
             lam = rng.uniform(0.05, 0.95)
-            charged = lattice.cube_sums(bad) > lam * lattice.cube_masses
+            charged = lattice.cube_sums(bad) > lam * lattice.mass
             got = lattice.maximal_subcubes(cid, charged).tolist()
             want = _parent_stopping_cubes(lattice, cid, bad, lam)
             assert got == want
@@ -501,7 +501,7 @@ def test_gauge_nan_and_infinite_cubes(lattice):
 def _parent_first_order(family, fs, symbols, tau, tau_ell, eta, r):
     # sparse_first_order before it became a call to sparse_higher_order
     lat = family.lattice
-    coeffs = lat.cube_masses ** (eta / r)
+    coeffs = lat.mass ** (eta / r)
     for i, f in enumerate(fs):
         if i in tau or i not in tau_ell:
             g = f

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,9 +115,9 @@ def parent_random_sparse_family(lattice, rng, delta=0.5):
 
 
 def reference_finish(lat, gen_members, centers):
-    """The per-cube _finish the generation passes replaced: one mass,
-    partition and nesting check per cube.  Returns the reference
-    records: point_to_cube, cube_masses, generations and one tuple
+    """The per-cube _finish the generation passes replaced: one partition
+    and nesting check per cube, from member lists.  Returns the reference
+    records: point_to_cube, mass (one bincount), generations and one tuple
     (system, gen, index, members, center, cube id, mass, parent, children)
     per cube, parent None at generation 0."""
     n = lat.space.n
@@ -128,7 +129,7 @@ def reference_finish(lat, gen_members, centers):
             members = np.asarray(members, dtype=np.intp)
             cid = len(fields)
             fields.append((lat.system, k, idx, members, int(centers[k][idx]),
-                           cid, lat.space.mass_of(members)))
+                           cid))
             ids.append(cid)
             if np.any(point_to_cube[k, members] != -1):
                 raise LatticeError(f"generation {k} does not partition")
@@ -136,7 +137,7 @@ def reference_finish(lat, gen_members, centers):
         if np.any(point_to_cube[k] == -1):
             raise LatticeError(f"generation {k} does not cover the space")
         generations.append(ids)
-    cube_masses = np.bincount(
+    mass = np.bincount(
         point_to_cube.ravel(),
         np.broadcast_to(lat.space.masses, point_to_cube.shape).ravel(),
         minlength=len(fields))
@@ -150,9 +151,9 @@ def reference_finish(lat, gen_members, centers):
                 raise LatticeError(f"cube {cid} at generation {k} is not nested")
             parents[cid] = parent
             children[parent].append(cid)
-    cubes = [(*f, p, c) for f, p, c in zip(fields, parents, children)]
-    return SimpleNamespace(point_to_cube=point_to_cube,
-                           cube_masses=cube_masses,
+    cubes = [(*f, m, p, c)
+             for f, m, p, c in zip(fields, mass.tolist(), parents, children)]
+    return SimpleNamespace(point_to_cube=point_to_cube, mass=mass,
                            generations=generations, cubes=cubes)
 
 
@@ -198,7 +199,7 @@ def reference_standard_lattice(space, shift=0):
 def assert_same_lattice(got, want):
     """A lattice's arrays against reference records, cube by cube id."""
     assert [list(ids) for ids in got.generations] == want.generations
-    for name in ("point_to_cube", "cube_masses"):
+    for name in ("point_to_cube", "mass"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
     for name in ("gen", "index", "center", "parent"):
@@ -213,6 +214,7 @@ def assert_same_lattice(got, want):
         assert np.array_equal(got_members, members)
         assert got.center[cid] == center
         assert repr(got.mass.item(cid)) == repr(mass)
+        assert math.isclose(mass, got.space.mass_of(members), rel_tol=1e-12)
         got_parent = got.parent.item(cid)
         got_children = got._children[
             got._child_start[cid]:got._child_start[cid + 1]].tolist()
@@ -231,50 +233,43 @@ def _lattice_masses(n, kind):
 
 
 class TestFinish:
-    """_finish on hand-built generations: the first offending generation
-    or cube is named, partition and cover before nesting."""
+    """_finish on hand-labelled generations: the first offending
+    generation or cube is named, partition before nesting."""
 
     @staticmethod
-    def finish(n, gen_members):
-        lat = DyadicLattice(build_grid_space(n), 0, STANDARD_DELTA,
-                            STANDARD_A1, STANDARD_BIG_A1)
-        blocks = [[np.array(b, dtype=np.intp) for b in gen]
-                  for gen in gen_members]
-        lat._finish(blocks, [[0] * len(gen) for gen in blocks])
+    def finish(labels, counts=None):
+        lat = DyadicLattice(build_grid_space(len(labels[0])), 0,
+                            STANDARD_DELTA, STANDARD_A1, STANDARD_BIG_A1)
+        counts = counts or [max(row) + 1 for row in labels]
+        lat._finish(np.array(labels), [[0] * c for c in counts])
         return lat
 
-    @pytest.mark.parametrize("gens,message", [
-        ([[[0, 1, 2, 3]], [[0, 1, 2], [2, 3]]],
-         "generation 1 does not partition"),
-        ([[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2], [2], [3]]],
-         "generation 2 does not partition"),
-        ([[[0, 1, 2, 3]], [[0, 1], [3]]],
-         "generation 1 does not cover the space"),
-        # a gap and an overlap in one generation: the overlap is named
-        ([[[0, 1, 2, 3]], [[0, 1], [1]]],
-         "generation 1 does not partition"),
-        ([[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2], [3]]],
-         "cube 4 at generation 2 is not nested"),
+    @pytest.mark.parametrize("labels,message", [
+        pytest.param([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 1, 2]],
+                     "cube 4 at generation 2 is not nested",
+                     id="gens4-cube 4 at generation 2 is not nested"),
         # the first straddling cube by id
-        ([[[0, 1, 2, 3, 4, 5, 6, 7]], [[0, 1, 2, 3], [4, 5, 6, 7]],
-          [[0, 1], [2, 3], [4, 5], [6, 7]],
-          [[0], [1, 2], [3], [4], [5, 6], [7]]],
-         "cube 8 at generation 3 is not nested"),
-        ([[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2], [3]],
-          [[0], [1], [2]]],
-         "generation 3 does not cover the space"),
+        pytest.param([[0] * 8, [0, 0, 0, 0, 1, 1, 1, 1],
+                      [0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 1, 2, 3, 4, 4, 5]],
+                     "cube 8 at generation 3 is not nested",
+                     id="gens5-cube 8 at generation 3 is not nested"),
     ])
-    def test_error_names_first_offender(self, gens, message):
-        n = len(gens[0][0])
+    def test_error_names_first_offender(self, labels, message):
         with pytest.raises(LatticeError, match=f"^{message}$"):
-            self.finish(n, gens)
+            self.finish(labels)
 
     def test_empty_block_does_not_partition(self):
         # a cube with no member is no cell of a partition, and it has no
         # first member to find its parent by
         with pytest.raises(LatticeError,
                            match="^generation 1 does not partition$"):
-            self.finish(4, [[[0, 1, 2, 3]], [[0, 1], [], [2, 3]]])
+            self.finish([[0, 0, 0, 0], [0, 0, 2, 2]], counts=[1, 3])
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_centers_does_not_partition(self, label):
+        with pytest.raises(LatticeError,
+                           match="^generation 1 does not partition$"):
+            self.finish([[0, 0, 0, 0], [0, 1, 1, label]], counts=[1, 2])
 
 
 class TestStandardLatticeReference:
@@ -297,7 +292,10 @@ class TestStandardLatticeReference:
         monkeypatch.setattr(DyadicLattice, "_finish",
                             lambda lat, *args: calls.append((lat, *args)))
         build_hk_lattice(sp, 0.5)
-        want = reference_finish(*calls[0])
+        lat, labels, centers = calls[0]
+        gen_members = [[np.flatnonzero(row == i) for i in range(len(heads))]
+                       for row, heads in zip(labels, centers)]
+        want = reference_finish(lat, gen_members, centers)
         assert_same_lattice(got, want)
         assert json.dumps(lattice_to_descriptor(got), sort_keys=True) == \
             reference_json(got, want)
@@ -407,7 +405,7 @@ class TestStandardLattice:
 class TestShiftedAdjacent:
     def test_n8_three_systems(self):
         systems = build_shifted_adjacent(build_grid_space(8), 3)
-        assert systems.count == 3
+        assert len(systems.lattices) == 3
         assert systems.shifts == [0, 2, 5]
         for lat in systems.lattices:
             lat.check_invariants()
@@ -450,7 +448,7 @@ class TestShiftedAdjacent:
         no_root = DyadicLattice(sp, 0, STANDARD_DELTA, STANDARD_A1,
                                 STANDARD_BIG_A1)
         no_root._finish(
-            [[lat.members(cid) for cid in lat.generations[k]]
+            [lat.point_to_cube[k] - lat.generations[k][0]
              for k in range(1, 4)],
             [lat.center[lat.generations[k]].tolist() for k in range(1, 4)])
         with pytest.raises(CoverError, match=r"B\(0, 0.5\)") as err:
@@ -533,7 +531,7 @@ class TestShiftedAdjacent:
     def test_shifts2_n2_matches_standard(self):
         sp = build_grid_space(2)
         systems = build_shifted_adjacent(sp, 2)
-        assert systems.count == 2
+        assert len(systems.lattices) == 2
         base, other = ([[lat.members(cid).tolist()
                           for cid in lat.generations[k]] for k in range(2)]
                        for lat in systems.lattices)
@@ -542,7 +540,7 @@ class TestShiftedAdjacent:
     def test_single_point_space(self):
         sp = build_grid_space(1)
         systems = build_shifted_adjacent(sp, 3)
-        assert systems.count == 1
+        assert len(systems.lattices) == 1
         assert systems.c_adj == 1.0
 
     def test_duplicate_shifts_dropped(self):
@@ -708,6 +706,26 @@ class TestWitnessSelection:
         report = verify_sparse(fam)
         assert {"cube_id": cid, "reason": "witness not inside cube"} in \
             report.violations
+
+    def test_verify_reports_witness_ids_past_the_last_point(self):
+        # 8 is no point of the 8-point grid: a violation, not an IndexError
+        lat = build_standard_lattice(build_grid_space(8))
+        cid = lat.generations[1][1]
+        fam = select_witnesses(lat, [cid], 0.5)
+        fam.witnesses[cid] = np.array([4, 8])
+        assert verify_sparse(fam).violations == [
+            {"cube_id": cid, "reason": "witness not inside cube"},
+            {"cube_id": cid, "reason": "witness mass below delta bound",
+             "witness_mass": 1.0, "required": 2.0}]
+
+    def test_verify_neither_counts_nor_weighs_negative_witness_ids(self):
+        # -1 must not count as point 7, the witness of the cube {7}
+        lat = build_standard_lattice(build_grid_space(8))
+        cid, leaf = lat.generations[1][1], lat.generations[3][7]
+        fam = select_witnesses(lat, [cid, leaf], 0.5)
+        fam.witnesses[cid] = np.array([4, 5, -1])
+        assert verify_sparse(fam).violations == [
+            {"cube_id": cid, "reason": "witness not inside cube"}]
 
     def test_verify_catches_shared_points(self):
         lat = build_standard_lattice(build_grid_space(8))
