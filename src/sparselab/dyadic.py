@@ -316,39 +316,52 @@ def _cube_ends(lat: DyadicLattice, cids) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compute_c_adj(space: DiscreteSpace, lattices: list[DyadicLattice]) -> float:
-    """Exhaustive ball scan: worst-case minimal dilation over covering cubes.
+    """Exhaustive ball scan: worst-case minimal dilation over covering
+    cubes, for every center at once.
 
-    A cube holding a ball holds its center, so only the center's home
-    cubes, column x of point_to_cube, can cover a ball around x.  On a
-    grid cubes and balls are index intervals, and the balls around a
-    center grow, so each cube covers the balls of a prefix of the radii.
-    A cube's dilation is the distance to its farther end over the radius.
+    Shifted systems exist only on grids, where cubes and balls are index
+    intervals: ball j = 1, ..., last around x, with last = n - 1 -
+    min(x, n - 1 - x), is [max(0, x - j), min(n - 1, x + j)] of radius
+    j/n.  A cube holding a ball holds its center, so only the center's
+    home cubes, column x of point_to_cube, can cover a ball around x,
+    and home cube [lo, hi] holds exactly the balls j <= covered = min(last,
+    x - lo unless lo = 0, hi - x unless hi = n - 1).  Its dilation is
+    max(x - lo, hi - x)/n.  best[j], the least dilation over the cubes
+    holding ball j, is a nondecreasing step function of j and the radii
+    strictly increase, so the largest best[j]/r_j sits at a step start:
+    j = 1 or j = covered + 1 of some home cube.  Sorting a center's home
+    cubes by covered lists those starts, and best at each is the least
+    dilation among the cubes after it (on a tie only the last of the tied
+    cubes reads exactly best; the others read less, and never more).
+    The first center in point order with a ball no home cube holds
+    raises CoverError naming its smallest such ball.
     """
+    n = space.n
     homes = [_cube_ends(lat, lat.point_to_cube) for lat in lattices]
-    home_los, home_his = (np.concatenate(e) for e in zip(*homes))
-    worst = 1.0
-    for x in range(space.n):
-        los, his = home_los[:, x], home_his[:, x]
-        order, radii, ends = space.balls(x)
-        radii, ends = radii[1:], ends[1:]
-        blo = np.minimum.accumulate(order)[ends - 1]
-        bhi = np.maximum.accumulate(order)[ends - 1]
-        # cube c covers exactly the balls j < covered[c]
-        covered = np.minimum(np.searchsorted(-blo, -los, side="right"),
-                             np.searchsorted(bhi, his, side="right"))
-        dist = space.distances(x)
-        best = np.full(radii.size + 1, np.inf)
-        np.minimum.at(best, covered, np.maximum(dist[los], dist[his]))
-        best = np.minimum.accumulate(best[::-1])[-2::-1]
-        bare = np.flatnonzero(best == np.inf)
-        if bare.size:
-            j = bare[0]
-            raise CoverError(
-                f"ball B({x}, {radii[j]}) has no covering cube",
-                ball=Ball(x, float(radii[j]), np.sort(order[:ends[j]])),
-            )
-        worst = max(worst, float((best / radii).max(initial=1.0)))
-    return worst
+    los, his = (np.concatenate(e).T for e in zip(*homes))
+    x = np.arange(n)[:, None]
+    last = n - 1 - np.minimum(x, n - 1 - x)
+    # an end at the edge of the grid never stops a ball; a zero column,
+    # a cube covering nothing, makes j = 1 a step start
+    covered = np.minimum(last, np.minimum(np.where(los > 0, x - los, n),
+                                           np.where(his < n - 1, his - x, n)))
+    covered = np.concatenate([np.zeros_like(x), covered], axis=1)
+    bare = covered.max(axis=1) < last[:, 0]
+    if bare.any():
+        c = int(np.argmax(bare))
+        j = int(covered[c].max()) + 1
+        raise CoverError(
+            f"ball B({c}, {j / n}) has no covering cube",
+            ball=Ball(c, j / n, np.arange(max(0, c - j), min(n, c + j + 1))),
+        )
+    dilation = np.concatenate(
+        [np.full(x.shape, np.inf), np.maximum(x - los, his - x) / n], axis=1)
+    by = np.argsort(covered, axis=1, kind="stable")
+    start = np.take_along_axis(covered, by, axis=1)[:, :-1] + 1
+    dilation = np.take_along_axis(dilation, by, axis=1)
+    best = np.minimum.accumulate(dilation[:, :0:-1], axis=1)[:, ::-1]
+    fits = start <= last
+    return float(np.max(best[fits] / (start[fits] / n), initial=1.0))
 
 
 def build_shifted_adjacent(space: DiscreteSpace, shifts: int) -> AdjacentSystems:
@@ -545,9 +558,11 @@ def verify_sparse(family: SparseFamily) -> SparseReport:
             continue
         wit = np.asarray(family.witnesses[cid], dtype=np.intp)
         # an id outside 0..n-1 is no point: reported, never counted or
-        # weighed (a negative one would wrap onto the last points)
-        points = wit[(wit >= 0) & (wit < sp.n)]
-        if points.size < wit.size or np.any(
+        # weighed (a negative one would wrap onto the last points); an id
+        # listed twice is one point, weighed once
+        real = (wit >= 0) & (wit < sp.n)
+        points = np.unique(wit[real])
+        if not real.all() or np.any(
                 lat.point_to_cube[lat.gen.item(cid), points] != cid):
             violations.append({"cube_id": cid,
                                "reason": "witness not inside cube"})

@@ -33,6 +33,8 @@ _KERNELS = weakref.WeakKeyDictionary()
 _KERNEL_VALUES = weakref.WeakKeyDictionary()
 # rows per aligned block of the m = 2 class table
 _TABLE_ROWS = 8
+# kernel entries per block of ball_mass_kernel rows
+_KERNEL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -285,8 +287,8 @@ def fractional_maximal(space: DiscreteSpace, fs,
     fm = [np.abs(f) * space.masses for f in fs]
     out = np.zeros(space.n)
     for y in range(space.n):
-        order, radii, ends = space.balls(y)
-        vals = space.ball_mass(y, radii) ** (eta - m)
+        order, _, ends = space.balls(y)
+        vals = np.cumsum(space.masses[order])[ends - 1] ** (eta - m)
         for f in fm:
             vals = vals * np.cumsum(f[order])[ends - 1]
         out[y] = float(vals.max())
@@ -298,13 +300,19 @@ def fractional_maximal(space: DiscreteSpace, fs,
 def ball_mass_kernel(space: DiscreteSpace) -> np.ndarray:
     """K[x, y] = mu of the closed ball around x through y.
 
-    Built once per space and kept, read-only, until the space is freed.
+    Filled in aligned blocks of rows, each one block-form ball_mass call
+    on its centers' distance rows, with about _KERNEL_BLOCK entries per
+    block so the call's temporaries stay small.  Built once per space
+    and kept, read-only, until the space is freed.
     """
     K = _KERNELS.get(space)
     if K is None:
-        K = np.empty((space.n, space.n))
-        for x in range(space.n):
-            K[x] = space.ball_mass(x, space.distances(x))
+        n = space.n
+        K = np.empty((n, n))
+        rows = max(1, _KERNEL_BLOCK // n)
+        for lo in range(0, n, rows):
+            block = np.arange(lo, min(lo + rows, n))
+            K[lo:lo + rows] = space.ball_mass(block, space.distances(block))
         K.flags.writeable = False
         _KERNELS[space] = K
     return K

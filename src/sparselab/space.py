@@ -148,14 +148,44 @@ class DiscreteSpace:
         members = np.flatnonzero(self.distances(center) <= radius)
         return Ball(int(center), float(radius), members)
 
-    def ball_mass(self, center: int, radius) -> np.ndarray | float:
-        """mu(B(center, r)) for a scalar or array of radii."""
+    def ball_mass(self, center, radius) -> np.ndarray | float:
+        """mu(B(center, r)) for a scalar or array of radii.
+
+        Block form: a 1-d array of B centers takes a (B, m) array of
+        radii, row b around centers[b], and gives a (B, m) array.  A
+        single center is a block of one, so a block's rows equal the
+        per-center calls bit for bit: each row's prefix masses add in
+        row order, and _ball_last finds each ball's end in them."""
         r = np.asarray(radius, dtype=np.float64)
         if not np.all(r >= 0):
             raise ValueError("ball radius must be nonnegative")
-        _, d, prefix = self._sorted_row(center)
-        out = prefix[np.searchsorted(d, r, side="right") - 1]
-        return float(out) if np.isscalar(radius) else out
+        block = np.ndim(center) > 0
+        centers = np.atleast_1d(np.asarray(center, dtype=np.intp))
+        if block and (r.ndim != 2 or len(r) != len(centers)):
+            raise ValueError("a block of B centers takes (B, m) radii")
+        rows = r if block else r.reshape(1, -1)
+        orders = self._row_orders(centers)
+        prefix = np.cumsum(self.masses[orders], axis=1)
+        out = np.take_along_axis(
+            prefix, self._ball_last(centers, orders, rows), axis=1)
+        if block:
+            return out
+        return float(out[0, 0]) if np.isscalar(radius) else \
+            out.reshape(r.shape)
+
+    def _row_orders(self, centers: np.ndarray) -> np.ndarray:
+        """_row_order of each center, as rows of a (B, n) array."""
+        return np.argsort(self.distances(centers), axis=1, kind="stable")
+
+    def _ball_last(self, centers, orders, r) -> np.ndarray:
+        """Where the ball B(centers[b], r[b, i]) ends in orders[b], the
+        row order of centers[b]: the position of its last member, by one
+        sorted search per row."""
+        d = np.take_along_axis(self.distances(centers), orders, axis=1)
+        last = np.empty(r.shape, dtype=np.intp)
+        for b, row in enumerate(d):
+            last[b] = np.searchsorted(row, r[b], side="right") - 1
+        return last
 
     def balls(self, center: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every closed ball around center, smallest first: the points
@@ -191,9 +221,10 @@ class GridSpace(DiscreteSpace):
         self.n = n
         self.masses = masses
         self.positions = np.arange(n, dtype=np.float64) / n
-        # |k|/n for k = 1-n, ..., n-1: each distance row is a window of it
-        self._reach = np.abs(np.arange(1 - n, n)) / n
-        self._reach.flags.writeable = False
+        # |k|/n for k = 1-n, ..., n-1: the distance row of x is its
+        # read-only window n - 1 - x
+        self._rows = np.lib.stride_tricks.sliding_window_view(
+            np.abs(np.arange(1 - n, n)) / n, n)
         # 0, -1, 1, -2, 2, ...: the nearest points' offsets, in order
         k = np.arange(n)
         self._zigzag = (k + 1) // 2 * np.where(k % 2, -1, 1)
@@ -206,8 +237,9 @@ class GridSpace(DiscreteSpace):
         pos = self.positions
         return np.abs(pos[:, None] - pos[None, :])
 
-    def distances(self, center: int) -> np.ndarray:
-        return self._reach[self.n - 1 - center:2 * self.n - 1 - center]
+    def distances(self, center) -> np.ndarray:
+        """d(center, y) for every y; a (B, n) array for B centers."""
+        return self._rows[self.n - 1 - center]
 
     def _row_order(self, x: int) -> np.ndarray:
         n = self.n
@@ -229,8 +261,29 @@ class GridSpace(DiscreteSpace):
         n = self.n
         near = min(center, n - 1 - center)
         j = np.arange(n - near)
-        radii = self._reach[n - 1:2 * n - 1 - near]
+        radii = self._rows[n - 1, :n - near]
         return self._row_order(center), radii, np.minimum(2 * j, near + j) + 1
+
+    def _row_orders(self, centers: np.ndarray) -> np.ndarray:
+        # _row_order's closed form, one row per center: past the zigzag
+        # the rest of the longer side is k itself on the left half of
+        # the grid and n - 1 - k on the right half
+        n = self.n
+        x = centers[:, None]
+        near = np.minimum(x, n - 1 - x)
+        k = np.arange(n)
+        return np.where(k <= 2 * near, x + self._zigzag,
+                        np.where(near == x, k, n - 1 - k))
+
+    def _ball_last(self, centers, orders, r) -> np.ndarray:
+        # the ball of radius r holds both sides out to j = floor(r n),
+        # clipped at the nearer end of the grid (as in balls); r n only
+        # rescales r by a power of two, so d = k/n <= r exactly when
+        # k <= j, and r >= 0 truncates to j
+        n = self.n
+        near = np.minimum(centers, n - 1 - centers)[:, None]
+        j = np.minimum(r * n, n - 1 - near).astype(np.intp)
+        return j + np.minimum(j, near)
 
 
 def build_grid_space(n: int, masses=None) -> DiscreteSpace:

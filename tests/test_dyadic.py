@@ -34,17 +34,21 @@ from sparselab.space import build_explicit_space, build_grid_space
 
 
 def oracle_c_adj(space, lattices):
-    """Brute-force covering scan over every realized ball and every cube,
-    with membership as boolean rows."""
+    """Brute-force covering scan over every realized ball and every cube
+    holding its center, with membership as boolean rows: a cube holds
+    B(x, r) exactly when r is below the distance from x to the nearest
+    point outside it."""
     inside = np.array([np.isin(np.arange(space.n), lat.members(cid))
                        for lat in lattices for cid in range(len(lat.gen))])
+    metric = space.metric
     worst = 1.0
     for x in range(space.n):
-        reach = np.where(inside, space.metric[x], -np.inf).max(axis=1)
-        for r in space.realized_distances(x):
-            ball = space.metric[x] <= r
-            covers = ~np.any(ball & ~inside, axis=1)
-            worst = max(worst, float(reach[covers].min() / r))
+        rows = inside[inside[:, x]]
+        reach = np.where(rows, metric[x], -np.inf).max(axis=1)
+        escape = np.where(rows, np.inf, metric[x]).min(axis=1)
+        radii = space.realized_distances(x)
+        best = np.where(radii[:, None] < escape, reach, np.inf).min(axis=1)
+        worst = max(worst, float((best / radii).max(initial=1.0)))
     return worst
 
 
@@ -441,6 +445,49 @@ class TestShiftedAdjacent:
         systems = build_shifted_adjacent(sp, shifts)
         assert oracle_c_adj(sp, systems.lattices) == systems.c_adj
 
+    @pytest.mark.parametrize("shifts", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 4, 256, 512])
+    def test_c_adj_matches_oracle_wide(self, n, shifts):
+        sp = build_grid_space(n)
+        systems = build_shifted_adjacent(sp, shifts)
+        assert oracle_c_adj(sp, systems.lattices) == systems.c_adj
+
+    @pytest.mark.parametrize("n,depth", [(8, 3), (64, 4), (64, 1)])
+    def test_c_adj_without_leaves_matches_oracle(self, n, depth):
+        # the first depth generations only: no singleton cube, so ball 1
+        # around a center may have no cube that just misses it
+        sp = build_grid_space(n)
+        lat = build_standard_lattice(sp)
+        coarse = DyadicLattice(sp, 0, STANDARD_DELTA, STANDARD_A1,
+                               STANDARD_BIG_A1)
+        coarse._finish(
+            [lat.point_to_cube[k] - lat.generations[k][0]
+             for k in range(depth)],
+            [lat.center[lat.generations[k]].tolist() for k in range(depth)])
+        assert _compute_c_adj(sp, [coarse]) == oracle_c_adj(sp, [coarse])
+
+    def test_c_adj_names_first_center_in_point_order(self):
+        # a lattice family either has the whole space as a cube, which
+        # holds every ball, or leaves the whole-space ball around 0 bare,
+        # so a real family always fails at 0 first.  A hand-edited home
+        # table lets later centers fail alone: 2 and 4 lose the root, so
+        # B(2, 2/8) = [0, 4] and B(4, 1/8) = [3, 5] lie in no home cube;
+        # the error names 2, the first in point order, not the smaller
+        # ball around 4
+        sp = build_grid_space(8)
+        lat = build_standard_lattice(sp)
+        homes = lat.point_to_cube.copy()
+        homes[0, [2, 4]] = homes[1, [2, 4]]
+        table = SimpleNamespace(point_to_cube=homes, gen=lat.gen,
+                                member_table=lat.member_table,
+                                start=lat.start, stop=lat.stop)
+        with pytest.raises(CoverError, match=r"ball B\(2, 0.25\) has no "
+                           "covering cube") as err:
+            _compute_c_adj(sp, [table])
+        assert err.value.ball.center == 2
+        assert err.value.ball.radius == 0.25
+        assert err.value.ball.members.tolist() == [0, 1, 2, 3, 4]
+
     def test_c_adj_names_first_uncovered_ball(self):
         sp = build_grid_space(8)
         lat = build_standard_lattice(sp)
@@ -726,6 +773,17 @@ class TestWitnessSelection:
         fam.witnesses[cid] = np.array([4, 5, -1])
         assert verify_sparse(fam).violations == [
             {"cube_id": cid, "reason": "witness not inside cube"}]
+
+    def test_verify_weighs_a_repeated_witness_once(self):
+        # [4, 4] is the one point 4, of mass 1 < 0.5 * 4, as [4] alone
+        lat = build_standard_lattice(build_grid_space(8))
+        cid = lat.generations[1][1]
+        fam = select_witnesses(lat, [cid], 0.5)
+        deficit = [{"cube_id": cid, "reason": "witness mass below delta bound",
+                    "witness_mass": 1.0, "required": 2.0}]
+        for wit in ([4], [4, 4]):
+            fam.witnesses[cid] = np.array(wit)
+            assert verify_sparse(fam).violations == deficit
 
     def test_verify_catches_shared_points(self):
         lat = build_standard_lattice(build_grid_space(8))

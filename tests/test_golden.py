@@ -37,12 +37,15 @@ of a threshold it is compared with, so float drift below that cannot
 move a cube id.
 
 Re-record (only when a behaviour change is intended and recorded in
-CHANGES.md) with `python tests/test_golden.py`.
+CHANGES.md) with `python tests/test_golden.py NAME ...`, which rewrites
+only the named files (for example `lattice_n16_s3.json`); with no NAME
+it rewrites every golden file.
 """
 
 import json
 import math
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
@@ -304,23 +307,33 @@ def test_hk_lattice_dump_matches_golden_bytes():
     assert _hk_dump() == HK_GOLDEN.read_text()
 
 
+def _dump(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _recorders():
+    """The text of every golden file, by file name, computed on demand."""
+    out = {_name(*setting): lambda setting=setting: _dump(_report(*setting))
+           for setting in SETTINGS}
+    out.update({_verify_golden(n).name: lambda n=n: _dump(_verify_report(n))
+                for n in VERIFY_SIZES})
+    out[FAILURE_GOLDEN.name] = lambda: _dump(_failure_reports())
+    out.update({_constants_golden(name).name:
+                lambda name=name: _constants_report(name)
+                for name in CONSTANTS_CONFIGS})
+    out[LATTICE_GOLDEN.name] = _lattice_report
+    out[HK_GOLDEN.name] = _hk_dump
+    return out
+
+
 if __name__ == "__main__":
+    recorders = _recorders()
+    names = sys.argv[1:] or list(recorders)
+    unknown = [name for name in names if name not in recorders]
+    if unknown:
+        sys.exit(f"unknown golden file(s): {', '.join(unknown)}; "
+                 f"choose from: {', '.join(recorders)}")
     GOLDEN.mkdir(exist_ok=True)
-    for setting in SETTINGS:
-        path = GOLDEN / _name(*setting)
-        path.write_text(json.dumps(_report(*setting), sort_keys=True,
-                                   indent=2) + "\n")
-        print(path)
-    for n in VERIFY_SIZES:
-        path = _verify_golden(n)
-        path.write_text(json.dumps(_verify_report(n), sort_keys=True,
-                                   indent=2) + "\n")
-        print(path)
-    FAILURE_GOLDEN.write_text(json.dumps(_failure_reports(), sort_keys=True,
-                                         indent=2) + "\n")
-    print(FAILURE_GOLDEN)
-    for name in CONSTANTS_CONFIGS:
-        _constants_golden(name).write_text(_constants_report(name))
-    LATTICE_GOLDEN.write_text(_lattice_report())
-    HK_GOLDEN.write_text(_hk_dump())
-    print(LATTICE_GOLDEN, HK_GOLDEN)
+    for name in names:
+        (GOLDEN / name).write_text(recorders[name]())
+        print(GOLDEN / name)

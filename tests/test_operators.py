@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparselab import operators
 from sparselab.dyadic import SparseFamily, build_hk_lattice, \
     build_standard_lattice, random_sparse_family, select_witnesses
 from sparselab.operators import (
@@ -550,6 +551,19 @@ class TestFractionalIntegral:
         assert np.array_equal(K, want)
         other = build_grid_space(8)
         assert ball_mass_kernel(other) is not K
+
+    def test_kernel_blocks_equal_the_per_row_search(self):
+        # n = 512 spans several row blocks; unrounded masses make every
+        # prefix sum depend on its adding order
+        n = 512
+        sp = build_grid_space(
+            n, np.random.default_rng(512).uniform(0.1, 3.0, n))
+        assert operators._KERNEL_BLOCK // n < n
+        K = ball_mass_kernel(sp)
+        for x in range(n):
+            _, d, prefix = sp._sorted_row(x)
+            row = prefix[np.searchsorted(d, sp.distances(x), "right") - 1]
+            assert np.array_equal(K[x], row)
 
     def test_linearity(self):
         sp = build_grid_space(8)

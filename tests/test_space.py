@@ -140,6 +140,65 @@ class TestBalls:
                 assert sp.ball_mass(x, float(r)) == pytest.approx(sp.mass_of(b.members))
 
 
+def _block_spaces():
+    """A unit grid, a weighted grid and an explicit space with ties."""
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(size=(12, 2))
+    metric = np.round(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+                      * 4) / 4 + 0.25 * (1.0 - np.eye(12))
+    return {
+        "unit-grid": build_grid_space(16),
+        "weighted-grid": build_grid_space(
+            16, np.random.default_rng(16).uniform(0.1, 3.0, 16)),
+        "explicit": build_explicit_space(metric, rng.lognormal(0, 1, 12)),
+    }
+
+
+def _probe_radii(sp, x):
+    """0, every realized distance from x, the midpoints between them
+    (off the grid's k/n), and radii past the farthest point."""
+    d = np.unique(sp.distances(x))
+    return np.concatenate([d, 0.5 * (d[1:] + d[:-1]),
+                           [d[-1] + 0.5, 4.0 * d[-1] + 1.0, np.inf]])
+
+
+class TestBallMassBlock:
+    @pytest.mark.parametrize("name", ["unit-grid", "weighted-grid",
+                                      "explicit"])
+    def test_block_equals_per_center_calls(self, name):
+        sp = _block_spaces()[name]
+        rng = np.random.default_rng(3)
+        # repeated and unsorted centers, each row a draw of its probes
+        centers = rng.integers(0, sp.n, 2 * sp.n)
+        r = np.array([rng.choice(_probe_radii(sp, x), 24) for x in centers])
+        got = sp.ball_mass(centers, r)
+        assert got.shape == r.shape
+        for b, x in enumerate(centers.tolist()):
+            assert np.array_equal(got[b], sp.ball_mass(x, r[b]))
+            for i in (0, 11, 23):
+                assert got[b, i] == sp.ball_mass(x, float(r[b, i]))
+        # the grid's closed form agrees with a search of the dense rows
+        if sp.kind == "grid":
+            dense = build_explicit_space(sp.metric, sp.masses, a0=1.0)
+            assert np.array_equal(got, dense.ball_mass(centers, r))
+
+    @pytest.mark.parametrize("name", ["unit-grid", "weighted-grid",
+                                      "explicit"])
+    @pytest.mark.parametrize("bad", [-0.1, np.nan])
+    def test_block_rejects_negative_and_nan_radii(self, name, bad):
+        sp = _block_spaces()[name]
+        r = np.array([[0.0, 0.25], [bad, 0.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            sp.ball_mass(np.array([0, 3]), r)
+
+    def test_block_needs_one_radius_row_per_center(self):
+        sp = build_grid_space(8)
+        with pytest.raises(ValueError, match=r"\(B, m\) radii"):
+            sp.ball_mass(np.array([0, 3]), np.zeros(2))
+        with pytest.raises(ValueError, match=r"\(B, m\) radii"):
+            sp.ball_mass(np.array([0, 3]), np.zeros((3, 2)))
+
+
 class TestDoublingConstant:
     # oracle values frozen from oracle_doubling (independent dense probe):
     # the supremum over all radii is realized on breakpoints {d, d/2}
