@@ -35,6 +35,10 @@ _KERNEL_VALUES = weakref.WeakKeyDictionary()
 _TABLE_ROWS = 8
 # kernel entries per block of ball_mass_kernel rows
 _KERNEL_BLOCK = 1 << 14
+# (centers, n) entries per block of centers whose balls are walked at once
+_BALL_BLOCK = 1 << 13
+# (T, rows, outer) entries per block of the m = 1 grand maximal's sums
+_VALUE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -278,20 +282,37 @@ def power_maximal_dyadic(lattice: DyadicLattice, f,
 
 # -- ball maximal functions --------------------------------------------------
 
+def _sorted_rows(space: DiscreteSpace, centers):
+    """The row orders of a block of centers, their sorted distances, and
+    ends[b, p], true where position p is the last member of its ball:
+    where the sorted distance rises, and at the last point."""
+    order = space._row_orders(centers)
+    ds = np.take_along_axis(space.distances(centers), order, axis=1)
+    ends = np.ones(order.shape, dtype=bool)
+    ends[:, :-1] = ds[:, 1:] > ds[:, :-1]
+    return order, ds, ends
+
+
 def fractional_maximal(space: DiscreteSpace, fs,
                        eta: float = 0.0) -> np.ndarray:
     """sup over the balls B centered at x, every realized radius
-    including zero, of mu(B)^(eta - m) prod_i int_B |f_i| dmu."""
+    including zero, of mu(B)^(eta - m) prod_i int_B |f_i| dmu.
+
+    Runs for a block of about _BALL_BLOCK (centers, n) entries at once:
+    the prefix sums along each center's row order hold every ball's
+    mass and integrals, read at the ball ends."""
     fs = _as_arrays(fs, space.n)
-    m = len(fs)
+    n, m = space.n, len(fs)
     fm = [np.abs(f) * space.masses for f in fs]
-    out = np.zeros(space.n)
-    for y in range(space.n):
-        order, _, ends = space.balls(y)
-        vals = np.cumsum(space.masses[order])[ends - 1] ** (eta - m)
+    out = np.empty(n)
+    step = max(1, _BALL_BLOCK // n)
+    for lo in range(0, n, step):
+        cen = np.arange(lo, min(lo + step, n))
+        order, _, ends = _sorted_rows(space, cen)
+        vals = np.cumsum(space.masses[order], axis=1) ** (eta - m)
         for f in fm:
-            vals = vals * np.cumsum(f[order])[ends - 1]
-        out[y] = float(vals.max())
+            vals *= np.cumsum(f[order], axis=1)
+        out[cen] = vals.max(axis=1, where=ends, initial=-np.inf)
     return out
 
 
@@ -472,6 +493,127 @@ def commutator_integral(space: DiscreteSpace, fs, symbols, powers,
 
 # -- truncated grand maximal -------------------------------------------------
 
+def _live_balls(space: DiscreteSpace, base, outer, dilation: float):
+    """The balls the grand maximal keeps around each base center, in
+    blocks of about _BALL_BLOCK (centers, n) entries, centers in point
+    order.  Yields (centers, order, level, cuts, count): order holds
+    the centers' row orders, level[b, z] is the ball level of point z
+    around centers[b] (0 for the center, j for the points ball j adds),
+    count[b] is the number of live balls, 1 to count[b], and cuts[b, j]
+    is dilation times the radius of ball j.
+    A ball is live when it lies inside the base ball and its cut-off
+    set, the outer points past dilation times its radius, is not empty;
+    both fail for good once the radius grows, so the live balls are a
+    prefix of the positive radii."""
+    centers = np.flatnonzero(base)
+    step = max(1, _BALL_BLOCK // space.n)
+    for lo in range(0, len(centers), step):
+        cen = centers[lo:lo + step]
+        order, level, cuts, count = _ball_levels(space, cen, base, outer,
+                                                 dilation)
+        if count.any():
+            yield cen, order, level, cuts, count
+
+
+def _ball_levels(space: DiscreteSpace, cen, base, outer, dilation: float):
+    """order, level, cuts and count of _live_balls for one block; a
+    function of its own, so its temporaries are freed before the walk
+    yields."""
+    order, ds, ends = _sorted_rows(space, cen)
+    levels = np.zeros(order.shape, dtype=np.intp)
+    np.cumsum(ends[:, :-1], axis=1, out=levels[:, 1:])
+    reach = np.where(outer[order], ds, -np.inf).max(axis=1)
+    # a ball is live when ok holds at its last member: every point up
+    # to it lies in the base ball, and dilation times its distance
+    # stays below the farthest outer point; position 0 is the center,
+    # level 0, which is no ball
+    ok = np.logical_and.accumulate(
+        base[order] & (dilation * ds < reach[:, None]), axis=1)
+    count = np.count_nonzero((ok & ends)[:, 1:], axis=1)
+    radii = np.zeros(order.shape)
+    np.put_along_axis(radii, levels, ds, axis=1)
+    level = np.empty_like(levels)
+    np.put_along_axis(level, order, levels, axis=1)
+    return order, level, dilation * radii[:, :count.max() + 1], count
+
+
+def _level_peaks(space: DiscreteSpace, balls, w, outer, expo: float, out):
+    """m = 1 grand maximal on one block of _live_balls: maxes into out
+    the peak of every live ball around the block's centers, spread to
+    its members; w holds the (T, n) weighted argument rows."""
+    cen, order, level, cuts, count = balls
+    K = ball_mass_kernel(space).ravel()
+    n, width, size, top = space.n, len(w), np.count_nonzero(outer), \
+        cuts.shape[1] - 1
+    # every center's outer points, farthest first: ball j keeps the
+    # first kept[b, j] of them
+    desc = order[:, ::-1]
+    zs = desc[outer[desc]].reshape(len(cen), size)
+    kept = size - np.take_along_axis(np.cumsum(outer[order], axis=1),
+                                     space._ball_last(cen, order, cuts),
+                                     axis=1)
+    # level segments, largest ball first: segment i runs from bounds[i]
+    # to bounds[i + 1], so balls top - i and up keep it; balls past
+    # count[b] keep nothing, and their segments are empty
+    j = np.arange(top + 1)
+    kept[j > count[:, None]] = 0
+    bounds = np.concatenate([np.zeros((len(cen), 1), np.intp),
+                             kept[:, :0:-1]], axis=1)
+    empty = np.append(bounds[:, 1:] == bounds[:, :-1],
+                      np.ones((len(cen), 1), bool), axis=1)
+    # one row per (center, member of its largest live ball)
+    rb, x = np.nonzero(level <= np.where(count > 0, count, -1)[:, None])
+    lv = np.maximum(level[rb, x], 1)  # the center is in every ball
+    peak = np.zeros((width, len(cen), top + 1))
+    step = max(1, _VALUE_BLOCK // (width * max(size, top + 1)))
+    for lo in range(0, len(rb), step):
+        b, r = rb[lo:lo + step], slice(lo, lo + step)
+        cols = zs[b]
+        # terms[t, row, k]: K[x, z]^(eta-1) w_t(z) for the row's k-th
+        # farthest outer point z, and one spare 0 that ends the last row
+        terms = np.zeros(width * len(b) * size + 1)
+        rows = terms[:-1].reshape(width, len(b), size)
+        np.take(w, cols, axis=1, out=rows)
+        cols += x[r, None] * n
+        power = np.take(K, cols)
+        power **= expo
+        rows *= power
+        del cols, power  # freed before the sums and the next block
+        # each segment is one sum over its own points, whatever the
+        # block; the segments add up from the largest ball down
+        starts = (np.arange(width * len(b)) * size).reshape(width, -1, 1) \
+            + bounds[b]
+        sums = np.add.reduceat(terms, starts.ravel()).reshape(starts.shape)
+        sums[:, empty[b]] = 0.0
+        vals = np.abs(np.cumsum(sums, axis=2)[:, :, ::-1])
+        vals[:, j < lv[r, None]] = 0.0  # balls too small to hold the row
+        first = np.flatnonzero(np.append(True, b[1:] != b[:-1]))
+        peak[:, b[first]] = np.maximum(
+            peak[:, b[first]], np.maximum.reduceat(vals, first, axis=1))
+    # a member of level l lies in balls l and up: the running max from
+    # the largest ball down gives it its peak
+    peak = np.maximum.accumulate(peak[:, :, ::-1], axis=2)[:, :, ::-1]
+    np.maximum.at(out, (slice(None), x), peak[:, rb, lv])
+
+
+def _ball_columns(space: DiscreteSpace, walk, outer):
+    """(held, keep) of every ball of a _live_balls walk, centers in
+    point order and each center's balls smallest first: held[z, c] when
+    ball c holds point z, keep[c, z] when its cut-off set does; None
+    when no ball is live."""
+    held, keep = [], []
+    for cen, _, level, cuts, count in walk:
+        d = space.distances(cen)
+        b = np.repeat(np.arange(len(count)), count)
+        j = np.arange(len(b)) + 1 - np.repeat(np.cumsum(count) - count,
+                                              count)
+        held.append((level[b] <= j[:, None]).T)
+        keep.append(outer & (d[b] > cuts[b, j][:, None]))
+    if held:
+        return np.concatenate(held, axis=1), np.concatenate(keep)
+    return None
+
+
 def truncated_grand_maximal_local(space: DiscreteSpace, fs, eta: float,
                                   dilation: float, base_center: int,
                                   base_radius: float) -> np.ndarray:
@@ -481,34 +623,40 @@ def truncated_grand_maximal_local(space: DiscreteSpace, fs, eta: float,
 
     The arguments are all (n,) columns, giving an (n,) result, or all
     (T, n) blocks, giving a (T, n) result whose row t is the call on row
-    t of every block.  A ball leaves B0, and its cut-off set empties,
-    for good once the radius grows past some value, so the balls that
-    count around each center are a prefix of its positive radii."""
+    t of every block.  The balls are walked for blocks of base centers
+    at once (_live_balls), with no loop per center.
+
+    For m = 1 the cut-off sets around one center y are nested: point z
+    is kept by the first l(y, z) balls, l(y, z) = #{j : dilation r_j <
+    d(y, z)}.  With the outer points taken farthest from y first, ball
+    j keeps a prefix of them, which splits into level segments: the
+    points kept by balls j and up but not j + 1.  Ball j's value at a
+    member x is then the sum, from the largest ball down to j, of the
+    segment sums of K[x, z]^(eta-1) f(z) mu(z).  Each segment sum runs
+    over its own points only (np.add.reduceat) and the segments add in
+    one order, so a value depends only on its center, ball and row,
+    never on the blocks, which hold about _VALUE_BLOCK (T, rows, outer)
+    entries; no n x n kernel power and no product per ball is built.
+    A running max from the largest ball down spreads each ball's peak
+    to its members, and a scatter-max combines the centers.
+
+    For m >= 2 each (center, radius) ball is one column: its cut-off
+    arguments, read on its own members by one fractional_integral call
+    per block row."""
     fs = _as_blocks(fs, space.n)
     base = np.zeros(space.n, dtype=bool)
     base[space.ball(base_center, base_radius).members] = True
     outer = space.distances(base_center) <= dilation * base_radius
-    keeps, balls = [], []
-    for y in np.flatnonzero(base):
-        order, radii, ends = space.balls(y)
-        d = space.distances(y)
-        inside = np.logical_and.accumulate(base[order])[ends[1:] - 1]
-        reach = d[outer].max(initial=-np.inf)
-        live = np.logical_and.accumulate(
-            inside & (dilation * radii[1:] < reach))
-        for j in range(1, 1 + int(np.count_nonzero(live))):
-            balls.append(order[:ends[j]])
-            keeps.append(outer & (d > dilation * radii[j]))
-    out = np.zeros(np.atleast_2d(fs[0]).shape)
-    if balls:
-        # column b is one (center, radius) ball: its cut-off arguments,
-        # read on its own members only; one kernel call per block row
-        held = np.zeros((space.n, len(balls)), dtype=bool)
-        for b, ball in enumerate(balls):
-            held[ball, b] = True
-        keep = np.array(keeps)
-        del keeps, balls  # freed, so they do not raise the calls' peak
-        for t, row in enumerate(zip(*map(np.atleast_2d, fs))):
+    blocks = [np.atleast_2d(f) for f in fs]
+    out = np.zeros(blocks[0].shape)
+    walk = _live_balls(space, base, outer, dilation)
+    if len(fs) == 1:
+        w = blocks[0] * space.masses
+        for balls in walk:
+            _level_peaks(space, balls, w, outer, eta - 1.0, out)
+    elif (columns := _ball_columns(space, walk, outer)) is not None:
+        held, keep = columns
+        for t, row in enumerate(zip(*blocks)):
             peaks = np.abs(fractional_integral(
                 space, [f * keep for f in row], eta, rows=held)).max(axis=0)
             out[t] = np.where(held, peaks, 0.0).max(axis=1)

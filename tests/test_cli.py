@@ -8,6 +8,8 @@ import os
 import pathlib
 import re
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -772,3 +774,22 @@ def test_readme_config_example_runs(runner, tmp_path, args):
         cfg = _write_config(tmp_path, config)
         result = runner.invoke(cli, ["--config", cfg, *args])
         assert result.exit_code == 0, (config, result.output)
+
+
+def test_dominate_bytes_do_not_depend_on_blas_threads():
+    # the README's Numerics promise: one BLAS thread or two, the same
+    # report; each run is a fresh process, as the thread count is read
+    # when numpy loads
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        run = subprocess.run(
+            [sys.executable, "-c", "from sparselab.cli import main; main()",
+             "dominate", "--n", "256", "--k", "1", "--shifts", "3"],
+            env=env, capture_output=True, timeout=300, check=True)
+        outputs.append(run.stdout)
+    assert json.loads(outputs[0])["verification"]["pass"] is True
+    assert outputs[0] == outputs[1]

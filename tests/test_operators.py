@@ -763,11 +763,17 @@ def loop_fractional_maximal(space, fs, eta):
 
 
 def ball_layer_spaces():
+    """A weighted grid, random plane points, and a 4 x 6 plane lattice
+    of spacing 1/8, whose distances tie, so one ball adds several
+    points at once."""
     rng = np.random.default_rng(31)
     grid = build_grid_space(32, masses=np.exp(rng.uniform(-1, 1, size=32)))
     pts = rng.uniform(0, 1, size=(24, 2))
     metric = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
-    return [grid, build_explicit_space(metric, rng.uniform(0.5, 2, 24))]
+    lattice = np.array(list(itertools.product(range(4), range(6)))) / 8
+    tied = np.sqrt(((lattice[:, None] - lattice[None]) ** 2).sum(axis=2))
+    return [grid, build_explicit_space(metric, rng.uniform(0.5, 2, 24)),
+            build_explicit_space(tied, rng.uniform(0.5, 2, 24))]
 
 
 def class_table_spaces():
@@ -777,16 +783,22 @@ def class_table_spaces():
 
 
 class TestBallLayerOperators:
-    """The ball-layer operators reproduce the per-radius loops exactly."""
+    """The ball-layer operators reproduce the per-radius loops: exactly,
+    but for the m = 1 grand maximal, which sums in its own order and
+    matches to rounding, with the same zeros."""
 
-    def test_fractional_maximal_matches_loop(self):
-        for sp in ball_layer_spaces():
+    def test_fractional_maximal_matches_loop(self, monkeypatch):
+        # every center at once or one per block: the same prefix sums
+        for sp, m in itertools.product(ball_layer_spaces(), (1, 2, 3)):
             rng = np.random.default_rng(32)
-            fs = [rng.normal(size=sp.n) for _ in range(2)]
+            fs = [rng.normal(size=sp.n) for _ in range(m)]
             for eta in (0.0, 0.75):
-                got = fractional_maximal(sp, fs, eta)
                 want = loop_fractional_maximal(sp, fs, eta)
-                assert np.array_equal(got, want)
+                assert np.array_equal(fractional_maximal(sp, fs, eta), want)
+                with monkeypatch.context() as patch:
+                    patch.setattr(operators, "_BALL_BLOCK", sp.n)
+                    assert np.array_equal(fractional_maximal(sp, fs, eta),
+                                          want)
 
     @pytest.mark.parametrize("dilation", [0.5, 2.0, 6.0])
     def test_whole_space_base_matches_loop(self, dilation):
@@ -801,14 +813,24 @@ class TestBallLayerOperators:
     @pytest.mark.parametrize("center,radius,dilation", [
         (16, 0.25, 2.0), (3, 0.5, 4.0), (20, 0.125, 1.0), (0, 1.0, 3.0)])
     def test_local_matches_loop(self, center, radius, dilation):
-        for sp in class_table_spaces():
+        # m = 1 sums each ball's value by levels, in another order than
+        # the loop's kernel product: the same zeros, values to rounding;
+        # m = 2 makes the loop's kernel calls, so it matches bit for bit
+        for sp, m, signed in itertools.product(class_table_spaces(), (1, 2),
+                                               (False, True)):
             rng = np.random.default_rng(34)
-            f = np.abs(rng.normal(size=sp.n))
-            got = truncated_grand_maximal_local(sp, [f], 0.25, dilation,
+            fs = [rng.normal(size=sp.n) for _ in range(m)]
+            if not signed:
+                fs = [np.abs(f) for f in fs]
+            got = truncated_grand_maximal_local(sp, fs, 0.25, dilation,
                                                 center, radius)
-            want = loop_grand_maximal(sp, [f], 0.25, dilation, center,
+            want = loop_grand_maximal(sp, fs, 0.25, dilation, center,
                                       radius)
-            assert np.array_equal(got, want)
+            if m == 2:
+                assert np.array_equal(got, want)
+            else:
+                assert np.array_equal(got == 0, want == 0)
+                assert np.all(np.abs(got - want) <= 1e-12 * want)
 
     def test_local_all_zero_matches_loop(self):
         # a dilation past the base ball's reach leaves every cut-off
@@ -836,6 +858,48 @@ class TestBallLayerOperators:
                 assert got.shape == (3, sp.n)
                 assert np.array_equal(got, np.array(want))
                 assert np.all(np.any(got, axis=1))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", ["unit", "weighted", "tied"])
+    def test_blocks_do_not_change_values(self, monkeypatch, m, kind):
+        # one center per walk block or all at once, one row per value
+        # block or all at once: each value has one summation order
+        rng = np.random.default_rng(37)
+        sp = {"unit": build_grid_space(64),
+              "weighted": build_grid_space(64, rng.uniform(0.5, 2, 64)),
+              "tied": ball_layer_spaces()[2]}[kind]
+        n = sp.n
+        blocks = [rng.normal(size=(3, n)) for _ in range(m)]
+
+        def call():
+            return truncated_grand_maximal_local(sp, blocks, 0.25, 2.0,
+                                                 n // 2, 0.5)
+
+        want = call()
+        assert np.count_nonzero(want) >= 3 * n // 2
+        for walk, values in ((n, 1), (n, 1 << 30), (n * n, 1),
+                             (n * n, 1 << 30)):
+            monkeypatch.setattr(operators, "_BALL_BLOCK", walk)
+            monkeypatch.setattr(operators, "_VALUE_BLOCK", values)
+            assert np.array_equal(call(), want)
+
+    def test_m1_memory_stays_per_block(self):
+        # the root call of dominate --n 512 --k 2 --shifts 3: 12,016
+        # (center, member) rows, each summed over 512 outer points, for
+        # 3 argument rows; the sums run in bounded value blocks
+        n = 512
+        sp = build_grid_space(n)
+        ball_mass_kernel(sp)
+        f = np.abs(np.random.default_rng(39).normal(size=(3, n)))
+        tracemalloc.start()
+        try:
+            out = truncated_grand_maximal_local(sp, [f], 0.0, 32.0, 0,
+                                                0.998046875)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(out > 0)
+        assert peak < 4 * 2 ** 20
 
     def test_malformed_block_rejected_without_balls(self):
         # the all-zero setting above keeps no ball, so the shape check
