@@ -161,6 +161,7 @@ class DiscreteSpace:
             raise ValueError("ball radius must be nonnegative")
         block = np.ndim(center) > 0
         centers = np.atleast_1d(np.asarray(center, dtype=np.intp))
+        self._check_centers(centers)
         if block and (r.ndim != 2 or len(r) != len(centers)):
             raise ValueError("a block of B centers takes (B, m) radii")
         rows = r if block else r.reshape(1, -1)
@@ -172,6 +173,12 @@ class DiscreteSpace:
             return out
         return float(out[0, 0]) if np.isscalar(radius) else \
             out.reshape(r.shape)
+
+    def _check_centers(self, centers) -> None:
+        """One range check for a center or an array of centers."""
+        centers = np.asarray(centers)
+        if centers.size and (centers.min() < 0 or centers.max() >= self.n):
+            raise ValueError("ball center out of range")
 
     def _row_orders(self, centers: np.ndarray) -> np.ndarray:
         """_row_order of each center, as rows of a (B, n) array."""
@@ -191,9 +198,20 @@ class DiscreteSpace:
         """Every closed ball around center, smallest first: the points
         by distance, the distinct radii (0 first) and member counts, so
         ball j is order[:ends[j]] with mass ball_mass(center, radii[j])."""
+        self._check_centers(center)
         order, d, _ = self._sorted_row(center)
         ends = np.append(np.flatnonzero(np.diff(d) > 0) + 1, self.n)
         return order, d[ends - 1], ends
+
+    def _doubling_scan(self) -> float:
+        """doubling_constant, one center at a time over its balls."""
+        best = 1.0
+        for x in range(self.n):
+            order, radii, ends = self.balls(x)
+            mass = np.cumsum(self.masses[order])[ends - 1]
+            inner = mass[np.searchsorted(radii, 0.5 * radii, side="right") - 1]
+            best = max(best, float(np.max(mass / inner)))
+        return best
 
     def realized_distances(self, center: int) -> np.ndarray:
         """Sorted positive distances from center."""
@@ -258,6 +276,7 @@ class GridSpace(DiscreteSpace):
     def balls(self, center: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # ball j has radius j/n and holds both sides out to j, clipped at
         # the nearer end of the grid
+        self._check_centers(center)
         n = self.n
         near = min(center, n - 1 - center)
         j = np.arange(n - near)
@@ -285,6 +304,29 @@ class GridSpace(DiscreteSpace):
         j = np.minimum(r * n, n - 1 - near).astype(np.intp)
         return j + np.minimum(j, near)
 
+    def _doubling_scan(self) -> float:
+        # doubling_constant's recurrence for every center at once:
+        # inner holds S_k and outer S_{2k+1}, both grown by m, the masses
+        # padded with n zeros on each side
+        n = self.n
+        m = np.zeros(3 * n)
+        m[n:2 * n] = self.masses
+
+        def grow(s, j):
+            # S_{j-1} -> S_j: add m[x - j], then m[x + j]
+            s += m[n - j:2 * n - j]
+            s += m[n + j:2 * n + j]
+
+        inner = self.masses.copy()
+        outer = self.masses.copy()
+        best = np.ones(n)
+        for k in range(n // 2):
+            grow(outer, 2 * k + 1)
+            np.maximum(best, outer / inner, out=best)
+            grow(inner, k + 1)
+            grow(outer, 2 * k + 2)
+        return float(best.max())
+
 
 def build_grid_space(n: int, masses=None) -> DiscreteSpace:
     """Grid model: points k/n on [0, 1) with d(x, y) = |x - y| and a0 = 1."""
@@ -310,14 +352,21 @@ def doubling_constant(space: DiscreteSpace) -> float:
     falls where the inner ball grows, so its supremum over all radii is
     its largest value at those breakpoints: the mass of ball j over the
     mass of the last ball of radius at most radii[j] / 2.
+
+    An explicit space scans each center's balls in turn.  A grid scans
+    every center at once, with no loop over centers and the same bits:
+    ball j has radius j/n and, in row order, adds x - j and then x + j
+    to ball j - 1, so its mass is S_j = (S_{j-1} + m[x-j]) + m[x+j],
+    the very additions of the prefix sum, with m = 0.0 off the grid
+    (which leaves a positive sum exactly as it is).  radii[j] / 2 is
+    exact, so the inner ball of ball j is ball j // 2.  Each step k
+    carries S_k and S_{2k+1} for every center: float addition of
+    nonnegative terms is monotone, so S_{2k+1} / S_k bounds
+    S_{2k} / S_k, and past a center's last ball the outer sum is its
+    total mass over an inner sum no smaller, a ratio that cannot exceed
+    the last ball's.
     """
-    best = 1.0
-    for x in range(space.n):
-        order, radii, ends = space.balls(x)
-        mass = np.cumsum(space.masses[order])[ends - 1]
-        inner = mass[np.searchsorted(radii, 0.5 * radii, side="right") - 1]
-        best = max(best, float(np.max(mass / inner)))
-    return best
+    return space._doubling_scan()
 
 
 # -- JSON descriptors -------------------------------------------------------

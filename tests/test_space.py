@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ class TestBallMassBlock:
         with pytest.raises(ValueError, match="nonnegative"):
             sp.ball_mass(np.array([0, 3]), r)
 
+    @pytest.mark.parametrize("name", ["unit-grid", "weighted-grid",
+                                      "explicit"])
+    def test_out_of_range_centers_are_refused(self, name):
+        # before, -1 wrapped to the last point or read the total mass,
+        # and n read the total mass
+        sp = _block_spaces()[name]
+        for bad in (-1, sp.n, sp.n + 1):
+            with pytest.raises(ValueError, match="center out of range"):
+                sp.ball_mass(bad, 0.0)
+            with pytest.raises(ValueError, match="center out of range"):
+                sp.ball_mass(np.array([0, bad]), np.zeros((2, 1)))
+            with pytest.raises(ValueError, match="center out of range"):
+                sp.balls(bad)
+
     def test_block_needs_one_radius_row_per_center(self):
         sp = build_grid_space(8)
         with pytest.raises(ValueError, match=r"\(B, m\) radii"):
@@ -242,6 +257,29 @@ class TestDoublingConstant:
                   "lognormal": rng.lognormal(0.0, 1.5, size=n)}[kind]
         sp = build_grid_space(n, masses)
         assert doubling_constant(sp) == reference_doubling(sp)
+
+    @pytest.mark.parametrize("kind", ["uniform", "lognormal"])
+    @pytest.mark.parametrize("n", [4, 8, 16, 64])
+    def test_seeded_grids_equal_the_sorted_candidate_scan(self, n, kind):
+        # about one uniform draw in eight gives other bits if a ball adds
+        # x + j before x - j, so 40 draws see the summation order
+        rng = np.random.default_rng([n, kind == "lognormal"])
+        for _ in range(40):
+            masses = rng.uniform(0.1, 3.0, size=n) if kind == "uniform" \
+                else rng.lognormal(0.0, 6.0, size=n)
+            sp = build_grid_space(n, masses)
+            assert doubling_constant(sp) == reference_doubling(sp)
+
+    def test_grid_scan_memory_is_linear(self):
+        # a few length-3n rows; one (n, n) or (B, n) array would not fit
+        sp = build_grid_space(8192)
+        tracemalloc.start()
+        try:
+            doubling_constant(sp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("kind", ["plane", "plane-squared", "cycle"])
     def test_explicit_spaces_equal_the_sorted_candidate_scan(self, kind):
