@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import functools
 import io
 import json
 import math
@@ -144,7 +145,7 @@ def _section(cfg, name, fields, default=None):
     return sec
 
 
-def _space_from_config(cfg, n_flag, min_n=None):
+def _space_from_config(cfg, n_flag, min_n=0):
     """The space the config declares, its point count n >= min_n."""
     desc = dict(_section(cfg, "space",
                          ("kind", "n", "masses", "metric", "a0"), default={}))
@@ -153,11 +154,12 @@ def _space_from_config(cfg, n_flag, min_n=None):
     desc["masses"] = _entries(None, desc, "masses", "space", None,
                               lambda v: _is_num(v) or isinstance(v, str),
                               "an array of numbers or decimal strings")
-    # n defaults to the masses' length; one that disagrees with it fails
-    # in the library
+    # n defaults to the masses' length; one that disagrees with them, or
+    # empty masses, fail in the library, but a given n is at least 1
+    given = n_flag is not None or desc.get("n") is not None
     desc["n"] = _setting(n_flag, desc, "n", "space",
                          16 if desc["masses"] is None else len(desc["masses"]),
-                         integer=True, minimum=min_n)
+                         integer=True, minimum=max(min_n, int(given)))
     try:
         return space_from_descriptor(desc)
     except (ValueError, TypeError) as exc:
@@ -283,24 +285,62 @@ def _emit(text, out):
         _write_text(out, text)
 
 
+@functools.cache
+def _flat_encoder(depth):
+    """The C encoder of a container of scalars, entries at depth."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False,
+                            separators=(",\n" + "  " * depth, ": ")).encode
+
+
+# bool before int: isinstance(True, int) holds
+_SCALAR_TEXT = {bool: lambda v: "true" if v else "false",
+                str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+                float: lambda v: (float.__repr__(v) if math.isfinite(v)
+                                  else f'"{json.dumps(v)}"'),
+                type(None): lambda v: "null"}
+
+
 def _json_payload(payload) -> str:
-    """Strict JSON text; a NaN or infinite float is written as the string
-    "NaN", "Infinity" or "-Infinity"."""
-    try:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
-        return json.dumps(_nonfinite_as_strings(payload), sort_keys=True,
-                          indent=2, allow_nan=False)
+    """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False),
+    byte for byte, except that a NaN or infinite float is written as the
+    string "NaN", "Infinity" or "-Infinity".  A container of scalars is
+    one call of the C encoder; others (and one with such a float) are
+    written entry by entry, each run of scalar entries as one part."""
+    parts = []
 
+    def write(value, depth):
+        is_dict = isinstance(value, dict)
+        if not is_dict and not isinstance(value, (list, tuple)):
+            for kind in _SCALAR_TEXT:  # a scalar, of a subclass too
+                if isinstance(value, kind):
+                    return parts.append(_SCALAR_TEXT[kind](value))
+            json.JSONEncoder().default(value)  # json's TypeError
+        values = value.values() if is_dict else value
+        indent, outdent = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        if _SCALAR_TEXT.keys() >= set(map(type, values)):
+            try:
+                text = _flat_encoder(depth + 1)(value)
+                return parts.append(text if len(text) == 2 else text[0]
+                                    + indent + text[1:-1] + outdent + text[-1])
+            except ValueError:  # a NaN or infinite float: entry by entry
+                pass
+        text, sep = ("{" if is_dict else "["), indent
+        for key, v in sorted(value.items()) if is_dict else enumerate(value):
+            if is_dict:  # json coerces a scalar key to a string
+                sep += (_SCALAR_TEXT[str](key) if isinstance(key, str)
+                        else _flat_encoder(0)({key: 0})[1:-4]) + ": "
+            to_text = _SCALAR_TEXT.get(type(v))
+            if to_text is None:
+                parts.append(text + sep)
+                text = ""
+                write(v, depth + 1)
+            else:
+                text += sep + to_text(v)
+            sep = "," + indent
+        parts.append(text + outdent + ("}" if is_dict else "]"))
 
-def _nonfinite_as_strings(value):
-    if isinstance(value, dict):
-        return {k: _nonfinite_as_strings(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_nonfinite_as_strings(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return json.dumps(value)  # "NaN", "Infinity" or "-Infinity"
-    return value
+    write(payload, 0)
+    return "".join(parts)
 
 
 def _csv_text(header, rows) -> str:

@@ -14,6 +14,8 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparselab import cli as cli_module
 from sparselab.cli import _json_payload, cli
@@ -627,6 +629,19 @@ def test_config_field_reads_like_its_flag(runner, tmp_path, config,
        "Error: lattice: net construction exceeded 512 generations "
        "(stalled at generation 512)")
       for args in (["sparse"], ["verify", "all"])],
+    # a given n is at least 1; empty masses fail in the library
+    *[(None, [command, "--n", n], "Error: n must be >= 1")
+      for command in ("space", "lattice") for n in ("-4", "0")],
+    *[({"space": {"n": n}}, ["space"], "Error: space.n must be >= 1")
+      for n in (-4, 0)],
+    ({"space": {"masses": [], "n": -4}}, ["lattice"],
+     "Error: space.n must be >= 1"),
+    ({"space": {"masses": []}}, ["space"],
+     "Error: space: grid size must be a power of two"),
+    ({"space": {"kind": "explicit", "masses": [], "metric": []}},
+     ["lattice"], "Error: space: space must contain at least one point"),
+    ({"space": {"masses": []}}, ["verify", "holder_eq"],
+     "Error: space.n must be >= 2"),
 ])
 def test_error_names_flag_bare_and_field_dotted(runner, tmp_path, config,
                                                 args, message):
@@ -793,3 +808,88 @@ def test_dominate_bytes_do_not_depend_on_blas_threads():
         outputs.append(run.stdout)
     assert json.loads(outputs[0])["verification"]["pass"] is True
     assert outputs[0] == outputs[1]
+
+
+def _stdlib_json(payload):
+    """The reference for _json_payload: the stdlib's indent=2 text, with
+    each NaN or infinite float replaced by its name as a string."""
+    def strings(value):
+        if isinstance(value, dict):
+            return {k: strings(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strings(v) for v in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return json.dumps(value)
+        return value
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        return json.dumps(strings(payload), sort_keys=True, indent=2,
+                          allow_nan=False)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(["\x00\n\t\"\\", "\u00e9\u2028", "\U0001f600"]))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=6), st.lists(inner, max_size=6).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=6),
+    st.dictionaries(st.integers(), inner, max_size=6)), max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+@example({})
+@example(True)
+@example(None)
+@example(np.float64(math.inf))
+@example({"a": [[], {}, ()], "b": {"c": []}})
+@example({10: 0, 2: 0})
+@example({10: 0, 2: [1]})
+@example({"\x7f\u00e9": {1.5: [True], -2.0: 0.1}})
+@example({True: [1], False: 0})
+@example({None: {}})
+@example({"a": [1, {"b": [math.nan, (math.inf, {"c": -math.inf})]}]})
+def test_json_payload_matches_stdlib(payload):
+    assert _json_payload(payload) == _stdlib_json(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    np.int64(3), [1, np.int64(3)], {"a": 1, "b": np.int64(3)},
+    {"a": [1.5, math.nan], "b": {"c": [np.int64(3)]}}])
+def test_json_payload_raises_stdlib_type_error(payload):
+    with pytest.raises(TypeError) as want:
+        _stdlib_json(payload)
+    with pytest.raises(TypeError) as got:
+        _json_payload(payload)
+    assert str(got.value) == str(want.value)
+
+
+def _golden_dump(text):
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["space", "--n", "2048"], ["lattice", "--n", "256", "--shifts", "3"],
+    ["sparse", "--n", "64"],
+    ["--seed", "1", "dominate", "--n", "64", "--k", "1,1", "--shifts", "3"]])
+def test_report_bytes_are_stdlib_json(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0, result.output
+    assert result.output == _golden_dump(result.output)
+
+
+def test_non_finite_report_bytes_are_stdlib_json(runner, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setattr("sparselab.verify.holder_sides",
+                        lambda *args: (1.0, 0.0))
+    report = tmp_path / "rep.json"
+    runner.invoke(cli, ["verify", "holder_eq", "--trials", "2",
+                        "--report", str(report)])
+    text = report.read_text()
+    assert '"Infinity"' in text
+    assert text == _golden_dump(text)
