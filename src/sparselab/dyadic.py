@@ -646,9 +646,11 @@ def random_sparse_family(lattice: DyadicLattice, rng) -> SparseFamily:
     left alone, kept with the walk continuing below it, or skipped;
     leaves join with even odds.  Keeping mixed generations (not every
     leaf) leaves the selector room, and every cube the greedy selection
-    starves is dropped in one witness walk.
+    starves is dropped in one witness walk.  The walk's uniforms are
+    drawn in one call, one per cube, so rng is consumed.
     """
     first, kids = lattice._child_start.tolist(), lattice._children.tolist()
+    draw = iter(rng.uniform(size=len(lattice.gen)).tolist()).__next__
     ids = []
     root = lattice.generations[0][0]
     stack = [root]
@@ -656,10 +658,10 @@ def random_sparse_family(lattice: DyadicLattice, rng) -> SparseFamily:
         cid = stack.pop()
         children = kids[first[cid]:first[cid + 1]]
         if not children:
-            if rng.uniform() < 0.5:
+            if draw() < 0.5:
                 ids.append(cid)
             continue
-        roll = rng.uniform()
+        roll = draw()
         if roll < 0.55:
             ids.append(cid)
         if roll >= 0.25:

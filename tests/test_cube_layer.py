@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from sparselab import weights
 from sparselab.domination import augment_sparse
-from sparselab.dyadic import (build_hk_lattice, build_shifted_adjacent,
-                              build_standard_lattice, random_sparse_family,
-                              select_witnesses)
+from sparselab.dyadic import (build_hk_lattice, build_lattice,
+                              build_shifted_adjacent, build_standard_lattice,
+                              random_sparse_family, select_witnesses)
 from sparselab.operators import (MultiIndexPair, dyadic_maximal,
                                  sharp_maximal_dyadic, sparse_first_order,
                                  sparse_higher_order, sparse_operator)
@@ -494,6 +495,116 @@ def test_gauge_nan_and_infinite_cubes(lattice):
                               young_llogl(1.0))
             for cid in np.flatnonzero(clean)]
     assert np.array_equal(got[clean], want)
+
+
+def _lockstep_luxemburg(lattice, f, phi):
+    # luxemburg_norm as a lockstep bisection, the code it replaced verbatim
+    vals = np.abs(np.broadcast_to(np.asarray(f, dtype=np.float64),
+                                  lattice.point_to_cube.shape))
+    top = lattice.cube_max(vals)
+    live = np.isfinite(top) & (top > 0)
+
+    def mean_phi(lam):
+        return lattice.cube_means(phi.value(vals / lam[lattice.point_to_cube]))
+
+    hi = np.ones(len(lattice.gen))
+    grow = live
+    for steps in range(2001):
+        grow = grow & (mean_phi(hi) > 1.0)
+        if not grow.any():
+            break
+        if steps == 2000:
+            raise ArithmeticError("no finite bracket for the gauge norm")
+        hi[grow] *= 2.0
+    lo = hi / 2.0
+    shrink = live
+    for steps in range(2001):
+        shrink = shrink & (mean_phi(lo) <= 1.0)
+        if not shrink.any():
+            break
+        if steps == 2000:
+            raise ArithmeticError("gauge norm bracket collapsed")
+        hi[shrink] = lo[shrink]
+        lo[shrink] /= 2.0
+    wide = live & ((hi - lo) > 1e-10 * hi)
+    while wide.any():
+        mid = 0.5 * (lo + hi)
+        below = mean_phi(mid) <= 1.0
+        hi = np.where(wide & below, mid, hi)
+        lo = np.where(wide & ~below, mid, lo)
+        wide = wide & ((hi - lo) > 1e-10 * hi)
+    return np.where(live, hi, top)
+
+
+def _sweep_space(name):
+    rng = np.random.default_rng(17)
+    if name.startswith("grid"):
+        return build_grid_space(int(name[4:]))
+    if name == "golden-weighted":
+        return build_grid_space(64, masses=np.round(
+            np.random.default_rng(7).uniform(0.5, 2.0, size=64), 6))
+    if name == "lognormal":
+        return build_grid_space(128, masses=np.exp(
+            3.0 * rng.standard_normal(128)))
+    pts = rng.uniform(size=(24, 2))
+    metric = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    return build_explicit_space(metric, rng.uniform(0.5, 2.0, 24))
+
+
+def _sweep_data(lattice, rng):
+    n = lattice.space.n
+    base = np.abs(rng.standard_normal(n))
+    zeros = base.copy()
+    zeros[rng.uniform(size=n) < 0.7] = 0.0
+    return [math.exp(30.0) * base, math.exp(-30.0) * base,
+            np.full(n, 2.0 ** int(rng.integers(-6, 7))), zeros,
+            np.exp(rng.uniform(-20.0, 20.0, n)), rng.standard_cauchy(n),
+            np.abs(lattice.deviations(rng.standard_normal(n))) ** 1.5]
+
+
+@pytest.mark.parametrize("space", ["grid1", "grid2", "grid16", "grid64",
+                                   "grid256", "golden-weighted",
+                                   "lognormal", "explicit24"])
+def test_gauge_matches_lockstep_bisection(space):
+    lattice = build_lattice(_sweep_space(space))
+    phis = YOUNG + [young_llogl(3.0), young_expl(2.0),
+                    young_power_log(1.0, 0.0)]
+    for seed in range(2):
+        for f in _sweep_data(lattice, np.random.default_rng(seed)):
+            for phi in phis:
+                with np.errstate(over="ignore"):
+                    want = _lockstep_luxemburg(lattice, f, phi)
+                got = luxemburg_norm(lattice, f, phi)
+                assert np.array_equal(got, want, equal_nan=True), phi.kind
+
+
+@pytest.mark.parametrize("offset", [-3.0, 3.0])
+def test_gauge_grid_walk_corrects_the_estimate(monkeypatch, offset):
+    # a crossing estimate a few grid steps off still reads the bisection's
+    # grid point, one pair walk step per round
+    crossing = weights._gauge_crossing
+    monkeypatch.setattr(weights, "_gauge_crossing", lambda *args: crossing(
+        *args) + offset * 2.0 ** -35 / math.log(2.0))
+    lattice = build_standard_lattice(build_grid_space(16))
+    f = np.abs(np.random.default_rng(19).standard_normal(16))
+    for phi in YOUNG:
+        assert np.array_equal(luxemburg_norm(lattice, f, phi),
+                              _lockstep_luxemburg(lattice, f, phi))
+
+
+def test_gauge_cube_means_rounds(monkeypatch):
+    # the lockstep bisection made 46 cube_means calls here
+    lattice = build_standard_lattice(build_grid_space(64))
+    f = np.abs(np.random.default_rng(18).standard_normal(64))
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        return type(lattice).cube_means(lattice, values)
+
+    monkeypatch.setattr(lattice, "cube_means", counted)
+    luxemburg_norm(lattice, f, young_llogl(1.0))
+    assert 0 < len(calls) <= 12
 
 
 # -- first-order form --------------------------------------------------------

@@ -81,6 +81,34 @@ def parent_adjacent_cover(systems, ball, cubes=None):
     return best[1], best[2]
 
 
+def scalar_draw_random_sparse_family(lattice, rng):
+    """random_sparse_family with one rng.uniform() call per cube the
+    walk visits, as before the walk drew its uniforms in one call."""
+    first, kids = lattice._child_start.tolist(), lattice._children.tolist()
+    ids = []
+    root = lattice.generations[0][0]
+    stack = [root]
+    while stack:
+        cid = stack.pop()
+        children = kids[first[cid]:first[cid + 1]]
+        if not children:
+            if rng.uniform() < 0.5:
+                ids.append(cid)
+            continue
+        roll = rng.uniform()
+        if roll < 0.55:
+            ids.append(cid)
+        if roll >= 0.25:
+            stack.extend(reversed(children))
+    if not ids:
+        ids = [root]
+    ids = sorted(set(ids))
+    witnesses, _ = dyadic._witness_walk(lattice, ids, 0.5)
+    kept = [cid for cid in ids if cid in witnesses]
+    if not kept:
+        return select_witnesses(lattice, [root], 0.5)
+    return dyadic.SparseFamily(lattice, kept, witnesses, 0.5)
+
 def parent_random_sparse_family(lattice, rng, delta=0.5):
     """The drop-and-rerun thinning: drop the first starved cube and
     select again over the remaining list, until selection succeeds.
@@ -854,6 +882,26 @@ class TestWitnessSelection:
                     assert np.array_equal(fam.witnesses[cid], wit)
                 assert fam.delta == ref.delta
         assert drops > 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_shifted_adjacent(build_grid_space(64), 3).lattices[0],
+        lambda: build_shifted_adjacent(build_grid_space(
+            32, np.random.default_rng(3).uniform(0.5, 2.0, 32)),
+            3).lattices[2],
+        lambda: build_hk_lattice(_plane_space(24, 4), 0.5),
+    ])
+    def test_random_family_matches_scalar_draws(self, build):
+        lat = build()
+        for seed in range(40):
+            fam = random_sparse_family(lat, np.random.default_rng(seed))
+            ref = scalar_draw_random_sparse_family(
+                lat, np.random.default_rng(seed))
+            assert fam.cube_ids == ref.cube_ids
+            assert fam.witnesses.keys() == ref.witnesses.keys()
+            for cid, wit in ref.witnesses.items():
+                assert np.array_equal(fam.witnesses[cid], wit)
+            assert fam.delta == ref.delta
+
 
 class TestSerialization:
     def test_json_roundtrip(self):
