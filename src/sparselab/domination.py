@@ -23,6 +23,7 @@ from .dyadic import (
     AdjacentSystems,
     SparseFamily,
     WitnessSelectionError,
+    _adjacent_covers,
     adjacent_cover,
     select_witnesses,
     verify_sparse,
@@ -330,6 +331,11 @@ def coverage_audit(space: DiscreteSpace, systems: AdjacentSystems) -> dict:
     Checks that the doubled balls 2^j B0 exhaust the space and that the
     greedy adjacent-cube cover of each annulus keeps its overlap below
     the declared bound 2 (2 j0 + 1); reports the realized overlap.
+    The greedy covers each annulus in point order by balls of radius
+    r = r0 2^(j+1-j0).  Shifted systems live on grids, where that ball
+    holds the points within floor(r n) of its center and cubes are index
+    intervals, so one _adjacent_covers call covers every annulus point,
+    and the next ball is around the first one past the last cover.
     """
     _, j0 = _stopping_exponents(space, systems)
     declared = 2 * (2 * j0 + 1)
@@ -343,21 +349,25 @@ def coverage_audit(space: DiscreteSpace, systems: AdjacentSystems) -> dict:
     while r0 * 2.0 ** levels < rmax:
         levels += 1
     union_ok = bool(space.ball(0, r0 * 2.0 ** levels).members.size == space.n)
-    counts = np.zeros(space.n, dtype=np.intp)
+    n = space.n
+    counts = np.zeros(n, dtype=np.intp)
     prev = space.ball(0, r0).members
     for j in range(levels):
         nxt = space.ball(0, r0 * 2.0 ** (j + 1)).members
         ann = np.setdiff1d(nxt, prev, assume_unique=True)
         prev = nxt
-        done = np.zeros(space.n, dtype=bool)
-        for x in ann:
-            if done[x]:
-                continue
-            small = space.ball(int(x), r0 * 2.0 ** (j + 1 - j0))
-            lat, cid = adjacent_cover(systems, small)
-            members = lat.members(cid)
-            done[members] = True
+        radius = r0 * 2.0 ** (j + 1 - j0)
+        span = int(radius * n)
+        system, cids = _adjacent_covers(
+            systems, ann, np.maximum(ann - span, 0),
+            np.minimum(ann + span, n - 1), radius)
+        i = 0
+        while i < ann.size:
+            if cids[i] < 0:  # the one-ball call raises its CoverError
+                adjacent_cover(systems, space.ball(int(ann[i]), radius))
+            members = systems.lattices[system[i]].members(cids[i])
             counts[members] += 1
+            i = int(np.searchsorted(ann, members[-1], side="right"))
     overlap = int(counts.max(initial=0))
     return {"union_ok": union_ok, "levels": levels, "overlap": overlap,
             "declared_bound": declared,

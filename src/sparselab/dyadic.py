@@ -17,6 +17,7 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -307,12 +308,40 @@ class AdjacentSystems:
     c_adj: float
     shifts: list[int]
 
+    @functools.cached_property
+    def _homes(self) -> tuple:
+        """The table covers read, built on the first cover: the
+        _stacked_homes columns, then the home cubes' masses and ids and
+        each column's system, every array after a column 0 that is no
+        cube (mass inf, id and system -1), so the first lightest column
+        is column 0 only where no cube fits."""
+        lats = self.lattices
+        cols = (*_stacked_homes(lats),
+                np.concatenate([lat.mass[lat.point_to_cube]
+                                for lat in lats]).T,
+                np.concatenate([lat.point_to_cube for lat in lats]).T,
+                np.repeat(np.arange(len(lats)),
+                          [len(lat.generations) for lat in lats]))
+        return tuple(np.insert(a, 0, fill, axis=-1) for a, fill in zip(
+            cols, (0, 0, 0.0, np.inf, -1, -1)))
+
 
 def _cube_ends(lat: DyadicLattice, cids) -> tuple[np.ndarray, np.ndarray]:
     """First and last member of each cube in cids (any shape)."""
     k = lat.gen[cids]
     return (lat.member_table[k, lat.start[cids]],
             lat.member_table[k, lat.stop[cids] - 1])
+
+
+def _stacked_homes(lattices: list[DyadicLattice]) -> tuple:
+    """Every lattice's home cubes of each point on a grid, stacked
+    system-major and then by generation: the (n, columns) arrays of
+    each home cube's first and last member and largest offset from the
+    point over n, one row per point."""
+    lo, hi = (np.concatenate(e).T for e in zip(
+        *(_cube_ends(lat, lat.point_to_cube) for lat in lattices)))
+    x = np.arange(len(lo))[:, None]
+    return lo, hi, np.maximum(x - lo, hi - x) / len(lo)
 
 
 def _compute_c_adj(space: DiscreteSpace, lattices: list[DyadicLattice]) -> float:
@@ -337,8 +366,7 @@ def _compute_c_adj(space: DiscreteSpace, lattices: list[DyadicLattice]) -> float
     raises CoverError naming its smallest such ball.
     """
     n = space.n
-    homes = [_cube_ends(lat, lat.point_to_cube) for lat in lattices]
-    los, his = (np.concatenate(e).T for e in zip(*homes))
+    los, his, reach = _stacked_homes(lattices)
     x = np.arange(n)[:, None]
     last = n - 1 - np.minimum(x, n - 1 - x)
     # an end at the edge of the grid never stops a ball; a zero column,
@@ -354,8 +382,7 @@ def _compute_c_adj(space: DiscreteSpace, lattices: list[DyadicLattice]) -> float
             f"ball B({c}, {j / n}) has no covering cube",
             ball=Ball(c, j / n, np.arange(max(0, c - j), min(n, c + j + 1))),
         )
-    dilation = np.concatenate(
-        [np.full(x.shape, np.inf), np.maximum(x - los, his - x) / n], axis=1)
+    dilation = np.concatenate([np.full(x.shape, np.inf), reach], axis=1)
     by = np.argsort(covered, axis=1, kind="stable")
     start = np.take_along_axis(covered, by, axis=1)[:, :-1] + 1
     dilation = np.take_along_axis(dilation, by, axis=1)
@@ -377,39 +404,42 @@ def build_shifted_adjacent(space: DiscreteSpace, shifts: int) -> AdjacentSystems
                            values)
 
 
+def _adjacent_covers(systems: AdjacentSystems, x, first, last, radius):
+    """adjacent_cover of the balls B(x, radius) with first and last
+    member first and last, for one center x or an array of them: each
+    ball's cover as its system (an index into systems.lattices) and
+    cube id, both -1 where no cube fits.
+
+    Only the center's home cubes can hold the ball.  Cubes and balls are
+    index intervals (shifted systems exist only on grids), so a home
+    cube holds the ball when its ends enclose the ball's, and stays
+    inside the c_adj-dilated ball when its largest offset from the
+    center does.  One argmin over the stacked home cubes picks the first
+    lightest fitting one in (system, generation) order.
+    """
+    lo, hi, reach, mass, cube, system = systems._homes
+    fits = (lo[x] <= np.asarray(first)[..., None]) & \
+        (hi[x] >= np.asarray(last)[..., None]) & \
+        (reach[x] <= systems.c_adj * radius)
+    pick = np.where(fits, mass[x], np.inf).argmin(axis=-1)
+    return system[pick], cube[x, pick]
+
+
 def adjacent_cover(systems: AdjacentSystems,
                    ball: Ball) -> tuple[DyadicLattice, int]:
     """Smallest-mass cube Q with ball <= Q <= c_adj-dilated ball, as its
     lattice and cube id.
 
-    Ties broken lexicographically by (system, generation, index).  Only
-    the center's home cubes can hold the ball.  Cubes and balls are
-    index intervals (shifted systems exist only on grids), so a home
-    cube holds the ball when its ends enclose the ball's, and stays
-    inside the dilated ball when both its ends do.  Home cubes come in
-    generation order, so a lattice's first lightest fitting one is its
-    coarsest among equal masses.
+    Ties broken lexicographically by (system, generation, index); a
+    center has one home cube per generation (see _adjacent_covers).
     """
-    x = ball.center
-    dist = systems.space.distances(x)
-    bound = systems.c_adj * ball.radius
-    best = None
-    for lat in systems.lattices:
-        home = lat.point_to_cube[:, x]
-        lo, hi = _cube_ends(lat, home)
-        fits = (lo <= ball.members[0]) & (hi >= ball.members[-1]) & \
-            (np.maximum(dist[lo], dist[hi]) <= bound)
-        fit = home[fits]
-        if fit.size:
-            cid = fit[lat.mass[fit].argmin()]
-            key = (lat.mass.item(cid), lat.system)
-            if best is None or key < best[0]:
-                best = (key, lat, cid)
-    if best is None:
-        raise CoverError(f"no cube covers ball B({x}, {ball.radius}) "
-                         "within the dilation bound", ball=ball)
-    _, lat, cid = best
-    return lat, int(cid)
+    system, cid = _adjacent_covers(systems, ball.center, ball.members[0],
+                                   ball.members[-1], ball.radius)
+    if cid < 0:
+        raise CoverError(f"no cube covers ball B({ball.center}, "
+                         f"{ball.radius}) within the dilation bound",
+                         ball=ball)
+    return systems.lattices[system], int(cid)
 
 
 # -- net lattice for explicit spaces ----------------------------------------

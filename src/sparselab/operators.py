@@ -504,25 +504,42 @@ def _live_balls(space: DiscreteSpace, base, outer, dilation: float):
     A ball is live when it lies inside the base ball and its cut-off
     set, the outer points past dilation times its radius, is not empty;
     both fail for good once the radius grows, so the live balls are a
-    prefix of the positive radii."""
+    prefix of the positive radii.  A center keeps a ball only if its
+    smallest one is live, which needs dilation times its least positive
+    distance below its reach, the distance to its farthest outer point:
+    the centers failing that leave each block before any row is sorted.
+    On a grid the outer points are an index interval and a distance is
+    |offset| / n, so both read off the interval's ends."""
     centers = np.flatnonzero(base)
+    ends = np.flatnonzero(outer)[[0, -1]]
     step = max(1, _BALL_BLOCK // space.n)
     for lo in range(0, len(centers), step):
         cen = centers[lo:lo + step]
+        if space.kind == "grid":
+            reach = np.maximum(cen - ends[0], ends[1] - cen) / space.n
+            least = 1.0 / space.n
+        else:
+            d = space.distances(cen)
+            reach = np.where(outer, d, -np.inf).max(axis=1)
+            least = np.where(d > 0.0, d, np.inf).min(axis=1)
+        live = dilation * least < reach
+        if not live.any():
+            continue
+        cen = cen[live]
         order, level, cuts, count = _ball_levels(space, cen, base, outer,
-                                                 dilation)
+                                                 dilation, reach[live])
         if count.any():
             yield cen, order, level, cuts, count
 
 
-def _ball_levels(space: DiscreteSpace, cen, base, outer, dilation: float):
-    """order, level, cuts and count of _live_balls for one block; a
-    function of its own, so its temporaries are freed before the walk
-    yields."""
+def _ball_levels(space: DiscreteSpace, cen, base, outer, dilation: float,
+                 reach):
+    """order, level, cuts and count of _live_balls for one block, given
+    each center's reach; a function of its own, so its temporaries are
+    freed before the walk yields."""
     order, ds, ends = _sorted_rows(space, cen)
     levels = np.zeros(order.shape, dtype=np.intp)
     np.cumsum(ends[:, :-1], axis=1, out=levels[:, 1:])
-    reach = np.where(outer[order], ds, -np.inf).max(axis=1)
     # a ball is live when ok holds at its last member: every point up
     # to it lies in the base ball, and dilation times its distance
     # stays below the farthest outer point; position 0 is the center,

@@ -421,7 +421,11 @@ def luxemburg_norm(lattice: DyadicLattice, f,
     but the one nearest the crossing gets the decision of the exact
     mean, so the computed means cross 1 between one pair of grid
     neighbours only, and the bisection and the pair walk both end there.
-    The grid arithmetic is exact for gauges above about 2^-987.
+    Each cube is searched on its values scaled by the power of two that
+    brings its top into [1/2, 1), and its gauge is scaled back: the norm
+    is homogeneous and the scaling exact, so the answer has the
+    unscaled search's bits wherever that stays in the normal range, and
+    no gauge leaves the float range during the search.
 
     A cube whose largest |f| is 0 reads 0, one holding a NaN reads NaN
     and one holding an infinity reads inf.
@@ -430,6 +434,17 @@ def luxemburg_norm(lattice: DyadicLattice, f,
                                   lattice.point_to_cube.shape))
     top = lattice.cube_max(vals)
     live = np.isfinite(top) & (top > 0)
+    _, scale = np.frexp(np.where(live, top, 0.0))
+    with np.errstate(over="ignore"):
+        return np.where(live, np.ldexp(_gauge_search(
+            lattice, np.ldexp(vals, -scale[lattice.point_to_cube]), phi,
+            live), scale), top)
+
+
+def _gauge_search(lattice: DyadicLattice, vals, phi: YoungFunction,
+                  live) -> np.ndarray:
+    """The lockstep bisection's gauge of the (generations, n) values
+    vals on every live cube (see luxemburg_norm); anything elsewhere."""
     cube = lattice.point_to_cube
 
     def mean_phi(lam):
@@ -447,8 +462,8 @@ def luxemburg_norm(lattice: DyadicLattice, f,
         # a bracket reaching 2^1024 = inf ends the bisection at once
         refine = live & (hi < math.inf)
         root = _gauge_crossing(mean_phi, e, lo_mean, hi_mean, refine)
-        hi = np.where(refine, _gauge_on_grid(mean_phi, e, root, refine), hi)
-    return np.where(live, hi, top)
+        return np.where(refine, _gauge_on_grid(mean_phi, e, root, refine),
+                        hi)
 
 
 # the bisection's finest grid has 2^34 steps across [hi/2, hi]

@@ -1,5 +1,6 @@
 """Stopping-time construction, certificates, augmentation, coverage."""
 
+import dataclasses
 import json
 import math
 
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 import sparselab.domination as dom
 from sparselab.dyadic import (
+    CoverError,
     SparseFamily,
     WitnessSelectionError,
+    adjacent_cover,
     build_shifted_adjacent,
     build_standard_lattice,
     verify_sparse,
@@ -466,6 +469,77 @@ def test_coverage_single_point():
     audit = coverage_audit(sp, systems)
     assert audit["ok"]
     assert audit["levels"] == 0
+
+
+def per_point_coverage_audit(space, systems):
+    """coverage_audit with one adjacent_cover call per uncovered annulus
+    point, as before the covers were batched per annulus (verbatim)."""
+    _, j0 = dom._stopping_exponents(space, systems)
+    declared = 2 * (2 * j0 + 1)
+    dists = space.realized_distances(0)
+    if dists.size == 0:
+        return {"union_ok": True, "levels": 0, "overlap": 0,
+                "declared_bound": declared, "ok": True}
+    r0 = float(dists.min())
+    rmax = float(dists.max())
+    levels = 0
+    while r0 * 2.0 ** levels < rmax:
+        levels += 1
+    union_ok = bool(space.ball(0, r0 * 2.0 ** levels).members.size == space.n)
+    counts = np.zeros(space.n, dtype=np.intp)
+    prev = space.ball(0, r0).members
+    for j in range(levels):
+        nxt = space.ball(0, r0 * 2.0 ** (j + 1)).members
+        ann = np.setdiff1d(nxt, prev, assume_unique=True)
+        prev = nxt
+        done = np.zeros(space.n, dtype=bool)
+        for x in ann:
+            if done[x]:
+                continue
+            small = space.ball(int(x), r0 * 2.0 ** (j + 1 - j0))
+            lat, cid = adjacent_cover(systems, small)
+            members = lat.members(cid)
+            done[members] = True
+            counts[members] += 1
+    overlap = int(counts.max(initial=0))
+    return {"union_ok": union_ok, "levels": levels, "overlap": overlap,
+            "declared_bound": declared,
+            "ok": union_ok and overlap <= declared}
+
+
+def _audit_outcome(audit, space, systems):
+    try:
+        return audit(space, systems)
+    except CoverError as exc:
+        ball = exc.ball
+        return str(exc), ball.center, ball.radius, ball.members.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 64, 256])
+@pytest.mark.parametrize("shifts", [1, 2, 3, 5])
+def test_coverage_audit_matches_per_point_greedy(n, shifts):
+    # the same report, or the same CoverError at the same point, also
+    # with c_adj cut below what the covers need
+    masses = np.random.default_rng(n + shifts).integers(1, 5, n)
+    for sp in (build_grid_space(n),
+               build_grid_space(n, masses=masses.astype(float))):
+        systems = build_shifted_adjacent(sp, shifts)
+        for c_adj in (systems.c_adj, 1.0, 0.5 * (1.0 + systems.c_adj)):
+            tight = dataclasses.replace(systems, c_adj=c_adj)
+            assert _audit_outcome(coverage_audit, sp, tight) == \
+                _audit_outcome(per_point_coverage_audit, sp, tight)
+
+
+def test_coverage_audit_cover_error_message():
+    sp = build_grid_space(64)
+    tight = dataclasses.replace(build_shifted_adjacent(sp, 3), c_adj=1.0)
+    with pytest.raises(CoverError) as want:
+        per_point_coverage_audit(sp, tight)
+    with pytest.raises(CoverError) as got:
+        coverage_audit(sp, tight)
+    assert str(got.value) == str(want.value)
+    assert got.value.ball.center == want.value.ball.center
+    assert got.value.ball.radius == want.value.ball.radius
 
 
 # -- augmentation ------------------------------------------------------------

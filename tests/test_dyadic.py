@@ -603,6 +603,50 @@ class TestShiftedAdjacent:
         with pytest.raises(CoverError):
             parent_adjacent_cover(tight, ball)
 
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("shifts", [1, 2, 3])
+    def test_batched_covers_match_parent(self, n, shifts):
+        # every center at once, for realized and in-between radii; ids
+        # and systems are -1 where the parent finds no cube
+        masses = np.random.default_rng(40 + n).integers(1, 5, n)
+        sp = build_grid_space(n, masses=masses.astype(float))
+        systems = build_shifted_adjacent(sp, shifts)
+        cubes = cube_sets(systems)
+        x = np.arange(n)
+        for j in (0, 0.5, 1, 2, 3, 5, 8, n // 2, n - 1, n):
+            radius = j / n
+            span = int(j)
+            system, cid = dyadic._adjacent_covers(
+                systems, x, np.maximum(x - span, 0),
+                np.minimum(x + span, n - 1), radius)
+            for c in range(n):
+                ball = sp.ball(c, radius)
+                assert ball.members.tolist() == list(range(
+                    max(c - span, 0), min(c + span, n - 1) + 1))
+                assert (system[c], cid[c]) == parent_adjacent_cover(
+                    systems, ball, cubes)
+
+    def test_batched_covers_none_within_dilation(self):
+        # the tight c_adj fixture above: the uncovered balls read -1
+        masses = np.random.default_rng(5).integers(1, 5, 32).astype(float)
+        sp = build_grid_space(32, masses=masses)
+        tight = dataclasses.replace(build_shifted_adjacent(sp, 3),
+                                    c_adj=1.0)
+        cubes = cube_sets(tight)
+        x = np.arange(32)
+        system, cid = dyadic._adjacent_covers(
+            tight, x, np.maximum(x - 1, 0), np.minimum(x + 1, 31), 1 / 32)
+        assert cid[3] == -1 and system[3] == -1
+        for c in range(32):
+            ball = sp.ball(c, 1 / 32)
+            if cid[c] < 0:
+                assert system[c] == -1
+                with pytest.raises(CoverError):
+                    parent_adjacent_cover(tight, ball, cubes)
+            else:
+                assert (system[c], cid[c]) == parent_adjacent_cover(
+                    tight, ball, cubes)
+
     def test_shifts2_n2_matches_standard(self):
         sp = build_grid_space(2)
         systems = build_shifted_adjacent(sp, 2)

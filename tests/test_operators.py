@@ -883,6 +883,50 @@ class TestBallLayerOperators:
             monkeypatch.setattr(operators, "_VALUE_BLOCK", values)
             assert np.array_equal(call(), want)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("walk", [None, 1])
+    def test_dead_and_live_centers_in_one_block(self, monkeypatch, m, walk):
+        # a whole-space base ball with a dilation that leaves the middle
+        # centers of the grid, and some centers of the plane points, no
+        # live ball at all, next to centers that keep theirs; walk 1
+        # puts each center in a block of its own
+        for sp, dilation in ((build_grid_space(32), 20.0),
+                             (ball_layer_spaces()[1], 12.0)):
+            d = sp.metric
+            least = np.where(d > 0, d, np.inf).min(axis=1)
+            dead = dilation * least >= d.max(axis=1)
+            assert dead.any() and not dead.all()
+            if walk is not None:
+                monkeypatch.setattr(operators, "_BALL_BLOCK", walk * sp.n)
+            rng = np.random.default_rng(41)
+            fs = [np.abs(rng.normal(size=sp.n)) for _ in range(m)]
+            radius = float(sp.distances(0).max())
+            got = whole_space_grand_maximal(sp, fs, 0.25, dilation)
+            want = loop_grand_maximal(sp, fs, 0.25, dilation, 0, radius)
+            assert np.any(want)
+            if m == 2:
+                assert np.array_equal(got, want)
+            else:
+                assert np.array_equal(got == 0, want == 0)
+                assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_dead_centers_sort_no_rows(self, monkeypatch, m):
+        # with every center dead no distance row is sorted: the default
+        # dominate setting above, and a dilation past every reach on the
+        # plane points
+        def sorted_rows(*args):
+            raise AssertionError("a dead center's row was sorted")
+
+        monkeypatch.setattr(operators, "_sorted_rows", sorted_rows)
+        grid, plane = ball_layer_spaces()[:2]
+        for sp, center, radius, dilation in ((grid, 8, 1 / 32, 32.0),
+                                             (plane, 0, 0.5, 1e3)):
+            fs = [np.ones((2, sp.n))] * m
+            out = truncated_grand_maximal_local(sp, fs, 0.0, dilation,
+                                                center, radius)
+            assert out.shape == (2, sp.n) and not np.any(out)
+
     def test_m1_memory_stays_per_block(self):
         # the root call of dominate --n 512 --k 2 --shifts 3: 12,016
         # (center, member) rows, each summed over 512 outer points, for

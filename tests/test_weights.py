@@ -1,6 +1,7 @@
 """Weight characteristics, Orlicz norms, presets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselab.dyadic import build_standard_lattice
+from sparselab import weights
 from sparselab.space import build_grid_space
 from sparselab.weights import (
     ExponentConfig,
@@ -350,6 +352,36 @@ class TestOrlicz:
         a = root_gauge(sp, f, phi)
         b = root_gauge(sp, 3.0 * f, phi)
         assert b == pytest.approx(3.0 * a, rel=1e-8)
+
+    @pytest.mark.parametrize("phi", [young_identity(), young_llogl(1.0)],
+                             ids=["identity", "llogl1"])
+    def test_ends_of_the_float_range(self, phi):
+        # each cube is searched at a top in [1/2, 1) and scaled back, so
+        # neither a subnormal nor a near-overflow constant leaves the
+        # float range; a constant c has gauge c for both gauges
+        lat = build_standard_lattice(build_grid_space(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = luxemburg_norm(lat, [5e-324, 5e-324], phi)
+            huge = luxemburg_norm(lat, [1e308, 1e308], phi)
+        assert np.array_equal(tiny, np.full(3, 5e-324))
+        assert np.all(np.isfinite(huge)) and np.all(huge >= 1e308)
+        assert huge == pytest.approx(np.full(3, 1e308), rel=1e-9)
+
+    def test_scaling_keeps_the_unscaled_bits(self):
+        # on ordinary data the scaled search reads exactly the gauge of
+        # the search on the values as given
+        lat = build_standard_lattice(build_grid_space(64))
+        rng = np.random.default_rng(42)
+        for phi in (young_identity(), young_llogl(1.0), young_llogl(2.0),
+                    young_expl(1.0), LLogLConjugate()):
+            for scale in (1e-6, 1.0, 3e4):
+                f = scale * np.abs(rng.normal(size=64))
+                vals = np.abs(np.broadcast_to(f, lat.point_to_cube.shape))
+                live = np.ones(len(lat.gen), dtype=bool)
+                with np.errstate(over="ignore"):
+                    want = weights._gauge_search(lat, vals, phi, live)
+                assert np.array_equal(luxemburg_norm(lat, f, phi), want)
 
     def test_subset_members(self):
         sp = build_grid_space(8)
