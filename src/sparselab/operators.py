@@ -70,6 +70,10 @@ class MultiIndexPair:
             raise ValueError("orders k_i must be nonnegative")
         if any(not 0 <= ti <= ki for ti, ki in zip(t, k)):
             raise ValueError("need 0 <= t_i <= k_i in every slot")
+        for name, slots in (("tau", tau), ("tau_ell", tau_ell)):
+            for a, b in zip(slots, slots[1:]):
+                if a == b:
+                    raise ValueError(f"slot {a} is listed twice in {name}")
         if not set(tau) <= set(tau_ell):
             raise ValueError("tau must be contained in tau_ell")
         m = len(k)
@@ -220,6 +224,8 @@ def sparse_endpoint(family: SparseFamily, fs, tau, eta: float = 0.0,
     osc_slots = sorted(set(osc_slots))
     if not tau.issuperset(osc_slots):
         raise ValueError("oscillation slots must lie inside tau")
+    if osc_slots and symbols is None:
+        raise ValueError("oscillation slots need symbols")
     if scales is None:
         scales = [1.0] * len(fs)
     phi = young_llogl(r)
@@ -282,17 +288,6 @@ def power_maximal_dyadic(lattice: DyadicLattice, f,
 
 # -- ball maximal functions --------------------------------------------------
 
-def _sorted_rows(space: DiscreteSpace, centers):
-    """The row orders of a block of centers, their sorted distances, and
-    ends[b, p], true where position p is the last member of its ball:
-    where the sorted distance rises, and at the last point."""
-    order = space._row_orders(centers)
-    ds = np.take_along_axis(space.distances(centers), order, axis=1)
-    ends = np.ones(order.shape, dtype=bool)
-    ends[:, :-1] = ds[:, 1:] > ds[:, :-1]
-    return order, ds, ends
-
-
 def fractional_maximal(space: DiscreteSpace, fs,
                        eta: float = 0.0) -> np.ndarray:
     """sup over the balls B centered at x, every realized radius
@@ -308,7 +303,7 @@ def fractional_maximal(space: DiscreteSpace, fs,
     step = max(1, _BALL_BLOCK // n)
     for lo in range(0, n, step):
         cen = np.arange(lo, min(lo + step, n))
-        order, _, ends = _sorted_rows(space, cen)
+        order, _, ends = space._sorted_rows(cen)
         vals = np.cumsum(space.masses[order], axis=1) ** (eta - m)
         for f in fm:
             vals *= np.cumsum(f[order], axis=1)
@@ -537,7 +532,7 @@ def _ball_levels(space: DiscreteSpace, cen, base, outer, dilation: float,
     """order, level, cuts and count of _live_balls for one block, given
     each center's reach; a function of its own, so its temporaries are
     freed before the walk yields."""
-    order, ds, ends = _sorted_rows(space, cen)
+    order, ds, ends = space._sorted_rows(cen)
     levels = np.zeros(order.shape, dtype=np.intp)
     np.cumsum(ends[:, :-1], axis=1, out=levels[:, 1:])
     # a ball is live when ok holds at its last member: every point up

@@ -7,8 +7,9 @@ center and the mass of a ball is a right-continuous step function of
 the radius with finitely many breakpoints.
 
 Explicit spaces keep their dense (n, n) metric; grid spaces keep only
-masses and positions.  Both build each center's sorted row on demand,
-in O(n) memory per row.
+masses and positions.  Both sort the distance rows of a block of
+centers on demand, in O(n) memory per row, by one primitive,
+DiscreteSpace._sorted_rows; balls(center) is its block of one.
 """
 
 from __future__ import annotations
@@ -127,17 +128,6 @@ class DiscreteSpace:
         """d(center, y) for every point y."""
         return self.metric[center]
 
-    def _row_order(self, center: int) -> np.ndarray:
-        """The points by distance from center; stable, so ties go by index."""
-        return np.argsort(self.distances(center), kind="stable")
-
-    def _sorted_row(self, center: int):
-        """The points by distance from center, their distances and the
-        running masses of that order."""
-        order = self._row_order(center)
-        return (order, self.distances(center)[order],
-                np.cumsum(self.masses[order]))
-
     # -- balls -------------------------------------------------------------
 
     def ball(self, center: int, radius: float) -> Ball:
@@ -181,8 +171,19 @@ class DiscreteSpace:
             raise ValueError("ball center out of range")
 
     def _row_orders(self, centers: np.ndarray) -> np.ndarray:
-        """_row_order of each center, as rows of a (B, n) array."""
+        """The points by distance from each center, as rows of a (B, n)
+        array; stable, so ties go by index."""
         return np.argsort(self.distances(centers), axis=1, kind="stable")
+
+    def _sorted_rows(self, centers: np.ndarray):
+        """The row orders of a block of centers, their sorted distances,
+        and ends[b, p], true where position p is the last member of its
+        ball: where the sorted distance rises, and at the last point."""
+        order = self._row_orders(centers)
+        ds = np.take_along_axis(self.distances(centers), order, axis=1)
+        ends = np.ones(order.shape, dtype=bool)
+        ends[:, :-1] = ds[:, 1:] > ds[:, :-1]
+        return order, ds, ends
 
     def _ball_last(self, centers, orders, r) -> np.ndarray:
         """Where the ball B(centers[b], r[b, i]) ends in orders[b], the
@@ -199,9 +200,8 @@ class DiscreteSpace:
         by distance, the distinct radii (0 first) and member counts, so
         ball j is order[:ends[j]] with mass ball_mass(center, radii[j])."""
         self._check_centers(center)
-        order, d, _ = self._sorted_row(center)
-        ends = np.append(np.flatnonzero(np.diff(d) > 0) + 1, self.n)
-        return order, d[ends - 1], ends
+        order, d, last = self._sorted_rows(np.array([center], np.intp))
+        return order[0], d[0, last[0]], np.flatnonzero(last[0]) + 1
 
     def _doubling_scan(self) -> float:
         """doubling_constant, one center at a time over its balls."""
@@ -226,9 +226,12 @@ class GridSpace(DiscreteSpace):
     """Grid model in O(n) memory: points k/n on [0, 1), d(x, y) = |x - y|.
 
     For power-of-two n every position k/n and every distance is exact, so
-    |x - y| is a metric (a0 = 1) and the closed-form row order below is
-    the stable argsort of the distance row: x, x-1, x+1, x-2, x+2, ...,
-    then the rest of the longer side.
+    |x - y| is a metric (a0 = 1).  The grid keeps only closed forms: its
+    distance rows, its row order (the stable argsort of the distance
+    row: x, x-1, x+1, x-2, x+2, ..., then the rest of the longer side),
+    where each ball ends in that order, and the doubling scan.  Every
+    other ball method, balls and _sorted_rows among them, is the
+    explicit space's, run on these closed forms.
     """
 
     kind = "grid"
@@ -259,34 +262,10 @@ class GridSpace(DiscreteSpace):
         """d(center, y) for every y; a (B, n) array for B centers."""
         return self._rows[self.n - 1 - center]
 
-    def _row_order(self, x: int) -> np.ndarray:
-        n = self.n
-        near = min(x, n - 1 - x)
-        both = 2 * near + 1
-        order = np.empty(n, dtype=np.intp)
-        np.add(self._zigzag[:both], x, out=order[:both])
-        # then the rest of the longer side, nearest first
-        rest = np.arange(near + 1, n - near)
-        if near == x:
-            np.add(x, rest, out=order[both:])
-        else:
-            np.subtract(x, rest, out=order[both:])
-        return order
-
-    def balls(self, center: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # ball j has radius j/n and holds both sides out to j, clipped at
-        # the nearer end of the grid
-        self._check_centers(center)
-        n = self.n
-        near = min(center, n - 1 - center)
-        j = np.arange(n - near)
-        radii = self._rows[n - 1, :n - near]
-        return self._row_order(center), radii, np.minimum(2 * j, near + j) + 1
-
     def _row_orders(self, centers: np.ndarray) -> np.ndarray:
-        # _row_order's closed form, one row per center: past the zigzag
-        # the rest of the longer side is k itself on the left half of
-        # the grid and n - 1 - k on the right half
+        # the stable argsort's closed form, one row per center: past the
+        # zigzag the rest of the longer side is k itself on the left half
+        # of the grid and n - 1 - k on the right half
         n = self.n
         x = centers[:, None]
         near = np.minimum(x, n - 1 - x)
@@ -296,9 +275,9 @@ class GridSpace(DiscreteSpace):
 
     def _ball_last(self, centers, orders, r) -> np.ndarray:
         # the ball of radius r holds both sides out to j = floor(r n),
-        # clipped at the nearer end of the grid (as in balls); r n only
-        # rescales r by a power of two, so d = k/n <= r exactly when
-        # k <= j, and r >= 0 truncates to j
+        # clipped at the nearer end of the grid; r n only rescales r by a
+        # power of two, so d = k/n <= r exactly when k <= j, and r >= 0
+        # truncates to j
         n = self.n
         near = np.minimum(centers, n - 1 - centers)[:, None]
         j = np.minimum(r * n, n - 1 - near).astype(np.intp)

@@ -528,6 +528,9 @@ class TestCommandSurface:
       for args in (["lattice"], ["constants", "--kind", "A_p", "--weight",
                                  "const"], ["sparse"], ["verify", "all"])],
     ({"space": _THREE_POINTS}, ["lattice", "--shifts", "3"], 2),
+    # a slot listed twice would enter every form twice
+    ({"pair": {"k": [1, 1], "tau_ell": [0, 0]}}, ["dominate", "--n", "16"],
+     2),
 ])
 def test_bad_input_gives_one_error_line(runner, tmp_path, config, args,
                                         code):

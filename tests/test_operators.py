@@ -29,7 +29,8 @@ from sparselab.operators import (
     sparse_operator,
     truncated_grand_maximal_local,
 )
-from sparselab.space import build_explicit_space, build_grid_space
+from sparselab.space import DiscreteSpace, build_explicit_space, \
+    build_grid_space
 from sparselab.verify import _BLOOM_ITER_PRESETS, _BLOOM_MAX_PRESETS
 from sparselab.weights import avg, luxemburg_norm, young_identity, young_llogl
 
@@ -99,6 +100,14 @@ class TestMultiIndexPair:
     def test_index_range(self):
         with pytest.raises(ValueError):
             MultiIndexPair((1,), (0,), (0,), (0, 5))
+
+    @pytest.mark.parametrize("tau,tau_ell,name", [
+        ((0, 0), (0, 1), "tau"), ((), (0, 0), "tau_ell"),
+        ((1,), (1, 0, 1), "tau_ell")])
+    def test_repeated_slot(self, tau, tau_ell, name):
+        # a repeated slot would enter every form twice
+        with pytest.raises(ValueError, match=f"listed twice in {name}$"):
+            MultiIndexPair((1, 1), (0, 0), tau, tau_ell)
 
 
 class TestSparseOperator:
@@ -561,8 +570,9 @@ class TestFractionalIntegral:
         assert operators._KERNEL_BLOCK // n < n
         K = ball_mass_kernel(sp)
         for x in range(n):
-            _, d, prefix = sp._sorted_row(x)
-            row = prefix[np.searchsorted(d, sp.distances(x), "right") - 1]
+            order, d, _ = sp._sorted_rows(np.array([x]))
+            prefix = np.cumsum(sp.masses[order[0]])
+            row = prefix[np.searchsorted(d[0], sp.distances(x), "right") - 1]
             assert np.array_equal(K[x], row)
 
     def test_linearity(self):
@@ -918,7 +928,9 @@ class TestBallLayerOperators:
         def sorted_rows(*args):
             raise AssertionError("a dead center's row was sorted")
 
-        monkeypatch.setattr(operators, "_sorted_rows", sorted_rows)
+        # GridSpace does not override _sorted_rows, so this one patch
+        # covers both space kinds
+        monkeypatch.setattr(DiscreteSpace, "_sorted_rows", sorted_rows)
         grid, plane = ball_layer_spaces()[:2]
         for sp, center, radius, dilation in ((grid, 8, 1 / 32, 32.0),
                                              (plane, 0, 0.5, 1e3)):

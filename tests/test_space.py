@@ -42,7 +42,9 @@ def reference_doubling(space):
     np.unique, with both ball masses looked up in the prefix row."""
     best = 1.0
     for x in range(space.n):
-        _, d, prefix = space._sorted_row(x)
+        order = np.argsort(space.distances(x), kind="stable")
+        d = space.distances(x)[order]
+        prefix = np.cumsum(space.masses[order])
         cand = np.unique(np.concatenate([[0.0], d, 0.5 * d]))
         inner = prefix[np.searchsorted(d, cand, side="right") - 1]
         outer = prefix[np.searchsorted(d, 2.0 * cand, side="right") - 1]
@@ -450,11 +452,14 @@ def test_explicit_rows_equal_the_dense_tables():
         dists = np.take_along_axis(metric, order, axis=1)
         prefix = np.cumsum(masses[order], axis=1)
         assert n < 7 or len(np.unique(metric)) < n * (n - 1) // 2
-        for x in range(n):
-            row = sp._sorted_row(x)
-            assert np.array_equal(row[0], order[x])
-            assert np.array_equal(row[1], dists[x])
-            assert np.array_equal(row[2], prefix[x])
+        rows, ds, ends = sp._sorted_rows(np.arange(n))
+        assert np.array_equal(rows, order)
+        assert np.array_equal(ds, dists)
+        assert np.array_equal(ends[:, :-1], np.diff(dists, axis=1) > 0)
+        assert ends[:, -1].all()
+        # a ball's mass is the prefix mass at its last member
+        assert np.array_equal(sp.ball_mass(np.arange(n), dists)[ends],
+                              prefix[ends])
 
 
 def test_balls_on_weighted_grid():

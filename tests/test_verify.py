@@ -430,6 +430,14 @@ class TestOscillationForm:
             sparse_endpoint(family, [ones, ones], tau=(0,),
                             symbols=[ones, ones], osc_slots=(1,))
 
+    def test_oscillation_without_symbols_rejected(self):
+        space = build_grid_space(4)
+        lattice = build_standard_lattice(space)
+        family = select_witnesses(lattice, [lattice.generations[0][0]], 0.5)
+        ones = np.ones(4)
+        with pytest.raises(ValueError, match="need symbols"):
+            sparse_endpoint(family, [ones, ones], tau=(0,), osc_slots=(0,))
+
 
 class TestNormEstimator:
     def test_single_slot_linear_matches_svd(self):

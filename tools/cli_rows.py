@@ -53,6 +53,8 @@ def main(args):
         parser.error("the command line follows a --")
     cut = args.index("--")
     opts, argv = parser.parse_args(args[:cut]), args[cut + 1:]
+    if opts.rounds < 1:
+        parser.error("--rounds must be at least 1")
     sides = {"parent": opts.parent, "change": opts.change}
     row = {key: [] for key in ("parent", "change", "parent_rss_mb",
                                "change_rss_mb")}
